@@ -2,12 +2,10 @@
 // GPT-3 175B (113 -> 135 TFLOP/s per GPU) and +11% for the 530B model
 // (133 -> 148). We run the same end-to-end configurations with the fused
 // kernels toggled in the cost model, measure the *real* CPU fused kernels
-// against their unfused compositions, and — three-way — run a whole
-// transformer block unfused (planned graph, fusion pass off), hand-fused
-// (the eager bodies), and planner-fused (planned graph, fusion pass on),
-// writing the comparison to BENCH_graph_fusion.json. The planner-fused plan
-// dispatches the same kernels as the hand-written bodies, so it must match
-// or beat them.
+// against their unfused compositions, and run a whole transformer block
+// twice — unfused (planned graph, fusion pass off) and planner-fused (the
+// plan the layer executes) — writing the comparison to
+// BENCH_graph_fusion.json.
 
 #include "bench_util.hpp"
 
@@ -83,7 +81,7 @@ int main() {
   const double fused_bda = time_ms([&] {
     tensor::Tensor mask;
     Rng r2(9);
-    auto y = tensor::fused_bias_dropout_add(x, bias, resid, 0.1f, r2, mask);
+    auto y = tensor::fused_bias_dropout_add(x, bias, resid, 0.1f, r2, &mask);
   });
   std::printf("  bias+dropout+add : %6.3f ms -> %6.3f ms (%.2fx)\n", unfused_bda,
               fused_bda, unfused_bda / fused_bda);
@@ -100,7 +98,7 @@ int main() {
               "kernel also applies causal masking)\n",
               composed_sm, fused_sm, composed_sm / fused_sm);
 
-  // ---- three-way block benchmark: unfused / hand-fused / planner-fused ----
+  // ---- block benchmark: unfused plan vs planner-fused plan ----
   model::GptConfig bc;
   bc.num_layers = 1;
   bc.hidden = 512;
@@ -133,15 +131,6 @@ int main() {
                                                       layer.binding(), ctx, bdy);
       },
       reps);
-  const bool prev_enabled = graph::set_enabled(false);
-  const double ms_hand = time_ms(
-      [&] {
-        model::LayerCache cache;
-        (void)layer.forward(bx, cache, 1);
-        (void)layer.backward(bdy, cache);
-      },
-      reps);
-  graph::set_enabled(true);
   const double ms_planner = time_ms(
       [&] {
         model::LayerCache cache;
@@ -149,16 +138,13 @@ int main() {
         (void)layer.backward(bdy, cache);
       },
       reps);
-  graph::set_enabled(prev_enabled);
 
   std::printf("\nTransformer block fwd+bwd (s=%lld b=%lld h=%lld, dropout on):\n",
               static_cast<long long>(bc.seq), static_cast<long long>(bb),
               static_cast<long long>(bc.hidden));
   std::printf("  unfused plan     : %7.3f ms\n", ms_unfused);
-  std::printf("  hand-fused eager : %7.3f ms (%.2fx vs unfused)\n", ms_hand,
-              ms_unfused / ms_hand);
-  std::printf("  planner-fused    : %7.3f ms (%.2fx vs unfused, %.2fx vs hand)\n",
-              ms_planner, ms_unfused / ms_planner, ms_hand / ms_planner);
+  std::printf("  planner-fused    : %7.3f ms (%.2fx vs unfused)\n", ms_planner,
+              ms_unfused / ms_planner);
 
   std::FILE* f = std::fopen("BENCH_graph_fusion.json", "w");
   if (f == nullptr) {
@@ -173,11 +159,9 @@ int main() {
                static_cast<long long>(bc.seq), static_cast<long long>(bb), reps);
   std::fprintf(f, "  \"block_fwd_bwd_ms\": {\n");
   std::fprintf(f, "    \"unfused\": %.4f,\n", ms_unfused);
-  std::fprintf(f, "    \"hand_fused\": %.4f,\n", ms_hand);
   std::fprintf(f, "    \"planner_fused\": %.4f\n  },\n", ms_planner);
-  std::fprintf(f, "  \"speedup\": {\"hand_vs_unfused\": %.4f, "
-                  "\"planner_vs_unfused\": %.4f, \"planner_vs_hand\": %.4f},\n",
-               ms_unfused / ms_hand, ms_unfused / ms_planner, ms_hand / ms_planner);
+  std::fprintf(f, "  \"speedup\": {\"planner_vs_unfused\": %.4f},\n",
+               ms_unfused / ms_planner);
   std::fprintf(f, "  \"kernel_ms\": {\"bias_gelu\": [%.4f, %.4f], "
                   "\"bias_dropout_add\": [%.4f, %.4f], "
                   "\"scale_softmax\": [%.4f, %.4f]}\n}\n",

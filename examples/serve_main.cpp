@@ -14,8 +14,9 @@
 // kernel-selection pass, and validate against a SECOND fp32 stage (same
 // config + seed => identical initial weights): int8 greedy decode must be
 // token-identical to the fp32 oracle; q4 reports teacher-forced top-1
-// agreement (gated at 0.90). --dump-plan writes the planner's inference
-// plan (kernel selection visible as "linear_fwd_quant" nodes);
+// agreement (gated at 0.90). --dump-plan writes the decode plans the
+// stage executes (a "decode_attention" node per layer; kernel selection
+// visible as "linear_fwd_quant" nodes);
 // --save/load-quant-ckpt exercise the dtype-tagged quantized checkpoint.
 //
 //   serve_main [--users N] [--requests N] [--capacity-blocks N] [--tp N]
@@ -31,7 +32,6 @@
 #include <string>
 
 #include "ptdp/dist/world.hpp"
-#include "ptdp/graph/builder.hpp"
 #include "ptdp/graph/passes.hpp"
 #include "ptdp/model/generate.hpp"
 #include "ptdp/obs/metrics.hpp"
@@ -151,23 +151,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(args.capacity_blocks),
               args.weight_dtype.c_str());
 
+  std::FILE* plan_file = nullptr;
   if (!args.dump_plan.empty()) {
-    // The inference plan the serving stage will follow, kernel selection
-    // included ("linear_fwd_quant" nodes carry a "quant" attribute).
-    graph::PlannerOptions popts;
-    popts.tp_size = args.tp;
-    popts.inference = true;
-    if (quantized) popts.quant = &policy;
-    const graph::StagePlan splan = graph::build_stage_plan(
-        config, 0, config.num_layers, true, true, false, popts);
-    std::FILE* f = std::fopen(args.dump_plan.c_str(), "w");
-    if (f == nullptr) {
+    plan_file = std::fopen(args.dump_plan.c_str(), "w");
+    if (plan_file == nullptr) {
       std::fprintf(stderr, "failed to open %s\n", args.dump_plan.c_str());
       return 2;
     }
-    graph::dump_stage_plan_json(splan, config, f);
-    std::fclose(f);
-    std::printf("plan -> %s\n", args.dump_plan.c_str());
   }
 
   int mismatches = 0;
@@ -217,6 +207,14 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(*step));
         }
       }
+    }
+
+    if (plan_file != nullptr && comm.rank() == 0) {
+      // The decode plans the engine executes, kernel selection included
+      // ("linear_fwd_quant" nodes carry a "quant" attribute).
+      graph::dump_stage_plan_json(stage.decode_plan(), config, plan_file);
+      std::fclose(plan_file);
+      std::printf("plan -> %s\n", args.dump_plan.c_str());
     }
 
     serve::EngineOptions eo;

@@ -22,12 +22,11 @@
 //              --trace-out /tmp/trace.json --metrics-out /tmp/metrics.json
 //              --dump-plan plan.json
 //
-// Planned execution (DESIGN.md §14): layers run their fused op-graph plans by
-// default; set PTDP_GRAPH=0 to fall back to the hand-written eager bodies
-// (bitwise-identical results either way). --dump-plan writes every virtual
-// stage's planned graph — post-fusion node sequences, value lifetimes, arena
-// slot assignment, buffer stats — as ptdp-plan-v1 JSON (path or "-" for
-// stdout) and exits without training.
+// Planned execution (DESIGN.md §14): every layer runs its fused op-graph
+// plan through the graph executor — the plan is the layer's only body.
+// --dump-plan writes every virtual stage's planned graph — post-fusion node
+// sequences, value lifetimes, arena slot assignment, buffer stats — as
+// ptdp-plan-v1 JSON (path or "-" for stdout) and exits without training.
 //
 // Observability (DESIGN.md §11): --trace-out enables full tracing and writes
 // a Chrome trace_event JSON (open in Perfetto / chrome://tracing; tid = world

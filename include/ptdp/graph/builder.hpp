@@ -4,15 +4,14 @@
 // canonical *unfused* per-block sequence — add_bias / dropout / add,
 // scale / mask / softmax as separate nodes — and build_layer_plan then runs
 // the planner passes (fusion, dtype propagation, buffer planning) unless
-// PlannerOptions says otherwise. The fused result dispatches exactly the
-// kernel order of the hand-written eager bodies.
+// PlannerOptions says otherwise. With `inference` the result is the decode
+// plan (§16): the training forward with its attention core replaced by one
+// kDecodeAttention node.
 
 #include "ptdp/graph/ir.hpp"
 #include "ptdp/model/config.hpp"
 
 namespace ptdp::graph {
-
-struct QuantPolicy;
 
 struct PlannerOptions {
   bool fuse = true;               ///< run the §4.2 operator-fusion pass
@@ -21,10 +20,9 @@ struct PlannerOptions {
   std::int64_t tp_size = 1;       ///< tensor-parallel degree (sizes sharded
                                   ///< tensors for the buffer plan; topology
                                   ///< is t-independent)
-  bool inference = false;         ///< decode/serving plan: drop the backward
-                                  ///< graph after fusion (no grads at serve)
-  const QuantPolicy* quant = nullptr;  ///< with `inference`, run the §17
-                                       ///< kernel-selection pass (passes.hpp)
+  bool inference = false;         ///< decode plan: drop the backward graph
+                                  ///< after fusion and replace the attention
+                                  ///< core by kDecodeAttention (dropout-free)
 };
 
 /// The raw unfused plan for one block (no passes run). `with_dropout`

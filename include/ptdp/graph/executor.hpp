@@ -2,23 +2,26 @@
 
 // SequentialExecutor: runs a planned LayerPlan over a Frame (DESIGN.md §14).
 //
-// The Frame is the StageCache-equivalent for graph mode: one tensor slot per
-// plan value, owned by the LayerCache so a pipeline stage can keep many
-// microbatches in flight. The executor realizes the buffer plan by dropping
-// each slot at its planned last use — the freed block returns to the
-// ptdp::mem pool's size-class free list, which is exactly the arena the slot
-// assignment predicted. Activation recomputation is the plan transformation
-// fwd ++ bwd run over a frame that holds only the layer input
-// (Frame::keep_input_only), replacing the eager keep_input_only()+replay
-// special case.
+// The Frame is a layer's per-microbatch execution state: one tensor slot per
+// plan value (model::LayerCache is a Frame), so a pipeline stage can keep
+// many microbatches in flight. The executor realizes the buffer plan by
+// dropping each slot at its planned last use — the freed block returns to
+// the ptdp::mem pool's size-class free list, which is exactly the arena the
+// slot assignment predicted. Activation recomputation is the plan
+// transformation fwd ++ bwd run over a frame that holds only the layer input
+// (Frame::keep_input_only). Decode runs an inference plan whose
+// kDecodeAttention node reads the batch layout and KV store from the
+// ExecContext.
 //
 // Every node executes under a per-op obs::Span (static name from op_name),
 // so Perfetto timelines show the planned schedule op by op.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ptdp/graph/ir.hpp"
+#include "ptdp/model/kv_cache.hpp"
 #include "ptdp/tensor/tensor.hpp"
 
 namespace ptdp::model {
@@ -69,11 +72,16 @@ struct LayerBinding {
 
 /// Per-run dynamic inputs: the microbatch geometry, the RNG key, and the
 /// current dropout probability (an eval-mode runtime input — plan topology
-/// only depends on whether training dropout exists at all).
+/// only depends on whether training dropout exists at all). Decode plans
+/// run with s = Σ seq.len rows, b = 1, and also read the sequences of the
+/// batch (in row order) and the KV store their kDecodeAttention node
+/// writes and attends over.
 struct ExecContext {
   std::int64_t s = 0, b = 0;
   std::uint64_t mb_tag = 0;
   float dropout = 0.0f;
+  std::span<const model::DecodeSeq> seqs = {};
+  model::KvStore* kv = nullptr;
 };
 
 class SequentialExecutor {

@@ -2,22 +2,22 @@
 
 // ptdp::graph — a small static per-layer op-graph IR (DESIGN.md §14).
 //
-// Instead of hand-written forward/backward bodies in the model layer, each
-// transformer block is described once as a LayerPlan: a shared value table
-// plus two topologically-ordered node lists (forward and backward) whose
-// nodes name existing tensor kernels, fused §4.2 kernels, or tensor-parallel
-// module calls (linear fwd/bwd, attention dropout-mask draw). The builder
-// emits the canonical *unfused* sequence from GptConfig; planner passes
-// (passes.hpp) then fuse operators, propagate §13 dtypes, and assign
-// lifetime-planned buffer slots. Activation recomputation is a plan
-// transformation — the unified node order fwd ++ bwd *is* the recompute
-// schedule, since backward nodes reference forward value ids directly.
+// A transformer block is described once as a LayerPlan: a shared value
+// table plus two topologically-ordered node lists (forward and backward)
+// whose nodes name existing tensor kernels, fused §4.2 kernels, or
+// tensor-parallel module calls (linear fwd/bwd, attention dropout-mask
+// draw). The builder emits the canonical *unfused* sequence from GptConfig;
+// planner passes (passes.hpp) then fuse operators, propagate §13 dtypes,
+// and assign lifetime-planned buffer slots. Activation recomputation is a
+// plan transformation — the unified node order fwd ++ bwd *is* the
+// recompute schedule, since backward nodes reference forward value ids
+// directly. Incremental decode is an inference plan (forward only) whose
+// attention core is one KV-cached kDecodeAttention node (§16).
 //
-// Bitwise contract: after the fusion pass, executing a plan dispatches the
-// exact kernel sequence the eager bodies in transformer_layer.cpp /
-// attention.cpp / mlp.cpp dispatch, with RNG streams rebuilt from the same
-// (seed, mb_tag, layer, site) keys — so graph mode is bit-identical to
-// eager mode, and PTDP_GRAPH=0 remains a pure escape hatch.
+// The plan is the only body a layer has: training, recompute, evaluation
+// and decode all execute it through the SequentialExecutor. RNG streams
+// are rebuilt from (seed, mb_tag, layer, site) keys, so replays and
+// tensor-parallel ranks draw identical masks.
 
 #include <cstdint>
 #include <string>
@@ -33,8 +33,8 @@ inline constexpr ValueId kNoValue = -1;
 
 /// Every operation a plan can schedule. Fused kinds are what the §4.2
 /// kernels provide; their unfused counterparts exist only pre-fusion (and in
-/// unfused plans kept for the three-way bench) — the fusion pass rewrites
-/// them jointly across the forward and backward graphs.
+/// the unfused plans the §5.8 bench times) — the fusion pass rewrites them
+/// jointly across the forward and backward graphs.
 enum class OpKind : std::uint8_t {
   // structural (metadata views + head split/merge copies)
   kView2D,             ///< [s,b,h] -> [s*b,h] (zero-copy)
@@ -77,6 +77,10 @@ enum class OpKind : std::uint8_t {
   // select_kernels pass on inference plans — same module call, but the GEMM
   // streams blockwise-quantized weight bytes (Node::quant names the format)
   kLinearFwdQuant,
+  // inference-only (§16): KV-cached attention core of a decode plan — qkv
+  // rows in, merged per-row context out; writes K/V and attends over the
+  // cached prefix of every sequence in ExecContext::seqs
+  kDecodeAttention,
 };
 
 /// Stable span/dump name for an op ("graph.layernorm", ...). Static storage;
@@ -176,14 +180,5 @@ struct StagePlan {
   bool has_head = false;
   bool recompute = false;
 };
-
-// ---- runtime switch --------------------------------------------------------------
-// Graph execution is the default; PTDP_GRAPH=0 (or set_enabled(false))
-// restores the hand-written eager bodies. Mirrors mem::set_pool_enabled.
-
-/// True when model layers should execute planned graphs.
-bool enabled();
-/// Runtime override (tests, benches). Returns the previous value.
-bool set_enabled(bool on);
 
 }  // namespace ptdp::graph

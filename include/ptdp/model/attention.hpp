@@ -1,6 +1,7 @@
 #pragma once
 
-// Tensor-parallel multi-head self-attention (Fig. 5b).
+// Tensor-parallel multi-head self-attention (Fig. 5b): the parameters and
+// shard geometry the planned layer body (ptdp::graph, DESIGN.md §14) drives.
 //
 // The QKV projection is column-parallel with whole heads per rank (requires
 // heads % t == 0); the output projection is row-parallel with its bias
@@ -8,57 +9,24 @@
 // bias+dropout+residual kernel. Data layout follows §4.2: activations flow
 // as [s, b, h] (sequence-major) to avoid transposes in the hot path.
 
-#include <span>
-
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/model/config.hpp"
-#include "ptdp/model/kv_cache.hpp"
 #include "ptdp/model/linear.hpp"
 #include "ptdp/model/rng_sites.hpp"
 
 namespace ptdp::model {
-
-struct AttentionCache {
-  LinearCache qkv;
-  LinearCache proj;
-  tensor::Tensor q, k, v;        ///< [b·a_local, s, dk]
-  tensor::Tensor probs;          ///< post-softmax attention probabilities
-  tensor::Tensor prob_mask;      ///< dropout mask on probs (undefined if p == 0)
-  tensor::Tensor probs_dropped;  ///< probs ⊙ mask (== probs if p == 0)
-  std::int64_t s = 0, b = 0;
-};
 
 class ParallelAttention {
  public:
   ParallelAttention(const GptConfig& config, std::int64_t global_layer_idx,
                     dist::Comm tp);
 
-  /// x: [s, b, h] replicated across tensor ranks. Returns [s, b, h]
-  /// (all-reduced by the row-parallel projection) with the projection bias
-  /// NOT applied.
-  tensor::Tensor forward(const tensor::Tensor& x, AttentionCache& cache,
-                         std::uint64_t mb_tag);
-
-  /// dy: [s, b, h] replicated. Returns dx [s, b, h]; accumulates grads.
-  tensor::Tensor backward(const tensor::Tensor& dy, const AttentionCache& cache);
-
-  /// Incremental decode over a KV cache: x is [rows, h], the concatenated
-  /// new-token activations of `seqs` in order (rows == Σ seq.len). Each
-  /// sequence's new K/V rows are appended to `kv`, and its new queries
-  /// attend over the full cached prefix. Returns [rows, h] (all-reduced by
-  /// the row-parallel projection, bias NOT applied) — bitwise-identical to
-  /// the corresponding rows of forward() on the full prefix (DESIGN.md §16).
-  /// Requires causal attention and dropout == 0.
-  tensor::Tensor forward_decode(const tensor::Tensor& x,
-                                std::span<const DecodeSeq> seqs, KvStore& kv);
-
   Param& proj_bias() { return proj_.bias(); }
   void collect_params(ParamRefs& out);
   /// Eval-mode switch: 0 disables attention-probability dropout.
   void set_dropout(float p) { config_.dropout = p; }
 
-  // Graph-plan bindings (ptdp::graph drives the same modules the eager body
-  // drives; see DESIGN.md §14).
+  // Graph-plan bindings (DESIGN.md §14).
   ColumnParallelLinear& qkv() { return qkv_; }
   RowParallelLinear& proj() { return proj_; }
   std::int64_t heads_local() const { return heads_local_; }

@@ -2,7 +2,8 @@
 
 // Tensor-parallel two-layer MLP (Fig. 5a): column-parallel h -> 4h with
 // fused bias+GeLU, then row-parallel 4h -> h with bias skipped for the
-// block-level fused bias+dropout+add.
+// block-level fused bias+dropout+add. Holds the parameters; the planned
+// layer body (ptdp::graph, DESIGN.md §14) drives them.
 
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/model/config.hpp"
@@ -10,21 +11,9 @@
 
 namespace ptdp::model {
 
-struct MlpCache {
-  LinearCache fc1;
-  LinearCache fc2;
-  tensor::Tensor fc1_out;  ///< pre-bias, pre-GeLU [n, 4h/t]
-};
-
 class ParallelMlp {
  public:
   ParallelMlp(const GptConfig& config, std::int64_t global_layer_idx, dist::Comm tp);
-
-  /// x: [s, b, h] replicated. Returns [s, b, h] without the fc2 bias.
-  tensor::Tensor forward(const tensor::Tensor& x, MlpCache& cache);
-
-  /// dy: [s, b, h] replicated. Returns dx [s, b, h]; accumulates grads.
-  tensor::Tensor backward(const tensor::Tensor& dy, const MlpCache& cache);
 
   Param& fc2_bias() { return fc2_.bias(); }
   void collect_params(ParamRefs& out);
@@ -34,7 +23,6 @@ class ParallelMlp {
   RowParallelLinear& fc2() { return fc2_; }
 
  private:
-  std::int64_t hidden_;
   ColumnParallelLinear fc1_;
   RowParallelLinear fc2_;
 };

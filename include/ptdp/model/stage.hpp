@@ -104,10 +104,11 @@ class GptStage {
 
   /// Incremental inference over a KV cache: `tokens` ([Σ len]) holds the
   /// new tokens of every sequence in `seqs`, concatenated in order. Embeds
-  /// them at their global positions, runs every layer's KV-cached decode
-  /// body, and returns full-vocabulary logits [seqs.size(), V] for the
-  /// LAST new position of each sequence — bitwise-identical to the last
-  /// row of logits() on that sequence's full prefix (DESIGN.md §16).
+  /// them at their global positions, runs every layer's decode plan (the
+  /// KV-cached inference LayerPlan, see decode_plan()), and returns
+  /// full-vocabulary logits [seqs.size(), V] for the LAST new position of
+  /// each sequence — bitwise-identical to the last row of logits() on that
+  /// sequence's full prefix (DESIGN.md §16).
   /// Requires a whole-model stage (layer_begin == 0) and dropout == 0.
   tensor::Tensor decode(std::span<const DecodeSeq> seqs,
                         std::span<const std::int32_t> tokens, KvStore& kv);
@@ -121,13 +122,17 @@ class GptStage {
   /// (0 for evaluation/generation, the configured value for training).
   void set_dropout(float p);
 
-  /// Serving-only weight quantization (DESIGN.md §17). Builds one inference
-  /// plan for this config, runs the graph-planner kernel-selection pass, and
-  /// applies its per-slot decision to every layer's linear modules
-  /// (quantize-once at load; with policy.drop_f32 the f32 masters are
-  /// released). Requires dropout == 0. Records quant.* metrics when the
-  /// registry is on. Training stages must never call this — backward through
-  /// a quantized linear CHECK-fails.
+  /// The decode plans decode() executes, one per layer (kernel selection
+  /// included once quantize_for_serving has run) — what plan dumps show.
+  graph::StagePlan decode_plan() const;
+
+  /// Serving-only weight quantization (DESIGN.md §17). Runs the
+  /// graph-planner kernel-selection pass on every layer's decode plan and
+  /// quantizes the linear modules the rewritten nodes name (quantize-once
+  /// at load; with policy.drop_f32 the f32 masters are released). Requires
+  /// dropout == 0. Records quant.* metrics when the registry is on.
+  /// Training stages must never call this — backward through a quantized
+  /// linear CHECK-fails.
   QuantizeReport quantize_for_serving(const graph::QuantPolicy& policy);
 
   /// Name -> packed-weight views over every quantized linear, in

@@ -6,12 +6,12 @@
 // with the bias+dropout+add fusions of §4.2.
 //
 // Execution is planned: the block builds its ptdp::graph LayerPlans once
-// (fusion + dtype + buffer passes, DESIGN.md §14) and forward/backward run
-// them through the SequentialExecutor — bit-identical to the hand-written
-// eager bodies, which remain available behind PTDP_GRAPH=0. Both paths are
-// functional over an explicit LayerCache so a pipeline stage can hold many
-// microbatches in flight, and so activation recomputation can rebuild state
-// from the stashed input.
+// (fusion + dtype + buffer passes, DESIGN.md §14) and every call — training
+// forward/backward, recompute, evaluation and KV-cached decode — runs one
+// of them through the SequentialExecutor. The plans are the block's only
+// body. Forward and backward are functional over an explicit LayerCache (a
+// graph::Frame) so a pipeline stage can hold many microbatches in flight,
+// and so activation recomputation can rebuild state from the stashed input.
 
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/graph/executor.hpp"
@@ -19,24 +19,15 @@
 #include "ptdp/model/mlp.hpp"
 #include "ptdp/tensor/ops.hpp"
 
+namespace ptdp::graph {
+struct QuantPolicy;
+}
+
 namespace ptdp::model {
 
-struct LayerCache {
-  tensor::Tensor input;  ///< [s, b, h] — the only tensor kept under recompute
-  tensor::LayerNormResult ln1, ln2;
-  AttentionCache attn;
-  MlpCache mlp;
-  tensor::Tensor h1;  ///< post-attention residual stream [s*b, h] (2-D view shape)
-  tensor::Tensor attn_resid_mask, mlp_resid_mask;
-  graph::Frame frame;  ///< graph-mode execution state (empty in eager mode)
-
-  /// Drops everything except the input (activation recomputation, §3.5).
-  void keep_input_only() {
-    frame.keep_input_only();
-    *this = LayerCache{std::move(input), {}, {}, {}, {}, {}, {}, {},
-                       std::move(frame)};
-  }
-};
+/// Per-(layer, microbatch) state: the planned frame. keep_input_only()
+/// drops everything but the layer input (activation recomputation, §3.5).
+using LayerCache = graph::Frame;
 
 class TransformerLayer {
  public:
@@ -47,23 +38,14 @@ class TransformerLayer {
   tensor::Tensor forward(const tensor::Tensor& x, LayerCache& cache,
                          std::uint64_t mb_tag);
 
-  /// dy: [s, b, h]; returns dx and accumulates all parameter grads. In graph
-  /// mode the cache's frame slots are released at their planned last use.
+  /// dy: [s, b, h]; returns dx and accumulates all parameter grads. The
+  /// cache's frame slots are released at their planned last use.
   tensor::Tensor backward(const tensor::Tensor& dy, LayerCache& cache);
 
-  /// Incremental decode over a KV cache: x is [rows, h] (see
-  /// ParallelAttention::forward_decode for the batch layout). Runs the
-  /// eager block body with the attention swapped for the KV-cached path;
-  /// row-wise ops are batched across sequences. Returns [rows, h],
-  /// bitwise the full forward's rows at the same positions. Dropout must
-  /// be 0 (no mask sites fire, so no mb_tag is needed).
-  tensor::Tensor forward_decode(const tensor::Tensor& x,
-                                std::span<const DecodeSeq> seqs, KvStore& kv);
-
   /// Backward with activation recomputation (§3.5): the cache holds only the
-  /// layer input. Graph mode runs the fwd ++ bwd recompute plan; eager mode
-  /// replays forward() then runs backward(). `mb_tag` must match the
-  /// original forward so the counter-based dropout streams replay bitwise.
+  /// layer input, and the fwd ++ bwd recompute plan runs over it. `mb_tag`
+  /// must match the original forward so the counter-based dropout streams
+  /// replay bitwise.
   tensor::Tensor backward_recompute(const tensor::Tensor& dy, LayerCache& cache,
                                     std::uint64_t mb_tag);
 
@@ -81,17 +63,20 @@ class TransformerLayer {
   }
   const graph::LayerBinding& binding() const { return binding_; }
 
- private:
-  tensor::Tensor forward_eager(const tensor::Tensor& x, LayerCache& cache,
-                               std::uint64_t mb_tag);
-  tensor::Tensor backward_eager(const tensor::Tensor& dy, const LayerCache& cache);
+  /// The inference plan KV-cached decode runs (GptStage::decode): the
+  /// forward with its attention core replaced by kDecodeAttention (§16).
+  const graph::LayerPlan& decode_plan() const { return plan_decode_; }
+  /// §17 kernel selection on the decode plan; the caller quantizes the
+  /// modules its kLinearFwdQuant nodes name (GptStage::quantize_for_serving).
+  void select_decode_kernels(const graph::QuantPolicy& policy);
 
+ private:
   GptConfig config_;
   std::int64_t layer_idx_;
   Param ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
   ParallelAttention attention_;
   ParallelMlp mlp_;
-  graph::LayerPlan plan_nodrop_, plan_drop_;
+  graph::LayerPlan plan_nodrop_, plan_drop_, plan_decode_;
   graph::LayerBinding binding_;  ///< self-referential: layer is pinned by
                                  ///< unique_ptr ownership (no copies/moves)
 };

@@ -58,8 +58,8 @@ class Histogram {
     const auto n = count();
     return n > 0 ? sum() / static_cast<double>(n) : 0.0;
   }
-  /// Upper bound of the bucket containing quantile q in [0, 1] (inf for
-  /// the overflow bucket).
+  /// Upper bound of the bucket containing quantile q in [0, 1], clamped to
+  /// max() (so the overflow bucket reports the observed max).
   double quantile_bound(double q) const;
   const std::vector<double>& bounds() const { return bounds_; }
   std::uint64_t bucket_count(std::size_t i) const {

@@ -59,21 +59,12 @@ Tensor bias_grad(const Tensor& dy);
 
 // ---- activations ---------------------------------------------------------------
 
-/// GeLU with the tanh approximation used by GPT-2/Megatron.
+/// GeLU with the tanh approximation used by GPT-2/Megatron. tanh runs
+/// through a vectorized exp (relative error ~1e-7 against std::tanh);
+/// results are bitwise independent of the intra-op thread count.
 Tensor gelu(const Tensor& x);
 /// dX given upstream dy and the forward *input* x.
 Tensor gelu_backward(const Tensor& dy, const Tensor& x);
-
-/// GeLU kernel-path switch. The default path evaluates tanh through a
-/// vectorized exp (relative error ~1e-7, ~20x the scalar-libm throughput);
-/// the exact path calls std::tanh per element, bitwise-matching pre-§17
-/// outputs. Both paths are bitwise-deterministic across thread counts, and
-/// gelu / gelu_backward / fused_bias_gelu / fused_bias_gelu_backward always
-/// switch together (the fused and unfused compositions stay equal). Initial
-/// value comes from PTDP_GELU_EXACT=1; set_gelu_exact flips it at runtime
-/// and returns the previous value.
-bool gelu_exact();
-bool set_gelu_exact(bool on);
 
 /// Dropout at probability p. Returns y and writes the kept-mask (0/1 scaled
 /// by 1/(1-p)) into `mask` (allocated to x's shape). p == 0 is identity.
@@ -123,10 +114,14 @@ Tensor fused_bias_gelu(const Tensor& x, const Tensor& bias);
 Tensor fused_bias_gelu_backward(const Tensor& dy, const Tensor& x, const Tensor& bias,
                                 Tensor& dbias);
 
-/// y = dropout(x + bias, p) + residual. Mask is written as in dropout().
+/// y = dropout(x + bias, p) + residual in one pass over the rows. A non-null
+/// `mask` is written as in dropout(); it may be null only at p = 0, for
+/// callers that never read it. Per element this rounds exactly like
+/// add_bias -> dropout -> add_ (the draws consume one RNG stream in element
+/// order), so it is bitwise equal to that composition.
 Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
                               const Tensor& residual, float p, Rng& rng,
-                              Tensor& mask);
+                              Tensor* mask);
 
 /// Scaled causal softmax: y = softmax(scale * s + causal_mask) where s is
 /// [rows, sq, sk] and position i may attend to keys j <= i + (sk - sq).

@@ -1,5 +1,6 @@
 #include "ptdp/graph/builder.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 
@@ -209,7 +210,7 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   e.node(F, OpKind::kAdd, {d2, h1}, {y2d});
   e.node(F, OpKind::kView3D, {y2d}, {y});
 
-  // ---- backward (mirrors the eager accumulation order exactly) ---------------
+  // ---- backward (mirrors the reference accumulation order exactly) ----------
   auto& B = plan.bwd;
   e.node(B, OpKind::kView2D, {dy}, {dy2d});
   if (with_dropout) e.node(B, OpKind::kDropoutBwd, {dy2d, mask2}, {db2});
@@ -253,18 +254,39 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   return plan;
 }
 
+namespace {
+
+// Inference rewrite: the attention core (split heads through merge heads)
+// becomes one KV-cached decode-attention node, qkv rows in, context rows out.
+void use_decode_attention(LayerPlan& plan) {
+  auto find = [&plan](OpKind kind) {
+    return std::find_if(plan.fwd.begin(), plan.fwd.end(),
+                        [kind](const Node& n) { return n.kind == kind; });
+  };
+  const auto first = find(OpKind::kAttnSplitHeads);
+  const auto last = find(OpKind::kAttnMergeHeads);
+  PTDP_CHECK(first < last && last != plan.fwd.end());
+  Node core;
+  core.kind = OpKind::kDecodeAttention;
+  core.in = {first->in[0]};
+  core.out = {last->out[0]};
+  const auto at = plan.fwd.erase(first, last + 1);
+  plan.fwd.insert(at, std::move(core));
+}
+
+}  // namespace
+
 LayerPlan build_layer_plan(const model::GptConfig& config, bool with_dropout,
                            const PlannerOptions& opts) {
+  PTDP_CHECK(!(opts.inference && with_dropout))
+      << "inference plans are dropout-free";
   LayerPlan plan = build_unfused_layer_plan(config, with_dropout, opts.tp_size);
   if (opts.fuse) fuse_operators(plan);
   if (opts.inference) {
-    // Decode/serving plans never run backward; dropping it after fusion
-    // keeps the fused forward topology identical to the training plan's.
+    // Decode never runs backward; dropping it after fusion keeps the fused
+    // forward topology identical to the training plan's outside attention.
     plan.bwd.clear();
-    if (opts.quant != nullptr) {
-      const int nsel = select_kernels(plan, *opts.quant);
-      PTDP_CHECK_GE(nsel, 0);
-    }
+    use_decode_attention(plan);
   }
   if (opts.propagate_dtypes) propagate_dtypes(plan, config);
   analyze_lifetimes(plan);

@@ -1,8 +1,5 @@
 #include "ptdp/graph/ir.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 namespace ptdp::graph {
 
 const char* op_name(OpKind kind) {
@@ -40,24 +37,9 @@ const char* op_name(OpKind kind) {
     case OpKind::kScaleMaskSoftmax: return "graph.scale_mask_softmax";
     case OpKind::kScaleSoftmaxBwd: return "graph.scale_softmax_bwd";
     case OpKind::kLinearFwdQuant: return "graph.linear_fwd_quant";
+    case OpKind::kDecodeAttention: return "graph.decode_attention";
   }
   return "graph.unknown";
-}
-
-namespace {
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("PTDP_GRAPH");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
-  return flag;
-}
-}  // namespace
-
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-bool set_enabled(bool on) {
-  return enabled_flag().exchange(on, std::memory_order_relaxed);
 }
 
 }  // namespace ptdp::graph

@@ -37,7 +37,7 @@ void splice(std::vector<Node>& seg, std::size_t first, std::size_t count,
 
 // add_bias [+ dropout] + add -> fused_bias_dropout_add. The fused kernel
 // draws the same site-keyed RNG stream the standalone dropout draws, so the
-// rewrite is exact. Backward is already unfused in eager form (dropout_bwd /
+// rewrite is exact. Backward is already in its reference form (dropout_bwd /
 // bias_grad / add) and needs no pairing.
 int fuse_bias_dropout_add(LayerPlan& plan) {
   int n = 0;

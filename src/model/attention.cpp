@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ptdp/runtime/parallel_for.hpp"
-#include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::model {
 
@@ -68,152 +67,6 @@ Tensor ParallelAttention::make_prob_dropout_mask(std::int64_t b,
         }
       });
   return mask;
-}
-
-Tensor ParallelAttention::forward(const Tensor& x, AttentionCache& cache,
-                                  std::uint64_t mb_tag) {
-  PTDP_CHECK_EQ(x.ndim(), 3) << "attention input must be [s, b, h]";
-  const std::int64_t s = x.dim(0);
-  const std::int64_t b = x.dim(1);
-  PTDP_CHECK_EQ(x.dim(2), config_.hidden);
-  cache.s = s;
-  cache.b = b;
-
-  Tensor x2d = x.view({s * b, config_.hidden});
-  Tensor qkv2d = qkv_.forward(x2d, cache.qkv);  // [sb, 3*hidden_local]
-
-  // [s, b, a_l, 3dk] -> [b, a_l, s, 3dk] -> [b*a_l, s, 3dk]
-  Tensor qkv4d = qkv2d.view({s, b, heads_local_, 3 * head_dim_})
-                     .permute({1, 2, 0, 3})
-                     .view({b * heads_local_, s, 3 * head_dim_});
-  cache.q = qkv4d.slice(-1, 0, head_dim_);
-  cache.k = qkv4d.slice(-1, head_dim_, head_dim_);
-  cache.v = qkv4d.slice(-1, 2 * head_dim_, head_dim_);
-
-  Tensor scores = tensor::bmm_nt(cache.q, cache.k);  // [ba, s, s]
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  if (config_.causal) {
-    cache.probs = tensor::fused_scale_causal_softmax(scores, scale);
-  } else {
-    // BERT-style bidirectional attention through the general-mask kernel
-    // (nothing masked here; padding masks would plug in the same way).
-    cache.probs = tensor::fused_scale_mask_softmax(scores, Tensor({s, s}), scale);
-  }
-
-  if (config_.dropout > 0.0f) {
-    cache.prob_mask = make_prob_dropout_mask(b, mb_tag);
-    cache.probs_dropped = tensor::mul(cache.probs, cache.prob_mask);
-  } else {
-    cache.probs_dropped = cache.probs;
-  }
-
-  Tensor ctx = tensor::bmm(cache.probs_dropped, cache.v);  // [ba, s, dk]
-  Tensor ctx2d = ctx.view({b, heads_local_, s, head_dim_})
-                     .permute({2, 0, 1, 3})
-                     .view({s * b, hidden_local_});
-  Tensor out2d = proj_.forward(ctx2d, cache.proj);  // [sb, h], bias skipped
-  return out2d.view({s, b, config_.hidden});
-}
-
-Tensor ParallelAttention::forward_decode(const Tensor& x,
-                                         std::span<const DecodeSeq> seqs,
-                                         KvStore& kv) {
-  PTDP_CHECK_EQ(x.ndim(), 2) << "decode input must be [rows, h]";
-  PTDP_CHECK_EQ(x.dim(1), config_.hidden);
-  PTDP_CHECK(config_.causal) << "incremental decode is causal-only";
-  PTDP_CHECK_EQ(config_.dropout, 0.0f) << "disable dropout for decoding";
-  const std::int64_t rows = x.dim(0);
-  const std::int64_t dk = head_dim_;
-
-  LinearCache qkv_cache;
-  Tensor qkv2d = qkv_.forward(x, qkv_cache);  // [rows, 3*hidden_local]
-  auto qkv = qkv2d.data();
-
-  Tensor ctx2d = Tensor::empty({rows, hidden_local_});
-  auto ctx_out = ctx2d.data();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
-
-  std::int64_t r0 = 0;
-  for (const DecodeSeq& seq : seqs) {
-    const std::int64_t c = seq.len;
-    const std::int64_t kv_len = seq.pos + c;
-    PTDP_CHECK_GT(c, 0);
-
-    // Per-row qkv layout is [a_l, 3dk] (q | k | v per head): split the new
-    // rows into the store's head-major K/V rows and the batched-GEMM query.
-    Tensor k2d = Tensor::empty({c, hidden_local_});
-    Tensor v2d = Tensor::empty({c, hidden_local_});
-    Tensor q3d = Tensor::empty({heads_local_, c, dk});
-    auto kd = k2d.data();
-    auto vd = v2d.data();
-    auto qd = q3d.data();
-    for (std::int64_t i = 0; i < c; ++i) {
-      const float* src = qkv.data() + (r0 + i) * 3 * hidden_local_;
-      for (std::int64_t a = 0; a < heads_local_; ++a) {
-        std::copy_n(src + a * 3 * dk, static_cast<std::size_t>(dk),
-                    qd.data() + (a * c + i) * dk);
-        std::copy_n(src + a * 3 * dk + dk, static_cast<std::size_t>(dk),
-                    kd.data() + i * hidden_local_ + a * dk);
-        std::copy_n(src + a * 3 * dk + 2 * dk, static_cast<std::size_t>(dk),
-                    vd.data() + i * hidden_local_ + a * dk);
-      }
-    }
-    kv.write(seq.id, layer_idx_, seq.pos, k2d, v2d);
-
-    // Contiguous prefix+chunk K/V, then the exact full-path kernel sequence
-    // on [a_l, c, kv_len] — bitwise the full forward's last c rows.
-    Tensor kc = Tensor::empty({heads_local_, kv_len, dk});
-    Tensor vc = Tensor::empty({heads_local_, kv_len, dk});
-    kv.gather(seq.id, layer_idx_, kv_len, kc, vc);
-    Tensor scores = tensor::bmm_nt(q3d, kc);  // [a_l, c, kv_len]
-    Tensor probs = tensor::fused_scale_causal_softmax(scores, scale);
-    Tensor ctx = tensor::bmm(probs, vc);  // [a_l, c, dk]
-    auto cd = ctx.data();
-    for (std::int64_t i = 0; i < c; ++i) {
-      float* dst = ctx_out.data() + (r0 + i) * hidden_local_;
-      for (std::int64_t a = 0; a < heads_local_; ++a) {
-        std::copy_n(cd.data() + (a * c + i) * dk, static_cast<std::size_t>(dk),
-                    dst + a * dk);
-      }
-    }
-    r0 += c;
-  }
-  PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";
-
-  LinearCache proj_cache;
-  return proj_.forward(ctx2d, proj_cache);  // [rows, h], bias skipped
-}
-
-Tensor ParallelAttention::backward(const Tensor& dy, const AttentionCache& cache) {
-  const std::int64_t s = cache.s;
-  const std::int64_t b = cache.b;
-  Tensor dy2d = dy.view({s * b, config_.hidden});
-
-  Tensor dctx2d = proj_.backward(dy2d, cache.proj);  // [sb, hidden_local]
-  Tensor dctx = dctx2d.view({s, b, heads_local_, head_dim_})
-                    .permute({1, 2, 0, 3})
-                    .view({b * heads_local_, s, head_dim_});
-
-  // ctx = P·V
-  Tensor dp_dropped = tensor::bmm_nt(dctx, cache.v);          // [ba, s, s]
-  Tensor dv = tensor::bmm_tn(cache.probs_dropped, dctx);      // [ba, s, dk]
-  Tensor dprobs = config_.dropout > 0.0f
-                      ? tensor::mul(dp_dropped, cache.prob_mask)
-                      : dp_dropped;
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Tensor dscores = tensor::fused_scale_softmax_backward(cache.probs, dprobs, scale);
-
-  // scores = Q·Kᵀ
-  Tensor dq = tensor::bmm(dscores, cache.k);     // [ba, s, dk]
-  Tensor dk = tensor::bmm_tn(dscores, cache.q);  // [ba, s, dk]
-
-  Tensor dqkv = tensor::concat({dq, dk, dv}, -1)  // [ba, s, 3dk]
-                    .view({b, heads_local_, s, 3 * head_dim_})
-                    .permute({2, 0, 1, 3})
-                    .view({s * b, 3 * hidden_local_});
-  Tensor dx2d = qkv_.backward(dqkv, cache.qkv);  // all-reduced over t
-  return dx2d.view({s, b, config_.hidden});
 }
 
 void ParallelAttention::collect_params(ParamRefs& out) {

@@ -1,5 +1,7 @@
 #include "ptdp/graph/executor.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -45,6 +47,77 @@ Tensor mask_fill(const Tensor& x, bool causal) {
     }
   }
   return out;
+}
+
+/// KV-cached attention core of a decode plan (DESIGN.md §16). qkv2d is
+/// [rows, 3·h_l], the new rows of ctx.seqs concatenated in order (rows ==
+/// Σ seq.len). Each sequence's new K/V rows are appended to ctx.kv, and its
+/// new queries attend over the whole cached prefix through the full-path
+/// kernel sequence (bmm_nt -> scale+causal softmax -> bmm) on
+/// [a_l, len, kv_len] — bitwise the full forward's rows at those positions.
+/// Returns the merged context [rows, h_l].
+Tensor decode_attention(const Tensor& qkv2d, const LayerBinding& bind,
+                        const ExecContext& ctx) {
+  PTDP_CHECK(bind.config->causal) << "incremental decode is causal-only";
+  PTDP_CHECK_EQ(ctx.dropout, 0.0f) << "disable dropout for decoding";
+  PTDP_CHECK(ctx.kv != nullptr) << "decode plan run without a KV store";
+  const std::int64_t rows = qkv2d.dim(0);
+  const std::int64_t al = bind.attn->heads_local();
+  const std::int64_t dk = bind.attn->head_dim();
+  const std::int64_t hl = bind.attn->hidden_local();
+  auto qkv = qkv2d.data();
+
+  Tensor ctx2d = Tensor::empty({rows, hl});
+  auto ctx_out = ctx2d.data();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+
+  std::int64_t r0 = 0;
+  for (const model::DecodeSeq& seq : ctx.seqs) {
+    const std::int64_t c = seq.len;
+    const std::int64_t kv_len = seq.pos + c;
+    PTDP_CHECK_GT(c, 0);
+
+    // Per-row qkv layout is [a_l, 3dk] (q | k | v per head): split the new
+    // rows into the store's head-major K/V rows and the batched-GEMM query.
+    Tensor k2d = Tensor::empty({c, hl});
+    Tensor v2d = Tensor::empty({c, hl});
+    Tensor q3d = Tensor::empty({al, c, dk});
+    auto kd = k2d.data();
+    auto vd = v2d.data();
+    auto qd = q3d.data();
+    for (std::int64_t i = 0; i < c; ++i) {
+      const float* src = qkv.data() + (r0 + i) * 3 * hl;
+      for (std::int64_t a = 0; a < al; ++a) {
+        std::copy_n(src + a * 3 * dk, static_cast<std::size_t>(dk),
+                    qd.data() + (a * c + i) * dk);
+        std::copy_n(src + a * 3 * dk + dk, static_cast<std::size_t>(dk),
+                    kd.data() + i * hl + a * dk);
+        std::copy_n(src + a * 3 * dk + 2 * dk, static_cast<std::size_t>(dk),
+                    vd.data() + i * hl + a * dk);
+      }
+    }
+    ctx.kv->write(seq.id, bind.layer_idx, seq.pos, k2d, v2d);
+
+    // Contiguous prefix+chunk K/V, then the exact full-path kernel sequence
+    // on [a_l, c, kv_len] — bitwise the full forward's last c rows.
+    Tensor kc = Tensor::empty({al, kv_len, dk});
+    Tensor vc = Tensor::empty({al, kv_len, dk});
+    ctx.kv->gather(seq.id, bind.layer_idx, kv_len, kc, vc);
+    Tensor scores = tensor::bmm_nt(q3d, kc);  // [a_l, c, kv_len]
+    Tensor probs = tensor::fused_scale_causal_softmax(scores, scale);
+    Tensor cx = tensor::bmm(probs, vc);  // [a_l, c, dk]
+    auto cd = cx.data();
+    for (std::int64_t i = 0; i < c; ++i) {
+      float* dst = ctx_out.data() + (r0 + i) * hl;
+      for (std::int64_t a = 0; a < al; ++a) {
+        std::copy_n(cd.data() + (a * c + i) * dk, static_cast<std::size_t>(dk),
+                    dst + a * dk);
+      }
+    }
+    r0 += c;
+  }
+  PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";
+  return ctx2d;
 }
 
 struct Runner {
@@ -95,8 +168,9 @@ struct Runner {
       case OpKind::kLinearFwd:
       case OpKind::kLinearFwdQuant: {
         // Same dispatch: the linear module itself routes to the quantized
-        // GEMM when its weight has been quantized (stage.quantize_for_serving
-        // applies the plan's kernel selection to the modules).
+        // GEMM when its weight has been quantized (quantize_for_serving
+        // quantizes exactly the modules this plan's kLinearFwdQuant nodes
+        // name).
         model::LinearCache c;
         switch (static_cast<LinearSlot>(n.linear)) {
           case LinearSlot::kQkv: at(n.out[0]) = bind.qkv->forward(at(n.in[0]), c); break;
@@ -218,8 +292,7 @@ struct Runner {
       }
       case OpKind::kFusedBiasDropoutAdd: {
         Rng rng = rng_for(n);
-        Tensor scratch_mask;
-        Tensor& mask = n.out.size() > 1 ? at(n.out[1]) : scratch_mask;
+        Tensor* mask = n.out.size() > 1 ? &at(n.out[1]) : nullptr;
         at(n.out[0]) = ts::fused_bias_dropout_add(
             at(n.in[0]), param(bind, n.param).value, at(n.in[1]), ctx.dropout,
             rng, mask);
@@ -231,6 +304,9 @@ struct Runner {
       case OpKind::kScaleMaskSoftmax:
         at(n.out[0]) = ts::fused_scale_mask_softmax(
             at(n.in[0]), Tensor({ctx.s, ctx.s}), n.scale);
+        break;
+      case OpKind::kDecodeAttention:
+        at(n.out[0]) = decode_attention(at(n.in[0]), bind, ctx);
         break;
       case OpKind::kScaleSoftmaxBwd:
         at(n.out[0]) = ts::fused_scale_softmax_backward(at(n.in[0]), at(n.in[1]),
@@ -255,8 +331,10 @@ struct Runner {
             vid == plan.grad_out) {
           return;
         }
+        // A value no node reads (e.g. a decode plan's LayerNorm statistics)
+        // dies where it is defined.
         const Value& v = plan.values[static_cast<std::size_t>(vid)];
-        if (v.last_use == iu) at(vid) = Tensor();
+        if (v.last_use == iu || v.last_use < 0) at(vid) = Tensor();
       };
       for (ValueId vid : n.in) release_dead(vid);
       for (ValueId vid : n.out) release_dead(vid);

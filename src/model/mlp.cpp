@@ -2,16 +2,11 @@
 
 #include <cmath>
 
-#include "ptdp/tensor/ops.hpp"
-
 namespace ptdp::model {
-
-using tensor::Tensor;
 
 ParallelMlp::ParallelMlp(const GptConfig& config, std::int64_t global_layer_idx,
                          dist::Comm tp)
-    : hidden_(config.hidden),
-      fc1_("layer" + std::to_string(global_layer_idx) + ".mlp.fc1", config.hidden,
+    : fc1_("layer" + std::to_string(global_layer_idx) + ".mlp.fc1", config.hidden,
            config.ffn_hidden(), tp, config.init_stddev, config.seed,
            /*skip_bias_add=*/true, config.dtype),
       fc2_("layer" + std::to_string(global_layer_idx) + ".mlp.fc2",
@@ -19,28 +14,6 @@ ParallelMlp::ParallelMlp(const GptConfig& config, std::int64_t global_layer_idx,
            config.init_stddev /
                std::sqrt(2.0f * static_cast<float>(config.num_layers)),
            config.seed, /*skip_bias_add=*/true, config.dtype) {}
-
-Tensor ParallelMlp::forward(const Tensor& x, MlpCache& cache) {
-  const std::int64_t s = x.dim(0);
-  const std::int64_t b = x.dim(1);
-  Tensor x2d = x.view({s * b, hidden_});
-  cache.fc1_out = fc1_.forward(x2d, cache.fc1);  // [sb, 4h/t], no bias yet
-  Tensor act = tensor::fused_bias_gelu(cache.fc1_out, fc1_.bias().value);
-  Tensor y2d = fc2_.forward(act, cache.fc2);  // [sb, h], all-reduced, no bias
-  return y2d.view({s, b, hidden_});
-}
-
-Tensor ParallelMlp::backward(const Tensor& dy, const MlpCache& cache) {
-  const std::int64_t s = dy.dim(0);
-  const std::int64_t b = dy.dim(1);
-  Tensor dy2d = dy.view({s * b, hidden_});
-  Tensor dact = fc2_.backward(dy2d, cache.fc2);  // [sb, 4h/t]
-  Tensor dfc1_out = tensor::fused_bias_gelu_backward(dact, cache.fc1_out,
-                                                     fc1_.bias().value,
-                                                     fc1_.bias().grad);
-  Tensor dx2d = fc1_.backward(dfc1_out, cache.fc1);  // all-reduced over t
-  return dx2d.view({s, b, hidden_});
-}
 
 void ParallelMlp::collect_params(ParamRefs& out) {
   fc1_.collect_params(out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ptdp/graph/builder.hpp"
 #include "ptdp/graph/passes.hpp"
 #include "ptdp/obs/metrics.hpp"
 
@@ -125,16 +124,22 @@ tensor::Tensor GptStage::decode(std::span<const DecodeSeq> seqs,
   }
   PTDP_CHECK_EQ(rows, static_cast<std::int64_t>(tokens.size()));
 
-  Tensor act = embedding_->forward_at(tokens, positions);  // [rows, h]
+  // Every layer runs its decode plan over the batch as one [rows, 1, h]
+  // microbatch; the decode-attention node splits it back per sequence.
+  const std::int64_t h = config_.hidden;
+  Tensor act = embedding_->forward_at(tokens, positions).view({rows, 1, h});
+  graph::ExecContext ctx{rows, 1, /*mb_tag=*/0, /*dropout=*/0.0f, seqs, &kv};
   for (auto& layer : layers_) {
-    act = layer->forward_decode(act, seqs, kv);
+    LayerCache frame;
+    frame.begin(layer->decode_plan(), act);
+    act = graph::SequentialExecutor::run_forward(layer->decode_plan(), frame,
+                                                 layer->binding(), ctx);
   }
 
   // Head input: the last new position of each sequence. Row-wise LN and
   // the tied projection make per-row results independent of which rows
   // ride along, so selecting before the head changes no bits.
   const std::int64_t n = static_cast<std::int64_t>(seqs.size());
-  const std::int64_t h = config_.hidden;
   Tensor last = Tensor::empty({n, 1, h});
   auto src = act.data();
   auto dst = last.data();
@@ -166,24 +171,12 @@ void GptStage::set_dropout(float p) {
 QuantizeReport GptStage::quantize_for_serving(const graph::QuantPolicy& policy) {
   PTDP_CHECK_EQ(config_.dropout, 0.0f)
       << "quantize_for_serving is inference-only; set_dropout(0) first";
-  // The plan decides, the modules follow: build ONE inference layer plan for
-  // this config, let the §17 kernel-selection pass rewrite it, then read back
-  // which linear slots it chose. Every layer shares the topology, so the one
-  // decision applies to all of them.
-  graph::PlannerOptions opts;
-  opts.inference = true;
-  opts.quant = &policy;
-  const graph::LayerPlan plan =
-      graph::build_layer_plan(config_, /*with_dropout=*/false, opts);
-  bool slot_quant[4] = {false, false, false, false};
-  for (const graph::Node& n : plan.fwd) {
-    if (n.kind == graph::OpKind::kLinearFwdQuant && n.linear >= 0) {
-      slot_quant[n.linear] = true;
-    }
-  }
-
+  // The plan decides, the modules follow: the §17 kernel-selection pass
+  // rewrites each layer's decode plan — the plan decode() executes — and
+  // every linear a kLinearFwdQuant node names is quantized once.
   QuantizeReport report;
   auto quantize_one = [&](auto* lin) {
+    if (lin->quantized()) return;  // quantize-once
     lin->quantize_weight(policy.kind, policy.group_size, policy.drop_f32);
     const quant::QuantizedWeight& qw = lin->quantized_weight();
     report.weight_bytes_f32 += qw.rows * qw.cols * 4;
@@ -191,11 +184,17 @@ QuantizeReport GptStage::quantize_for_serving(const graph::QuantPolicy& policy) 
     ++report.linears;
   };
   for (auto& layer : layers_) {
+    layer->select_decode_kernels(policy);
     const graph::LayerBinding& bind = layer->binding();
-    if (slot_quant[static_cast<int>(graph::LinearSlot::kQkv)]) quantize_one(bind.qkv);
-    if (slot_quant[static_cast<int>(graph::LinearSlot::kProj)]) quantize_one(bind.proj);
-    if (slot_quant[static_cast<int>(graph::LinearSlot::kFc1)]) quantize_one(bind.fc1);
-    if (slot_quant[static_cast<int>(graph::LinearSlot::kFc2)]) quantize_one(bind.fc2);
+    for (const graph::Node& n : layer->decode_plan().fwd) {
+      if (n.kind != graph::OpKind::kLinearFwdQuant) continue;
+      switch (static_cast<graph::LinearSlot>(n.linear)) {
+        case graph::LinearSlot::kQkv: quantize_one(bind.qkv); break;
+        case graph::LinearSlot::kProj: quantize_one(bind.proj); break;
+        case graph::LinearSlot::kFc1: quantize_one(bind.fc1); break;
+        case graph::LinearSlot::kFc2: quantize_one(bind.fc2); break;
+      }
+    }
   }
 
   if (obs::metrics_on()) {
@@ -207,6 +206,16 @@ QuantizeReport GptStage::quantize_for_serving(const graph::QuantPolicy& policy) 
         .set(static_cast<double>(report.weight_bytes_f32));
   }
   return report;
+}
+
+graph::StagePlan GptStage::decode_plan() const {
+  graph::StagePlan sp;
+  sp.layer_begin = spec_.layer_begin;
+  sp.layer_end = spec_.layer_end;
+  sp.has_embedding = spec_.has_embedding;
+  sp.has_head = spec_.has_head;
+  for (const auto& layer : layers_) sp.layers.push_back(layer->decode_plan());
+  return sp;
 }
 
 std::vector<quant::NamedQuant> GptStage::quantized_weights() {

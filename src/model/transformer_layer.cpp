@@ -1,6 +1,7 @@
 #include "ptdp/model/transformer_layer.hpp"
 
 #include "ptdp/graph/builder.hpp"
+#include "ptdp/graph/passes.hpp"
 
 namespace ptdp::model {
 
@@ -30,6 +31,8 @@ TransformerLayer::TransformerLayer(const GptConfig& config,
   opts.tp_size = tp.size();
   plan_nodrop_ = graph::build_layer_plan(config, /*with_dropout=*/false, opts);
   plan_drop_ = graph::build_layer_plan(config, /*with_dropout=*/true, opts);
+  opts.inference = true;
+  plan_decode_ = graph::build_layer_plan(config, /*with_dropout=*/false, opts);
 
   binding_.config = &config_;
   binding_.layer_idx = layer_idx_;
@@ -53,131 +56,29 @@ TransformerLayer::TransformerLayer(const GptConfig& config,
 Tensor TransformerLayer::forward(const Tensor& x, LayerCache& cache,
                                  std::uint64_t mb_tag) {
   PTDP_CHECK_EQ(x.ndim(), 3);
-  if (!graph::enabled()) return forward_eager(x, cache, mb_tag);
-
   const graph::LayerPlan& plan = this->plan(config_.dropout > 0.0f);
-  cache.input = x;  // recompute + stage replay still key off cache.input
-  cache.frame.begin(plan, x);
+  cache.begin(plan, x);
   graph::ExecContext ctx{x.dim(0), x.dim(1), mb_tag, config_.dropout};
-  return graph::SequentialExecutor::run_forward(plan, cache.frame, binding_, ctx);
-}
-
-Tensor TransformerLayer::forward_decode(const Tensor& x,
-                                        std::span<const DecodeSeq> seqs,
-                                        KvStore& kv) {
-  PTDP_CHECK_EQ(x.ndim(), 2);
-  PTDP_CHECK_EQ(config_.dropout, 0.0f) << "disable dropout for decoding";
-  const std::int64_t rows = x.dim(0);
-  const std::int64_t h = config_.hidden;
-
-  // Eager block body with p = 0: bias-add then residual-add is the exact
-  // elementwise sequence fused_bias_dropout_add performs at p = 0, so the
-  // residual stream stays bitwise the training path's.
-  auto ln1 = tensor::layernorm(x, ln1_gamma_.value, ln1_beta_.value);
-  Tensor attn_out = attention_.forward_decode(ln1.y, seqs, kv);
-  Tensor h1 = tensor::add(tensor::add_bias(attn_out, attention_.proj_bias().value), x);
-
-  auto ln2 = tensor::layernorm(h1, ln2_gamma_.value, ln2_beta_.value);
-  MlpCache mlp_cache;
-  Tensor mlp_out = mlp_.forward(ln2.y.view({rows, 1, h}), mlp_cache).view({rows, h});
-  return tensor::add(tensor::add_bias(mlp_out, mlp_.fc2_bias().value), h1);
+  return graph::SequentialExecutor::run_forward(plan, cache, binding_, ctx);
 }
 
 Tensor TransformerLayer::backward(const Tensor& dy, LayerCache& cache) {
-  if (!(graph::enabled() && cache.frame.active()))
-    return backward_eager(dy, cache);
-
-  const graph::LayerPlan& plan = this->plan(cache.frame.with_dropout);
+  PTDP_CHECK(cache.active()) << "backward without a forward frame";
+  const graph::LayerPlan& plan = this->plan(cache.with_dropout);
   graph::ExecContext ctx{dy.dim(0), dy.dim(1), /*mb_tag=*/0, config_.dropout};
-  return graph::SequentialExecutor::run_backward(plan, cache.frame, binding_,
-                                                 ctx, dy);
+  return graph::SequentialExecutor::run_backward(plan, cache, binding_, ctx, dy);
 }
 
 Tensor TransformerLayer::backward_recompute(const Tensor& dy, LayerCache& cache,
                                             std::uint64_t mb_tag) {
-  if (!graph::enabled()) {
-    // Eager §3.5 replay: rebuild the cache from the stashed input, then run
-    // the normal backward. The counter-based RNG streams make the replay
-    // bitwise-identical to the original forward.
-    (void)forward_eager(cache.input, cache, mb_tag);
-    return backward_eager(dy, cache);
-  }
-
-  const graph::LayerPlan& plan = this->plan(cache.frame.with_dropout);
-  PTDP_CHECK(cache.frame.active()) << "recompute backward without a frame";
+  PTDP_CHECK(cache.active()) << "recompute backward without a frame";
+  const graph::LayerPlan& plan = this->plan(cache.with_dropout);
   graph::ExecContext ctx{dy.dim(0), dy.dim(1), mb_tag, config_.dropout};
-  return graph::SequentialExecutor::run_recompute(plan, cache.frame, binding_,
-                                                  ctx, dy);
+  return graph::SequentialExecutor::run_recompute(plan, cache, binding_, ctx, dy);
 }
 
-Tensor TransformerLayer::forward_eager(const Tensor& x, LayerCache& cache,
-                                       std::uint64_t mb_tag) {
-  const std::int64_t s = x.dim(0);
-  const std::int64_t b = x.dim(1);
-  const std::int64_t h = config_.hidden;
-  cache.input = x;
-
-  Tensor x2d = x.view({s * b, h});
-  cache.ln1 = tensor::layernorm(x2d, ln1_gamma_.value, ln1_beta_.value);
-  Tensor attn_out =
-      attention_.forward(cache.ln1.y.view({s, b, h}), cache.attn, mb_tag);
-
-  // Fused bias+dropout+add: residual is the block input. The dropout mask
-  // is keyed by (mb, layer, site) so tensor-parallel ranks agree and
-  // recomputation replays it.
-  Rng rng1 = site_rng(config_.seed, mb_tag, static_cast<std::uint64_t>(layer_idx_),
-                      DropSite::kAttentionResidual);
-  cache.h1 = tensor::fused_bias_dropout_add(attn_out.view({s * b, h}),
-                                            attention_.proj_bias().value, x2d,
-                                            config_.dropout, rng1,
-                                            cache.attn_resid_mask);
-
-  cache.ln2 = tensor::layernorm(cache.h1, ln2_gamma_.value, ln2_beta_.value);
-  Tensor mlp_out = mlp_.forward(cache.ln2.y.view({s, b, h}), cache.mlp);
-
-  Rng rng2 = site_rng(config_.seed, mb_tag, static_cast<std::uint64_t>(layer_idx_),
-                      DropSite::kMlpResidual);
-  Tensor mask2;
-  Tensor y2d = tensor::fused_bias_dropout_add(mlp_out.view({s * b, h}),
-                                              mlp_.fc2_bias().value, cache.h1,
-                                              config_.dropout, rng2, mask2);
-  cache.mlp_resid_mask = mask2;
-  return y2d.view({s, b, h});
-}
-
-Tensor TransformerLayer::backward_eager(const Tensor& dy, const LayerCache& cache) {
-  const std::int64_t s = dy.dim(0);
-  const std::int64_t b = dy.dim(1);
-  const std::int64_t h = config_.hidden;
-  Tensor dy2d = dy.view({s * b, h});
-
-  // ---- second residual: y = dropout(mlp_out + fc2_bias) + h1 ----
-  Tensor d_after2 = tensor::dropout_backward(dy2d, cache.mlp_resid_mask);
-  tensor::add_(mlp_.fc2_bias().grad, tensor::bias_grad(d_after2));
-  Tensor d_ln2y = mlp_.backward(d_after2.view({s, b, h}), cache.mlp).view({s * b, h});
-
-  auto ln2_grads = tensor::layernorm_backward(d_ln2y, cache.h1, ln2_gamma_.value,
-                                              cache.ln2.mean, cache.ln2.rstd);
-  tensor::add_(ln2_gamma_.grad, ln2_grads.dgamma);
-  tensor::add_(ln2_beta_.grad, ln2_grads.dbeta);
-
-  // dh1 = residual path (dy) + LayerNorm path.
-  Tensor dh1 = tensor::add(dy2d, ln2_grads.dx);
-
-  // ---- first residual: h1 = dropout(attn_out + proj_bias) + x ----
-  Tensor d_after1 = tensor::dropout_backward(dh1, cache.attn_resid_mask);
-  tensor::add_(attention_.proj_bias().grad, tensor::bias_grad(d_after1));
-  Tensor d_ln1y =
-      attention_.backward(d_after1.view({s, b, h}), cache.attn).view({s * b, h});
-
-  Tensor x2d = cache.input.view({s * b, h});
-  auto ln1_grads = tensor::layernorm_backward(d_ln1y, x2d, ln1_gamma_.value,
-                                              cache.ln1.mean, cache.ln1.rstd);
-  tensor::add_(ln1_gamma_.grad, ln1_grads.dgamma);
-  tensor::add_(ln1_beta_.grad, ln1_grads.dbeta);
-
-  Tensor dx = tensor::add(dh1, ln1_grads.dx);
-  return dx.view({s, b, h});
+void TransformerLayer::select_decode_kernels(const graph::QuantPolicy& policy) {
+  PTDP_CHECK_GE(graph::select_kernels(plan_decode_, policy), 0);
 }
 
 void TransformerLayer::set_dropout(float p) {

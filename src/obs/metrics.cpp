@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <unordered_map>
 
 namespace ptdp::obs {
@@ -41,15 +40,14 @@ double Histogram::quantile_bound(double q) const {
   if (n == 0) return 0.0;
   const auto target = static_cast<std::uint64_t>(
       q * static_cast<double>(n) + 0.5);
+  // No observation exceeds max(), so neither may a quantile: clamp the
+  // bucket bound to it (this also covers the unbounded overflow bucket).
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  for (std::size_t i = 0; i < bounds_.size(); ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= target) {
-      return i < bounds_.size() ? bounds_[i]
-                                : std::numeric_limits<double>::infinity();
-    }
+    if (seen >= target) return std::min(bounds_[i], max());
   }
-  return std::numeric_limits<double>::infinity();
+  return max();
 }
 
 std::vector<double> default_ms_bounds() {

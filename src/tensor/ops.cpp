@@ -1,9 +1,7 @@
 #include "ptdp/tensor/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -642,33 +640,15 @@ Tensor bias_grad(const Tensor& dy) {
 // ---- activations ---------------------------------------------------------------
 
 namespace {
-inline float gelu_scalar(float x) {
-  const float u = kGeluC * (x + kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
-inline float gelu_grad_scalar(float x) {
-  const float u = kGeluC * (x + kGeluA * x * x * x);
-  const float t = std::tanh(u);
-  const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-}
-
-std::atomic<bool>& gelu_exact_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("PTDP_GELU_EXACT");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
-  }();
-  return flag;
-}
-
 #if defined(__GNUC__) || defined(__clang__)
-// Vectorized GeLU (ops.hpp gelu_exact() contract). The scalar path above
-// spends ~95% of its time in libm tanh; here tanh(u) is evaluated as
-// sign(u) * (1 - e) / (1 + e) with e = exp(-2|u|), and exp through the
-// classic 2^n * 2^f split: n = round(t), t = v*log2(e), with the round
-// done by the add-magic-constant trick (2^23 + 2^22 puts any |t| < 2^21
-// in the 1-ulp-per-integer regime, so the float's low mantissa bits ARE
-// the integer) and 2^f a degree-5 polynomial on f in [-0.5, 0.5].
+// Vectorized GeLU. A scalar std::tanh loop spends ~95% of its time in libm
+// tanh (it remains only as the fallback for other compilers, below); here
+// tanh(u) is evaluated as sign(u) * (1 - e) / (1 + e) with e = exp(-2|u|),
+// and exp through the classic 2^n * 2^f split: n = round(t),
+// t = v*log2(e), with the round done by the add-magic-constant trick
+// (2^23 + 2^22 puts any |t| < 2^21 in the 1-ulp-per-integer regime, so the
+// float's low mantissa bits ARE the integer) and 2^f a degree-5 polynomial
+// on f in [-0.5, 0.5].
 // Everything is elementwise, so results are bitwise independent of both
 // chunking and lane position — thread-count determinism comes for free.
 using VecNI = std::int32_t __attribute__((vector_size(sizeof(float) * kNR),
@@ -726,6 +706,17 @@ inline VecNR gelu_grad_vec(VecNR x) {
   const VecNR du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
   return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
 }
+#else
+inline float gelu_scalar(float x) {
+  const float u = kGeluC * (x + kGeluA * x * x * x);
+  return 0.5f * x * (1.0f + std::tanh(u));
+}
+inline float gelu_grad_scalar(float x) {
+  const float u = kGeluC * (x + kGeluA * x * x * x);
+  const float t = std::tanh(u);
+  const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+}
 #endif  // __GNUC__ || __clang__
 
 // out[j] = GeLU(x[j] + bias[j]) over [0, n); bias may be null. The tail
@@ -735,67 +726,62 @@ inline VecNR gelu_grad_vec(VecNR x) {
 void gelu_forward_span(const float* x, const float* bias, float* out,
                        std::int64_t n) {
 #if defined(__GNUC__) || defined(__clang__)
-  if (!gelu_exact_flag().load(std::memory_order_relaxed)) {
-    std::int64_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
-      VecNR v = gelu_loadu(x + j);
-      if (bias != nullptr) v += gelu_loadu(bias + j);
-      const VecNR g = gelu_vec(v);
-      std::memcpy(out + j, &g, sizeof g);
-    }
-    if (j < n) {
-      const std::int64_t nr = n - j;
-      float buf[kNR] = {};
-      std::memcpy(buf, x + j, static_cast<std::size_t>(nr) * sizeof(float));
-      VecNR v = gelu_loadu(buf);
-      if (bias != nullptr) {
-        float bbuf[kNR] = {};
-        std::memcpy(bbuf, bias + j, static_cast<std::size_t>(nr) * sizeof(float));
-        v += gelu_loadu(bbuf);
-      }
-      const VecNR g = gelu_vec(v);
-      std::memcpy(out + j, &g, static_cast<std::size_t>(nr) * sizeof(float));
-    }
-    return;
+  std::int64_t j = 0;
+  for (; j + kNR <= n; j += kNR) {
+    VecNR v = gelu_loadu(x + j);
+    if (bias != nullptr) v += gelu_loadu(bias + j);
+    const VecNR g = gelu_vec(v);
+    std::memcpy(out + j, &g, sizeof g);
   }
-#endif
+  if (j < n) {
+    const std::int64_t nr = n - j;
+    float buf[kNR] = {};
+    std::memcpy(buf, x + j, static_cast<std::size_t>(nr) * sizeof(float));
+    VecNR v = gelu_loadu(buf);
+    if (bias != nullptr) {
+      float bbuf[kNR] = {};
+      std::memcpy(bbuf, bias + j, static_cast<std::size_t>(nr) * sizeof(float));
+      v += gelu_loadu(bbuf);
+    }
+    const VecNR g = gelu_vec(v);
+    std::memcpy(out + j, &g, static_cast<std::size_t>(nr) * sizeof(float));
+  }
+#else
   if (bias != nullptr) {
     for (std::int64_t j = 0; j < n; ++j) out[j] = gelu_scalar(x[j] + bias[j]);
   } else {
     for (std::int64_t j = 0; j < n; ++j) out[j] = gelu_scalar(x[j]);
   }
+#endif
 }
 
 /// out[j] = dy[j] * GeLU'(x[j] + bias[j]) over [0, n); bias may be null.
 void gelu_grad_span(const float* dy, const float* x, const float* bias,
                     float* out, std::int64_t n) {
 #if defined(__GNUC__) || defined(__clang__)
-  if (!gelu_exact_flag().load(std::memory_order_relaxed)) {
-    std::int64_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
-      VecNR v = gelu_loadu(x + j);
-      if (bias != nullptr) v += gelu_loadu(bias + j);
-      const VecNR g = gelu_loadu(dy + j) * gelu_grad_vec(v);
-      std::memcpy(out + j, &g, sizeof g);
-    }
-    if (j < n) {
-      const std::int64_t nr = n - j;
-      float buf[kNR] = {};
-      float dbuf[kNR] = {};
-      std::memcpy(buf, x + j, static_cast<std::size_t>(nr) * sizeof(float));
-      std::memcpy(dbuf, dy + j, static_cast<std::size_t>(nr) * sizeof(float));
-      VecNR v = gelu_loadu(buf);
-      if (bias != nullptr) {
-        float bbuf[kNR] = {};
-        std::memcpy(bbuf, bias + j, static_cast<std::size_t>(nr) * sizeof(float));
-        v += gelu_loadu(bbuf);
-      }
-      const VecNR g = gelu_loadu(dbuf) * gelu_grad_vec(v);
-      std::memcpy(out + j, &g, static_cast<std::size_t>(nr) * sizeof(float));
-    }
-    return;
+  std::int64_t j = 0;
+  for (; j + kNR <= n; j += kNR) {
+    VecNR v = gelu_loadu(x + j);
+    if (bias != nullptr) v += gelu_loadu(bias + j);
+    const VecNR g = gelu_loadu(dy + j) * gelu_grad_vec(v);
+    std::memcpy(out + j, &g, sizeof g);
   }
-#endif
+  if (j < n) {
+    const std::int64_t nr = n - j;
+    float buf[kNR] = {};
+    float dbuf[kNR] = {};
+    std::memcpy(buf, x + j, static_cast<std::size_t>(nr) * sizeof(float));
+    std::memcpy(dbuf, dy + j, static_cast<std::size_t>(nr) * sizeof(float));
+    VecNR v = gelu_loadu(buf);
+    if (bias != nullptr) {
+      float bbuf[kNR] = {};
+      std::memcpy(bbuf, bias + j, static_cast<std::size_t>(nr) * sizeof(float));
+      v += gelu_loadu(bbuf);
+    }
+    const VecNR g = gelu_loadu(dbuf) * gelu_grad_vec(v);
+    std::memcpy(out + j, &g, static_cast<std::size_t>(nr) * sizeof(float));
+  }
+#else
   if (bias != nullptr) {
     for (std::int64_t j = 0; j < n; ++j) {
       out[j] = dy[j] * gelu_grad_scalar(x[j] + bias[j]);
@@ -803,14 +789,9 @@ void gelu_grad_span(const float* dy, const float* x, const float* bias,
   } else {
     for (std::int64_t j = 0; j < n; ++j) out[j] = dy[j] * gelu_grad_scalar(x[j]);
   }
+#endif
 }
 }  // namespace
-
-bool gelu_exact() { return gelu_exact_flag().load(std::memory_order_relaxed); }
-
-bool set_gelu_exact(bool on) {
-  return gelu_exact_flag().exchange(on, std::memory_order_relaxed);
-}
 
 Tensor gelu(const Tensor& x) {
   Tensor out = Tensor::empty(x.shape());
@@ -1076,12 +1057,50 @@ Tensor fused_bias_gelu_backward(const Tensor& dy, const Tensor& x, const Tensor&
 
 Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
                               const Tensor& residual, float p, Rng& rng,
-                              Tensor& mask) {
+                              Tensor* mask) {
   PTDP_CHECK(x.same_shape(residual));
-  Tensor biased = add_bias(x, bias);
-  Tensor dropped = dropout(biased, p, rng, mask);
-  add_(dropped, residual);
-  return dropped;
+  PTDP_CHECK_EQ(bias.ndim(), 1);
+  PTDP_CHECK_EQ(x.dim(-1), bias.dim(0));
+  PTDP_CHECK_GE(p, 0.0f);
+  PTDP_CHECK_LT(p, 1.0f);
+  PTDP_CHECK(mask != nullptr || p == 0.0f) << "dropout needs a mask output";
+  const std::int64_t rows = leading_rows(x);
+  const std::int64_t n = x.dim(-1);
+  if (mask != nullptr) *mask = Tensor::empty(x.shape());
+  Tensor out = Tensor::empty(x.shape());
+  const float* dx = x.data().data();
+  const float* db = bias.data().data();
+  const float* dr = residual.data().data();
+  float* dm = mask != nullptr ? mask->data().data() : nullptr;
+  float* dout = out.data().data();
+  // Row by row, the residual add is a second loop over the cache-hot row:
+  // the dropout product is rounded before the add, as in dropout() -> add_(),
+  // and never contracted into an FMA.
+  if (p == 0.0f) {
+    // Identity dropout, rows in parallel. Captures are by value: a captured
+    // float reference could alias the stores and block vectorization.
+    parallel_for(0, rows, row_grain(n), [=](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        const std::int64_t o = r * n;
+        if (dm != nullptr) std::fill(dm + o, dm + o + n, 1.0f);
+        for (std::int64_t j = 0; j < n; ++j) dout[o + j] = dx[o + j] + db[j];
+        for (std::int64_t j = 0; j < n; ++j) dout[o + j] += dr[o + j];
+      }
+    });
+    return out;
+  }
+  // Serial: the Bernoulli draws consume one RNG stream in element order.
+  const float keep_scale = 1.0f / (1.0f - p);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t o = r * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float m = rng.next_bernoulli(p) ? 0.0f : keep_scale;
+      dm[o + j] = m;
+      dout[o + j] = (dx[o + j] + db[j]) * m;
+    }
+    for (std::int64_t j = 0; j < n; ++j) dout[o + j] += dr[o + j];
+  }
+  return out;
 }
 
 Tensor fused_scale_causal_softmax(const Tensor& scores, float scl) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "layer_reference.hpp"
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/core/engine.hpp"
@@ -50,14 +51,15 @@ TEST(BidirectionalAttention, SeesFutureTokens) {
   for (const GptConfig* cfg : {&causal, &bidir}) {
     dist::Comm solo = dist::Comm::solo();
     ParallelAttention attn(*cfg, 0, solo);
+    const auto bind = reference::bind_attention(attn, *cfg, 0);
     Rng rng(1);
     tensor::Tensor x = tensor::Tensor::randn({cfg->seq, 1, cfg->hidden}, rng);
-    AttentionCache cache1, cache2;
-    tensor::Tensor y1 = attn.forward(x, cache1, 1);
+    reference::AttentionCache cache1, cache2;
+    tensor::Tensor y1 = reference::attention_forward(bind, x, cache1, 1);
     // Perturb the last position's input.
     tensor::Tensor x2 = x.clone();
     x2.at({cfg->seq - 1, 0, 0}) += 1.0f;
-    tensor::Tensor y2 = attn.forward(x2, cache2, 1);
+    tensor::Tensor y2 = reference::attention_forward(bind, x2, cache2, 1);
     // Compare position 0's output.
     float diff = 0.0f;
     for (std::int64_t j = 0; j < cfg->hidden; ++j) {
@@ -78,16 +80,20 @@ TEST(BidirectionalAttention, TensorParallelMatchesSerial) {
   tensor::Tensor dy = tensor::Tensor::randn({c.seq, 2, c.hidden}, rng);
   dist::Comm solo = dist::Comm::solo();
   ParallelAttention ref(c, 0, solo);
-  AttentionCache ref_cache;
-  tensor::Tensor ref_y = ref.forward(x, ref_cache, 1);
-  tensor::Tensor ref_dx = ref.backward(dy, ref_cache);
+  const auto ref_bind = reference::bind_attention(ref, c, 0);
+  reference::AttentionCache ref_cache;
+  tensor::Tensor ref_y = reference::attention_forward(ref_bind, x, ref_cache, 1);
+  tensor::Tensor ref_dx = reference::attention_backward(ref_bind, dy, ref_cache);
 
   dist::World world(4);
   world.run([&](dist::Comm& comm) {
     ParallelAttention attn(c, 0, comm);
-    AttentionCache cache;
-    EXPECT_TRUE(tensor::allclose(attn.forward(x, cache, 1), ref_y, 1e-4f, 1e-5f));
-    EXPECT_TRUE(tensor::allclose(attn.backward(dy, cache), ref_dx, 1e-4f, 1e-5f));
+    const auto bind = reference::bind_attention(attn, c, 0);
+    reference::AttentionCache cache;
+    EXPECT_TRUE(tensor::allclose(reference::attention_forward(bind, x, cache, 1),
+                                 ref_y, 1e-4f, 1e-5f));
+    EXPECT_TRUE(tensor::allclose(reference::attention_backward(bind, dy, cache),
+                                 ref_dx, 1e-4f, 1e-5f));
   });
 }
 

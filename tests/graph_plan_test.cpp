@@ -1,13 +1,16 @@
 // ptdp::graph planner tests (DESIGN.md §14):
 //   1. The builder emits the canonical unfused block and the fusion pass
-//      rewrites it to exactly the kernel sequence of the hand-written eager
-//      bodies (golden IR checks, pass by pass).
+//      rewrites it to exactly the reference kernel sequence (golden IR
+//      checks, pass by pass); the decode plan swaps the attention core for
+//      one KV-cached node (§16).
 //   2. Fusion legality: pinned intermediates block their pattern.
 //   3. Buffer planning: values sharing an arena slot have disjoint lifetimes
 //      and identical (bytes, dtype); every planned value gets a slot.
 //   4. §13 dtype propagation marks exactly the cached GEMM inputs bf16.
-//   5. Graph execution is bitwise-identical to the eager bodies — forward,
-//      backward, and the recompute plan transformation.
+//   5. Plan execution is bitwise-identical to the reference bodies
+//      (layer_reference.hpp) — forward, backward, and the recompute plan
+//      transformation, with two microbatches in flight.
+//   6. §17 kernel selection rewrites the decode plans the layers run.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "layer_reference.hpp"
 #include "ptdp/dist/comm.hpp"
+#include "ptdp/dist/world.hpp"
 #include "ptdp/graph/builder.hpp"
 #include "ptdp/graph/executor.hpp"
 #include "ptdp/graph/passes.hpp"
-#include "ptdp/model/transformer_layer.hpp"
+#include "ptdp/model/stage.hpp"
 #include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::graph {
@@ -88,6 +93,32 @@ TEST(GraphBuilder, UnfusedBackwardMirrorsEagerAccumulationOrder) {
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kView3D};
   EXPECT_EQ(kinds(plan.bwd), want);
+}
+
+TEST(GraphBuilder, DecodePlanReplacesTheAttentionCore) {
+  PlannerOptions opts;
+  opts.inference = true;
+  const LayerPlan plan = build_layer_plan(tiny_config(), false, opts);
+  const std::vector<OpKind> want = {
+      OpKind::kView2D,          OpKind::kLayerNorm,
+      OpKind::kLinearFwd,       OpKind::kDecodeAttention,
+      OpKind::kLinearFwd,       OpKind::kFusedBiasDropoutAdd,
+      OpKind::kLayerNorm,       OpKind::kLinearFwd,
+      OpKind::kFusedBiasGelu,   OpKind::kLinearFwd,
+      OpKind::kFusedBiasDropoutAdd, OpKind::kView3D};
+  EXPECT_EQ(kinds(plan.fwd), want);
+  EXPECT_TRUE(plan.bwd.empty());
+  // qkv rows in, merged context rows out — straight into the projection.
+  const Node& core = plan.fwd[3];
+  EXPECT_EQ(core.in, std::vector<ValueId>{plan.fwd[2].out[0]});
+  EXPECT_EQ(core.out, std::vector<ValueId>{plan.fwd[4].in[0]});
+  // Nothing of the training attention core survives.
+  for (const char* name : {"attn.q", "attn.k", "attn.v", "attn.scores",
+                           "attn.probs", "attn.ctx"}) {
+    const Value& v = plan.values[static_cast<std::size_t>(find_value(plan, name))];
+    EXPECT_EQ(v.def, -1) << name;
+    EXPECT_EQ(v.last_use, -1) << name;
+  }
 }
 
 TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
@@ -254,41 +285,85 @@ TEST(GraphPasses, Bf16MarksExactlyTheCachedGemmInputs) {
   }
 }
 
-// ---- 5. graph == eager, bitwise -------------------------------------------
+// ---- 5. plan == reference, bitwise ----------------------------------------
+//
+// The reference (layer_reference.hpp) is the hand-written kernel sequence
+// over the same binding. Two microbatches are in flight on one layer —
+// fwd A, fwd B, bwd B, bwd A — so each frame must carry its own state.
+
+constexpr std::uint64_t kTags[2] = {7, 8};
 
 struct LayerRun {
-  Tensor y, dx;
+  Tensor y[2], dx[2];
   std::map<std::string, Tensor> grads;
 };
 
-LayerRun run_layer(const GptConfig& c, bool use_graph, bool recompute) {
-  const bool prev = set_enabled(use_graph);
-  dist::Comm solo = dist::Comm::solo();
-  model::TransformerLayer layer(c, /*global_layer_idx=*/0, solo);
+struct LayerInputs {
+  Tensor x[2], dy[2];
+};
+
+LayerInputs make_inputs(const GptConfig& c) {
   Rng rng(c.seed, substream(9, 9));
-  const Tensor x = Tensor::randn({c.seq, 2, c.hidden}, rng);
-  const Tensor dy = Tensor::randn({c.seq, 2, c.hidden}, rng);
+  LayerInputs in;
+  for (int mb = 0; mb < 2; ++mb) {
+    in.x[mb] = Tensor::randn({c.seq, 2, c.hidden}, rng);
+    in.dy[mb] = Tensor::randn({c.seq, 2, c.hidden}, rng);
+  }
+  return in;
+}
+
+model::ParamRefs zeroed_params(model::TransformerLayer& layer) {
   model::ParamRefs params;
   layer.collect_params(params);
   for (model::Param* p : params) p->zero_grad();
+  return params;
+}
 
-  LayerRun out;
-  model::LayerCache cache;
-  out.y = layer.forward(x, cache, /*mb_tag=*/7);
-  if (recompute) {
-    cache.keep_input_only();
-    out.dx = layer.backward_recompute(dy, cache, /*mb_tag=*/7);
-  } else {
-    out.dx = layer.backward(dy, cache);
-  }
+void collect_grads(const model::ParamRefs& params, LayerRun& out) {
   for (model::Param* p : params) out.grads.emplace(p->name, p->grad.clone());
-  set_enabled(prev);
+}
+
+LayerRun run_plan(model::TransformerLayer& layer, const LayerInputs& in,
+                  bool recompute) {
+  const model::ParamRefs params = zeroed_params(layer);
+  LayerRun out;
+  model::LayerCache cache[2];
+  for (int mb = 0; mb < 2; ++mb) {
+    out.y[mb] = layer.forward(in.x[mb], cache[mb], kTags[mb]);
+    if (recompute) cache[mb].keep_input_only();
+  }
+  for (int mb = 1; mb >= 0; --mb) {
+    out.dx[mb] = recompute
+                     ? layer.backward_recompute(in.dy[mb], cache[mb], kTags[mb])
+                     : layer.backward(in.dy[mb], cache[mb]);
+  }
+  collect_grads(params, out);
+  return out;
+}
+
+LayerRun run_reference(model::TransformerLayer& layer, const LayerInputs& in,
+                       bool recompute) {
+  const model::ParamRefs params = zeroed_params(layer);
+  const LayerBinding& bind = layer.binding();
+  LayerRun out;
+  reference::LayerCache cache[2];
+  for (int mb = 0; mb < 2; ++mb) {
+    out.y[mb] = reference::layer_forward(bind, in.x[mb], cache[mb], kTags[mb]);
+  }
+  for (int mb = 1; mb >= 0; --mb) {
+    out.dx[mb] = recompute ? reference::layer_backward_recompute(
+                                 bind, in.dy[mb], cache[mb], kTags[mb])
+                           : reference::layer_backward(bind, in.dy[mb], cache[mb]);
+  }
+  collect_grads(params, out);
   return out;
 }
 
 void expect_bitwise(const LayerRun& a, const LayerRun& b) {
-  EXPECT_EQ(tensor::max_abs_diff(a.y, b.y), 0.0f) << "forward";
-  EXPECT_EQ(tensor::max_abs_diff(a.dx, b.dx), 0.0f) << "backward dx";
+  for (int mb = 0; mb < 2; ++mb) {
+    EXPECT_EQ(tensor::max_abs_diff(a.y[mb], b.y[mb]), 0.0f) << "forward " << mb;
+    EXPECT_EQ(tensor::max_abs_diff(a.dx[mb], b.dx[mb]), 0.0f) << "dx " << mb;
+  }
   ASSERT_EQ(a.grads.size(), b.grads.size());
   for (const auto& [name, grad] : a.grads) {
     ASSERT_TRUE(b.grads.contains(name)) << name;
@@ -297,14 +372,26 @@ void expect_bitwise(const LayerRun& a, const LayerRun& b) {
 }
 
 TEST(GraphExecutor, BitwiseMatchesEagerLayer) {
-  for (const float dropout : {0.0f, 0.3f}) {
-    for (const auto dtype : {tensor::DType::kF32, tensor::DType::kBf16}) {
-      GptConfig c = tiny_config(dropout);
-      c.dtype = dtype;
-      SCOPED_TRACE("dropout=" + std::to_string(dropout) +
-                   " dtype=" + tensor::dtype_name(dtype));
-      expect_bitwise(run_layer(c, /*use_graph=*/true, /*recompute=*/false),
-                     run_layer(c, /*use_graph=*/false, /*recompute=*/false));
+  for (const int t : {1, 2}) {
+    for (const float dropout : {0.0f, 0.1f}) {
+      for (const auto dtype : {tensor::DType::kF32, tensor::DType::kBf16}) {
+        for (const bool recompute : {false, true}) {
+          GptConfig c = tiny_config(dropout);
+          c.dtype = dtype;
+          SCOPED_TRACE("t=" + std::to_string(t) + " dropout=" +
+                       std::to_string(dropout) + " dtype=" +
+                       tensor::dtype_name(dtype) +
+                       (recompute ? " recompute" : " stashed"));
+          const LayerInputs in = make_inputs(c);
+          dist::World world(t);
+          world.run([&](dist::Comm& comm) {
+            model::TransformerLayer planned(c, /*global_layer_idx=*/0, comm);
+            model::TransformerLayer ref(c, /*global_layer_idx=*/0, comm);
+            expect_bitwise(run_plan(planned, in, recompute),
+                           run_reference(ref, in, recompute));
+          });
+        }
+      }
     }
   }
 }
@@ -313,10 +400,13 @@ TEST(GraphExecutor, RecomputePlanBitwiseMatchesEagerReplay) {
   for (const float dropout : {0.0f, 0.3f}) {
     GptConfig c = tiny_config(dropout);
     SCOPED_TRACE("dropout=" + std::to_string(dropout));
-    const LayerRun graph_rc = run_layer(c, true, /*recompute=*/true);
-    expect_bitwise(graph_rc, run_layer(c, false, /*recompute=*/true));
+    const LayerInputs in = make_inputs(c);
+    dist::Comm solo = dist::Comm::solo();
+    model::TransformerLayer layer(c, 0, solo);
+    const LayerRun plan_rc = run_plan(layer, in, /*recompute=*/true);
+    expect_bitwise(plan_rc, run_reference(layer, in, /*recompute=*/true));
     // And recompute must change nothing vs stashed-activation backward.
-    expect_bitwise(graph_rc, run_layer(c, true, /*recompute=*/false));
+    expect_bitwise(plan_rc, run_plan(layer, in, /*recompute=*/false));
   }
 }
 
@@ -330,13 +420,10 @@ TEST(GraphExecutor, EvalDropoutZeroReusesTrainingTopology) {
   Rng rng(c.seed, substream(3, 3));
   const Tensor x = Tensor::randn({c.seq, 2, c.hidden}, rng);
   model::LayerCache cache;
-  const bool prev = set_enabled(true);
-  const Tensor y_graph = layer.forward(x, cache, 1);
-  set_enabled(false);
-  model::LayerCache cache_eager;
-  const Tensor y_eager = layer.forward(x, cache_eager, 1);
-  set_enabled(prev);
-  EXPECT_EQ(tensor::max_abs_diff(y_graph, y_eager), 0.0f);
+  const Tensor y_plan = layer.forward(x, cache, 1);
+  reference::LayerCache ref_cache;
+  const Tensor y_ref = reference::layer_forward(layer.binding(), x, ref_cache, 1);
+  EXPECT_EQ(tensor::max_abs_diff(y_plan, y_ref), 0.0f);
 }
 
 // ---- plan dump -------------------------------------------------------------
@@ -366,7 +453,7 @@ TEST(GraphBuilder, StagePlanCoversLayerRange) {
   EXPECT_TRUE(sp.recompute);
 }
 
-// ---- §17 kernel selection --------------------------------------------------
+// ---- 6. §17 kernel selection ----------------------------------------------
 
 TEST(GraphKernelSelection, RefusesTrainingPlans) {
   LayerPlan plan = build_layer_plan(tiny_config(), /*with_dropout=*/false);
@@ -379,15 +466,17 @@ TEST(GraphKernelSelection, RefusesTrainingPlans) {
 
 TEST(GraphKernelSelection, RewritesExactlyTheEligibleLinears) {
   QuantPolicy policy;  // every slot eligible, int8
-  PlannerOptions opts;
-  opts.inference = true;
-  opts.quant = &policy;
-  const LayerPlan plan = build_layer_plan(tiny_config(), false, opts);
+  dist::Comm solo = dist::Comm::solo();
+  model::TransformerLayer layer(tiny_config(), 0, solo);
+  layer.select_decode_kernels(policy);
+  const LayerPlan& plan = layer.decode_plan();
   EXPECT_TRUE(plan.bwd.empty());
   int quantized = 0;
+  int decode_attention = 0;
   for (const Node& n : plan.fwd) {
     EXPECT_NE(n.kind, OpKind::kLinearFwd)
         << "all-slots policy left an unquantized linear";
+    decode_attention += n.kind == OpKind::kDecodeAttention;
     if (n.kind == OpKind::kLinearFwdQuant) {
       ++quantized;
       EXPECT_EQ(n.quant,
@@ -395,6 +484,11 @@ TEST(GraphKernelSelection, RewritesExactlyTheEligibleLinears) {
     }
   }
   EXPECT_EQ(quantized, 4);  // qkv, proj, fc1, fc2
+  EXPECT_EQ(decode_attention, 1);
+  // The training plans the same layer runs are untouched.
+  for (const Node& n : layer.plan(false).fwd) {
+    EXPECT_NE(n.kind, OpKind::kLinearFwdQuant);
+  }
 }
 
 TEST(GraphKernelSelection, PartialPolicyLeavesOtherSlotsAlone) {
@@ -402,25 +496,37 @@ TEST(GraphKernelSelection, PartialPolicyLeavesOtherSlotsAlone) {
   policy.kind = tensor::QuantKind::kQ4;
   policy.slots[static_cast<int>(LinearSlot::kQkv)] = false;
   policy.slots[static_cast<int>(LinearSlot::kProj)] = false;
-  PlannerOptions opts;
-  opts.inference = true;
-  opts.quant = &policy;
-  const LayerPlan plan = build_layer_plan(tiny_config(), false, opts);
-  std::map<int, OpKind> by_slot;
-  for (const Node& n : plan.fwd) {
-    if (n.kind == OpKind::kLinearFwd || n.kind == OpKind::kLinearFwdQuant) {
-      by_slot[n.linear] = n.kind;
-      if (n.kind == OpKind::kLinearFwdQuant) {
-        EXPECT_EQ(n.quant, static_cast<std::int8_t>(tensor::QuantKind::kQ4));
+  const GptConfig c = tiny_config();
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo,
+                        model::StageSpec{true, true, 0, c.num_layers, false});
+  const model::QuantizeReport report = stage.quantize_for_serving(policy);
+  EXPECT_EQ(report.linears, 2 * c.num_layers);  // fc1 + fc2 per layer
+  const StagePlan sp = stage.decode_plan();
+  ASSERT_EQ(sp.layers.size(), static_cast<std::size_t>(c.num_layers));
+  for (const LayerPlan& plan : sp.layers) {
+    std::map<int, OpKind> by_slot;
+    for (const Node& n : plan.fwd) {
+      if (n.kind == OpKind::kLinearFwd || n.kind == OpKind::kLinearFwdQuant) {
+        by_slot[n.linear] = n.kind;
+        if (n.kind == OpKind::kLinearFwdQuant) {
+          EXPECT_EQ(n.quant, static_cast<std::int8_t>(tensor::QuantKind::kQ4));
+        }
       }
     }
+    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kQkv)), OpKind::kLinearFwd);
+    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kProj)), OpKind::kLinearFwd);
+    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kFc1)),
+              OpKind::kLinearFwdQuant);
+    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kFc2)),
+              OpKind::kLinearFwdQuant);
   }
-  EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kQkv)), OpKind::kLinearFwd);
-  EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kProj)), OpKind::kLinearFwd);
-  EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kFc1)),
-            OpKind::kLinearFwdQuant);
-  EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kFc2)),
-            OpKind::kLinearFwdQuant);
+  // The modules follow the plan: exactly the selected linears are quantized.
+  const auto named = stage.quantized_weights();
+  ASSERT_EQ(named.size(), static_cast<std::size_t>(2 * c.num_layers));
+  for (const auto& nq : named) {
+    EXPECT_NE(nq.name.find(".mlp.fc"), std::string::npos) << nq.name;
+  }
 }
 
 }  // namespace

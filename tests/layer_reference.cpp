@@ -1,0 +1,250 @@
+#include "layer_reference.hpp"
+
+#include <cmath>
+
+#include "ptdp/model/param.hpp"
+#include "ptdp/model/rng_sites.hpp"
+
+namespace ptdp::reference {
+
+using graph::LayerBinding;
+using graph::ParamSlot;
+using tensor::Tensor;
+
+namespace {
+model::Param& param(const LayerBinding& bind, ParamSlot slot) {
+  return *bind.params[static_cast<int>(slot)];
+}
+}  // namespace
+
+LayerBinding bind_attention(model::ParallelAttention& attn,
+                            const model::GptConfig& config,
+                            std::int64_t layer_idx) {
+  LayerBinding bind;
+  bind.config = &config;
+  bind.layer_idx = layer_idx;
+  bind.params[static_cast<int>(ParamSlot::kProjBias)] = &attn.proj_bias();
+  bind.qkv = &attn.qkv();
+  bind.proj = &attn.proj();
+  bind.attn = &attn;
+  return bind;
+}
+
+LayerBinding bind_mlp(model::ParallelMlp& mlp, const model::GptConfig& config,
+                      std::int64_t layer_idx) {
+  LayerBinding bind;
+  bind.config = &config;
+  bind.layer_idx = layer_idx;
+  bind.params[static_cast<int>(ParamSlot::kFc1Bias)] = &mlp.fc1().bias();
+  bind.params[static_cast<int>(ParamSlot::kFc2Bias)] = &mlp.fc2_bias();
+  bind.fc1 = &mlp.fc1();
+  bind.fc2 = &mlp.fc2();
+  return bind;
+}
+
+// ---- attention -------------------------------------------------------------
+
+Tensor attention_forward(const LayerBinding& bind, const Tensor& x,
+                         AttentionCache& cache, std::uint64_t mb_tag) {
+  const model::GptConfig& config = *bind.config;
+  const std::int64_t heads_local = bind.attn->heads_local();
+  const std::int64_t head_dim = bind.attn->head_dim();
+  const std::int64_t hidden_local = bind.attn->hidden_local();
+  PTDP_CHECK_EQ(x.ndim(), 3) << "attention input must be [s, b, h]";
+  const std::int64_t s = x.dim(0);
+  const std::int64_t b = x.dim(1);
+  PTDP_CHECK_EQ(x.dim(2), config.hidden);
+  cache.s = s;
+  cache.b = b;
+
+  Tensor x2d = x.view({s * b, config.hidden});
+  Tensor qkv2d = bind.qkv->forward(x2d, cache.qkv);  // [sb, 3*hidden_local]
+
+  // [s, b, a_l, 3dk] -> [b, a_l, s, 3dk] -> [b*a_l, s, 3dk]
+  Tensor qkv4d = qkv2d.view({s, b, heads_local, 3 * head_dim})
+                     .permute({1, 2, 0, 3})
+                     .view({b * heads_local, s, 3 * head_dim});
+  cache.q = qkv4d.slice(-1, 0, head_dim);
+  cache.k = qkv4d.slice(-1, head_dim, head_dim);
+  cache.v = qkv4d.slice(-1, 2 * head_dim, head_dim);
+
+  Tensor scores = tensor::bmm_nt(cache.q, cache.k);  // [ba, s, s]
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  if (config.causal) {
+    cache.probs = tensor::fused_scale_causal_softmax(scores, scale);
+  } else {
+    // BERT-style bidirectional attention through the general-mask kernel
+    // (nothing masked here; padding masks would plug in the same way).
+    cache.probs = tensor::fused_scale_mask_softmax(scores, Tensor({s, s}), scale);
+  }
+
+  if (config.dropout > 0.0f) {
+    cache.prob_mask = bind.attn->make_prob_dropout_mask(b, mb_tag);
+    cache.probs_dropped = tensor::mul(cache.probs, cache.prob_mask);
+  } else {
+    cache.probs_dropped = cache.probs;
+  }
+
+  Tensor ctx = tensor::bmm(cache.probs_dropped, cache.v);  // [ba, s, dk]
+  Tensor ctx2d = ctx.view({b, heads_local, s, head_dim})
+                     .permute({2, 0, 1, 3})
+                     .view({s * b, hidden_local});
+  Tensor out2d = bind.proj->forward(ctx2d, cache.proj);  // [sb, h], bias skipped
+  return out2d.view({s, b, config.hidden});
+}
+
+Tensor attention_backward(const LayerBinding& bind, const Tensor& dy,
+                          const AttentionCache& cache) {
+  const model::GptConfig& config = *bind.config;
+  const std::int64_t heads_local = bind.attn->heads_local();
+  const std::int64_t head_dim = bind.attn->head_dim();
+  const std::int64_t hidden_local = bind.attn->hidden_local();
+  const std::int64_t s = cache.s;
+  const std::int64_t b = cache.b;
+  Tensor dy2d = dy.view({s * b, config.hidden});
+
+  Tensor dctx2d = bind.proj->backward(dy2d, cache.proj);  // [sb, hidden_local]
+  Tensor dctx = dctx2d.view({s, b, heads_local, head_dim})
+                    .permute({1, 2, 0, 3})
+                    .view({b * heads_local, s, head_dim});
+
+  // ctx = P·V
+  Tensor dp_dropped = tensor::bmm_nt(dctx, cache.v);          // [ba, s, s]
+  Tensor dv = tensor::bmm_tn(cache.probs_dropped, dctx);      // [ba, s, dk]
+  Tensor dprobs = config.dropout > 0.0f
+                      ? tensor::mul(dp_dropped, cache.prob_mask)
+                      : dp_dropped;
+
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  Tensor dscores = tensor::fused_scale_softmax_backward(cache.probs, dprobs, scale);
+
+  // scores = Q·Kᵀ
+  Tensor dq = tensor::bmm(dscores, cache.k);     // [ba, s, dk]
+  Tensor dk = tensor::bmm_tn(dscores, cache.q);  // [ba, s, dk]
+
+  Tensor dqkv = tensor::concat({dq, dk, dv}, -1)  // [ba, s, 3dk]
+                    .view({b, heads_local, s, 3 * head_dim})
+                    .permute({2, 0, 1, 3})
+                    .view({s * b, 3 * hidden_local});
+  Tensor dx2d = bind.qkv->backward(dqkv, cache.qkv);  // all-reduced over t
+  return dx2d.view({s, b, config.hidden});
+}
+
+// ---- MLP -------------------------------------------------------------------
+
+Tensor mlp_forward(const LayerBinding& bind, const Tensor& x, MlpCache& cache) {
+  const std::int64_t hidden = bind.config->hidden;
+  const std::int64_t s = x.dim(0);
+  const std::int64_t b = x.dim(1);
+  Tensor x2d = x.view({s * b, hidden});
+  cache.fc1_out = bind.fc1->forward(x2d, cache.fc1);  // [sb, 4h/t], no bias yet
+  Tensor act = tensor::fused_bias_gelu(cache.fc1_out, bind.fc1->bias().value);
+  Tensor y2d = bind.fc2->forward(act, cache.fc2);  // [sb, h], all-reduced, no bias
+  return y2d.view({s, b, hidden});
+}
+
+Tensor mlp_backward(const LayerBinding& bind, const Tensor& dy,
+                    const MlpCache& cache) {
+  const std::int64_t hidden = bind.config->hidden;
+  const std::int64_t s = dy.dim(0);
+  const std::int64_t b = dy.dim(1);
+  Tensor dy2d = dy.view({s * b, hidden});
+  Tensor dact = bind.fc2->backward(dy2d, cache.fc2);  // [sb, 4h/t]
+  Tensor dfc1_out = tensor::fused_bias_gelu_backward(
+      dact, cache.fc1_out, bind.fc1->bias().value, bind.fc1->bias().grad);
+  Tensor dx2d = bind.fc1->backward(dfc1_out, cache.fc1);  // all-reduced over t
+  return dx2d.view({s, b, hidden});
+}
+
+// ---- block -----------------------------------------------------------------
+
+Tensor layer_forward(const LayerBinding& bind, const Tensor& x, LayerCache& cache,
+                     std::uint64_t mb_tag) {
+  const model::GptConfig& config = *bind.config;
+  const std::int64_t s = x.dim(0);
+  const std::int64_t b = x.dim(1);
+  const std::int64_t h = config.hidden;
+  cache.input = x;
+
+  Tensor x2d = x.view({s * b, h});
+  cache.ln1 = tensor::layernorm(x2d, param(bind, ParamSlot::kLn1Gamma).value,
+                                param(bind, ParamSlot::kLn1Beta).value);
+  Tensor attn_out =
+      attention_forward(bind, cache.ln1.y.view({s, b, h}), cache.attn, mb_tag);
+
+  // Fused bias+dropout+add: residual is the block input. The dropout mask
+  // is keyed by (mb, layer, site) so tensor-parallel ranks agree and
+  // recomputation replays it.
+  Rng rng1 = model::site_rng(config.seed, mb_tag,
+                             static_cast<std::uint64_t>(bind.layer_idx),
+                             model::DropSite::kAttentionResidual);
+  cache.h1 = tensor::fused_bias_dropout_add(attn_out.view({s * b, h}),
+                                            bind.proj->bias().value, x2d,
+                                            config.dropout, rng1,
+                                            &cache.attn_resid_mask);
+
+  cache.ln2 = tensor::layernorm(cache.h1, param(bind, ParamSlot::kLn2Gamma).value,
+                                param(bind, ParamSlot::kLn2Beta).value);
+  Tensor mlp_out = mlp_forward(bind, cache.ln2.y.view({s, b, h}), cache.mlp);
+
+  Rng rng2 = model::site_rng(config.seed, mb_tag,
+                             static_cast<std::uint64_t>(bind.layer_idx),
+                             model::DropSite::kMlpResidual);
+  Tensor mask2;
+  Tensor y2d = tensor::fused_bias_dropout_add(mlp_out.view({s * b, h}),
+                                              bind.fc2->bias().value, cache.h1,
+                                              config.dropout, rng2, &mask2);
+  cache.mlp_resid_mask = mask2;
+  return y2d.view({s, b, h});
+}
+
+Tensor layer_backward(const LayerBinding& bind, const Tensor& dy,
+                      const LayerCache& cache) {
+  const std::int64_t s = dy.dim(0);
+  const std::int64_t b = dy.dim(1);
+  const std::int64_t h = bind.config->hidden;
+  model::Param& ln1_gamma = param(bind, ParamSlot::kLn1Gamma);
+  model::Param& ln1_beta = param(bind, ParamSlot::kLn1Beta);
+  model::Param& ln2_gamma = param(bind, ParamSlot::kLn2Gamma);
+  model::Param& ln2_beta = param(bind, ParamSlot::kLn2Beta);
+  Tensor dy2d = dy.view({s * b, h});
+
+  // ---- second residual: y = dropout(mlp_out + fc2_bias) + h1 ----
+  Tensor d_after2 = tensor::dropout_backward(dy2d, cache.mlp_resid_mask);
+  tensor::add_(bind.fc2->bias().grad, tensor::bias_grad(d_after2));
+  Tensor d_ln2y =
+      mlp_backward(bind, d_after2.view({s, b, h}), cache.mlp).view({s * b, h});
+
+  auto ln2_grads = tensor::layernorm_backward(d_ln2y, cache.h1, ln2_gamma.value,
+                                              cache.ln2.mean, cache.ln2.rstd);
+  tensor::add_(ln2_gamma.grad, ln2_grads.dgamma);
+  tensor::add_(ln2_beta.grad, ln2_grads.dbeta);
+
+  // dh1 = residual path (dy) + LayerNorm path.
+  Tensor dh1 = tensor::add(dy2d, ln2_grads.dx);
+
+  // ---- first residual: h1 = dropout(attn_out + proj_bias) + x ----
+  Tensor d_after1 = tensor::dropout_backward(dh1, cache.attn_resid_mask);
+  tensor::add_(bind.proj->bias().grad, tensor::bias_grad(d_after1));
+  Tensor d_ln1y = attention_backward(bind, d_after1.view({s, b, h}), cache.attn)
+                      .view({s * b, h});
+
+  Tensor x2d = cache.input.view({s * b, h});
+  auto ln1_grads = tensor::layernorm_backward(d_ln1y, x2d, ln1_gamma.value,
+                                              cache.ln1.mean, cache.ln1.rstd);
+  tensor::add_(ln1_gamma.grad, ln1_grads.dgamma);
+  tensor::add_(ln1_beta.grad, ln1_grads.dbeta);
+
+  Tensor dx = tensor::add(dh1, ln1_grads.dx);
+  return dx.view({s, b, h});
+}
+
+Tensor layer_backward_recompute(const LayerBinding& bind, const Tensor& dy,
+                                LayerCache& cache, std::uint64_t mb_tag) {
+  const Tensor input = cache.input;
+  cache = LayerCache{};
+  (void)layer_forward(bind, input, cache, mb_tag);
+  return layer_backward(bind, dy, cache);
+}
+
+}  // namespace ptdp::reference

@@ -13,6 +13,7 @@
 #include <limits>
 #include <vector>
 
+#include "layer_reference.hpp"
 #include "ptdp/comm/grad_reducer.hpp"
 #include "ptdp/core/engine.hpp"
 #include "ptdp/data/dataset.hpp"
@@ -194,16 +195,18 @@ TEST(MixedPrecisionAttention, ForwardMatchesF32WithinTableTolerance) {
     c16.dtype = DType::kBf16;
     model::ParallelAttention attn32(c, /*global_layer_idx=*/0, comm);
     model::ParallelAttention attn16(c16, /*global_layer_idx=*/0, comm);
+    const auto bind32 = reference::bind_attention(attn32, c, 0);
+    const auto bind16 = reference::bind_attention(attn16, c16, 0);
     Rng rng(5);
     const Tensor x = Tensor::randn({c.seq, 2, c.hidden}, rng);
-    model::AttentionCache cache32, cache16;
-    const Tensor y32 = attn32.forward(x, cache32, /*mb_tag=*/0);
-    const Tensor y16 = attn16.forward(x, cache16, /*mb_tag=*/0);
+    reference::AttentionCache cache32, cache16;
+    const Tensor y32 = reference::attention_forward(bind32, x, cache32, /*mb_tag=*/0);
+    const Tensor y16 = reference::attention_forward(bind16, x, cache16, /*mb_tag=*/0);
     const Tol tol = attention_tol(DType::kBf16);
     EXPECT_TRUE(tensor::allclose(y16, y32, tol.rtol, tol.atol))
         << "gap " << tensor::max_abs_diff(y16, y32);
     // The backward produces f32 grads regardless of weight dtype.
-    const Tensor dx16 = attn16.backward(y32, cache16);
+    const Tensor dx16 = reference::attention_backward(bind16, y32, cache16);
     EXPECT_EQ(dx16.dtype(), DType::kF32);
   });
 }

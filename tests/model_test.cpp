@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "layer_reference.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/model/stage.hpp"
 #include "ptdp/tensor/ops.hpp"
@@ -168,17 +169,19 @@ TEST_P(TensorParallelBlockTest, AttentionMatchesSerial) {
 
   dist::Comm solo = dist::Comm::solo();
   ParallelAttention ref(c, 0, solo);
-  AttentionCache ref_cache;
-  Tensor ref_y = ref.forward(x, ref_cache, /*mb_tag=*/1);
-  Tensor ref_dx = ref.backward(dy, ref_cache);
+  const auto ref_bind = reference::bind_attention(ref, c, 0);
+  reference::AttentionCache ref_cache;
+  Tensor ref_y = reference::attention_forward(ref_bind, x, ref_cache, /*mb_tag=*/1);
+  Tensor ref_dx = reference::attention_backward(ref_bind, dy, ref_cache);
 
   dist::World world(t);
   world.run([&](dist::Comm& comm) {
     ParallelAttention attn(c, 0, comm);
-    AttentionCache cache;
-    Tensor y = attn.forward(x, cache, /*mb_tag=*/1);
+    const auto bind = reference::bind_attention(attn, c, 0);
+    reference::AttentionCache cache;
+    Tensor y = reference::attention_forward(bind, x, cache, /*mb_tag=*/1);
     EXPECT_TRUE(tensor::allclose(y, ref_y, 1e-4f, 1e-5f));
-    Tensor dx = attn.backward(dy, cache);
+    Tensor dx = reference::attention_backward(bind, dy, cache);
     EXPECT_TRUE(tensor::allclose(dx, ref_dx, 1e-4f, 1e-5f));
   });
 }
@@ -192,16 +195,20 @@ TEST_P(TensorParallelBlockTest, MlpMatchesSerial) {
 
   dist::Comm solo = dist::Comm::solo();
   ParallelMlp ref(c, 1, solo);
-  MlpCache ref_cache;
-  Tensor ref_y = ref.forward(x, ref_cache);
-  Tensor ref_dx = ref.backward(dy, ref_cache);
+  const auto ref_bind = reference::bind_mlp(ref, c, 1);
+  reference::MlpCache ref_cache;
+  Tensor ref_y = reference::mlp_forward(ref_bind, x, ref_cache);
+  Tensor ref_dx = reference::mlp_backward(ref_bind, dy, ref_cache);
 
   dist::World world(t);
   world.run([&](dist::Comm& comm) {
     ParallelMlp mlp(c, 1, comm);
-    MlpCache cache;
-    EXPECT_TRUE(tensor::allclose(mlp.forward(x, cache), ref_y, 1e-4f, 1e-5f));
-    EXPECT_TRUE(tensor::allclose(mlp.backward(dy, cache), ref_dx, 1e-4f, 1e-5f));
+    const auto bind = reference::bind_mlp(mlp, c, 1);
+    reference::MlpCache cache;
+    EXPECT_TRUE(tensor::allclose(reference::mlp_forward(bind, x, cache), ref_y,
+                                 1e-4f, 1e-5f));
+    EXPECT_TRUE(tensor::allclose(reference::mlp_backward(bind, dy, cache), ref_dx,
+                                 1e-4f, 1e-5f));
   });
 }
 

@@ -204,6 +204,23 @@ TEST_F(ObsMetricsTest, CountersGaugesHistograms) {
   EXPECT_DOUBLE_EQ(h.quantile_bound(0.5), 10.0);
 }
 
+TEST_F(ObsMetricsTest, QuantilesNeverExceedTheObservedMax) {
+  auto& metrics = MetricsRegistry::instance();
+  // Power-of-two buckets put 10.19 under the 10.24 bound; p99 must still
+  // report at most the max actually observed.
+  Histogram& h = metrics.histogram("test.e2e_ms");
+  for (int i = 0; i < 99; ++i) h.observe(1.0);
+  h.observe(10.19);
+  EXPECT_LE(h.quantile_bound(0.99), h.max());
+  EXPECT_DOUBLE_EQ(h.quantile_bound(1.0), 10.19);
+  // An overflow-bucket quantile is the max, not infinity.
+  Histogram& tail = metrics.histogram("test.tail_ms", {1.0, 10.0});
+  tail.observe(0.5);
+  tail.observe(50.0);
+  tail.observe(70.0);
+  EXPECT_DOUBLE_EQ(tail.quantile_bound(0.99), 70.0);
+}
+
 TEST_F(ObsMetricsTest, JsonIsWellFormedEnough) {
   auto& metrics = MetricsRegistry::instance();
   metrics.counter("a").add(1);

@@ -13,7 +13,6 @@
 
 #include "ptdp/dist/process_groups.hpp"
 #include "ptdp/dist/world.hpp"
-#include "ptdp/graph/ir.hpp"
 #include "ptdp/pipeline/executor.hpp"
 #include "ptdp/tensor/ops.hpp"
 
@@ -354,79 +353,6 @@ TEST(PipelineExecutor, RecomputeMatchesStashedAcrossPipeline) {
     EXPECT_EQ(tensor::max_abs_diff(grad, without.at(name)), 0.0f) << name;
   }
 }
-
-// ---- §14 planned execution across the pipeline ----------------------------
-//
-// Graph mode must be a pure execution-strategy change: for every
-// (scatter_gather × prepost_recv × dtype) combination, a full pipelined batch
-// with recompute and dropout produces bitwise-identical losses and gradients
-// with PTDP_GRAPH on and off.
-
-using GraphCase = std::tuple<bool, bool, tensor::DType>;  // (sg, prepost, dtype)
-
-class GraphEagerEquivalenceTest : public ::testing::TestWithParam<GraphCase> {};
-
-TEST_P(GraphEagerEquivalenceTest, BitwiseIdenticalToEagerAcrossPipeline) {
-  const auto [sg, prepost, dtype] = GetParam();
-  const int p = 2, t = 2, m = 4, v = 1;
-  GptConfig c = tiny_config(/*layers=*/2);
-  c.dropout = 0.1f;  // exercise the dropout topology + recompute replay
-  c.dtype = dtype;
-  auto mbs = make_microbatches(c, m, /*b=*/2);
-
-  struct ModeResult {
-    std::map<std::string, Tensor> grads;
-    std::map<int, float> losses;
-  };
-  std::vector<ModeResult> results(2);
-  for (const bool use_graph : {true, false}) {
-    const bool prev = graph::set_enabled(use_graph);
-    ModeResult& out = results[use_graph ? 0 : 1];
-    std::mutex mu;
-    dist::World world(p * t);
-    world.run([&](dist::Comm& comm) {
-      dist::ProcessGroups groups(comm, p, t, /*d=*/1);
-      const int rank = groups.coord().pipeline;
-      auto chunks = build_chunks(c, groups.tensor(), p, rank, v, /*recompute=*/true);
-      std::vector<GptStage*> raw;
-      for (auto& ch : chunks) {
-        ch->zero_grads();
-        raw.push_back(ch.get());
-      }
-      ExecutorOptions opts{/*scatter_gather=*/sg, /*prepost_recv=*/prepost};
-      opts.boundary_dtype = dtype;
-      PipelineExecutor exec(raw, groups.pipeline(), groups.tensor(),
-                            ScheduleParams{ScheduleType::kOneFOneB, p, m, v}, opts);
-      const float loss = exec.run_batch(mbs);
-      std::lock_guard lock(mu);
-      if (rank == p - 1) out.losses.emplace(comm.rank(), loss);
-      for (auto& ch : chunks) {
-        for (Param* param : ch->params()) {
-          out.grads.emplace("rank" + std::to_string(comm.rank()) + "/" + param->name,
-                            param->grad.clone());
-        }
-      }
-    });
-    graph::set_enabled(prev);
-  }
-
-  ASSERT_EQ(results[0].grads.size(), results[1].grads.size());
-  for (auto& [name, grad] : results[0].grads) {
-    ASSERT_TRUE(results[1].grads.contains(name)) << name;
-    EXPECT_EQ(tensor::max_abs_diff(grad, results[1].grads.at(name)), 0.0f)
-        << name << " differs between graph and eager execution";
-  }
-  ASSERT_EQ(results[0].losses.size(), results[1].losses.size());
-  for (auto& [rank, loss] : results[0].losses) {
-    EXPECT_EQ(loss, results[1].losses.at(rank)) << "loss on rank " << rank;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GraphSweep, GraphEagerEquivalenceTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(tensor::DType::kF32,
-                                         tensor::DType::kBf16)));
 
 TEST(PipelineExecutor, RejectsWrongMicrobatchCount) {
   GptConfig c = tiny_config(2);

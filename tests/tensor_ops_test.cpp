@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "ptdp/runtime/parallel_for.hpp"
@@ -168,20 +170,29 @@ TEST(Gelu, GradientMatchesFiniteDifference) {
 }
 
 TEST(Gelu, VectorPathMatchesExactScalarPath) {
-  // The default (vectorized polynomial-exp) path must track the exact
-  // libm tanh path to float ulp noise across the whole useful range,
-  // including a ragged tail that doesn't fill a vector register.
-  const bool saved = gelu_exact();
+  // The vectorized polynomial-exp path must track the libm tanh formula to
+  // float ulp noise across the whole useful range, including a ragged tail
+  // that doesn't fill a vector register.
   Rng rng(17);
   Tensor x = Tensor::randn({7, 53}, rng);
   Tensor w = Tensor::randn({7, 53}, rng);
-  set_gelu_exact(false);
-  Tensor y_vec = gelu(x);
-  Tensor dx_vec = gelu_backward(w, x);
-  set_gelu_exact(true);
-  Tensor y_exact = gelu(x);
-  Tensor dx_exact = gelu_backward(w, x);
-  set_gelu_exact(saved);
+  const Tensor y_vec = gelu(x);
+  const Tensor dx_vec = gelu_backward(w, x);
+  Tensor y_exact = Tensor::empty(x.shape());
+  Tensor dx_exact = Tensor::empty(x.shape());
+  const float c = 0.7978845608028654f;  // sqrt(2/pi)
+  const float a = 0.044715f;
+  auto xs = x.data();
+  auto ws = w.data();
+  auto ys = y_exact.data();
+  auto ds = dx_exact.data();
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float v = xs[i];
+    const float t = std::tanh(c * (v + a * v * v * v));
+    const float du = c * (1.0f + 3.0f * a * v * v);
+    ys[i] = 0.5f * v * (1.0f + t);
+    ds[i] = ws[i] * (0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du);
+  }
   EXPECT_TRUE(allclose(y_vec, y_exact, 1e-5f, 1e-6f));
   EXPECT_TRUE(allclose(dx_vec, dx_exact, 1e-4f, 1e-5f));
 }
@@ -338,13 +349,36 @@ TEST(Fused, BiasGeluBackwardMatchesFiniteDifference) {
 }
 
 TEST(Fused, BiasDropoutAddAtP0MatchesComposition) {
+  // The one-pass kernel is bitwise the unfused add_bias -> dropout -> add_
+  // composition: same per-element rounding, same RNG draw order, same mask.
   Rng rng(11);
-  Tensor x = Tensor::randn({4, 5}, rng);
-  Tensor bias = Tensor::randn({5}, rng);
-  Tensor residual = Tensor::randn({4, 5}, rng);
-  Tensor mask;
-  Tensor y = fused_bias_dropout_add(x, bias, residual, 0.0f, rng, mask);
-  EXPECT_TRUE(allclose(y, add(add_bias(x, bias), residual), 1e-6f, 1e-7f));
+  Tensor x = Tensor::randn({37, 53}, rng);
+  Tensor bias = Tensor::randn({53}, rng);
+  Tensor residual = Tensor::randn({37, 53}, rng);
+  for (const float p : {0.0f, 0.1f}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    Rng fused_rng(5, 6);
+    Rng unfused_rng(5, 6);
+    Tensor mask, ref_mask;
+    const Tensor y = fused_bias_dropout_add(x, bias, residual, p, fused_rng, &mask);
+    Tensor ref = dropout(add_bias(x, bias), p, unfused_rng, ref_mask);
+    add_(ref, residual);
+    EXPECT_EQ(std::memcmp(y.data().data(), ref.data().data(),
+                          y.data().size() * sizeof(float)),
+              0);
+    EXPECT_EQ(max_abs_diff(mask, ref_mask), 0.0f);
+  }
+  // Callers that never read the mask (eval and decode plans) pass none at
+  // p = 0; the sum is unchanged.
+  Rng rng0(5, 6);
+  Rng unfused0(5, 6);
+  Tensor ref_mask;
+  const Tensor y = fused_bias_dropout_add(x, bias, residual, 0.0f, rng0, nullptr);
+  Tensor ref = dropout(add_bias(x, bias), 0.0f, unfused0, ref_mask);
+  add_(ref, residual);
+  EXPECT_EQ(std::memcmp(y.data().data(), ref.data().data(),
+                        y.data().size() * sizeof(float)),
+            0);
 }
 
 TEST(Fused, CausalSoftmaxMasksUpperTriangle) {
