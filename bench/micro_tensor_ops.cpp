@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ptdp/runtime/parallel_for.hpp"
@@ -298,6 +299,33 @@ void run_sweep() {
                                         tensor::fused_scale_causal_softmax(scores,
                                                                            0.125f));
                                   }));
+  }
+  // Serving-decode GEMMs: m rows in flight times the [256 -> 768] QKV,
+  // [256 -> 1024] fc1 and [1024 -> 256] fc2 weights of an h = 256 GPT (the
+  // serve-chat benchmark model), plus one 4096-wide layer. All take the
+  // small-m path (m < 128). Shapes are [m, n, k].
+  struct DecodeShape {
+    std::int64_t m, k, n;
+  };
+  std::vector<DecodeShape> decode_shapes;
+  for (std::int64_t m : {1, 4, 16, 64}) {
+    for (const auto& [k, n] : {std::pair<std::int64_t, std::int64_t>{256, 768},
+                               {256, 1024},
+                               {1024, 256}}) {
+      decode_shapes.push_back({m, k, n});
+    }
+  }
+  decode_shapes.push_back({1, 4096, 4096});
+  for (std::size_t threads : {1u, 4u}) {
+    runtime::set_intra_op_threads(threads);
+    for (const DecodeShape& d : decode_shapes) {
+      Tensor x = Tensor::randn({d.m, d.k}, rng);
+      Tensor w = Tensor::randn({d.k, d.n}, rng);
+      results.push_back(sweep_entry("matmul_decode", {d.m, d.n, d.k}, threads,
+                                    2.0 * d.m * d.n * d.k, [&] {
+                                      benchmark::DoNotOptimize(tensor::matmul(x, w));
+                                    }));
+    }
   }
   runtime::set_intra_op_threads(saved_threads);
 

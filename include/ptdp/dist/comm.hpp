@@ -102,7 +102,8 @@ class Comm {
       return Request();
     }
     std::vector<std::uint8_t> payload(data.size_bytes());
-    std::memcpy(payload.data(), data.data(), data.size_bytes());
+    // Zero-byte messages may carry null pointers, which memcpy must never see.
+    if (!payload.empty()) std::memcpy(payload.data(), data.data(), payload.size());
     mailbox_->post(channel(rank_, dst, tag), std::move(payload));
     return Request();  // buffered transport: sends never have an in-flight phase
   }

@@ -148,7 +148,8 @@ class Request {
     PTDP_CHECK_EQ(payload.size(), state_->dst.size())
         << "message size mismatch on tag " << state_->key.tag << " src "
         << state_->key.src;
-    std::memcpy(state_->dst.data(), payload.data(), payload.size());
+    // Zero-byte messages may carry null pointers, which memcpy must never see.
+    if (!payload.empty()) std::memcpy(state_->dst.data(), payload.data(), payload.size());
     state_.reset();
   }
 

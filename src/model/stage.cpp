@@ -4,6 +4,7 @@
 
 #include "ptdp/graph/passes.hpp"
 #include "ptdp/obs/metrics.hpp"
+#include "ptdp/obs/trace.hpp"
 
 namespace ptdp::model {
 
@@ -127,7 +128,11 @@ tensor::Tensor GptStage::decode(std::span<const DecodeSeq> seqs,
   // Every layer runs its decode plan over the batch as one [rows, 1, h]
   // microbatch; the decode-attention node splits it back per sequence.
   const std::int64_t h = config_.hidden;
-  Tensor act = embedding_->forward_at(tokens, positions).view({rows, 1, h});
+  Tensor act;
+  {
+    obs::Span span("serve.embed", obs::Cat::kCompute, {{"rows", rows}});
+    act = embedding_->forward_at(tokens, positions).view({rows, 1, h});
+  }
   graph::ExecContext ctx{rows, 1, /*mb_tag=*/0, /*dropout=*/0.0f, seqs, &kv};
   for (auto& layer : layers_) {
     LayerCache frame;
@@ -140,6 +145,7 @@ tensor::Tensor GptStage::decode(std::span<const DecodeSeq> seqs,
   // the tied projection make per-row results independent of which rows
   // ride along, so selecting before the head changes no bits.
   const std::int64_t n = static_cast<std::int64_t>(seqs.size());
+  obs::Span span("serve.head", obs::Cat::kCompute, {{"rows", n}});
   Tensor last = Tensor::empty({n, 1, h});
   auto src = act.data();
   auto dst = last.data();

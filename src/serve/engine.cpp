@@ -286,6 +286,8 @@ std::vector<FinishedRequest> ServeEngine::step() {
   // batch row holds its last position's logits). Mid-prefill entries skip.
   const std::int64_t vocab = stage_.config().vocab;
   const double t = now_ms();
+  obs::Span span("serve.sample", obs::Cat::kEngine,
+                 {{"seqs", static_cast<std::int64_t>(batch.size())}});
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Entry& e = batch[i];
     Seq& s = seq(e.id);

@@ -39,12 +39,13 @@ std::int64_t row_grain(std::int64_t n) {
 //
 // All three variants (NN/NT/TN) run through one driver that views A as
 // A(i,p) = a[i*rsa + p*csa] and B as B(p,j) = b[p*rsb + j*csb]; the packing
-// step absorbs the transpose, so the microkernel only ever sees contiguous
-// panels (this is also what removed the old data-dependent sparsity branch
-// in the TN kernel — gradient GEMM time no longer depends on activation
-// sparsity). C is fully OVERWRITTEN (beta = 0): the first k-panel stores
-// its tile, later panels accumulate — so callers can hand in
-// Tensor::empty storage and skip the zero-fill memset.
+// step absorbs the transpose, so the microkernel only ever sees a packed A
+// micro-panel and a B sliver whose kNR columns are contiguous (this is also
+// what removed the old data-dependent sparsity branch in the TN kernel —
+// gradient GEMM time no longer depends on activation sparsity). C is fully
+// OVERWRITTEN (beta = 0): the first k-panel stores its tile, later panels
+// accumulate — so callers can hand in Tensor::empty storage and skip the
+// zero-fill memset.
 //
 // Blocking follows the BLIS decomposition: pack a KCxNR B sliver and an
 // MRxKC A micro-panel into contiguous scratch (zero-padded to full tiles so
@@ -54,7 +55,9 @@ std::int64_t row_grain(std::int64_t n) {
 // the intra-op pool; the kc loop stays serial and each C element is only
 // ever touched by the thread owning its row panel, so accumulation order —
 // and therefore the bit pattern of the result — is independent of the
-// thread count.
+// thread count. Products with a single row panel take the small-m path
+// (gemm_small_m), which splits column slivers instead and reads row-major
+// f32 B in place, bitwise equal to the row-panel path.
 
 constexpr std::int64_t kMR = 8;     // micro-tile rows
 constexpr std::int64_t kNR = 16;    // micro-tile cols (one AVX-512 / two AVX2 vectors)
@@ -109,23 +112,26 @@ void pack_b_panel(const TB* b, std::int64_t rsb, std::int64_t csb,
   }
 }
 
-// acc[kMR][kNR] += Ap · Bp over kc steps.
+// acc[kMR][kNR] = Ap · B over kc steps, where B row p starts at bp + p*ldb:
+// ldb = kNR for a packed sliver, the source row stride when B is read in
+// place.
 #if defined(__GNUC__) || defined(__clang__)
 // One vector register file's worth of accumulators: kMR row vectors of kNR
 // lanes each, updated by broadcast(a) * b FMAs. Writing the tile with vector
 // extensions (rather than hoping the auto-vectorizer picks the right axis)
 // is what keeps the accumulators in registers across the k loop. aligned(4)
-// lets the loads come straight off the float-aligned packed panels.
+// lets the loads come straight off float-aligned panels or source rows.
 using VecNR = float __attribute__((vector_size(sizeof(float) * kNR),
                                    aligned(alignof(float))));
 
 void micro_kernel(std::int64_t kc, const float* __restrict ap,
-                  const float* __restrict bp, float* __restrict acc) {
+                  const float* __restrict bp, std::int64_t ldb,
+                  float* __restrict acc) {
   static_assert(kMR == 8, "accumulator bank below is written for kMR == 8");
   VecNR c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* arow = ap + p * kMR;
-    const VecNR b = *reinterpret_cast<const VecNR*>(bp + p * kNR);
+    const VecNR b = *reinterpret_cast<const VecNR*>(bp + p * ldb);
     c0 += arow[0] * b;
     c1 += arow[1] * b;
     c2 += arow[2] * b;
@@ -142,10 +148,12 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
 }
 #else
 void micro_kernel(std::int64_t kc, const float* __restrict ap,
-                  const float* __restrict bp, float* __restrict acc) {
+                  const float* __restrict bp, std::int64_t ldb,
+                  float* __restrict acc) {
+  std::fill_n(acc, kMR * kNR, 0.0f);
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* arow = ap + p * kMR;
-    const float* brow = bp + p * kNR;
+    const float* brow = bp + p * ldb;
     for (std::int64_t i = 0; i < kMR; ++i) {
       for (std::int64_t j = 0; j < kNR; ++j) {
         acc[i * kNR + j] += arow[i] * brow[j];
@@ -154,6 +162,40 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
   }
 }
 #endif
+
+// Lands the live mr x nr corner of a micro-tile in C (row stride ldc): the
+// first k-panel overwrites (beta = 0), later panels add.
+void store_tile(const float* acc, std::int64_t mr, std::int64_t nr, float* c,
+                std::int64_t ldc, bool first) {
+  for (std::int64_t i = 0; i < mr; ++i) {
+    float* crow = c + i * ldc;
+    if (first) {
+      for (std::int64_t j = 0; j < nr; ++j) crow[j] = acc[i * kNR + j];
+    } else {
+      for (std::int64_t j = 0; j < nr; ++j) crow[j] += acc[i * kNR + j];
+    }
+  }
+}
+
+// Grow-only per-thread GEMM scratch, so steady-state calls neither allocate
+// nor zero-fill. A thread_local resolves to the thread that names it: the
+// caller must fetch shared_scratch() BEFORE its parallel_for and let the
+// lambda capture the pointer, because naming it inside the lambda would give
+// each worker its own, unpacked buffer.
+float* grow(std::vector<float>& buf, std::int64_t n) {
+  if (buf.size() < static_cast<std::size_t>(n)) buf.resize(static_cast<std::size_t>(n));
+  return buf.data();
+}
+// Operand packed once by the calling thread and read by every task.
+float* shared_scratch(std::int64_t n) {
+  thread_local std::vector<float> buf;
+  return grow(buf, n);
+}
+// Operand packed by one task for its own use.
+float* task_scratch(std::int64_t n) {
+  thread_local std::vector<float> buf;
+  return grow(buf, n);
+}
 
 #if PTDP_GEMM_NATIVE_BF16
 // Native bf16 path: when BOTH operands are bf16 and the kernel grants this
@@ -338,6 +380,60 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
 }
 #endif  // PTDP_GEMM_NATIVE_BF16
 
+// Small-m path: m < kMC leaves a single row panel, which the row-panel
+// partition below would run on one thread while repacking all of B. Here A
+// is packed once for every k panel, and the pool splits the kNR-column
+// slivers of C instead. Each task walks the k panels in order for its own
+// slivers with the same micro-panels and the same overwrite-then-add
+// epilogue, so every C element sees exactly the row-panel path's
+// accumulation order: results are bitwise equal to it at any thread count.
+// f32 B with unit column stride (row-major weights, V in bmm) is read in
+// place at row stride rsb; a ragged last sliver, transposed and bf16 B are
+// packed one sliver at a time by the task that computes it.
+template <typename TA, typename TB>
+void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
+                  std::int64_t rsa, std::int64_t csa, const TB* b,
+                  std::int64_t rsb, std::int64_t csb, float* c) {
+  const std::int64_t mp = (m + kMR - 1) / kMR * kMR;
+  float* ap = shared_scratch(mp * k);
+  for (std::int64_t pc = 0; pc < k; pc += kKC) {
+    pack_a_block(a, rsa, csa, 0, m, pc, std::min(kKC, k - pc), ap + mp * pc);
+  }
+
+  const std::int64_t slivers = (n + kNR - 1) / kNR;
+  const std::int64_t sliver_flops = 2 * m * n * k / slivers;
+  const std::int64_t grain =
+      std::max<std::int64_t>(1, kGemmGrainFlops / std::max<std::int64_t>(
+                                                      sliver_flops, 1));
+  parallel_for(0, slivers, grain, [&](std::int64_t s0, std::int64_t s1) {
+    for (std::int64_t pc = 0; pc < k; pc += kKC) {
+      const std::int64_t kc = std::min(kKC, k - pc);
+      for (std::int64_t s = s0; s < s1; ++s) {
+        const std::int64_t j0 = s * kNR;
+        const std::int64_t nr = std::min(kNR, n - j0);
+        const float* bsliver = nullptr;
+        std::int64_t ldb = kNR;
+        if constexpr (std::is_same_v<TB, float>) {
+          if (csb == 1 && nr == kNR) {
+            bsliver = b + pc * rsb + j0;
+            ldb = rsb;
+          }
+        }
+        if (bsliver == nullptr) {
+          float* bp = task_scratch(kKC * kNR);
+          pack_b_panel(b, rsb, csb, pc, kc, j0, nr, bp);
+          bsliver = bp;
+        }
+        for (std::int64_t ir = 0; ir < m; ir += kMR) {
+          float acc[kMR * kNR];
+          micro_kernel(kc, ap + mp * pc + ir * kc, bsliver, ldb, acc);
+          store_tile(acc, std::min(kMR, m - ir), nr, c + ir * n + j0, n, pc == 0);
+        }
+      }
+    }
+  });
+}
+
 template <typename TA, typename TB>
 void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
                   std::int64_t rsa, std::int64_t csa, const TB* b,
@@ -357,15 +453,19 @@ void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
     }
   }
 #endif
+  if (m < kMC) {
+    gemm_small_m(m, n, k, a, rsa, csa, b, rsb, csb, c);
+    return;
+  }
   const std::int64_t nc_max = std::min(n, kNC);
   const std::int64_t nc_padded = (nc_max + kNR - 1) / kNR * kNR;
-  std::vector<float> bp(static_cast<std::size_t>(kKC * nc_padded));
+  float* bp = shared_scratch(kKC * nc_padded);
 
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
-      pack_b_panel(b, rsb, csb, pc, kc, jc, nc, bp.data());
+      pack_b_panel(b, rsb, csb, pc, kc, jc, nc, bp);
 
       const std::int64_t nblocks = (m + kMC - 1) / kMC;
       const std::int64_t block_flops = 2 * kMC * nc * kc;
@@ -373,28 +473,19 @@ void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
           std::max<std::int64_t>(1, kGemmGrainFlops / std::max<std::int64_t>(
                                                           block_flops, 1));
       parallel_for(0, nblocks, grain, [&](std::int64_t blk0, std::int64_t blk1) {
-        thread_local std::vector<float> ap;
-        ap.resize(static_cast<std::size_t>(kMC * kKC));
+        float* ap = task_scratch(kMC * kKC);
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           const std::int64_t i0 = blk * kMC;
           const std::int64_t mc = std::min(kMC, m - i0);
-          pack_a_block(a, rsa, csa, i0, mc, pc, kc, ap.data());
+          pack_a_block(a, rsa, csa, i0, mc, pc, kc, ap);
           for (std::int64_t jr = 0; jr < nc; jr += kNR) {
             const std::int64_t nr = std::min(kNR, nc - jr);
-            const float* bsliver = bp.data() + jr * kc;
+            const float* bsliver = bp + jr * kc;
             for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-              const std::int64_t mr = std::min(kMR, mc - ir);
-              float acc[kMR * kNR] = {};
-              micro_kernel(kc, ap.data() + ir * kc, bsliver, acc);
-              for (std::int64_t i = 0; i < mr; ++i) {
-                float* crow = c + (i0 + ir + i) * n + jc + jr;
-                if (pc == 0) {
-                  // First k-panel overwrites (beta = 0); later panels add.
-                  for (std::int64_t j = 0; j < nr; ++j) crow[j] = acc[i * kNR + j];
-                } else {
-                  for (std::int64_t j = 0; j < nr; ++j) crow[j] += acc[i * kNR + j];
-                }
-              }
+              float acc[kMR * kNR];
+              micro_kernel(kc, ap + ir * kc, bsliver, kNR, acc);
+              store_tile(acc, std::min(kMR, mc - ir), nr,
+                         c + (i0 + ir) * n + jc + jr, n, pc == 0);
             }
           }
         }

@@ -191,13 +191,21 @@ void expect_bitwise_stable(KernelFn kernel) {
   }
 }
 
+// (m, n, k): a row-panel shape plus small-m ones (m < 128: the column-sliver
+// path), with n ragged (40) and n past the 1024-column panel (1040).
+const std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> kDeterminismShapes =
+    {{513, 259, 511}, {1, 40, 300}, {5, 1040, 300}, {13, 40, 511}, {127, 1040, 300}};
+
 TEST(ParallelDeterminism, GemmBitwiseStable) {
   Rng rng(21);
-  Tensor a = Tensor::randn({513, 511}, rng);
-  Tensor b = Tensor::randn({511, 259}, rng);
-  expect_bitwise_stable([&] { return tensor::matmul(a, b); });
-  expect_bitwise_stable([&] { return tensor::matmul_nt(a, b.transpose(0, 1)); });
-  expect_bitwise_stable([&] { return tensor::matmul_tn(a.transpose(0, 1), b); });
+  for (const auto& [m, n, k] : kDeterminismShapes) {
+    SCOPED_TRACE(testing::Message() << m << "x" << n << "x" << k);
+    Tensor a = Tensor::randn({m, k}, rng);
+    Tensor b = Tensor::randn({k, n}, rng);
+    expect_bitwise_stable([&] { return tensor::matmul(a, b); });
+    expect_bitwise_stable([&] { return tensor::matmul_nt(a, b.transpose(0, 1)); });
+    expect_bitwise_stable([&] { return tensor::matmul_tn(a.transpose(0, 1), b); });
+  }
 }
 
 TEST(ParallelDeterminism, BmmBitwiseStable) {
@@ -205,6 +213,52 @@ TEST(ParallelDeterminism, BmmBitwiseStable) {
   Tensor a = Tensor::randn({6, 33, 65}, rng);
   Tensor b = Tensor::randn({6, 65, 17}, rng);
   expect_bitwise_stable([&] { return tensor::bmm(a, b); });
+  for (const auto& [m, n, k] : kDeterminismShapes) {
+    SCOPED_TRACE(testing::Message() << m << "x" << n << "x" << k);
+    Tensor sa = Tensor::randn({2, m, k}, rng);
+    Tensor sb = Tensor::randn({2, k, n}, rng);
+    expect_bitwise_stable([&] { return tensor::bmm(sa, sb); });
+  }
+}
+
+// The small-m path (m < 128 rows: column slivers, B read in place) must
+// reproduce the row-panel path bit for bit: an m-row product equals the
+// first m rows of the same product with A stacked to 256 rows.
+TEST(ParallelDeterminism, SmallMRowsMatchRowPanelPath) {
+  ThreadGuard guard;
+  Rng rng(25);
+  constexpr std::int64_t kTall = 256;
+  for (std::size_t threads : {1u, 4u}) {
+    runtime::set_intra_op_threads(threads);
+    for (std::int64_t k : {64, 300}) {  // 300 spans two 256-deep k panels
+      for (std::int64_t n : {16, 40, 768, 1040}) {
+        Tensor tall = Tensor::randn({kTall, k}, rng);
+        Tensor b = Tensor::randn({k, n}, rng);
+        Tensor bt = b.transpose(0, 1);
+        Tensor tall_t = tall.transpose(0, 1);
+        Tensor nn = tensor::matmul(tall, b);
+        Tensor nt = tensor::matmul_nt(tall, bt);
+        Tensor tn = tensor::matmul_tn(tall_t, b);
+        Tensor bb = tensor::bmm(tall.view({1, kTall, k}), b.view({1, k, n}));
+        for (std::int64_t m : {1, 5, 8, 13, 127}) {
+          SCOPED_TRACE(testing::Message() << threads << " threads, " << m << "x"
+                                          << n << "x" << k);
+          Tensor a = tall.slice(0, 0, m);
+          Tensor at = a.transpose(0, 1);
+          EXPECT_EQ(tensor::max_abs_diff(tensor::matmul(a, b), nn.slice(0, 0, m)),
+                    0.0f) << "matmul";
+          EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_nt(a, bt), nt.slice(0, 0, m)),
+                    0.0f) << "matmul_nt";
+          EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_tn(at, b), tn.slice(0, 0, m)),
+                    0.0f) << "matmul_tn";
+          EXPECT_EQ(tensor::max_abs_diff(
+                        tensor::bmm(a.view({1, m, k}), b.view({1, k, n})),
+                        bb.slice(1, 0, m)),
+                    0.0f) << "bmm";
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelDeterminism, ElementwiseAndFusedBitwiseStable) {
