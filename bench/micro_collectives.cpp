@@ -257,9 +257,10 @@ void run_sweep() {
     constexpr std::int64_t kElems = 1 << 15;
     const double kGradBytes = double(kParams) * kElems * sizeof(float) * kD;
     dist::World world(kD);
-    for (const std::int64_t cap : {std::int64_t{1} << 18, std::int64_t{0}}) {
+    // A cap of 1 gives every param a bucket of its own.
+    for (const std::int64_t cap : {std::int64_t{1} << 18, std::int64_t{1}}) {
       const std::string op =
-          cap > 0 ? "grad_reduce_bucketed" : "grad_reduce_per_param";
+          cap > 1 ? "grad_reduce_bucketed" : "grad_reduce_per_param";
       results.push_back(sweep_entry(op, kD, kParams * kElems, kGradBytes, [&] {
         world.run([cap](dist::Comm& comm) {
           std::vector<std::unique_ptr<model::Param>> owned;

@@ -10,7 +10,7 @@
 //              --p 2 --t 2 --d 2 --micro-batch 2 --global-batch 32
 //              --schedule 1f1b|gpipe|interleaved --chunks 2
 //              --steps 50 --lr 3e-3 --warmup 10 --clip 1.0
-//              --objective causal|mlm --mixed-precision --no-recompute
+//              --objective causal|mlm --no-recompute
 //              --dtype f32|bf16 --grad-comm-dtype f32|bf16
 //              --scatter-gather --no-overlap-grad-reduce
 //              --ckpt-dir /tmp/run --ckpt-every 25 --log-every 5
@@ -98,7 +98,6 @@ struct Args {
   std::int64_t warmup = 0;
   double clip = 0.0;
   bool mlm = false;
-  bool mixed = false;
   tensor::DType grad_comm_dtype = tensor::DType::kF32;
   bool overlap_grad_reduce = true;
   std::string ckpt_dir;
@@ -248,8 +247,7 @@ bool parse(int argc, char** argv, Args& a) {
       }
       if (flag == "--dtype") a.model.dtype = *dt;
       else a.grad_comm_dtype = *dt;
-    } else if (flag == "--mixed-precision") a.mixed = true;
-    else if (flag == "--no-recompute") a.parallel.recompute = false;
+    } else if (flag == "--no-recompute") a.parallel.recompute = false;
     else if (flag == "--scatter-gather") a.parallel.scatter_gather = true;
     else if (flag == "--no-overlap-grad-reduce") a.overlap_grad_reduce = false;
     else if (flag == "--ckpt-dir") a.ckpt_dir = argv[++i];
@@ -326,7 +324,6 @@ int main(int argc, char** argv) {
   options.global_batch = args.global_batch;
   options.optimizer = core::EngineOptions::Opt::kAdam;
   options.adam.lr = args.lr;
-  options.mixed_precision = args.mixed;
   options.grad_comm_dtype = args.grad_comm_dtype;
   options.overlap_grad_reduce = args.overlap_grad_reduce;
   options.grad_clip = args.clip;

@@ -40,7 +40,8 @@
 namespace ptdp::comm {
 
 struct GradReducerOptions {
-  /// Max elements per all-reduce bucket; <= 0 reduces one param at a time.
+  /// Max elements per all-reduce bucket (> 0). A param larger than the cap
+  /// gets a bucket of its own, so 1 reduces one param at a time.
   std::int64_t bucket_elems = 1 << 16;
   /// Reduce each chunk from the executor hook instead of all at finish().
   bool overlap = true;

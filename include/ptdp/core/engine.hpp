@@ -10,8 +10,8 @@
 //   - all-reduces the tied-embedding grads over the embedding group and
 //     delegates the data-parallel gradient reduction to comm::GradReducer,
 //     which can overlap per-chunk reductions with the pipeline tail,
-//   - optionally clips, then steps the optimizer (optionally with bf16
-//     mixed precision and dynamic loss scaling),
+//   - optionally clips, then steps the optimizer (bf16 models train with
+//     fp32 master weights and dynamic loss scaling),
 // preserving strict optimizer semantics: tests verify that every layout
 // produces the same weights as serial training, bitwise-independent of the
 // scatter/gather and overlap toggles.
@@ -27,7 +27,6 @@
 #include "ptdp/core/parallel_config.hpp"
 #include "ptdp/dist/process_groups.hpp"
 #include "ptdp/optim/lr_scheduler.hpp"
-#include "ptdp/optim/mixed_precision.hpp"
 #include "ptdp/optim/optimizer.hpp"
 #include "ptdp/pipeline/executor.hpp"
 
@@ -42,15 +41,13 @@ struct EngineOptions {
   /// "ZeRO can be combined with model parallelism"): the engine skips its
   /// own data-parallel grad all-reduce and the sharded optimizer
   /// reduce-scatters grads / all-gathers params instead. Incompatible with
-  /// mixed_precision and grad_clip (state lives in shards).
+  /// bf16 models and grad_clip (state lives in shards).
   enum class Opt { kSgd, kAdam, kZeroAdam };
   Opt optimizer = Opt::kSgd;
   optim::SgdOptions sgd{};
   optim::AdamOptions adam{};
-  /// fp32 master weights + dynamic loss scaling (optim/mixed_precision.hpp).
-  /// Forced on when model.dtype == kBf16 — bf16 params require the master-
-  /// weight step path; leaving it false there is not an option.
-  bool mixed_precision = false;
+  /// Dynamic loss scaling for bf16 models, which always train with fp32
+  /// master weights (optim::ElementwiseOptimizer). Unused for f32 models.
   optim::LossScalerOptions scaler{};
   /// Wire dtype of the data-parallel grad reduction (see
   /// comm::GradReducerOptions::comm_dtype). Independent of model.dtype:
@@ -60,8 +57,8 @@ struct EngineOptions {
   double grad_clip = 0.0;  ///< 0 disables clipping
   /// Data-parallel grad all-reduce bucketing: each chunk's grads are
   /// flattened into buckets of up to this many elements and reduced per
-  /// bucket (DDP style: fewer, larger messages). 0 = one all-reduce per
-  /// parameter.
+  /// bucket (DDP style: fewer, larger messages). Must be > 0; 1 gives
+  /// every parameter its own all-reduce.
   std::int64_t dp_bucket_elems = 1 << 16;
   /// Overlap the data-parallel reduction with the pipeline tail: each model
   /// chunk's bucket all-reduces launch from the executor's chunk-backward
@@ -104,8 +101,8 @@ struct StepStats {
   /// Fraction of data-parallel grad elements whose reduction overlapped the
   /// pipeline (0 when d == 1 / ZeRO / overlap off).
   double grad_reduce_overlap = 0.0;
-  /// Dynamic loss scale in effect after this step (1 when mixed precision
-  /// is off) and cumulative steps skipped on grad overflow so far.
+  /// Dynamic loss scale in effect after this step (1 for f32 models) and
+  /// cumulative steps skipped on grad overflow so far.
   float loss_scale = 1.0f;
   std::int64_t overflow_steps = 0;
   /// MEASURED peak tensor bytes live on this rank's thread during the step
@@ -180,7 +177,6 @@ class PtdpEngine {
   std::unique_ptr<pipeline::PipelineExecutor> executor_;
   std::unique_ptr<comm::GradReducer> grad_reducer_;  ///< null when d == 1 or ZeRO
   std::unique_ptr<optim::Optimizer> optimizer_;
-  optim::MixedPrecisionOptimizer* mixed_ = nullptr;  ///< non-owning view
   std::int64_t reported_skipped_ = 0;  ///< overflow steps already counted
   double last_grad_norm_ = 0.0;
   std::optional<optim::LrSchedule> lr_schedule_;

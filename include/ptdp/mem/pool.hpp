@@ -12,11 +12,10 @@
 //  - release(p, capacity) must pass back the capacity acquire() returned;
 //    blocks whose capacity matches a size class are recycled, everything
 //    else goes straight back to the heap. This keeps mixed pool-on /
-//    pool-off lifetimes safe (the escape hatch can flip mid-process).
-//  - PTDP_MEM_POOL=0 in the environment disables pooling at startup;
-//    set_pool_enabled() flips it at runtime (tests/benches). Pooling is
-//    bitwise-neutral by construction: it only changes *where* a buffer
-//    comes from, never what is written into it.
+//    pool-off lifetimes safe (the toggle can flip mid-process).
+//  - Pooling is on by default; set_pool_enabled() flips it at runtime
+//    (tests/benches). Pooling is bitwise-neutral by construction: it only
+//    changes *where* a buffer comes from, never what is written into it.
 //
 // Accounting is byte-exact over *requested* bytes (numel * 4), so the
 // measured peak is directly comparable to the §3.5 analytic activation
@@ -51,8 +50,7 @@ struct PoolStats {
   }
 };
 
-/// Pooling toggle. Initialized from the environment (PTDP_MEM_POOL=0
-/// disables) on first use; set_pool_enabled overrides at runtime.
+/// Pooling toggle: on by default, set_pool_enabled flips it at runtime.
 bool pool_enabled();
 void set_pool_enabled(bool on);
 

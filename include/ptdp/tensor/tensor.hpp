@@ -147,8 +147,8 @@ Tensor concat(const std::vector<Tensor>& parts, std::int64_t dim);
 std::vector<Tensor> split(const Tensor& x, std::int64_t n, std::int64_t dim);
 
 /// Vectorized dtype conversion into a pre-allocated destination (same
-/// shape; any src/dst dtype pair). The zero-allocation path comm staging
-/// and the mixed-precision optimizer use every step.
+/// shape; any src/dst dtype pair). The zero-allocation path for staging
+/// buffers.
 void cast_into(const Tensor& src, Tensor& dst);
 /// Span-level casts for staging buffers that never grow a Tensor wrapper.
 void widen_bf16(std::span<const bf16_t> src, std::span<float> dst);

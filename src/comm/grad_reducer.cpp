@@ -23,17 +23,14 @@ GradReducer::GradReducer(std::vector<model::ParamRefs> chunk_params, dist::Comm 
   // (chunk params, bucket_elems) — the same pure function reduce_chunk
   // replays, so the slot never regrows after construction.
   const std::int64_t cap = options_.bucket_elems;
+  PTDP_CHECK_GT(cap, 0) << "bucket_elems must be positive (1 = per param)";
   for (const model::ParamRefs& refs : chunk_params_) {
     std::int64_t cur = 0;
     for (const Param* p : refs) {
       PTDP_CHECK(p != nullptr);
       const std::int64_t g = p->grad.numel();
-      if (cap > 0) {
-        if (cur != 0 && cur + g > cap) cur = 0;
-        cur += g;
-      } else {
-        cur = g;  // per-param reduction: the wire slots see one grad
-      }
+      if (cur != 0 && cur + g > cap) cur = 0;
+      cur += g;
       max_bucket_elems_ =
           std::max(max_bucket_elems_, static_cast<std::size_t>(cur));
     }
@@ -94,15 +91,6 @@ void GradReducer::reduce_chunk(std::size_t c, bool overlapped) {
   const std::uint64_t before = elems_reduced_;
   const std::int64_t cap = options_.bucket_elems;
   reduced_[c] = true;
-  if (cap <= 0) {
-    for (Param* p : chunk_params_[c]) {
-      reduce_span(p->grad.data());
-      elems_reduced_ += p->grad.data().size();
-    }
-    if (overlapped) elems_overlapped_ += elems_reduced_ - before;
-    span.arg("elems", static_cast<std::int64_t>(elems_reduced_ - before));
-    return;
-  }
   // Bucket boundaries depend only on the chunk's param order and cap, never
   // on reduction timing — the bitwise overlap-on/off guarantee. The bucket
   // lives in the planned arena, sized once at construction to the largest

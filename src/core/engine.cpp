@@ -28,14 +28,11 @@ PtdpEngine::PtdpEngine(dist::Comm& world, EngineOptions options)
   PTDP_CHECK_EQ(world.size(), cfg.n())
       << "world size " << world.size() << " != p*t*d for " << cfg.str();
 
-  if (options_.model.dtype == tensor::DType::kBf16) {
-    // bf16 weights only exist behind fp32 masters: the plain optimizers
-    // write f32 values, so the mixed-precision wrapper's master-swap step
-    // path is mandatory (and ZeRO's sharded state doesn't carry masters).
-    PTDP_CHECK(options_.optimizer != EngineOptions::Opt::kZeroAdam)
-        << "ZeRO-sharded Adam does not support bf16 weights";
-    options_.mixed_precision = true;
-  }
+  // bf16 weights only exist behind fp32 masters, which ZeRO's sharded
+  // state does not carry.
+  const bool bf16 = options_.model.dtype == tensor::DType::kBf16;
+  PTDP_CHECK(!bf16 || options_.optimizer != EngineOptions::Opt::kZeroAdam)
+      << "ZeRO-sharded Adam does not support bf16 weights";
 
   groups_ = std::make_unique<dist::ProcessGroups>(world, cfg.p, cfg.t, cfg.d);
 
@@ -95,25 +92,18 @@ PtdpEngine::PtdpEngine(dist::Comm& world, EngineOptions options)
         [this](int chunk) { grad_reducer_->on_chunk_grads_ready(chunk); });
   }
 
-  std::unique_ptr<optim::Optimizer> inner;
+  // bf16 models train with fp32 masters and dynamic loss scaling.
+  std::optional<optim::LossScalerOptions> scaler;
+  if (bf16) scaler = options_.scaler;
   if (options_.optimizer == EngineOptions::Opt::kZeroAdam) {
-    PTDP_CHECK(!options_.mixed_precision && options_.grad_clip == 0.0)
-        << "ZeRO-sharded Adam does not compose with mixed precision or "
-           "clipping in this engine";
-    inner = std::make_unique<zero::ZeroShardedAdam>(
+    PTDP_CHECK(options_.grad_clip == 0.0)
+        << "ZeRO-sharded Adam does not compose with clipping in this engine";
+    optimizer_ = std::make_unique<zero::ZeroShardedAdam>(
         params(), groups_->data(), zero::ZeroAdamOptions{options_.adam});
   } else if (options_.optimizer == EngineOptions::Opt::kSgd) {
-    inner = std::make_unique<optim::Sgd>(params(), options_.sgd);
+    optimizer_ = std::make_unique<optim::Sgd>(params(), options_.sgd, scaler);
   } else {
-    inner = std::make_unique<optim::Adam>(params(), options_.adam);
-  }
-  if (options_.mixed_precision) {
-    auto mixed = std::make_unique<optim::MixedPrecisionOptimizer>(std::move(inner),
-                                                                  options_.scaler);
-    mixed_ = mixed.get();
-    optimizer_ = std::move(mixed);
-  } else {
-    optimizer_ = std::move(inner);
+    optimizer_ = std::make_unique<optim::Adam>(params(), options_.adam, scaler);
   }
   if (options_.lr_schedule) lr_schedule_.emplace(*options_.lr_schedule);
 }
@@ -138,7 +128,7 @@ float PtdpEngine::train_step(std::span<const model::Microbatch> microbatches) {
   if (lr_schedule_) optimizer_->set_lr(lr_schedule_->at(step_counter_));
   for (auto& c : chunks_) c->zero_grads();
 
-  const float extra_scale = mixed_ != nullptr ? mixed_->scaler().scale() : 1.0f;
+  const float extra_scale = optimizer_->loss_scale();
   float loss = executor_->run_batch(microbatches, extra_scale);
 
   // Tied-embedding grad sync: the first and last stages each hold a copy of
@@ -204,8 +194,8 @@ float PtdpEngine::train_step(std::span<const model::Microbatch> microbatches) {
       stats_.achieved_flops_per_second / static_cast<double>(cfg.n());
   stats_.grad_reduce_overlap =
       grad_reducer_ ? grad_reducer_->overlap_ratio() : 0.0;
-  stats_.loss_scale = mixed_ != nullptr ? mixed_->scaler().scale() : 1.0f;
-  stats_.overflow_steps = mixed_ != nullptr ? mixed_->skipped_steps() : 0;
+  stats_.loss_scale = optimizer_->loss_scale();
+  stats_.overflow_steps = optimizer_->skipped_steps();
   const mem::PoolStats mem_after = mem::thread_stats();
   stats_.peak_memory_bytes = mem_after.peak_bytes;
   stats_.mem_acquires = mem_after.acquires - mem_before.acquires;
@@ -224,7 +214,7 @@ float PtdpEngine::train_step(std::span<const model::Microbatch> microbatches) {
     metrics.gauge("engine.achieved_flops_per_second")
         .set(stats_.achieved_flops_per_second);
     metrics.gauge("engine.grad_reduce_overlap").set(stats_.grad_reduce_overlap);
-    if (mixed_ != nullptr) {
+    if (options_.model.dtype == tensor::DType::kBf16) {
       // Scaler telemetry: the live scale plus overflow-skip increments
       // since the last report (the counter stays a sum of deltas even if
       // metrics were toggled mid-run).
@@ -329,7 +319,7 @@ void PtdpEngine::save_checkpoint(const std::string& dir, std::uint64_t step) {
       // world), so rank 0 stamps it from its own options rather than
       // widening the wire format of the per-rank entry exchange.
       e.dtype = tensor::dtype_name(options_.model.dtype);
-      e.has_master_weights = options_.mixed_precision;
+      e.has_master_weights = options_.model.dtype == tensor::DType::kBf16;
       m.shards.push_back(std::move(e));
     }
     ckpt::write_manifest(dir, m);

@@ -1,7 +1,6 @@
 #include "ptdp/mem/pool.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -28,10 +27,7 @@ constexpr std::size_t kThreadCacheCap = 64;
 constexpr std::size_t kGlobalCacheCap = 64;
 constexpr std::size_t kAlign = 64;
 
-std::atomic<bool> g_pool_enabled{[] {
-  const char* env = std::getenv("PTDP_MEM_POOL");
-  return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-}()};
+std::atomic<bool> g_pool_enabled{true};
 
 // True iff cap is exactly one of our size classes — i.e. a block we are
 // allowed to recycle. Exact-size huge/pool-off blocks fail this test and

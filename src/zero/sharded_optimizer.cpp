@@ -1,9 +1,6 @@
 #include "ptdp/zero/sharded_optimizer.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::zero {
 
@@ -62,32 +59,19 @@ void ZeroShardedAdam::flatten_grads(Tensor& flat) const {
 
 void ZeroShardedAdam::step() {
   ++step_count_;
-  const std::int64_t d = dp_.size();
 
-  // 1. Reduce-scatter grads: each rank ends with the *sum* of its shard;
-  //    divide by d for the data-parallel mean.
+  // 1. Reduce-scatter grads: each rank ends with the *sum* of its shard.
   Tensor flat_grads({total_elems_});
   flatten_grads(flat_grads);
   Tensor grad_shard({shard_});
   dp_.reduce_scatter(flat_grads.data(), grad_shard.data());
-  tensor::scale_(grad_shard, 1.0f / static_cast<float>(d));
 
-  // 2. Adam on the local shard only.
+  // 2. Adam on the local shard only; 1/d turns the sum into the
+  //    data-parallel mean.
   const auto& o = options_.adam;
-  const double bc1 = 1.0 - std::pow(o.beta1, static_cast<double>(step_count_));
-  const double bc2 = 1.0 - std::pow(o.beta2, static_cast<double>(step_count_));
-  const float lr_t = o.lr * static_cast<float>(std::sqrt(bc2) / bc1);
-  auto w = master_shard_.data();
-  auto g = grad_shard.data();
-  auto m = m_shard_.data();
-  auto v = v_shard_.data();
-  for (std::int64_t j = 0; j < shard_; ++j) {
-    const auto i = static_cast<std::size_t>(j);
-    const float grad = g[i] + o.weight_decay * w[i];
-    m[i] = o.beta1 * m[i] + (1.0f - o.beta1) * grad;
-    v[i] = o.beta2 * v[i] + (1.0f - o.beta2) * grad * grad;
-    w[i] -= lr_t * m[i] / (std::sqrt(v[i]) + o.eps);
-  }
+  optim::adam_update(o, optim::adam_step_size(o, static_cast<double>(step_count_)),
+                     1.0f / static_cast<float>(dp_.size()), grad_shard.data(),
+                     master_shard_.data(), m_shard_.data(), v_shard_.data());
 
   // 3. All-gather the updated parameters (ZeRO-3's gather-before-use).
   Tensor flat_params({total_elems_});

@@ -32,6 +32,7 @@ TEST(ShardAxis, CanonicalNames) {
   EXPECT_EQ(shard_axis("layer5.ln1.gamma"), -1);
   EXPECT_EQ(shard_axis("final_ln.beta"), -1);
   EXPECT_EQ(shard_axis("adam.step_count"), -1);
+  EXPECT_EQ(shard_axis("loss_scaler.state"), -1);
 }
 
 TEST(ShardAxis, OptimizerStateFollowsBaseParam) {

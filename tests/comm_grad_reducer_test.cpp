@@ -86,12 +86,12 @@ TEST(GradReducer, FinishComputesDataParallelMean) {
 
 TEST(GradReducer, BucketingMatchesPerParamPath) {
   // Bucket boundaries must not change the arithmetic: cap=5 splits a
-  // 3x7-element chunk mid-stream, cap<=0 reduces one param at a time, and
+  // 3x7-element chunk mid-stream, cap=1 reduces one param at a time, and
   // the resulting grads must agree bitwise.
   const int d = 2, count = 3;
   const std::int64_t elems = 7;
   std::map<std::string, Tensor> by_cap[2];
-  const std::int64_t caps[2] = {5, 0};
+  const std::int64_t caps[2] = {5, 1};
   for (int k = 0; k < 2; ++k) {
     std::mutex mu;
     dist::World world(d);

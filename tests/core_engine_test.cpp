@@ -41,10 +41,11 @@ struct DataSetup {
 };
 
 // Serial loss trajectory with the same global batch, microbatch size, and
-// sample assignment.
+// sample assignment. A bf16 `c.dtype` trains with fp32 masters and loss
+// scaling.
 std::vector<float> serial_trajectory(const GptConfig& c, std::int64_t B,
                                      std::int64_t b, int steps,
-                                     EngineOptions::Opt opt, bool mixed = false) {
+                                     EngineOptions::Opt opt) {
   DataSetup ds(c);
   std::vector<float> losses;
   dist::World world(1);
@@ -58,7 +59,6 @@ std::vector<float> serial_trajectory(const GptConfig& c, std::int64_t B,
     options.optimizer = opt;
     options.sgd.lr = 0.1f;
     options.adam.lr = 1e-3f;
-    options.mixed_precision = mixed;
     PtdpEngine engine(comm, options);
     data::ShardedLoader loader(ds.dataset, B, b, 1, 0, /*seed=*/88);
     for (int s = 0; s < steps; ++s) {
@@ -288,11 +288,9 @@ TEST(PtdpEngine, CheckpointResumeIsExact) {
 
 TEST(PtdpEngine, MixedPrecisionTrainsCloseToFp32) {
   GptConfig c = engine_config(2);
-  DataSetup ds(c);
-  const auto fp32 =
-      serial_trajectory(c, 4, 1, 3, EngineOptions::Opt::kSgd, /*mixed=*/false);
-  const auto bf16 =
-      serial_trajectory(c, 4, 1, 3, EngineOptions::Opt::kSgd, /*mixed=*/true);
+  const auto fp32 = serial_trajectory(c, 4, 1, 3, EngineOptions::Opt::kSgd);
+  c.dtype = tensor::DType::kBf16;
+  const auto bf16 = serial_trajectory(c, 4, 1, 3, EngineOptions::Opt::kSgd);
   for (std::size_t i = 0; i < fp32.size(); ++i) {
     EXPECT_NEAR(bf16[i], fp32[i], 0.05f) << "step " << i;
   }

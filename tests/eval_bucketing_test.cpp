@@ -162,10 +162,10 @@ TEST(Bucketing, TrajectoryIndependentOfBucketSize) {
     });
     return losses;
   };
-  const auto per_param = run(0);
-  // Bucket sizes that split mid-list, fit everything, and are tiny
-  // (every parameter alone, since cap < smallest grad forces flushes).
-  for (std::int64_t bucket : {64, 1 << 16, 1 << 24, 1}) {
+  // cap 1 < every grad: each parameter is reduced in a bucket of its own.
+  const auto per_param = run(1);
+  // Bucket sizes that split mid-list and that fit everything.
+  for (std::int64_t bucket : {64, 1 << 16, 1 << 24}) {
     const auto bucketed = run(bucket);
     ASSERT_EQ(bucketed.size(), per_param.size()) << "bucket=" << bucket;
     for (std::size_t i = 0; i < per_param.size(); ++i) {

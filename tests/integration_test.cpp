@@ -36,6 +36,7 @@ TEST(Integration, EverythingAtOnce) {
   // recomputation, bf16 mixed precision, and gradient clipping — and the
   // loss still exactly matches the serial run with the same features.
   GptConfig c = small_config(/*layers=*/4, /*dropout=*/0.1f);
+  c.dtype = tensor::DType::kBf16;
   data::SyntheticCorpus corpus(c.vocab, 3);
   data::TokenDataset dataset(corpus.generate(4000), c.seq);
   const std::int64_t B = 8;
@@ -59,7 +60,6 @@ TEST(Integration, EverythingAtOnce) {
       options.global_batch = B;
       options.optimizer = EngineOptions::Opt::kAdam;
       options.adam.lr = 2e-3f;
-      options.mixed_precision = true;
       options.grad_clip = 1.0;
       PtdpEngine engine(comm, options);
       data::ShardedLoader loader(dataset, B, 1, d, engine.groups().coord().data, 77);

@@ -1,6 +1,7 @@
 // LR schedule tests: warmup ramp, cosine decay, floor behavior, and the
 // engine integration (per-step lr application, resume continuity, and
-// set_lr propagation through every optimizer wrapper).
+// set_lr propagation through every optimizer, mixed-precision and ZeRO
+// included).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,6 @@
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/optim/lr_scheduler.hpp"
-#include "ptdp/optim/mixed_precision.hpp"
 #include "ptdp/zero/sharded_optimizer.hpp"
 
 namespace ptdp::optim {
@@ -51,8 +51,7 @@ TEST(LrSchedule, RejectsBadOptions) {
 
 TEST(LrSchedule, SetLrPropagatesThroughWrappers) {
   model::Param p{"w", tensor::Tensor({2}), tensor::Tensor({2}), false};
-  auto inner = std::make_unique<Adam>(model::ParamRefs{&p}, AdamOptions{.lr = 1.f});
-  MixedPrecisionOptimizer mixed(std::move(inner), {});
+  Adam mixed(model::ParamRefs{&p}, AdamOptions{.lr = 1.f}, LossScalerOptions{});
   mixed.set_lr(0.25f);
   EXPECT_FLOAT_EQ(mixed.lr(), 0.25f);
 

@@ -1,5 +1,5 @@
 // Memory-plane tests (DESIGN.md §12): size-class rounding, byte-exact
-// live/peak accounting, the PTDP_MEM_POOL escape hatch, a multi-threaded
+// live/peak accounting, the set_pool_enabled toggle, a multi-threaded
 // alloc/free stress run (ASan/TSan clean), zero-copy dim-0 tensor views,
 // and the headline bitwise guarantee — a (p, t, d) = (2, 2, 2) training
 // run produces identical weights with the pool on and off.

@@ -3,13 +3,14 @@
 // comparisons, bitwise determinism of bf16-input GEMMs across thread
 // counts and pool reuse (the empty + beta=0 fast paths), the fp32
 // master-weight optimizer on real bf16 storage, the bf16 grad-reduction
-// wire mode, and the (p,t,d)=(2,2,2) engine with halved p2p boundary
-// bytes.
+// wire mode, the (p,t,d)=(2,2,2) engine with halved p2p boundary bytes,
+// and a resumed run continuing the loss-scale schedule.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/model/attention.hpp"
-#include "ptdp/optim/mixed_precision.hpp"
 #include "ptdp/optim/optimizer.hpp"
 #include "ptdp/runtime/parallel_for.hpp"
 #include "ptdp/tensor/ops.hpp"
@@ -226,16 +226,14 @@ TEST(MixedPrecisionOptim, MasterAccumulatesBelowBf16Resolution) {
   optim::LossScalerOptions so;
   so.initial_scale = 1.0f;
   so.growth_interval = 1'000'000;  // keep the scale fixed for the test
-  auto inner = std::make_unique<optim::Sgd>(model::ParamRefs{&p},
-                                            optim::SgdOptions{.lr = 0.1f});
-  optim::MixedPrecisionOptimizer opt(std::move(inner), so);
+  optim::Sgd opt(model::ParamRefs{&p}, optim::SgdOptions{.lr = 0.1f}, so);
 
   opt.step();
   EXPECT_EQ(p.value.dtype(), DType::kBf16);
   EXPECT_EQ(p.value.to(DType::kF32).data()[0], 1.0f)
       << "one sub-ulp step must not move the bf16 working weight";
   for (int s = 1; s < 40; ++s) {
-    p.grad.fill(1e-3f);  // Sgd consumed the grad; re-arm each step
+    p.grad.fill(1e-3f);
     opt.step();
   }
   // Master: 1.0 - 40 * 1e-4 = 0.996, carried exactly in f32...
@@ -261,12 +259,10 @@ TEST(MixedPrecisionOptim, OverflowSkipsStepAndLeavesBf16ValueUntouched) {
   p.grad = Tensor::full({3}, std::numeric_limits<float>::infinity());
   optim::LossScalerOptions so;
   so.initial_scale = 8.0f;
-  auto inner = std::make_unique<optim::Sgd>(model::ParamRefs{&p},
-                                            optim::SgdOptions{.lr = 0.1f});
-  optim::MixedPrecisionOptimizer opt(std::move(inner), so);
+  optim::Sgd opt(model::ParamRefs{&p}, optim::SgdOptions{.lr = 0.1f}, so);
   opt.step();
   EXPECT_EQ(opt.skipped_steps(), 1);
-  EXPECT_EQ(opt.scaler().scale(), 4.0f);  // backed off
+  EXPECT_EQ(opt.loss_scale(), 4.0f);  // backed off
   EXPECT_EQ(p.value.dtype(), DType::kBf16);
   EXPECT_EQ(p.value.to(DType::kF32).data()[0], 2.0f);
 }
@@ -354,7 +350,7 @@ std::vector<float> serial_losses(GptConfig c, DType dtype, int steps) {
     for (int s = 0; s < steps; ++s) {
       losses.push_back(engine.train_step(loader.next_batch(s)));
     }
-    // Mixed precision was forced on for bf16, with the scaler live.
+    // bf16 models train with masters and a live scaler.
     if (dtype == DType::kBf16) {
       EXPECT_GE(engine.last_stats().loss_scale, 1.0f);
       EXPECT_EQ(engine.last_stats().overflow_steps, 0);
@@ -372,6 +368,53 @@ TEST(MixedPrecisionEngine, TwoStepLossMatchesF32WithinDocumentedTolerance) {
     EXPECT_NEAR(bf16[s], f32[s], kE2eLossTol) << "step " << s;
     EXPECT_TRUE(std::isfinite(bf16[s]));
   }
+}
+
+TEST(MixedPrecisionEngine, ResumeContinuesLossScaleSchedule) {
+  // growth_interval = 1 doubles the scale every clean step, so a resume
+  // that restarted the scaler would show at once. Losses alone cannot
+  // catch it: a power-of-two scale cancels exactly in the unscale.
+  const GptConfig c = [] {
+    GptConfig g = engine_config(2);
+    g.dtype = DType::kBf16;
+    return g;
+  }();
+  DataSetup ds(c);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ptdp_scaler_resume_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  auto options = [&] {
+    core::EngineOptions o;
+    o.model = c;
+    o.parallel.b = 2;
+    o.parallel.recompute = false;
+    o.global_batch = 4;
+    o.optimizer = core::EngineOptions::Opt::kAdam;
+    o.scaler.growth_interval = 1;
+    return o;
+  };
+  core::StepStats continued, resumed;
+  dist::World world(1);
+  world.run([&](dist::Comm& comm) {
+    core::PtdpEngine engine(comm, options());
+    data::ShardedLoader loader(ds.dataset, 4, 2, 1, 0, /*seed=*/88);
+    for (int s = 0; s < 3; ++s) engine.train_step(loader.next_batch(s));
+    engine.save_checkpoint(dir.string(), /*step=*/3);
+    engine.train_step(loader.next_batch(3));
+    continued = engine.last_stats();
+  });
+  world.run([&](dist::Comm& comm) {
+    core::PtdpEngine engine(comm, options());
+    EXPECT_EQ(engine.load_checkpoint(dir.string()), 3u);
+    data::ShardedLoader loader(ds.dataset, 4, 2, 1, 0, /*seed=*/88);
+    engine.train_step(loader.next_batch(3));
+    resumed = engine.last_stats();
+  });
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(resumed.loss, continued.loss);
+  EXPECT_EQ(continued.loss_scale, 1024.0f * 16.0f);  // four clean steps
+  EXPECT_EQ(resumed.loss_scale, continued.loss_scale);
+  EXPECT_EQ(resumed.overflow_steps, continued.overflow_steps);
 }
 
 TEST(MixedPrecisionEngine, Bf16RunToRunLossesAreBitwiseIdentical) {

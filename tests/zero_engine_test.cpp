@@ -104,19 +104,25 @@ TEST(ZeroEngine, StateIsShardedAcrossReplicas) {
 }
 
 TEST(ZeroEngine, RejectsIncompatibleFeatures) {
-  model::GptConfig c = tiny();
-  dist::World world(2);
-  EXPECT_THROW(world.run([&](dist::Comm& comm) {
-                 EngineOptions options;
-                 options.model = c;
-                 options.parallel.d = 2;
-                 options.parallel.b = 1;
-                 options.global_batch = 4;
-                 options.optimizer = EngineOptions::Opt::kZeroAdam;
-                 options.mixed_precision = true;
-                 PtdpEngine engine(comm, options);
-               }),
-               dist::RankFailure);
+  // bf16 weights need fp32 masters, which the sharded state does not carry;
+  // clipping needs the full grad norm, which no rank holds.
+  for (const bool bf16 : {true, false}) {
+    model::GptConfig c = tiny();
+    if (bf16) c.dtype = tensor::DType::kBf16;
+    dist::World world(2);
+    EXPECT_THROW(world.run([&](dist::Comm& comm) {
+                   EngineOptions options;
+                   options.model = c;
+                   options.parallel.d = 2;
+                   options.parallel.b = 1;
+                   options.global_batch = 4;
+                   options.optimizer = EngineOptions::Opt::kZeroAdam;
+                   if (!bf16) options.grad_clip = 1.0;
+                   PtdpEngine engine(comm, options);
+                 }),
+                 dist::RankFailure)
+        << (bf16 ? "bf16" : "grad_clip");
+  }
 }
 
 TEST(ZeroEngine, CheckpointCarriesShardedState) {

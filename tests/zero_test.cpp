@@ -1,7 +1,8 @@
-// ZeRO sharded-optimizer tests: the sharded step is bit-level equivalent to
-// replicated data-parallel Adam (the property ZeRO guarantees), and the
-// optimizer-state memory per rank shrinks by ~1/d (the property ZeRO
-// exists for).
+// ZeRO sharded-optimizer tests: the sharded step equals replicated
+// data-parallel Adam (bitwise at d = 1, where both run the same update on
+// the same grads; within allclose at d > 1, where the reduce-scatter sums
+// in ring order), and the optimizer-state memory per rank shrinks by ~1/d
+// (the property ZeRO exists for).
 
 #include <gtest/gtest.h>
 
@@ -79,8 +80,17 @@ TEST_P(ZeroEquivalenceTest, MatchesReplicatedAdamOverSteps) {
       zero.step();
     }
     for (std::size_t i = 0; i < params.size(); ++i) {
-      EXPECT_TRUE(tensor::allclose(params[i].value, expected[i], 1e-5f, 1e-6f))
-          << params[i].name << " on rank " << comm.rank();
+      if (d == 1) {
+        // Same grads, same adam_update body: bit for bit.
+        for (std::int64_t j = 0; j < params[i].value.numel(); ++j) {
+          EXPECT_EQ(params[i].value.data()[static_cast<std::size_t>(j)],
+                    expected[i].data()[static_cast<std::size_t>(j)])
+              << params[i].name << "[" << j << "]";
+        }
+      } else {
+        EXPECT_TRUE(tensor::allclose(params[i].value, expected[i], 1e-5f, 1e-6f))
+            << params[i].name << " on rank " << comm.rank();
+      }
     }
   });
 }
