@@ -68,10 +68,9 @@ void BM_ReduceScatter(benchmark::State& state) {
   dist::World world(world_size);
   for (auto _ : state) {
     world.run([=](dist::Comm& comm) {
-      std::vector<float> in(shard * static_cast<std::size_t>(world_size), 1.0f);
-      std::vector<float> out(shard);
-      comm.reduce_scatter(std::span<const float>(in), std::span<float>(out));
-      benchmark::DoNotOptimize(out.data());
+      std::vector<float> data(shard * static_cast<std::size_t>(world_size), 1.0f);
+      comm.reduce_scatter_inplace(std::span<float>(data));
+      benchmark::DoNotOptimize(data.data());
     });
   }
 }

@@ -1,100 +1,89 @@
 // ZeRO vs PTD-P, functionally and at scale.
 //
-// Functional half: train the same small model three ways on real tensors —
-// serial Adam, replicated data-parallel Adam, and ZeRO sharded Adam — and
-// show the loss trajectories coincide (ZeRO changes where state lives, not
-// what the optimizer computes), while the ZeRO ranks hold ~1/d of the
-// optimizer state.
+// Functional half: train the same small bf16 model with PtdpEngine at d = 1
+// and at d = 4. At d > 1 the engine's data-parallel step is ZeRO-1/2: grads
+// are reduce-scattered, each rank keeps Adam moments and fp32 masters for
+// only its 1/d of the elements, and the updated weights are all-gathered.
+// Both train on the same global batches; each rank's optimizer state
+// shrinks ~d-fold.
 //
 // At-scale half: the §5.2 comparison from the cluster model — PTD-P's
 // throughput stays flat as GPUs double at fixed batch, ZeRO-3's falls.
 
 #include <cstdio>
+#include <mutex>
+#include <vector>
 
+#include "ptdp/core/engine.hpp"
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
-#include "ptdp/model/stage.hpp"
-#include "ptdp/optim/optimizer.hpp"
 #include "ptdp/sim/zero_model.hpp"
-#include "ptdp/tensor/ops.hpp"
-#include "ptdp/zero/sharded_optimizer.hpp"
 
 using namespace ptdp;
 
 namespace {
 
-model::GptConfig tiny() {
-  model::GptConfig c;
-  c.num_layers = 2;
-  c.hidden = 32;
-  c.heads = 4;
-  c.vocab = 64;
-  c.seq = 16;
-  c.seed = 5;
-  return c;
-}
+struct Run {
+  std::vector<float> losses;
+  std::int64_t state_bytes = 0;  ///< rank 0's optimizer state
+};
 
-// One replica's grad accumulation for its share of the batch.
-float replica_grads(model::GptStage& stage, const data::TokenDataset& ds,
-                    int step, int d, int rank) {
-  data::ShardedLoader loader(ds, /*B=*/8, /*b=*/2, d, rank, /*seed=*/21);
-  auto mbs = loader.next_batch(step);
-  const float scale = 1.0f / static_cast<float>(mbs.size());
-  double loss = 0;
-  for (const auto& mb : mbs) {
-    model::StageCache cache;
-    loss += stage.forward(tensor::Tensor(), mb, cache).loss;
-    stage.backward(tensor::Tensor(), scale, cache, mb);
-  }
-  return static_cast<float>(loss) * scale;
+Run train(const data::TokenDataset& dataset, int d, int steps) {
+  core::EngineOptions options;
+  options.model.num_layers = 2;
+  options.model.hidden = 32;
+  options.model.heads = 4;
+  options.model.vocab = 64;
+  options.model.seq = 16;
+  options.model.seed = 5;
+  options.model.dtype = tensor::DType::kBf16;
+  options.parallel.d = d;
+  options.parallel.b = 2;
+  options.global_batch = 8;
+  options.optimizer = core::EngineOptions::Opt::kAdam;
+  options.adam.lr = 5e-3f;
+  Run run;
+  std::mutex mu;
+  dist::World world(d);
+  world.run([&](dist::Comm& comm) {
+    core::PtdpEngine engine(comm, options);
+    data::ShardedLoader loader(dataset, options.global_batch, options.parallel.b, d,
+                               engine.groups().coord().data, /*seed=*/21);
+    for (int s = 0; s < steps; ++s) {
+      const float loss = engine.train_step(loader.next_batch(s));
+      if (comm.rank() == 0) run.losses.push_back(loss);
+    }
+    if (comm.rank() != 0) return;
+    auto& opt = dynamic_cast<optim::ElementwiseOptimizer&>(engine.optimizer());
+    std::lock_guard lock(mu);
+    run.state_bytes = opt.state_elems() * static_cast<std::int64_t>(sizeof(float));
+  });
+  return run;
 }
 
 }  // namespace
 
 int main() {
-  const model::GptConfig config = tiny();
-  data::SyntheticCorpus corpus(config.vocab, 13);
-  data::TokenDataset dataset(corpus.generate(8000), config.seq);
+  data::SyntheticCorpus corpus(64, 13);
+  data::TokenDataset dataset(corpus.generate(8000), 16);
   const int steps = 8;
   const int d = 4;
 
-  // ---- serial reference ----
-  std::vector<float> serial_losses;
-  {
-    dist::Comm solo = dist::Comm::solo();
-    model::GptStage stage(config, solo,
-                          model::StageSpec{true, true, 0, config.num_layers, false});
-    optim::Adam adam(stage.params(), {.lr = 5e-3f});
-    for (int s = 0; s < steps; ++s) {
-      stage.zero_grads();
-      serial_losses.push_back(replica_grads(stage, dataset, s, 1, 0));
-      adam.step();
-    }
+  const Run single = train(dataset, 1, steps);
+  const Run sharded = train(dataset, d, steps);
+  std::printf("step | loss d=1 | loss d=%d (ZeRO-1/2)\n", d);
+  for (int s = 0; s < steps; ++s) {
+    std::printf("%4d | %8.4f | %8.4f\n", s, single.losses[static_cast<std::size_t>(s)],
+                sharded.losses[static_cast<std::size_t>(s)]);
   }
-
-  // ---- ZeRO sharded data parallel on d thread ranks ----
-  std::printf("step | serial Adam | ZeRO sharded Adam (d=%d) | shard state\n", d);
-  dist::World world(d);
-  world.run([&](dist::Comm& comm) {
-    dist::Comm solo = dist::Comm::solo();
-    model::GptStage stage(config, solo,
-                          model::StageSpec{true, true, 0, config.num_layers, false});
-    zero::ZeroShardedAdam zero(stage.params(), comm, {{.lr = 5e-3f}});
-    for (int s = 0; s < steps; ++s) {
-      stage.zero_grads();
-      float loss = replica_grads(stage, dataset, s, d, comm.rank());
-      // Global mean loss for display (grad averaging happens inside ZeRO).
-      loss = comm.all_reduce_scalar(loss) / static_cast<float>(d);
-      zero.step();
-      if (comm.rank() == 0) {
-        std::printf("%4d | %11.4f | %24.4f | %lld floats\n", s,
-                    serial_losses[static_cast<std::size_t>(s)], loss,
-                    static_cast<long long>(zero.shard_elems() * 3));
-      }
-    }
-  });
-  std::printf("-> trajectories coincide: ZeRO shards the optimizer *state*, "
-              "not the math.\n\n");
+  std::printf("optimizer state per rank: %lld B at d=1, %lld B at d=%d (%.2fx)\n",
+              static_cast<long long>(single.state_bytes),
+              static_cast<long long>(sharded.state_bytes), d,
+              static_cast<double>(single.state_bytes) /
+                  static_cast<double>(sharded.state_bytes));
+  std::printf("-> same global batch, same losses to the printed digits; the "
+              "sharded ranks each hold ~1/%d of the Adam moments and fp32 "
+              "masters.\n\n", d);
 
   // ---- at-scale comparison (Fig. 10) ----
   const auto hw = sim::ClusterSpec::selene();

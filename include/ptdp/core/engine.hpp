@@ -9,8 +9,10 @@
 //     scatter/gather boundary optimization when configured),
 //   - all-reduces the tied-embedding grads over the embedding group and
 //     delegates the data-parallel gradient reduction to comm::GradReducer,
-//     which can overlap per-chunk reductions with the pipeline tail,
-//   - optionally clips, then steps the optimizer (bf16 models train with
+//     which reduce-scatters per-chunk buckets, overlapped with the pipeline
+//     tail,
+//   - optionally clips, then steps the optimizer over this rank's share of
+//     the elements and all-gathers the weights (bf16 models train with
 //     fp32 master weights and dynamic loss scaling),
 // preserving strict optimizer semantics: tests verify that every layout
 // produces the same weights as serial training, bitwise-independent of the
@@ -37,12 +39,12 @@ struct EngineOptions {
   ParallelConfig parallel;
   std::int64_t global_batch = 8;
 
-  /// kZeroAdam shards Adam state over the data-parallel group (§6's
-  /// "ZeRO can be combined with model parallelism"): the engine skips its
-  /// own data-parallel grad all-reduce and the sharded optimizer
-  /// reduce-scatters grads / all-gathers params instead. Incompatible with
-  /// bf16 models and grad_clip (state lives in shards).
-  enum class Opt { kSgd, kAdam, kZeroAdam };
+  /// With d > 1 either optimizer is sharded over the data group (ZeRO-1/2,
+  /// DESIGN.md §9): grads are reduce-scattered, each rank steps and keeps
+  /// state for 1/d of the elements, and the updated weights are
+  /// all-gathered. Every layout computes the same bits as a replicated
+  /// step.
+  enum class Opt { kSgd, kAdam };
   Opt optimizer = Opt::kSgd;
   optim::SgdOptions sgd{};
   optim::AdamOptions adam{};
@@ -55,13 +57,13 @@ struct EngineOptions {
   /// bf16 models, and bf16 reduction is an opt-in bytes-for-rounding trade.
   tensor::DType grad_comm_dtype = tensor::DType::kF32;
   double grad_clip = 0.0;  ///< 0 disables clipping
-  /// Data-parallel grad all-reduce bucketing: each chunk's grads are
-  /// flattened into buckets of up to this many elements and reduced per
-  /// bucket (DDP style: fewer, larger messages). Must be > 0; 1 gives
-  /// every parameter its own all-reduce.
+  /// Data-parallel grad bucketing: each chunk's grads are flattened into
+  /// buckets of up to this many elements and reduce-scattered per bucket
+  /// (DDP style: fewer, larger messages). Must be > 0; 1 gives every
+  /// parameter its own bucket.
   std::int64_t dp_bucket_elems = 1 << 16;
   /// Overlap the data-parallel reduction with the pipeline tail: each model
-  /// chunk's bucket all-reduces launch from the executor's chunk-backward
+  /// chunk's bucket reductions launch from the executor's chunk-backward
   /// hook instead of serializing after the batch. Final weights are
   /// bitwise identical either way (see comm::GradReducer).
   bool overlap_grad_reduce = true;
@@ -99,7 +101,7 @@ struct StepStats {
   double achieved_flops_per_second = 0.0;
   double achieved_flops_per_rank = 0.0;
   /// Fraction of data-parallel grad elements whose reduction overlapped the
-  /// pipeline (0 when d == 1 / ZeRO / overlap off).
+  /// pipeline (0 when d == 1 / overlap off).
   double grad_reduce_overlap = 0.0;
   /// Dynamic loss scale in effect after this step (1 for f32 models) and
   /// cumulative steps skipped on grad overflow so far.
@@ -175,7 +177,7 @@ class PtdpEngine {
   std::vector<std::unique_ptr<model::GptStage>> chunks_;
   model::ParamRefs params_;  ///< all chunks' params, cached at construction
   std::unique_ptr<pipeline::PipelineExecutor> executor_;
-  std::unique_ptr<comm::GradReducer> grad_reducer_;  ///< null when d == 1 or ZeRO
+  std::unique_ptr<comm::GradReducer> grad_reducer_;  ///< disabled when d == 1
   std::unique_ptr<optim::Optimizer> optimizer_;
   std::int64_t reported_skipped_ = 0;  ///< overflow steps already counted
   double last_grad_norm_ = 0.0;

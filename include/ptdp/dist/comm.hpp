@@ -162,7 +162,8 @@ class Comm {
     broadcast_bytes(as_writable_bytes(data), root);
   }
 
-  /// In-place ring all-reduce (reduce-scatter + all-gather phases).
+  /// In-place ring all-reduce: reduce_scatter_inplace's ring followed by
+  /// all_gather_inplace's, traced as one "all_reduce" span.
   void all_reduce(std::span<float> data, ReduceOp op = ReduceOp::kSum) const;
   void all_reduce(std::span<double> data, ReduceOp op = ReduceOp::kSum) const;
 
@@ -172,10 +173,31 @@ class Comm {
     return value;
   }
 
-  /// Ring reduce-scatter: `in.size()` must be divisible by size(); each rank
-  /// ends with the reduction of its own contiguous shard in `out`.
-  void reduce_scatter(std::span<const float> in, std::span<float> out,
-                      ReduceOp op = ReduceOp::kSum) const;
+  /// Element range [offset, offset + size) of a buffer.
+  struct Range {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+  /// The chunk of a `len`-element buffer this rank owns after
+  /// reduce_scatter_inplace: chunk (rank + 1) mod n of the ring's uneven
+  /// chunking, where chunk c starts at c*(len/n) + min(c, len%n) and the
+  /// first len%n chunks are one element longer.
+  Range owned_range(std::size_t len) const;
+
+  /// Phase 1 of all_reduce, in place: afterwards owned_range(data.size())
+  /// holds the full reduction, summed in exactly all_reduce's order; the
+  /// rest of `data` holds partial sums.
+  void reduce_scatter_inplace(std::span<float> data,
+                              ReduceOp op = ReduceOp::kSum) const;
+
+  /// Phase 2 of all_reduce, in place: every rank's owned_range(data.size())
+  /// is copied to all members. Pure data movement, so any element type
+  /// rides it (bf16 weights as well as f32 state).
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void all_gather_inplace(std::span<T> data) const {
+    all_gather_inplace_bytes(as_writable_bytes(data), sizeof(T));
+  }
 
   /// Ring all-gather: concatenates every member's `in` (equal sizes) into
   /// `out` in rank order. `out.size() == in.size() * size()`.
@@ -241,9 +263,17 @@ class Comm {
   void broadcast_bytes(std::span<std::uint8_t> data, int root) const;
   void all_gather_bytes(std::span<const std::uint8_t> in,
                         std::span<std::uint8_t> out) const;
+  void all_gather_inplace_bytes(std::span<std::uint8_t> data,
+                                std::size_t elem_size) const;
 
   template <typename F>
   void all_reduce_impl(std::span<F> data, ReduceOp op) const;
+  // The two ring halves, without the per-call fault hook, metrics tick and
+  // span: the public collectives add those once around them.
+  template <typename F>
+  void ring_reduce_scatter(std::span<F> data, ReduceOp op, std::uint64_t tag) const;
+  void ring_all_gather(std::span<std::uint8_t> data, std::size_t elem_size,
+                       std::uint64_t tag) const;
 
   std::uint64_t next_split_seq() const {
     return split_seq_->fetch_add(1, std::memory_order_relaxed);

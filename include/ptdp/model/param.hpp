@@ -48,4 +48,12 @@ tensor::Tensor init_weight_row_shard(const std::string& name, std::int64_t rows,
 /// Mutable views over a module tree's parameters, in deterministic order.
 using ParamRefs = std::vector<Param*>;
 
+/// Elements [offset, offset + length) of one param's flattened value (and
+/// grad): the unit a data-parallel rank owns in a sharded optimizer step.
+struct ParamSegment {
+  Param* param = nullptr;
+  std::int64_t offset = 0;
+  std::int64_t length = 0;
+};
+
 }  // namespace ptdp::model

@@ -2,7 +2,9 @@
 
 // Optimizers over Param lists: SGD with momentum and Adam, optionally with
 // fp32 master weights and dynamic loss scaling (mixed precision, DESIGN.md
-// §13), plus the distributed gradient-norm computation used for clipping.
+// §13) and with their state sharded over the data-parallel group (ZeRO-1/2,
+// DESIGN.md §9), plus the distributed gradient-norm computation used for
+// clipping.
 // Grad-norm accounting follows Megatron: parameters whose grads are
 // replicated across tensor-parallel ranks contribute once (rank 0 of the
 // tensor group), and partial sums are reduced over the tensor and pipeline
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "ptdp/comm/grad_reducer.hpp"
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/model/param.hpp"
 
@@ -57,16 +60,24 @@ class DynamicLossScaler {
   tensor::Tensor state_{tensor::Shape{3}};
 };
 
-/// True if any grad contains a non-finite value (after the data-parallel
-/// all-reduce, so every replica agrees).
-bool grads_have_overflow(const model::ParamRefs& params);
+/// Every element of every param, one segment per param.
+std::vector<model::ParamSegment> whole_segments(const model::ParamRefs& params);
+
+/// True if any of the segments' grads holds a non-finite value.
+bool grads_have_overflow(std::span<const model::ParamSegment> segments);
 
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
   /// Applies one update from the accumulated grads. Grads are not zeroed.
   virtual void step() = 0;
+  /// Checkpointed state: names, full per-param shapes, fixed order. A
+  /// sharded optimizer returns staged full copies (a collective over its
+  /// data group); call commit_state() when done with them.
   virtual NamedState state_tensors() = 0;
+  /// Makes writes into state_tensors()' tensors take effect (a checkpoint
+  /// load) and frees any staging. A no-op when they are the live state.
+  virtual void commit_state() {}
   virtual const std::vector<model::Param*>& params() const = 0;
   /// Updates the learning rate (used by LR schedules between steps).
   virtual void set_lr(float lr) = 0;
@@ -78,46 +89,94 @@ class Optimizer {
   virtual std::int64_t skipped_steps() const { return 0; }
 };
 
-/// The step body Sgd and Adam share. Without a scaler the rule updates each
-/// param's f32 value in place. With one (mixed precision):
-///   - every param gets an fp32 master, checkpointed as
-///     `<name>.fp32_master`. Its working value is bf16_round(master),
+/// The ranks a step runs among. The defaults describe a lone rank.
+struct StepGroup {
+  /// Every rank of the world. The overflow flag is all-reduced over it, so
+  /// every pipeline stage, tensor shard and data-parallel replica skips the
+  /// same steps and keeps the same loss scale.
+  dist::Comm world = dist::Comm::solo();
+  /// The data-parallel reducer, whose params() must be the optimizer's
+  /// params. At d > 1 the rank steps only the reducer's owned() segments,
+  /// keeps masters and rule state for only those elements, and all-gathers
+  /// the updated working values through it (ZeRO-1/2, DESIGN.md §9).
+  /// nullptr: a lone replica.
+  comm::GradReducer* reducer = nullptr;
+};
+
+/// The step body Sgd and Adam share. The rank steps its segments: every
+/// element of every param, or its owned share when the data group shards
+/// the step (StepGroup::reducer). Without a scaler the rule updates the
+/// f32 values in place. With one (mixed precision):
+///   - every stepped element gets an fp32 master, checkpointed per param as
+///     `<name>.fp32_master`. The working value is bf16_round(master),
 ///     stored at the param's own dtype: real bf16 storage (the GEMM weights
 ///     of a bf16 model) or bf16-valued f32 (its LayerNorms, embeddings and
 ///     biases). One narrowing rule serves both.
-///   - step() scans the grads for inf/nan and updates the scaler, skipping
-///     the step on overflow. Otherwise one fused pass per param multiplies
-///     the grad by 1/scale, applies the rule to the master, and narrows the
-///     result into the working tensor.
+///   - step() scans the stepped grads for inf/nan, all-reduces the flag
+///     over the world and updates the scaler, skipping the step on
+///     overflow. Otherwise one fused pass per segment multiplies the grad
+///     by 1/scale, applies the rule to the master, and narrows the result
+///     into the working tensor.
+/// A sharded step then all-gathers the working values in the model dtype:
+/// bf16 when there are masters (every working value is bf16-valued), else
+/// f32.
 class ElementwiseOptimizer : public Optimizer {
  public:
   void step() final;
-  /// The rule's state, then the masters, then the scaler state.
+  /// Per param, the rule's per-element state; then the rule's scalars;
+  /// then the masters; then the scaler state.
   NamedState state_tensors() final;
+  void commit_state() final;
   const std::vector<model::Param*>& params() const final { return params_; }
   float loss_scale() const final { return scaler_ ? scaler_->scale() : 1.0f; }
   std::int64_t skipped_steps() const final {
     return scaler_ ? scaler_->skipped_steps() : 0;
   }
+  /// The elements this rank steps, in param order.
+  const std::vector<model::ParamSegment>& segments() const { return segments_; }
+  /// Elements of per-element state (rule state and masters) held here.
+  std::int64_t state_elems();
 
  protected:
+  /// Per-element state: one tensor per segment, checkpointed per param as
+  /// `<param>.<suffix>`.
+  struct ElementState {
+    const char* suffix;
+    std::vector<tensor::Tensor>* tensors;
+  };
+
   ElementwiseOptimizer(model::ParamRefs params,
-                       std::optional<LossScalerOptions> scaler);
-  /// One applied step of the rule over every param, each grad multiplied
+                       std::optional<LossScalerOptions> scaler, StepGroup group);
+  /// One applied step of the rule over every segment, each grad multiplied
   /// by `grad_scale` first.
   virtual void apply(float grad_scale) = 0;
-  /// The rule's own checkpointed state (moments, counters).
-  virtual NamedState rule_state() = 0;
-  /// Param i's fp32 master, or nullptr without mixed precision.
-  tensor::Tensor* master(std::size_t i) {
-    return master_.empty() ? nullptr : &master_[i];
+  /// The rule's per-element state, in checkpoint order.
+  virtual std::vector<ElementState> element_state() = 0;
+  /// The rule's replicated scalars (counters), checkpointed after the
+  /// per-element state.
+  virtual NamedState scalar_state() { return {}; }
+  /// Zero f32 tensors, one per segment: the param's shape for a whole
+  /// param, 1-D otherwise.
+  std::vector<tensor::Tensor> segment_tensors() const;
+  /// Segment s's fp32 master, or nullptr without mixed precision.
+  tensor::Tensor* master(std::size_t s) {
+    return master_.empty() ? nullptr : &master_[s];
   }
 
   model::ParamRefs params_;
+  std::vector<model::ParamSegment> segments_;
 
  private:
+  std::vector<ElementState> all_element_state();
+
   std::optional<DynamicLossScaler> scaler_;
   std::vector<tensor::Tensor> master_;
+  dist::Comm world_;
+  comm::GradReducer* reducer_;  ///< non-null only when the step is sharded
+  std::vector<std::size_t> segment_param_;  ///< segments_[s]'s index in params_
+  std::vector<tensor::Tensor*> values_;     ///< &params_[i]->value
+  /// state_tensors()' full copies when sharded: [element state][param].
+  std::vector<std::vector<tensor::Tensor>> staged_;
 };
 
 struct SgdOptions {
@@ -129,13 +188,13 @@ struct SgdOptions {
 class Sgd final : public ElementwiseOptimizer {
  public:
   Sgd(model::ParamRefs params, SgdOptions options,
-      std::optional<LossScalerOptions> scaler = std::nullopt);
+      std::optional<LossScalerOptions> scaler = std::nullopt, StepGroup group = {});
   void set_lr(float lr) override { options_.lr = lr; }
   float lr() const override { return options_.lr; }
 
  private:
   void apply(float grad_scale) override;
-  NamedState rule_state() override;
+  std::vector<ElementState> element_state() override;
 
   SgdOptions options_;
   std::vector<tensor::Tensor> velocity_;  ///< allocated only if momentum != 0
@@ -153,17 +212,10 @@ struct AdamOptions {
 /// 1-based step t.
 float adam_step_size(const AdamOptions& o, double t);
 
-/// The Adam update over one contiguous range: grad = g·grad_scale +
-/// weight_decay·w, then the moments m, v and the weights w. Adam and the
-/// ZeRO-sharded Adam both run it.
-void adam_update(const AdamOptions& o, float step_size, float grad_scale,
-                 std::span<const float> g, std::span<float> w,
-                 std::span<float> m, std::span<float> v);
-
 class Adam final : public ElementwiseOptimizer {
  public:
   Adam(model::ParamRefs params, AdamOptions options,
-       std::optional<LossScalerOptions> scaler = std::nullopt);
+       std::optional<LossScalerOptions> scaler = std::nullopt, StepGroup group = {});
   void set_lr(float lr) override { options_.lr = lr; }
   float lr() const override { return options_.lr; }
   std::int64_t steps_taken() const {
@@ -172,7 +224,8 @@ class Adam final : public ElementwiseOptimizer {
 
  private:
   void apply(float grad_scale) override;
-  NamedState rule_state() override;
+  std::vector<ElementState> element_state() override;
+  NamedState scalar_state() override;
 
   AdamOptions options_;
   std::vector<tensor::Tensor> m_, v_;
@@ -181,15 +234,18 @@ class Adam final : public ElementwiseOptimizer {
   tensor::Tensor step_count_{tensor::Shape{1}};
 };
 
-/// Global L2 norm of all grads for this model replica. `tp`/`pp` may be
-/// nullptr when that parallel dimension is 1. Every rank returns the same
-/// value.
-double global_grad_norm(const model::ParamRefs& params, const dist::Comm* tp,
-                        const dist::Comm* pp);
+/// Global L2 norm of the grads of one model replica, from the segments
+/// this rank steps. `tp`/`pp`/`dp` may be nullptr when that parallel
+/// dimension is 1; `dp` sums the data-parallel owners' shares of a sharded
+/// step. Every rank returns the same value.
+double global_grad_norm(std::span<const model::ParamSegment> segments,
+                        const dist::Comm* tp, const dist::Comm* pp,
+                        const dist::Comm* dp = nullptr);
 
-/// Scales grads by max_norm/norm when norm > max_norm. Returns the
-/// pre-clip norm.
-double clip_grad_norm(const model::ParamRefs& params, double max_norm,
-                      const dist::Comm* tp, const dist::Comm* pp);
+/// Scales the segments' grads by max_norm/norm when norm > max_norm.
+/// Returns the pre-clip norm.
+double clip_grad_norm(std::span<const model::ParamSegment> segments, double max_norm,
+                      const dist::Comm* tp, const dist::Comm* pp,
+                      const dist::Comm* dp = nullptr);
 
 }  // namespace ptdp::optim

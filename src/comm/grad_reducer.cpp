@@ -1,6 +1,7 @@
 #include "ptdp/comm/grad_reducer.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "ptdp/obs/trace.hpp"
 #include "ptdp/tensor/tensor.hpp"
@@ -8,38 +9,95 @@
 namespace ptdp::comm {
 
 using model::Param;
+using tensor::Tensor;
+
+namespace {
+
+/// Copies t's elements [off, off + out.size()) into `out` at the wire dtype
+/// T. Narrowing f32 storage to bf16 is exact for bf16-valued tensors.
+template <class T>
+void stage(const Tensor& t, std::size_t off, std::span<T> out) {
+  if constexpr (std::is_same_v<T, float>) {
+    std::copy_n(t.data().begin() + static_cast<std::ptrdiff_t>(off), out.size(),
+                out.begin());
+  } else if (t.dtype() == tensor::DType::kBf16) {
+    std::copy_n(t.data_bf16().begin() + static_cast<std::ptrdiff_t>(off), out.size(),
+                out.begin());
+  } else {
+    tensor::narrow_bf16(t.data().subspan(off, out.size()), out);
+  }
+}
+
+/// Writes `in` (wire dtype T) over every element of t.
+template <class T>
+void unstage(std::span<const T> in, Tensor& t) {
+  if constexpr (std::is_same_v<T, float>) {
+    std::copy(in.begin(), in.end(), t.data().begin());
+  } else if (t.dtype() == tensor::DType::kBf16) {
+    std::copy(in.begin(), in.end(), t.data_bf16().begin());
+  } else {
+    tensor::widen_bf16(in, t.data());
+  }
+}
+
+}  // namespace
 
 GradReducer::GradReducer(std::vector<model::ParamRefs> chunk_params, dist::Comm data,
                          GradReducerOptions options, std::vector<bool> defer)
-    : chunk_params_(std::move(chunk_params)),
-      data_(std::move(data)),
+    : data_(std::move(data)),
       options_(options),
       defer_(std::move(defer)),
-      reduced_(chunk_params_.size(), false) {
-  if (defer_.empty()) defer_.assign(chunk_params_.size(), false);
-  PTDP_CHECK_EQ(defer_.size(), chunk_params_.size());
-  // The bucket plan: walk each chunk's bucketing once to size the arena's
-  // bucket slot at the largest flush any chunk ever needs. Depends only on
-  // (chunk params, bucket_elems) — the same pure function reduce_chunk
-  // replays, so the slot never regrows after construction.
+      reduced_(chunk_params.size(), false) {
+  if (defer_.empty()) defer_.assign(chunk_params.size(), false);
+  PTDP_CHECK_EQ(defer_.size(), chunk_params.size());
   const std::int64_t cap = options_.bucket_elems;
   PTDP_CHECK_GT(cap, 0) << "bucket_elems must be positive (1 = per param)";
-  for (const model::ParamRefs& refs : chunk_params_) {
-    std::int64_t cur = 0;
-    for (const Param* p : refs) {
-      PTDP_CHECK(p != nullptr);
-      const std::int64_t g = p->grad.numel();
-      if (cur != 0 && cur + g > cap) cur = 0;
-      cur += g;
-      max_bucket_elems_ =
-          std::max(max_bucket_elems_, static_cast<std::size_t>(cur));
+  // The bucket plan: greedy per chunk, a param never split across buckets.
+  // Ownership follows the ring: this rank owns chunk (rank+1) mod d of
+  // every bucket, cut into segments at param boundaries.
+  auto close = [&](Bucket& b) {
+    if (b.count == 0) return;
+    b.own = data_.owned_range(b.len);
+    b.seg_first = owned_.size();
+    for (std::size_t i = b.first; i < b.first + b.count; ++i) {
+      const std::size_t at = param_at_[i];
+      const std::size_t n = static_cast<std::size_t>(params_[i]->grad.numel());
+      const std::size_t lo = std::max(at, b.own.offset);
+      const std::size_t hi = std::min(at + n, b.own.offset + b.own.size);
+      if (hi <= lo) continue;
+      owned_.push_back({params_[i], static_cast<std::int64_t>(lo - at),
+                        static_cast<std::int64_t>(hi - lo)});
+      owned_param_.push_back(i);
     }
+    b.seg_count = owned_.size() - b.seg_first;
+    max_bucket_elems_ = std::max(max_bucket_elems_, b.len);
+    buckets_.push_back(b);
+  };
+  for (const model::ParamRefs& refs : chunk_params) {
+    chunk_buckets_.push_back(buckets_.size());
+    Bucket b;
+    b.first = params_.size();
+    for (Param* p : refs) {
+      PTDP_CHECK(p != nullptr);
+      const std::size_t g = static_cast<std::size_t>(p->grad.numel());
+      if (b.len != 0 && static_cast<std::int64_t>(b.len + g) > cap) {
+        close(b);
+        b = Bucket{};
+        b.first = params_.size();
+      }
+      param_at_.push_back(b.len);
+      params_.push_back(p);
+      b.len += g;
+      ++b.count;
+    }
+    close(b);
   }
+  chunk_buckets_.push_back(buckets_.size());
 }
 
 void GradReducer::on_chunk_grads_ready(int chunk) {
   PTDP_CHECK_GE(chunk, 0);
-  PTDP_CHECK_LT(static_cast<std::size_t>(chunk), chunk_params_.size());
+  PTDP_CHECK_LT(chunk, num_chunks());
   if (!enabled() || !options_.overlap) return;
   if (defer_[static_cast<std::size_t>(chunk)]) return;
   PTDP_CHECK(!reduced_[static_cast<std::size_t>(chunk)])
@@ -49,29 +107,28 @@ void GradReducer::on_chunk_grads_ready(int chunk) {
 
 void GradReducer::finish() {
   if (!enabled()) return;
-  for (std::size_t c = 0; c < chunk_params_.size(); ++c) {
+  for (std::size_t c = 0; c < reduced_.size(); ++c) {
     if (!reduced_[c]) reduce_chunk(c, /*overlapped=*/false);
   }
-  reduced_.assign(chunk_params_.size(), false);
+  reduced_.assign(reduced_.size(), false);
 }
 
-void GradReducer::reduce_span(std::span<float> data) {
+void GradReducer::reduce_bucket(std::span<float> data, dist::Comm::Range own) {
   const float inv_d = 1.0f / static_cast<float>(data_.size());
   if (options_.comm_dtype == tensor::DType::kBf16) {
     // Low-precision reduction: each rank contributes its grads as bf16,
     // the group all-gathers the d payloads (half the wire bytes of an f32
     // ring all-reduce at d = 2), and every rank sums the widened
-    // contributions in f32 in rank order — a fixed association, so the
-    // result is deterministic and identical on all ranks.
+    // contributions of its owned range in f32 in rank order — a fixed
+    // association, so the result is deterministic.
     const std::size_t n = data.size();
     const std::size_t d = static_cast<std::size_t>(data_.size());
-    std::span<tensor::bf16_t> wire16 =
-        arena_.get<tensor::bf16_t>(kWire16, n);
+    std::span<tensor::bf16_t> wire16 = arena_.get<tensor::bf16_t>(kWire16, n);
     tensor::narrow_bf16(data, wire16);
     std::span<tensor::bf16_t> gathered16 =
         arena_.get<tensor::bf16_t>(kGathered16, n * d);
     data_.all_gather(std::span<const tensor::bf16_t>(wire16), gathered16);
-    for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t j = own.offset; j < own.offset + own.size; ++j) {
       float acc = 0.0f;
       for (std::size_t r = 0; r < d; ++r) {
         acc += tensor::bf16_to_f32(gathered16[r * n + j]);
@@ -80,8 +137,8 @@ void GradReducer::reduce_span(std::span<float> data) {
     }
     return;
   }
-  data_.all_reduce(data);
-  for (float& v : data) v *= inv_d;
+  data_.reduce_scatter_inplace(data);
+  for (float& v : data.subspan(own.offset, own.size)) v *= inv_d;
 }
 
 void GradReducer::reduce_chunk(std::size_t c, bool overlapped) {
@@ -89,43 +146,75 @@ void GradReducer::reduce_chunk(std::size_t c, bool overlapped) {
                  {{"chunk", static_cast<std::int64_t>(c)},
                   {"overlapped", overlapped ? 1 : 0}});
   const std::uint64_t before = elems_reduced_;
-  const std::int64_t cap = options_.bucket_elems;
   reduced_[c] = true;
-  // Bucket boundaries depend only on the chunk's param order and cap, never
-  // on reduction timing — the bitwise overlap-on/off guarantee. The bucket
-  // lives in the planned arena, sized once at construction to the largest
-  // flush of any chunk (max_bucket_elems_).
-  std::span<float> bucket = arena_.get<float>(kBucket, max_bucket_elems_);
-  std::vector<Param*>& members = members_;
-  std::size_t len = 0;
-  members.clear();
-  auto flush = [&] {
-    if (len == 0) return;
-    reduce_span(bucket.first(len));
-    elems_reduced_ += len;
-    std::size_t off = 0;
-    for (Param* p : members) {
-      auto g = p->grad.data();
-      for (std::size_t j = 0; j < g.size(); ++j) g[j] = bucket[off + j];
-      off += g.size();
+  // The bucket lives in the planned arena, sized once to the plan's
+  // largest bucket.
+  std::span<float> buffer = arena_.get<float>(kBucket, max_bucket_elems_);
+  for (std::size_t k = chunk_buckets_[c]; k < chunk_buckets_[c + 1]; ++k) {
+    const Bucket& b = buckets_[k];
+    elems_reduced_ += b.len;
+    if (b.count == 1) {
+      // A one-param bucket reduces in place in its grad: nothing to
+      // flatten or copy back.
+      reduce_bucket(params_[b.first]->grad.data(), b.own);
+      continue;
     }
-    len = 0;
-    members.clear();
-  };
-  for (Param* p : chunk_params_[c]) {
-    auto g = p->grad.data();
-    if (len != 0 && static_cast<std::int64_t>(len + g.size()) > cap) {
-      flush();
+    std::span<float> bucket = buffer.first(b.len);
+    for (std::size_t i = b.first; i < b.first + b.count; ++i) {
+      auto g = params_[i]->grad.data();
+      std::copy(g.begin(), g.end(), bucket.begin() + static_cast<std::ptrdiff_t>(param_at_[i]));
     }
-    PTDP_CHECK_LE(len + g.size(), bucket.size())
-        << "bucket plan undersized for chunk " << c;
-    std::copy(g.begin(), g.end(), bucket.begin() + static_cast<std::ptrdiff_t>(len));
-    len += g.size();
-    members.push_back(p);
+    reduce_bucket(bucket, b.own);
+    for (std::size_t s = b.seg_first; s < b.seg_first + b.seg_count; ++s) {
+      const model::ParamSegment& seg = owned_[s];
+      const std::size_t at = param_at_[owned_param_[s]] + static_cast<std::size_t>(seg.offset);
+      std::copy_n(bucket.begin() + static_cast<std::ptrdiff_t>(at), seg.length,
+                  seg.param->grad.data().begin() + seg.offset);
+    }
   }
-  flush();
   if (overlapped) elems_overlapped_ += elems_reduced_ - before;
   span.arg("elems", static_cast<std::int64_t>(elems_reduced_ - before));
+}
+
+template <class T>
+void GradReducer::gather_bucket(const Bucket& b, std::span<Tensor* const> full,
+                                std::span<T> wire) {
+  for (std::size_t s = b.seg_first; s < b.seg_first + b.seg_count; ++s) {
+    const model::ParamSegment& seg = owned_[s];
+    const std::size_t i = owned_param_[s];
+    stage(*full[i], static_cast<std::size_t>(seg.offset),
+          wire.subspan(param_at_[i] + static_cast<std::size_t>(seg.offset),
+                       static_cast<std::size_t>(seg.length)));
+  }
+  data_.all_gather_inplace(wire);
+  for (std::size_t i = b.first; i < b.first + b.count; ++i) {
+    unstage(std::span<const T>(wire.subspan(param_at_[i],
+                                            static_cast<std::size_t>(full[i]->numel()))),
+            *full[i]);
+  }
+}
+
+void GradReducer::all_gather(std::span<Tensor* const> full, tensor::DType wire) {
+  PTDP_CHECK_EQ(full.size(), params_.size());
+  if (!enabled()) return;
+  for (const Bucket& b : buckets_) {
+    Tensor& first = *full[b.first];
+    if (b.count == 1 && first.dtype() == wire) {
+      // A one-param bucket already at the wire dtype gathers in place.
+      if (wire == tensor::DType::kBf16) {
+        data_.all_gather_inplace(first.data_bf16());
+      } else {
+        data_.all_gather_inplace(first.data());
+      }
+      continue;
+    }
+    if (wire == tensor::DType::kBf16) {
+      gather_bucket(b, full,
+                    arena_.get<tensor::bf16_t>(kWire16, max_bucket_elems_).first(b.len));
+    } else {
+      gather_bucket(b, full, arena_.get<float>(kBucket, max_bucket_elems_).first(b.len));
+    }
+  }
 }
 
 }  // namespace ptdp::comm

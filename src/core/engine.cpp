@@ -11,9 +11,6 @@
 #include "ptdp/obs/trace.hpp"
 #include "ptdp/runtime/stopwatch.hpp"
 
-#include "ptdp/tensor/ops.hpp"
-#include "ptdp/zero/sharded_optimizer.hpp"
-
 namespace ptdp::core {
 
 using model::GptStage;
@@ -27,12 +24,6 @@ PtdpEngine::PtdpEngine(dist::Comm& world, EngineOptions options)
   cfg.validate(options_.model, options_.global_batch);
   PTDP_CHECK_EQ(world.size(), cfg.n())
       << "world size " << world.size() << " != p*t*d for " << cfg.str();
-
-  // bf16 weights only exist behind fp32 masters, which ZeRO's sharded
-  // state does not carry.
-  const bool bf16 = options_.model.dtype == tensor::DType::kBf16;
-  PTDP_CHECK(!bf16 || options_.optimizer != EngineOptions::Opt::kZeroAdam)
-      << "ZeRO-sharded Adam does not support bf16 weights";
 
   groups_ = std::make_unique<dist::ProcessGroups>(world, cfg.p, cfg.t, cfg.d);
 
@@ -72,38 +63,35 @@ PtdpEngine::PtdpEngine(dist::Comm& world, EngineOptions options)
       raw, groups_->pipeline(), groups_->tensor(),
       cfg.schedule_params(options_.global_batch), exec_opts);
 
-  // Data-parallel reduction plane. The ZeRO optimizer owns its reduction
-  // (reduce-scatter inside step()), so it opts out here.
-  if (cfg.d > 1 && options_.optimizer != EngineOptions::Opt::kZeroAdam) {
-    std::vector<model::ParamRefs> chunk_params;
-    std::vector<bool> defer;
-    for (auto& c : chunks_) {
-      chunk_params.push_back(c->params());
-      // Tied-embedding chunks reduce only after the embedding-group sync.
-      defer.push_back(cfg.p > 1 && c->word_embedding_param() != nullptr);
-    }
-    comm::GradReducerOptions reducer_opts;
-    reducer_opts.bucket_elems = options_.dp_bucket_elems;
-    reducer_opts.overlap = options_.overlap_grad_reduce;
-    reducer_opts.comm_dtype = options_.grad_comm_dtype;
-    grad_reducer_ = std::make_unique<comm::GradReducer>(
-        std::move(chunk_params), groups_->data(), reducer_opts, std::move(defer));
+  // Data-parallel reduction plane. It also fixes which elements this rank
+  // steps (all of them at d = 1), so the optimizer is built on it.
+  std::vector<model::ParamRefs> chunk_params;
+  std::vector<bool> defer;
+  for (auto& c : chunks_) {
+    chunk_params.push_back(c->params());
+    // Tied-embedding chunks reduce only after the embedding-group sync.
+    defer.push_back(cfg.p > 1 && c->word_embedding_param() != nullptr);
+  }
+  comm::GradReducerOptions reducer_opts;
+  reducer_opts.bucket_elems = options_.dp_bucket_elems;
+  reducer_opts.overlap = options_.overlap_grad_reduce;
+  reducer_opts.comm_dtype = options_.grad_comm_dtype;
+  grad_reducer_ = std::make_unique<comm::GradReducer>(
+      std::move(chunk_params), groups_->data(), reducer_opts, std::move(defer));
+  if (grad_reducer_->enabled()) {
     executor_->set_chunk_backward_hook(
         [this](int chunk) { grad_reducer_->on_chunk_grads_ready(chunk); });
   }
 
-  // bf16 models train with fp32 masters and dynamic loss scaling.
+  // bf16 models train with fp32 masters and dynamic loss scaling. With
+  // d > 1 the optimizer steps only this rank's share (ZeRO-1/2).
   std::optional<optim::LossScalerOptions> scaler;
-  if (bf16) scaler = options_.scaler;
-  if (options_.optimizer == EngineOptions::Opt::kZeroAdam) {
-    PTDP_CHECK(options_.grad_clip == 0.0)
-        << "ZeRO-sharded Adam does not compose with clipping in this engine";
-    optimizer_ = std::make_unique<zero::ZeroShardedAdam>(
-        params(), groups_->data(), zero::ZeroAdamOptions{options_.adam});
-  } else if (options_.optimizer == EngineOptions::Opt::kSgd) {
-    optimizer_ = std::make_unique<optim::Sgd>(params(), options_.sgd, scaler);
+  if (options_.model.dtype == tensor::DType::kBf16) scaler = options_.scaler;
+  const optim::StepGroup group{groups_->world(), grad_reducer_.get()};
+  if (options_.optimizer == EngineOptions::Opt::kSgd) {
+    optimizer_ = std::make_unique<optim::Sgd>(params(), options_.sgd, scaler, group);
   } else {
-    optimizer_ = std::make_unique<optim::Adam>(params(), options_.adam, scaler);
+    optimizer_ = std::make_unique<optim::Adam>(params(), options_.adam, scaler, group);
   }
   if (options_.lr_schedule) lr_schedule_.emplace(*options_.lr_schedule);
 }
@@ -147,7 +135,7 @@ float PtdpEngine::train_step(std::span<const model::Microbatch> microbatches) {
   // most chunks were already reduced from the executor's backward hooks;
   // finish() covers the rest — notably the deferred tied-embedding chunks,
   // whose grads only became final in the embedding-group sync above.
-  if (grad_reducer_) {
+  if (grad_reducer_->enabled()) {
     obs::Span span("grad_reduce_finish", obs::Cat::kEngine);
     grad_reducer_->finish();
   }
@@ -164,12 +152,18 @@ float PtdpEngine::train_step(std::span<const model::Microbatch> microbatches) {
     // With mixed precision the grads carry the loss scale; clipping to
     // scale*max_norm applies the same multiplier unscaled clipping would.
     const double max_norm = options_.grad_clip * extra_scale;
+    // Each data-parallel rank holds the mean grad of its owned segments
+    // only, so their squares are summed over the data group too.
     const dist::Comm* tp = cfg.t > 1 ? &groups_->tensor() : nullptr;
     const dist::Comm* pp = cfg.p > 1 ? &groups_->pipeline() : nullptr;
-    last_grad_norm_ = optim::clip_grad_norm(params_, max_norm, tp, pp) / extra_scale;
+    const dist::Comm* dp = cfg.d > 1 ? &groups_->data() : nullptr;
+    last_grad_norm_ =
+        optim::clip_grad_norm(grad_reducer_->owned(), max_norm, tp, pp, dp) /
+        extra_scale;
   }
 
   {
+    // With d > 1 this includes the all-gather of the updated weights.
     obs::Span span("optimizer_step", obs::Cat::kEngine);
     optimizer_->step();
   }
@@ -192,8 +186,7 @@ float PtdpEngine::train_step(std::span<const model::Microbatch> microbatches) {
       stats_.step_seconds > 0 ? stats_.model_flops / stats_.step_seconds : 0.0;
   stats_.achieved_flops_per_rank =
       stats_.achieved_flops_per_second / static_cast<double>(cfg.n());
-  stats_.grad_reduce_overlap =
-      grad_reducer_ ? grad_reducer_->overlap_ratio() : 0.0;
+  stats_.grad_reduce_overlap = grad_reducer_->overlap_ratio();
   stats_.loss_scale = optimizer_->loss_scale();
   stats_.overflow_steps = optimizer_->skipped_steps();
   const mem::PoolStats mem_after = mem::thread_stats();
@@ -252,6 +245,9 @@ float PtdpEngine::evaluate(std::span<const model::Microbatch> microbatches) {
   return loss;
 }
 
+// Collective over the data group when the optimizer is sharded: the state
+// is gathered into the replicated format (every data rank writes the same
+// full tensors, and a load keeps this rank's owned slice on commit_state).
 ckpt::NamedTensors PtdpEngine::checkpoint_tensors() {
   ckpt::NamedTensors tensors;
   for (Param* p : params()) tensors.emplace_back(p->name, &p->value);
@@ -301,6 +297,7 @@ void PtdpEngine::save_checkpoint(const std::string& dir, std::uint64_t step) {
   const std::string path = ckpt::shard_path(sdir, c.pipeline, c.tensor, c.data);
   const ckpt::SaveResult saved =
       ckpt::save_checkpoint(path, checkpoint_tensors(), {step, 0});
+  optimizer_->commit_state();
   ckpt::ManifestEntry mine{
       std::filesystem::path(path).lexically_relative(dir).string(),
       static_cast<std::uint64_t>(saved.bytes), saved.crc};
@@ -334,6 +331,7 @@ std::uint64_t PtdpEngine::load_resharded(const std::string& dir) {
   const auto& c = groups_->coord();
   const auto meta = ckpt::load_checkpoint_by_name(
       ckpt::shard_path(dir, 0, c.tensor, 0), checkpoint_tensors());
+  optimizer_->commit_state();
   // Resume the step counter like load_checkpoint does: the LR schedule and
   // per-step stats must continue from the committed step, not restart at 0.
   step_counter_ = static_cast<std::int64_t>(meta.step);
@@ -362,6 +360,7 @@ std::uint64_t PtdpEngine::load_checkpoint(const std::string& dir) {
   const auto meta = ckpt::load_checkpoint(
       ckpt::shard_path(ckpt::step_dir(dir, step), c.pipeline, c.tensor, c.data),
       checkpoint_tensors());
+  optimizer_->commit_state();
   PTDP_CHECK_EQ(meta.step, step) << "shard/manifest step mismatch";
   step_counter_ = static_cast<std::int64_t>(meta.step);
   return meta.step;

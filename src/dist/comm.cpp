@@ -107,6 +107,57 @@ void Comm::broadcast_bytes(std::span<std::uint8_t> data, int root) const {
   }
 }
 
+Comm::Range Comm::owned_range(std::size_t len) const {
+  const int n = size();
+  const Chunking ck{len, static_cast<std::size_t>(n)};
+  const std::size_t c = static_cast<std::size_t>((rank_ + 1) % n);
+  return {ck.offset(c), ck.size(c)};
+}
+
+// Phase 1: ring reduce-scatter. At step s rank r sends chunk r-s and folds
+// the incoming chunk r-s-1 into its own copy, so chunk c's sum starts at
+// rank c and after n-1 steps rank r holds the full reduction of chunk
+// (r+1) mod n.
+template <typename F>
+void Comm::ring_reduce_scatter(std::span<F> data, ReduceOp op,
+                               std::uint64_t tag) const {
+  const int n = size();
+  const int next = (rank_ + 1) % n;
+  const int prev = (rank_ - 1 + n) % n;
+  const Chunking ck{data.size(), static_cast<std::size_t>(n)};
+  std::vector<F> scratch(ck.size(0));  // max chunk size is chunk 0's
+  for (int step = 0; step < n - 1; ++step) {
+    const std::size_t send_c = static_cast<std::size_t>((rank_ - step + n) % n);
+    const std::size_t recv_c = static_cast<std::size_t>((rank_ - step - 1 + 2 * n) % n);
+    send(std::span<const F>(data.data() + ck.offset(send_c), ck.size(send_c)), next, tag);
+    std::span<F> incoming(scratch.data(), ck.size(recv_c));
+    recv(incoming, prev, tag);
+    apply_reduce(op, std::span<F>(data.data() + ck.offset(recv_c), ck.size(recv_c)),
+                 std::span<const F>(incoming.data(), incoming.size()));
+  }
+}
+
+// Phase 2: ring all-gather of the owned chunks, in elements of `elem_size`
+// bytes.
+void Comm::ring_all_gather(std::span<std::uint8_t> data, std::size_t elem_size,
+                           std::uint64_t tag) const {
+  const int n = size();
+  const int next = (rank_ + 1) % n;
+  const int prev = (rank_ - 1 + n) % n;
+  PTDP_CHECK_EQ(data.size() % elem_size, 0u);
+  const Chunking ck{data.size() / elem_size, static_cast<std::size_t>(n)};
+  auto chunk = [&](std::size_t c) {
+    return data.subspan(ck.offset(c) * elem_size, ck.size(c) * elem_size);
+  };
+  for (int step = 0; step < n - 1; ++step) {
+    const std::size_t send_c = static_cast<std::size_t>((rank_ + 1 - step + 2 * n) % n);
+    const std::size_t recv_c = static_cast<std::size_t>((rank_ - step + 2 * n) % n);
+    const std::span<std::uint8_t> out = chunk(send_c);
+    send(std::span<const std::uint8_t>(out.data(), out.size()), next, tag);
+    recv(chunk(recv_c), prev, tag);
+  }
+}
+
 template <typename F>
 void Comm::all_reduce_impl(std::span<F> data, ReduceOp op) const {
   const int n = size();
@@ -115,33 +166,8 @@ void Comm::all_reduce_impl(std::span<F> data, ReduceOp op) const {
   note_collective(comm_id_);
   obs::Span span("all_reduce", obs::Cat::kCollective,
                  {{"bytes", static_cast<std::int64_t>(data.size_bytes())}, {"ranks", n}});
-  const int next = (rank_ + 1) % n;
-  const int prev = (rank_ - 1 + n) % n;
-  const Chunking ck{data.size(), static_cast<std::size_t>(n)};
-  std::vector<F> scratch(ck.size(0));  // max chunk size is chunk 0's
-
-  // Phase 1: ring reduce-scatter. After n-1 steps rank r holds the full
-  // reduction of chunk (r+1) mod n.
-  for (int step = 0; step < n - 1; ++step) {
-    const std::size_t send_c = static_cast<std::size_t>((rank_ - step + n) % n);
-    const std::size_t recv_c = static_cast<std::size_t>((rank_ - step - 1 + 2 * n) % n);
-    send(std::span<const F>(data.data() + ck.offset(send_c), ck.size(send_c)), next,
-         kAllReduceTag);
-    std::span<F> incoming(scratch.data(), ck.size(recv_c));
-    recv(incoming, prev, kAllReduceTag);
-    apply_reduce(op, std::span<F>(data.data() + ck.offset(recv_c), ck.size(recv_c)),
-                 std::span<const F>(incoming.data(), incoming.size()));
-  }
-
-  // Phase 2: ring all-gather of the reduced chunks.
-  for (int step = 0; step < n - 1; ++step) {
-    const std::size_t send_c = static_cast<std::size_t>((rank_ + 1 - step + 2 * n) % n);
-    const std::size_t recv_c = static_cast<std::size_t>((rank_ - step + 2 * n) % n);
-    send(std::span<const F>(data.data() + ck.offset(send_c), ck.size(send_c)), next,
-         kAllReduceTag);
-    recv(std::span<F>(data.data() + ck.offset(recv_c), ck.size(recv_c)), prev,
-         kAllReduceTag);
-  }
+  ring_reduce_scatter(data, op, kAllReduceTag);
+  ring_all_gather(as_writable_bytes(data), sizeof(F), kAllReduceTag);
 }
 
 void Comm::all_reduce(std::span<float> data, ReduceOp op) const {
@@ -151,37 +177,25 @@ void Comm::all_reduce(std::span<double> data, ReduceOp op) const {
   all_reduce_impl(data, op);
 }
 
-void Comm::reduce_scatter(std::span<const float> in, std::span<float> out,
-                          ReduceOp op) const {
+void Comm::reduce_scatter_inplace(std::span<float> data, ReduceOp op) const {
   const int n = size();
-  PTDP_CHECK_EQ(in.size(), out.size() * static_cast<std::size_t>(n))
-      << "reduce_scatter requires equal shards";
-  if (n == 1) {
-    std::copy(in.begin(), in.end(), out.begin());
-    return;
-  }
+  if (n == 1 || data.empty()) return;
   fault_hook(FaultSite::kCollective);
   note_collective(comm_id_);
   obs::Span span("reduce_scatter", obs::Cat::kCollective,
-                 {{"bytes", static_cast<std::int64_t>(in.size_bytes())}, {"ranks", n}});
-  const std::size_t shard = out.size();
-  const int next = (rank_ + 1) % n;
-  const int prev = (rank_ - 1 + n) % n;
-  // Work on a private copy so `in` stays const.
-  std::vector<float> work(in.begin(), in.end());
-  std::vector<float> scratch(shard);
-  // Chunk schedule shifted by one versus the all-reduce ring so that rank r
-  // finishes owning chunk r (the conventional reduce_scatter layout).
-  for (int step = 0; step < n - 1; ++step) {
-    const std::size_t send_c = static_cast<std::size_t>((rank_ - step - 1 + 2 * n) % n);
-    const std::size_t recv_c = static_cast<std::size_t>((rank_ - step - 2 + 3 * n) % n);
-    send(std::span<const float>(work.data() + send_c * shard, shard), next,
-         kReduceScatterTag);
-    recv(std::span<float>(scratch.data(), shard), prev, kReduceScatterTag);
-    apply_reduce(op, std::span<float>(work.data() + recv_c * shard, shard),
-                 std::span<const float>(scratch.data(), shard));
-  }
-  std::copy_n(work.data() + static_cast<std::size_t>(rank_) * shard, shard, out.data());
+                 {{"bytes", static_cast<std::int64_t>(data.size_bytes())}, {"ranks", n}});
+  ring_reduce_scatter(data, op, kReduceScatterTag);
+}
+
+void Comm::all_gather_inplace_bytes(std::span<std::uint8_t> data,
+                                    std::size_t elem_size) const {
+  const int n = size();
+  if (n == 1 || data.empty()) return;
+  fault_hook(FaultSite::kCollective);
+  note_collective(comm_id_);
+  obs::Span span("all_gather", obs::Cat::kCollective,
+                 {{"bytes", static_cast<std::int64_t>(data.size())}, {"ranks", n}});
+  ring_all_gather(data, elem_size, kAllGatherTag);
 }
 
 void Comm::all_gather_bytes(std::span<const std::uint8_t> in,

@@ -4,11 +4,10 @@
 #include <cmath>
 #include <type_traits>
 
-#include "ptdp/tensor/ops.hpp"
 
 // The update loops live here, in a library built without -march=native, so
-// the compiler cannot contract their multiply-adds into FMAs and every
-// optimizer that runs them (including ZeRO's sharded Adam) rounds alike.
+// the compiler cannot contract their multiply-adds into FMAs and a segment
+// of a param rounds exactly as the whole param does.
 
 namespace ptdp::optim {
 
@@ -39,9 +38,25 @@ bool DynamicLossScaler::update(bool found_overflow) {
   return true;
 }
 
-bool grads_have_overflow(const model::ParamRefs& params) {
-  for (const Param* p : params) {
-    for (float v : p->grad.data()) {
+std::vector<model::ParamSegment> whole_segments(const model::ParamRefs& params) {
+  std::vector<model::ParamSegment> segments;
+  segments.reserve(params.size());
+  for (Param* p : params) segments.push_back({p, 0, p->value.numel()});
+  return segments;
+}
+
+namespace {
+
+std::span<float> grad_of(const model::ParamSegment& seg) {
+  return seg.param->grad.data().subspan(static_cast<std::size_t>(seg.offset),
+                                        static_cast<std::size_t>(seg.length));
+}
+
+}  // namespace
+
+bool grads_have_overflow(std::span<const model::ParamSegment> segments) {
+  for (const model::ParamSegment& seg : segments) {
+    for (float v : grad_of(seg)) {
       if (!std::isfinite(v)) return true;
     }
   }
@@ -70,16 +85,19 @@ struct NarrowInto {
   }
 };
 
-/// Calls rule(w, store) for one param: w is its fp32 master (its own f32
-/// value without masters), and store(j, w[j]) writes the working value.
+/// Calls rule(w, store) for one segment: w is its fp32 master (the param's
+/// own f32 values without masters), and store(j, w[j]) writes the working
+/// value.
 template <class Rule>
-void with_target(Param& p, Tensor* master, Rule&& rule) {
+void with_target(const model::ParamSegment& seg, Tensor* master, Rule&& rule) {
+  Tensor& value = seg.param->value;
+  const auto off = static_cast<std::size_t>(seg.offset);
   if (master == nullptr) {
-    rule(p.value.data(), InPlace{});
-  } else if (p.value.dtype() == tensor::DType::kBf16) {
-    rule(master->data(), NarrowInto<tensor::bf16_t>{p.value.data_bf16().data()});
+    rule(value.data().subspan(off, static_cast<std::size_t>(seg.length)), InPlace{});
+  } else if (value.dtype() == tensor::DType::kBf16) {
+    rule(master->data(), NarrowInto<tensor::bf16_t>{value.data_bf16().data() + off});
   } else {
-    rule(master->data(), NarrowInto<float>{p.value.data().data()});
+    rule(master->data(), NarrowInto<float>{value.data().data() + off});
   }
 }
 
@@ -117,68 +135,161 @@ void adam_loop(const AdamOptions& o, float step_size, float grad_scale,
 }  // namespace
 
 ElementwiseOptimizer::ElementwiseOptimizer(model::ParamRefs params,
-                                           std::optional<LossScalerOptions> scaler)
-    : params_(std::move(params)) {
+                                           std::optional<LossScalerOptions> scaler,
+                                           StepGroup group)
+    : params_(std::move(params)),
+      world_(std::move(group.world)),
+      reducer_(group.reducer != nullptr && group.reducer->enabled() ? group.reducer
+                                                                   : nullptr) {
+  if (reducer_ == nullptr) {
+    segments_ = whole_segments(params_);
+  } else {
+    PTDP_CHECK(reducer_->params() == params_)
+        << "the reducer's params must be the optimizer's, in order";
+    segments_ = reducer_->owned();
+  }
+  // Segments come in param order, so one forward walk indexes them.
+  std::size_t i = 0;
+  for (const model::ParamSegment& seg : segments_) {
+    while (params_[i] != seg.param) ++i;
+    segment_param_.push_back(i);
+  }
+  for (Param* p : params_) values_.push_back(&p->value);
   if (!scaler) return;
   scaler_.emplace(*scaler);
-  master_.reserve(params_.size());
-  for (Param* p : params_) {
-    master_.push_back(p->value.to(tensor::DType::kF32));
-    // The working value starts as the narrowed master (a no-op on bf16
-    // storage).
-    with_target(*p, &master_.back(), [](std::span<float> w, auto store) {
-      for (std::size_t j = 0; j < w.size(); ++j) store(j, w[j]);
-    });
+  master_ = segment_tensors();
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    const model::ParamSegment& seg = segments_[s];
+    const Tensor full = seg.param->value.to(tensor::DType::kF32);
+    std::copy_n(full.data().begin() + seg.offset, seg.length, master_[s].data().begin());
   }
+  // Every working value starts as its narrowed master — on every rank and
+  // for every element, owned or not (a no-op on bf16 storage).
+  for (Param* p : params_) {
+    if (p->value.dtype() == tensor::DType::kF32) {
+      for (float& v : p->value.data()) v = bf16_round(v);
+    }
+  }
+}
+
+std::vector<Tensor> ElementwiseOptimizer::segment_tensors() const {
+  std::vector<Tensor> out;
+  out.reserve(segments_.size());
+  for (const model::ParamSegment& seg : segments_) {
+    const bool whole = seg.offset == 0 && seg.length == seg.param->value.numel();
+    out.emplace_back(whole ? seg.param->value.shape() : tensor::Shape{seg.length});
+  }
+  return out;
 }
 
 void ElementwiseOptimizer::step() {
   float grad_scale = 1.0f;
   if (scaler_) {
-    const bool overflow = grads_have_overflow(params_);
+    // One flag for the whole world: a stage or shard must never apply a
+    // step another one skips.
+    const bool overflow =
+        world_.all_reduce_scalar(grads_have_overflow(segments_) ? 1.0f : 0.0f,
+                                 dist::ReduceOp::kMax) > 0.0f;
     // Grads were scaled by the CURRENT scale; capture it before update()
     // possibly grows it, or growth steps would unscale by the wrong factor.
     grad_scale = 1.0f / scaler_->scale();
     if (!scaler_->update(overflow)) return;
   }
   apply(grad_scale);
+  if (reducer_ != nullptr) {
+    reducer_->all_gather(values_,
+                         master_.empty() ? tensor::DType::kF32 : tensor::DType::kBf16);
+  }
+}
+
+std::vector<ElementwiseOptimizer::ElementState> ElementwiseOptimizer::all_element_state() {
+  std::vector<ElementState> kinds = element_state();
+  if (!master_.empty()) kinds.push_back({"fp32_master", &master_});
+  return kinds;
+}
+
+std::int64_t ElementwiseOptimizer::state_elems() {
+  std::int64_t n = 0;
+  for (const ElementState& k : all_element_state()) {
+    for (const Tensor& t : *k.tensors) n += t.numel();
+  }
+  return n;
 }
 
 NamedState ElementwiseOptimizer::state_tensors() {
-  NamedState state = rule_state();
-  for (std::size_t i = 0; i < master_.size(); ++i) {
-    state.emplace_back(params_[i]->name + ".fp32_master", &master_[i]);
+  const std::vector<ElementState> kinds = all_element_state();
+  // Unsharded, segment i is param i and its tensors are the live state.
+  // Sharded, each kind is staged into full per-param tensors and completed
+  // by an f32 all-gather over the data group.
+  std::vector<std::vector<Tensor>*> full;
+  if (reducer_ == nullptr) {
+    for (const ElementState& k : kinds) full.push_back(k.tensors);
+  } else {
+    staged_.assign(kinds.size(), {});
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      for (Param* p : params_) staged_[k].emplace_back(p->value.shape());
+      std::vector<Tensor*> ptrs;
+      for (Tensor& t : staged_[k]) ptrs.push_back(&t);
+      for (std::size_t s = 0; s < segments_.size(); ++s) {
+        const auto src = (*kinds[k].tensors)[s].data();
+        std::copy(src.begin(), src.end(),
+                  ptrs[segment_param_[s]]->data().begin() + segments_[s].offset);
+      }
+      reducer_->all_gather(ptrs, tensor::DType::kF32);
+      full.push_back(&staged_[k]);
+    }
+  }
+  const std::size_t rule_kinds = kinds.size() - (master_.empty() ? 0 : 1);
+  NamedState state;
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    for (std::size_t k = 0; k < rule_kinds; ++k) {
+      state.emplace_back(params_[i]->name + "." + kinds[k].suffix, &(*full[k])[i]);
+    }
+  }
+  for (auto& scalar : scalar_state()) state.push_back(std::move(scalar));
+  if (!master_.empty()) {
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      state.emplace_back(params_[i]->name + ".fp32_master", &(*full.back())[i]);
+    }
   }
   if (scaler_) state.emplace_back("loss_scaler.state", &scaler_->state());
   return state;
 }
 
-Sgd::Sgd(model::ParamRefs params, SgdOptions options,
-         std::optional<LossScalerOptions> scaler)
-    : ElementwiseOptimizer(std::move(params), scaler), options_(options) {
-  if (options_.momentum != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (Param* p : params_) velocity_.emplace_back(p->value.shape());
+void ElementwiseOptimizer::commit_state() {
+  if (staged_.empty()) return;
+  const std::vector<ElementState> kinds = all_element_state();
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    for (std::size_t s = 0; s < segments_.size(); ++s) {
+      const auto src = staged_[k][segment_param_[s]].data().subspan(
+          static_cast<std::size_t>(segments_[s].offset),
+          static_cast<std::size_t>(segments_[s].length));
+      std::copy(src.begin(), src.end(), (*kinds[k].tensors)[s].data().begin());
+    }
   }
+  staged_.clear();
+}
+
+Sgd::Sgd(model::ParamRefs params, SgdOptions options,
+         std::optional<LossScalerOptions> scaler, StepGroup group)
+    : ElementwiseOptimizer(std::move(params), scaler, std::move(group)),
+      options_(options) {
+  if (options_.momentum != 0.0f) velocity_ = segment_tensors();
 }
 
 void Sgd::apply(float grad_scale) {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
     const std::span<float> vel =
-        velocity_.empty() ? std::span<float>{} : velocity_[i].data();
-    with_target(p, master(i), [&](std::span<float> w, auto store) {
-      sgd_loop(options_, grad_scale, p.grad.data(), w, vel, store);
+        velocity_.empty() ? std::span<float>{} : velocity_[s].data();
+    with_target(segments_[s], master(s), [&](std::span<float> w, auto store) {
+      sgd_loop(options_, grad_scale, grad_of(segments_[s]), w, vel, store);
     });
   }
 }
 
-NamedState Sgd::rule_state() {
-  NamedState state;
-  for (std::size_t i = 0; i < velocity_.size(); ++i) {
-    state.emplace_back(params_[i]->name + ".sgd_velocity", &velocity_[i]);
-  }
-  return state;
+std::vector<ElementwiseOptimizer::ElementState> Sgd::element_state() {
+  if (velocity_.empty()) return {};
+  return {{"sgd_velocity", &velocity_}};
 }
 
 float adam_step_size(const AdamOptions& o, double t) {
@@ -187,67 +298,57 @@ float adam_step_size(const AdamOptions& o, double t) {
   return o.lr * static_cast<float>(std::sqrt(bc2) / bc1);
 }
 
-void adam_update(const AdamOptions& o, float step_size, float grad_scale,
-                 std::span<const float> g, std::span<float> w,
-                 std::span<float> m, std::span<float> v) {
-  adam_loop(o, step_size, grad_scale, g, w, m, v, InPlace{});
-}
-
 Adam::Adam(model::ParamRefs params, AdamOptions options,
-           std::optional<LossScalerOptions> scaler)
-    : ElementwiseOptimizer(std::move(params), scaler), options_(options) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Param* p : params_) {
-    m_.emplace_back(p->value.shape());
-    v_.emplace_back(p->value.shape());
-  }
-}
+           std::optional<LossScalerOptions> scaler, StepGroup group)
+    : ElementwiseOptimizer(std::move(params), scaler, std::move(group)),
+      options_(options),
+      m_(segment_tensors()),
+      v_(segment_tensors()) {}
 
 void Adam::apply(float grad_scale) {
   const float step_size = adam_step_size(
       options_, static_cast<double>(step_count_.at({0}) += 1.0f));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
-    with_target(p, master(i), [&](std::span<float> w, auto store) {
-      adam_loop(options_, step_size, grad_scale, p.grad.data(), w, m_[i].data(),
-                v_[i].data(), store);
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    with_target(segments_[s], master(s), [&](std::span<float> w, auto store) {
+      adam_loop(options_, step_size, grad_scale, grad_of(segments_[s]), w,
+                m_[s].data(), v_[s].data(), store);
     });
   }
 }
 
-NamedState Adam::rule_state() {
-  NamedState state;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    state.emplace_back(params_[i]->name + ".adam_m", &m_[i]);
-    state.emplace_back(params_[i]->name + ".adam_v", &v_[i]);
-  }
-  state.emplace_back("adam.step_count", &step_count_);
-  return state;
+std::vector<ElementwiseOptimizer::ElementState> Adam::element_state() {
+  return {{"adam_m", &m_}, {"adam_v", &v_}};
 }
 
-double global_grad_norm(const model::ParamRefs& params, const dist::Comm* tp,
-                        const dist::Comm* pp) {
+NamedState Adam::scalar_state() { return {{"adam.step_count", &step_count_}}; }
+
+double global_grad_norm(std::span<const model::ParamSegment> segments,
+                        const dist::Comm* tp, const dist::Comm* pp,
+                        const dist::Comm* dp) {
   double local = 0.0;
-  for (const Param* p : params) {
+  for (const model::ParamSegment& seg : segments) {
     // Replicated grads (LayerNorms, row-parallel biases, position
     // embeddings) are identical on every tensor rank; count them once.
-    if (p->replicated_across_tensor_parallel && tp != nullptr && tp->rank() != 0) {
+    if (seg.param->replicated_across_tensor_parallel && tp != nullptr &&
+        tp->rank() != 0) {
       continue;
     }
-    local += tensor::squared_norm(p->grad);
+    for (float v : grad_of(seg)) local += static_cast<double>(v) * v;
   }
   if (tp != nullptr) local = tp->all_reduce_scalar(static_cast<float>(local));
   if (pp != nullptr) local = pp->all_reduce_scalar(static_cast<float>(local));
+  if (dp != nullptr) local = dp->all_reduce_scalar(static_cast<float>(local));
   return std::sqrt(local);
 }
 
-double clip_grad_norm(const model::ParamRefs& params, double max_norm,
-                      const dist::Comm* tp, const dist::Comm* pp) {
-  const double norm = global_grad_norm(params, tp, pp);
+double clip_grad_norm(std::span<const model::ParamSegment> segments, double max_norm,
+                      const dist::Comm* tp, const dist::Comm* pp, const dist::Comm* dp) {
+  const double norm = global_grad_norm(segments, tp, pp, dp);
   if (norm > max_norm && norm > 0.0) {
     const float factor = static_cast<float>(max_norm / norm);
-    for (Param* p : params) tensor::scale_(p->grad, factor);
+    for (const model::ParamSegment& seg : segments) {
+      for (float& v : grad_of(seg)) v *= factor;
+    }
   }
   return norm;
 }

@@ -1,8 +1,9 @@
 // GradReducer tests: the extracted data-parallel reduction plane must
-// compute the exact replica mean (bucketed or per-param), honour defer
-// marks, reject double ready-signals, and — the communication-plane
-// contract — produce bitwise-identical final weights for every combination
-// of scatter_gather x overlap_grad_reduce on full PTD-P engine grids.
+// compute the exact replica mean over each rank's owned segments (bucketed
+// or per-param) and replicate it with all_gather, honour defer marks,
+// reject double ready-signals, and — the communication-plane contract —
+// produce bitwise-identical final weights for every combination of
+// scatter_gather x overlap_grad_reduce on full PTD-P engine grids.
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,31 @@ float expected_mean(int d, int chunk, int i, std::size_t j) {
          0.25f * static_cast<float>(j) + static_cast<float>(chunk);
 }
 
+// Calls fn(j) for every element j of `p` this rank owns.
+template <class Fn>
+void for_each_owned(const GradReducer& reducer, const Param* p, Fn fn) {
+  for (const model::ParamSegment& seg : reducer.owned()) {
+    if (seg.param != p) continue;
+    for (std::int64_t j = seg.offset; j < seg.offset + seg.length; ++j) {
+      fn(static_cast<std::size_t>(j));
+    }
+  }
+}
+
+// Writes each owned element's reduced grad into its param's value and
+// all-gathers the values, as the sharded step gathers its weights: every
+// rank then holds every replica mean.
+void gather_means_into_values(GradReducer& reducer) {
+  std::vector<Tensor*> values;
+  for (Param* p : reducer.params()) values.push_back(&p->value);
+  for (const model::ParamSegment& seg : reducer.owned()) {
+    auto g = seg.param->grad.data();
+    std::copy_n(g.begin() + seg.offset, seg.length,
+                seg.param->value.data().begin() + seg.offset);
+  }
+  reducer.all_gather(values, tensor::DType::kF32);
+}
+
 TEST(GradReducer, FinishComputesDataParallelMean) {
   const int d = 4, chunks = 2, count = 3;
   const std::int64_t elems = 7;
@@ -71,10 +97,21 @@ TEST(GradReducer, FinishComputesDataParallelMean) {
     reducer.finish();
     for (int c = 0; c < chunks; ++c) {
       for (int i = 0; i < count; ++i) {
-        auto g = owned[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)]
-                     ->grad.data();
-        for (std::size_t j = 0; j < g.size(); ++j) {
+        const Param* p = owned[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)].get();
+        auto g = p->grad.data();
+        for_each_owned(reducer, p, [&](std::size_t j) {
           EXPECT_FLOAT_EQ(g[j], expected_mean(d, c, i, j))
+              << "chunk " << c << " param " << i << " elem " << j;
+        });
+      }
+    }
+    gather_means_into_values(reducer);
+    for (int c = 0; c < chunks; ++c) {
+      for (int i = 0; i < count; ++i) {
+        auto v = owned[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)]
+                     ->value.data();
+        for (std::size_t j = 0; j < v.size(); ++j) {
+          EXPECT_FLOAT_EQ(v[j], expected_mean(d, c, i, j))
               << "chunk " << c << " param " << i << " elem " << j;
         }
       }
@@ -87,7 +124,7 @@ TEST(GradReducer, FinishComputesDataParallelMean) {
 TEST(GradReducer, BucketingMatchesPerParamPath) {
   // Bucket boundaries must not change the arithmetic: cap=5 splits a
   // 3x7-element chunk mid-stream, cap=1 reduces one param at a time, and
-  // the resulting grads must agree bitwise.
+  // the gathered means must agree bitwise.
   const int d = 2, count = 3;
   const std::int64_t elems = 7;
   std::map<std::string, Tensor> by_cap[2];
@@ -103,10 +140,11 @@ TEST(GradReducer, BucketingMatchesPerParamPath) {
       opts.bucket_elems = caps[k];
       GradReducer reducer({refs}, comm, opts);
       reducer.finish();
+      gather_means_into_values(reducer);
       std::lock_guard lock(mu);
       for (auto& p : owned) {
         by_cap[k].emplace("rank" + std::to_string(comm.rank()) + "/" + p->name,
-                          p->grad.clone());
+                          p->value.clone());
       }
     });
   }
@@ -123,15 +161,19 @@ TEST(GradReducer, DeferredChunksWaitForFinish) {
   world.run([&](dist::Comm& comm) {
     auto c0 = make_chunk(comm.rank(), 0, /*count=*/1, elems);
     auto c1 = make_chunk(comm.rank(), 1, /*count=*/1, elems);
-    const float raw = c1[0]->grad.data()[0];
+    const Tensor raw = c1[0]->grad.clone();
     GradReducer reducer({{c0[0].get()}, {c1[0].get()}}, comm, GradReducerOptions{},
                         /*defer=*/{false, true});
     reducer.on_chunk_grads_ready(0);  // reduces immediately (overlap on)
-    EXPECT_FLOAT_EQ(c0[0]->grad.data()[0], expected_mean(d, 0, 0, 0));
+    for_each_owned(reducer, c0[0].get(), [&](std::size_t j) {
+      EXPECT_FLOAT_EQ(c0[0]->grad.data()[j], expected_mean(d, 0, 0, j));
+    });
     reducer.on_chunk_grads_ready(1);  // deferred: must stay untouched
-    EXPECT_FLOAT_EQ(c1[0]->grad.data()[0], raw);
+    EXPECT_EQ(tensor::max_abs_diff(c1[0]->grad, raw), 0.0f);
     reducer.finish();
-    EXPECT_FLOAT_EQ(c1[0]->grad.data()[0], expected_mean(d, 1, 0, 0));
+    for_each_owned(reducer, c1[0].get(), [&](std::size_t j) {
+      EXPECT_FLOAT_EQ(c1[0]->grad.data()[j], expected_mean(d, 1, 0, j));
+    });
   });
 }
 
@@ -140,14 +182,16 @@ TEST(GradReducer, OverlapOffDefersEverythingToFinish) {
   dist::World world(d);
   world.run([&](dist::Comm& comm) {
     auto c0 = make_chunk(comm.rank(), 0, /*count=*/1, /*elems=*/4);
-    const float raw = c0[0]->grad.data()[0];
+    const Tensor raw = c0[0]->grad.clone();
     GradReducerOptions opts;
     opts.overlap = false;
     GradReducer reducer({{c0[0].get()}}, comm, opts);
     reducer.on_chunk_grads_ready(0);  // no-op: hook path disabled
-    EXPECT_FLOAT_EQ(c0[0]->grad.data()[0], raw);
+    EXPECT_EQ(tensor::max_abs_diff(c0[0]->grad, raw), 0.0f);
     reducer.finish();
-    EXPECT_FLOAT_EQ(c0[0]->grad.data()[0], expected_mean(d, 0, 0, 0));
+    for_each_owned(reducer, c0[0].get(), [&](std::size_t j) {
+      EXPECT_FLOAT_EQ(c0[0]->grad.data()[j], expected_mean(d, 0, 0, j));
+    });
   });
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -307,22 +309,61 @@ TEST_P(CommCollectiveTest, AllReduceDouble) {
 }
 
 TEST_P(CommCollectiveTest, ReduceScatterMatchesSerialReference) {
+  // In place: each rank ends holding the full sum over its owned range —
+  // chunk (rank+1) mod n of an uneven chunking — and the owned ranges tile
+  // the buffer.
   const int n = GetParam();
   const std::size_t shard = 9;
-  const std::size_t len = shard * static_cast<std::size_t>(n);
+  const std::size_t len = shard * static_cast<std::size_t>(n) + 2;
   std::vector<float> expected(len, 0.f);
   for (int r = 0; r < n; ++r) {
     auto v = rank_payload(r, len);
     for (std::size_t i = 0; i < len; ++i) expected[i] += v[i];
   }
+  std::vector<int> owner(len, 0);
+  std::mutex mu;
   World world(n);
   world.run([&](Comm& comm) {
-    auto in = rank_payload(comm.rank(), len);
-    std::vector<float> out(shard, 0.f);
-    comm.reduce_scatter(std::span<const float>(in), std::span<float>(out));
-    for (std::size_t i = 0; i < shard; ++i) {
-      ASSERT_NEAR(out[i], expected[static_cast<std::size_t>(comm.rank()) * shard + i],
-                  1e-4f);
+    auto data = rank_payload(comm.rank(), len);
+    comm.reduce_scatter_inplace(std::span<float>(data));
+    const Comm::Range own = comm.owned_range(len);
+    ASSERT_GE(own.size, len / static_cast<std::size_t>(n));
+    ASSERT_LE(own.size, len / static_cast<std::size_t>(n) + 1);
+    for (std::size_t i = own.offset; i < own.offset + own.size; ++i) {
+      ASSERT_NEAR(data[i], expected[i], 1e-4f);
+    }
+    std::lock_guard lock(mu);
+    for (std::size_t i = own.offset; i < own.offset + own.size; ++i) ++owner[i];
+  });
+  for (std::size_t i = 0; i < len; ++i) EXPECT_EQ(owner[i], 1) << "element " << i;
+}
+
+TEST_P(CommCollectiveTest, ReduceScatterThenAllGatherIsAllReduceBitwise) {
+  // Phase 1 then phase 2 is the ring all-reduce, bit for bit, at lengths
+  // that do not divide by n (and one shorter than n), and phase 2 carries
+  // 16-bit (bf16) payloads as well.
+  const int n = GetParam();
+  World world(n);
+  world.run([&](Comm& comm) {
+    for (const std::size_t len : {std::size_t{1}, std::size_t{37}, std::size_t{1001}}) {
+      auto phased = rank_payload(comm.rank(), len);
+      for (std::size_t i = 0; i < len; ++i) phased[i] *= 1.0f + 0.37f * static_cast<float>(i % 7);
+      auto reduced = phased;
+      comm.all_reduce(std::span<float>(reduced));
+      comm.reduce_scatter_inplace(std::span<float>(phased));
+      comm.all_gather_inplace(std::span<float>(phased));
+      ASSERT_EQ(std::memcmp(phased.data(), reduced.data(), len * sizeof(float)), 0)
+          << "len " << len;
+
+      std::vector<std::uint16_t> bits(len, 0);
+      const Comm::Range own = comm.owned_range(len);
+      for (std::size_t i = own.offset; i < own.offset + own.size; ++i) {
+        bits[i] = static_cast<std::uint16_t>(i * 31 + 7);
+      }
+      comm.all_gather_inplace(std::span<std::uint16_t>(bits));
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(bits[i], static_cast<std::uint16_t>(i * 31 + 7)) << "len " << len;
+      }
     }
   });
 }

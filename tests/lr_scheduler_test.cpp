@@ -1,7 +1,6 @@
 // LR schedule tests: warmup ramp, cosine decay, floor behavior, and the
 // engine integration (per-step lr application, resume continuity, and
-// set_lr propagation through every optimizer, mixed-precision and ZeRO
-// included).
+// set_lr propagation through the mixed-precision optimizer).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/optim/lr_scheduler.hpp"
-#include "ptdp/zero/sharded_optimizer.hpp"
 
 namespace ptdp::optim {
 namespace {
@@ -54,14 +52,6 @@ TEST(LrSchedule, SetLrPropagatesThroughWrappers) {
   Adam mixed(model::ParamRefs{&p}, AdamOptions{.lr = 1.f}, LossScalerOptions{});
   mixed.set_lr(0.25f);
   EXPECT_FLOAT_EQ(mixed.lr(), 0.25f);
-
-  dist::World world(2);
-  world.run([](dist::Comm& comm) {
-    model::Param q{"w", tensor::Tensor({2}), tensor::Tensor({2}), false};
-    zero::ZeroShardedAdam z(model::ParamRefs{&q}, comm, {});
-    z.set_lr(0.5f);
-    EXPECT_FLOAT_EQ(z.lr(), 0.5f);
-  });
 }
 
 TEST(LrSchedule, EngineAppliesSchedulePerStepAndResumes) {

@@ -289,6 +289,9 @@ TEST(MixedPrecisionComm, GradReducerBf16ModeIsDeterministicFixedOrderMean) {
     opts.comm_dtype = DType::kBf16;
     comm::GradReducer reducer({model::ParamRefs{&p}}, comm, opts);
     reducer.finish();
+    // Each rank holds the mean of its owned range; gather the rest.
+    Tensor* grads[] = {&p.grad};
+    reducer.all_gather(grads, DType::kF32);
     auto g = p.grad.data();
     results[static_cast<std::size_t>(comm.rank())].assign(g.begin(), g.end());
   });

@@ -16,6 +16,34 @@ bool is_sgd(const OptimizerStep::Rule& rule) {
 
 }  // namespace
 
+void all_reduce_mean(const model::ParamRefs& params, const dist::Comm& data,
+                     std::int64_t bucket_elems) {
+  const float inv_d = 1.0f / static_cast<float>(data.size());
+  std::vector<float> bucket;
+  std::vector<Param*> members;
+  auto flush = [&] {
+    data.all_reduce(std::span<float>(bucket));
+    for (float& v : bucket) v *= inv_d;
+    std::size_t off = 0;
+    for (Param* p : members) {
+      auto g = p->grad.data();
+      std::copy_n(bucket.begin() + static_cast<std::ptrdiff_t>(off), g.size(), g.begin());
+      off += g.size();
+    }
+    bucket.clear();
+    members.clear();
+  };
+  for (Param* p : params) {
+    auto g = p->grad.data();
+    if (!bucket.empty() && static_cast<std::int64_t>(bucket.size() + g.size()) > bucket_elems) {
+      flush();
+    }
+    bucket.insert(bucket.end(), g.begin(), g.end());
+    members.push_back(p);
+  }
+  if (!bucket.empty()) flush();
+}
+
 OptimizerStep::OptimizerStep(model::ParamRefs params, Rule rule,
                              std::optional<optim::LossScalerOptions> scaler)
     : params_(std::move(params)), rule_(rule), scaler_(scaler) {
@@ -87,7 +115,7 @@ void OptimizerStep::step() {
   if (!scaler_) return plain_step();
   const optim::LossScalerOptions& so = *scaler_;
   // Pass 1: overflow scan and scaler update.
-  const bool overflow = optim::grads_have_overflow(params_);
+  const bool overflow = optim::grads_have_overflow(optim::whole_segments(params_));
   const float inv_scale = 1.0f / scale_;
   if (overflow) {
     scale_ = std::max(so.min_scale, scale_ * so.backoff_factor);

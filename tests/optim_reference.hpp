@@ -10,6 +10,11 @@
 //   4. narrow the masters back: cast_into for bf16-storage params,
 //      copy_from then per-element rounding for f32-storage params.
 // The oracle suite compares it with optim::Sgd / optim::Adam bit for bit.
+//
+// all_reduce_mean is the replicated data-parallel reduction the sharded
+// step replaced: with it, OptimizerStep on every rank is the oracle for
+// comm::GradReducer + a sharded optim::Sgd / optim::Adam + the weight
+// all-gather.
 
 #include <cstdint>
 #include <optional>
@@ -19,6 +24,13 @@
 #include "ptdp/optim/optimizer.hpp"
 
 namespace ptdp::reference {
+
+/// Flattens `params` (one model chunk) into buckets as comm::GradReducer
+/// plans them (greedy, at most bucket_elems elements, a param never split),
+/// Comm::all_reduce's each bucket and multiplies it by 1/d: every rank ends
+/// holding every mean grad.
+void all_reduce_mean(const model::ParamRefs& params, const dist::Comm& data,
+                     std::int64_t bucket_elems);
 
 class OptimizerStep {
  public:

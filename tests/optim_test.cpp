@@ -95,7 +95,7 @@ TEST(GradNorm, SerialMatchesManualNorm) {
   Param a = make_param("a", {0, 0}, {3.0f, 0.0f});
   Param b = make_param("b", {0}, {4.0f});
   model::ParamRefs refs{&a, &b};
-  EXPECT_NEAR(global_grad_norm(refs, nullptr, nullptr), 5.0, 1e-6);
+  EXPECT_NEAR(global_grad_norm(whole_segments(refs), nullptr, nullptr), 5.0, 1e-6);
 }
 
 TEST(GradNorm, ReplicatedParamsCountedOnceAcrossTensorRanks) {
@@ -106,7 +106,7 @@ TEST(GradNorm, ReplicatedParamsCountedOnceAcrossTensorRanks) {
     Param sharded = make_param("s", {0}, {3.0f});
     Param replicated = make_param("r", {0}, {4.0f}, /*replicated=*/true);
     model::ParamRefs refs{&sharded, &replicated};
-    const double norm = global_grad_norm(refs, &comm, nullptr);
+    const double norm = global_grad_norm(whole_segments(refs), &comm, nullptr);
     EXPECT_NEAR(norm, std::sqrt(34.0), 1e-4);
   });
 }
@@ -114,15 +114,15 @@ TEST(GradNorm, ReplicatedParamsCountedOnceAcrossTensorRanks) {
 TEST(GradNorm, ClipScalesGradsDownToMaxNorm) {
   Param a = make_param("a", {0, 0}, {3.0f, 4.0f});
   model::ParamRefs refs{&a};
-  const double pre = clip_grad_norm(refs, 1.0, nullptr, nullptr);
+  const double pre = clip_grad_norm(whole_segments(refs), 1.0, nullptr, nullptr);
   EXPECT_NEAR(pre, 5.0, 1e-6);
-  EXPECT_NEAR(global_grad_norm(refs, nullptr, nullptr), 1.0, 1e-5);
+  EXPECT_NEAR(global_grad_norm(whole_segments(refs), nullptr, nullptr), 1.0, 1e-5);
 }
 
 TEST(GradNorm, NoClipBelowThreshold) {
   Param a = make_param("a", {0}, {0.5f});
   model::ParamRefs refs{&a};
-  clip_grad_norm(refs, 1.0, nullptr, nullptr);
+  clip_grad_norm(whole_segments(refs), 1.0, nullptr, nullptr);
   EXPECT_FLOAT_EQ(a.grad.at({0}), 0.5f);
 }
 
@@ -173,11 +173,11 @@ TEST(LossScaler, RespectsMinScale) {
 TEST(MixedPrecision, DetectsOverflow) {
   Param p = make_param("w", {0.0f}, {std::numeric_limits<float>::infinity()});
   model::ParamRefs refs{&p};
-  EXPECT_TRUE(grads_have_overflow(refs));
+  EXPECT_TRUE(grads_have_overflow(whole_segments(refs)));
   p.grad.at({0}) = std::nanf("");
-  EXPECT_TRUE(grads_have_overflow(refs));
+  EXPECT_TRUE(grads_have_overflow(whole_segments(refs)));
   p.grad.at({0}) = 1e30f;
-  EXPECT_FALSE(grads_have_overflow(refs));
+  EXPECT_FALSE(grads_have_overflow(whole_segments(refs)));
 }
 
 TEST(MixedPrecision, SkipsStepOnOverflowAndBacksOff) {
