@@ -278,16 +278,6 @@ bool parse(int argc, char** argv, Args& a) {
 
 int main(int argc, char** argv) {
   Args args;
-  // PTDP_DTYPE=f32|bf16 sets the default weight dtype (CI smoke runs use it
-  // to sweep precision without editing command lines); --dtype wins.
-  if (const char* env = std::getenv("PTDP_DTYPE")) {
-    const auto dt = dtype_from(env);
-    if (!dt) {
-      std::fprintf(stderr, "bad PTDP_DTYPE '%s' (want f32|bf16)\n", env);
-      return 1;
-    }
-    args.model.dtype = *dt;
-  }
   if (!parse(argc, argv, args)) return 1;
 
   if (!args.dump_plan.empty()) {

@@ -3,8 +3,8 @@
 // Builds LayerPlans from GptConfig (DESIGN.md §14). The builder emits the
 // canonical *unfused* per-block sequence — add_bias / dropout / add,
 // scale / mask / softmax as separate nodes — and build_layer_plan then runs
-// the planner passes (fusion, dtype propagation, buffer planning) unless
-// PlannerOptions says otherwise. With `inference` the result is the decode
+// the planner passes: fusion (unless PlannerOptions turns it off), dtype
+// propagation and buffer planning. With `inference` the result is the decode
 // plan (§16): the training forward with its attention core replaced by one
 // kDecodeAttention node.
 
@@ -15,8 +15,6 @@ namespace ptdp::graph {
 
 struct PlannerOptions {
   bool fuse = true;               ///< run the §4.2 operator-fusion pass
-  bool plan_buffers = true;       ///< run lifetime analysis + slot assignment
-  bool propagate_dtypes = true;   ///< annotate §13 dtypes
   std::int64_t tp_size = 1;       ///< tensor-parallel degree (sizes sharded
                                   ///< tensors for the buffer plan; topology
                                   ///< is t-independent)

@@ -10,15 +10,12 @@
 //  - Wall view: raw steady-clock window vs per-rank busy time. Faithful on
 //    hardware where each rank owns a device; on an oversubscribed CPU test
 //    host it mostly measures the OS scheduler.
-//  - Replay view (the default headline number): take each op's *measured*
-//    duration (thread-CPU by default, so descheduling doesn't pollute it),
-//    then re-schedule the traced ops under the pipeline dependency rules
-//    (Fwd(mb,vs) after Fwd(mb,vs−1); Bwd(mb,vs) after Bwd(mb,vs+1), or
-//    after Fwd(mb,vs) at the last virtual stage; each rank serial in traced
-//    order). This is simulate_makespan with measured per-op times instead
-//    of a cost model — exactly the MegaScale-style "reconstruct the
-//    timeline from per-rank events" step — and is cross-checked against
-//    pipeline::simulate_makespan and the analytic bubble in obs_timeline_test.
+//  - Replay view (the headline number): take each op's *measured* duration
+//    (thread-CPU when traced, so descheduling doesn't pollute it), then
+//    re-schedule the traced ops with pipeline::replay, the simulators'
+//    dependency replay, each rank serial in traced order: the
+//    MegaScale-style "reconstruct the timeline from per-rank events" step.
+//    Two more replays split the bubble (see BatchTimeline).
 //
 // Input contract: compute spans named "fwd"/"bwd" (Cat::kCompute) carrying
 // args {mb, vs, stage, pipe, batch} as emitted by pipeline::PipelineExecutor;
@@ -34,8 +31,6 @@
 namespace ptdp::obs {
 
 struct TimelineOptions {
-  /// Replay with thread-CPU durations (true) or wall durations (false).
-  bool use_cpu_durations = true;
   /// A rank is a straggler when its busy time exceeds the across-rank
   /// median by this factor.
   double straggler_factor = 1.2;
@@ -45,7 +40,7 @@ struct TimelineOptions {
 struct RankTimeline {
   int rank = -1;
   int ops = 0;                ///< fwd + bwd compute ops
-  double busy_ns = 0;         ///< Σ compute durations (per TimelineOptions)
+  double busy_ns = 0;         ///< Σ compute durations (thread-CPU when traced)
   double wall_busy_ns = 0;    ///< Σ compute wall durations
   double recv_wait_ns = 0;    ///< Σ "recv_wait" wall durations
   std::uint64_t p2p_bytes_sent = 0;  ///< Σ "p2p_send" bytes args
@@ -62,6 +57,12 @@ struct BatchTimeline {
   double makespan_ns = 0;    ///< replayed makespan
   double ideal_ns = 0;       ///< mean per-rank busy time (t_id)
   double bubble_fraction = 0;  ///< (makespan − ideal) / ideal
+  /// The bubble's split, each part one more replay of the same lanes:
+  /// bubble_fraction = closed_form + imbalance + jitter.
+  double closed_form_bubble = 0;  ///< every op at the batch's fwd/bwd median
+  double imbalance_bubble = 0;  ///< per-(rank, vs, kind) medians − closed form
+  double jitter_bubble = 0;     ///< raw − per-(rank, vs, kind) medians
+  bool replay_complete = true;  ///< false: a dependency cycle left ops out
   double critical_path_ns = 0;
   std::vector<std::string> critical_path;  ///< "stage2:bwd(mb=3,vs=1)" chain
 };

@@ -9,6 +9,7 @@
 // benchmark is exactly what we execute.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace ptdp::pipeline {
@@ -58,6 +59,44 @@ int max_in_flight(const std::vector<Op>& ops);
 /// backward, and per-chunk forwards/backwards are in microbatch order.
 bool is_valid_rank_schedule(const ScheduleParams& sp, const std::vector<Op>& ops);
 
+/// An op's position in a replay: lanes[lane][index]; lane < 0 = none.
+struct OpRef {
+  int lane = -1;
+  int index = -1;
+};
+
+/// One op of a replay lane, lasting `duration`. replay() fills start, end
+/// (-1 while unscheduled) and pred: the op whose end bound the start (none
+/// when the op started at 0).
+struct ReplayOp {
+  Op::Kind kind = Op::Kind::kForward;
+  int microbatch = 0;
+  int vs = 0;
+  double duration = 0;
+  double start = -1;
+  double end = -1;
+  OpRef pred{};
+};
+
+struct ReplayResult {
+  bool complete = false;  ///< every op was scheduled
+  OpRef last;             ///< the op that ends last
+  double makespan = 0;
+};
+
+/// The one pipeline dependency replay (simulate_timeline,
+/// sim::simulate_iteration and obs::analyze_events call it). Each lane runs
+/// its ops in order; Fwd(mb, vs) also waits for Fwd(mb, vs-1), Bwd(mb, vs)
+/// for Bwd(mb, vs+1), or for Fwd(mb, vs) at the last virtual stage. A
+/// dependency absent from the input imposes no constraint; a cycle leaves
+/// ops unscheduled and `complete` false. Needs 0 <= vs < num_virtual_stages.
+ReplayResult replay(std::vector<std::vector<ReplayOp>>& lanes, int num_virtual_stages);
+
+/// One lane per rank of `sp`'s schedule, each op lasting
+/// duration(op, virtual stage).
+std::vector<std::vector<ReplayOp>> schedule_lanes(
+    const ScheduleParams& sp, const std::function<double(const Op&, int)>& duration);
+
 /// One executed op with its simulated start/end time (virtual clock).
 struct TimedOp {
   Op op;
@@ -65,18 +104,16 @@ struct TimedOp {
   double end = 0;
 };
 
-/// Full logical timeline: per-rank TimedOps in execution order, under the
-/// same dependency rules as simulate_makespan. Drives the Fig. 3/4 diagram
-/// bench and schedule-visualization tooling.
+/// Full logical timeline: per-rank TimedOps in execution order — the
+/// replay of the schedule with constant per-chunk times. Drives the Fig. 3/4
+/// diagram bench and schedule-visualization tooling.
 std::vector<std::vector<TimedOp>> simulate_timeline(const ScheduleParams& sp,
                                                     double tf_chunk,
                                                     double tb_chunk);
 
 /// Logical makespan of the schedule with per-*chunk* forward/backward times
-/// tf_chunk and tb_chunk and zero communication cost. Dependencies:
-///   Fwd(mb, vs) needs Fwd(mb, vs-1);  Bwd(mb, vs) needs Bwd(mb, vs+1)
-/// (or Fwd(mb, last) at the last virtual stage), plus each rank runs its
-/// ops in order. This reproduces the paper's bubble-fraction formulas
+/// tf_chunk and tb_chunk and zero communication cost, under replay()'s
+/// dependency rules. This reproduces the paper's bubble-fraction formulas
 /// exactly and is unit-tested against them.
 double simulate_makespan(const ScheduleParams& sp, double tf_chunk, double tb_chunk);
 

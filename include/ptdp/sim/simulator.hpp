@@ -1,6 +1,6 @@
 #pragma once
 
-// Discrete-event iteration simulator: executes the *actual* per-rank op
+// Iteration simulator: replays (pipeline::replay) the *actual* per-rank op
 // lists produced by pipeline::build_rank_schedule on a virtual clock, with
 // per-virtual-stage compute costs from the cost model, point-to-point
 // activation transfers (with or without the §4.1 scatter/gather

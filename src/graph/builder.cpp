@@ -288,9 +288,9 @@ LayerPlan build_layer_plan(const model::GptConfig& config, bool with_dropout,
     plan.bwd.clear();
     use_decode_attention(plan);
   }
-  if (opts.propagate_dtypes) propagate_dtypes(plan, config);
+  propagate_dtypes(plan, config);
   analyze_lifetimes(plan);
-  if (opts.plan_buffers) plan_buffers(plan);
+  plan_buffers(plan);
   return plan;
 }
 

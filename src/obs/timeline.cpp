@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
-#include <numeric>
+#include <tuple>
+
+#include "ptdp/pipeline/schedule.hpp"
 
 namespace ptdp::obs {
 
@@ -28,114 +31,88 @@ struct GroupKey {
   }
 };
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
 // Replays one batch's traced ops under the pipeline dependency rules and
-// fills makespan / ideal / bubble / critical path.
+// fills makespan / ideal / bubble and its split / critical path.
 BatchTimeline replay_batch(const GroupKey& key, std::vector<OpSample> ops) {
   BatchTimeline out;
   out.pipe = key.pipe;
   out.batch = key.batch;
 
-  // Per-rank program order = traced start order.
-  std::map<int, std::vector<std::size_t>> by_rank;  // world rank -> op idx
+  // One lane per world rank, in traced start order.
   std::stable_sort(ops.begin(), ops.end(),
                    [](const OpSample& a, const OpSample& b) {
                      return a.ts_ns < b.ts_ns;
                    });
+  std::map<int, std::vector<OpSample>> by_rank;
   int max_vs = 0, max_mb = 0;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    by_rank[ops[i].rank].push_back(i);
-    max_vs = std::max(max_vs, ops[i].vs);
-    max_mb = std::max(max_mb, ops[i].mb);
+  for (const OpSample& op : ops) {
+    by_rank[op.rank].push_back(op);
+    max_vs = std::max(max_vs, op.vs);
+    max_mb = std::max(max_mb, op.mb);
   }
-  out.p = static_cast<int>(by_rank.size());
+  std::vector<std::vector<OpSample>> lanes;
+  for (auto& [rank, lane] : by_rank) lanes.push_back(std::move(lane));
+  out.p = static_cast<int>(lanes.size());
   out.m = max_mb + 1;
   out.num_virtual_stages = max_vs + 1;
 
-  // Worklist replay. end[kind][(mb, vs)] = completion time; `pred` tracks
-  // which constraint bound each op's start for critical-path walkback.
-  std::map<std::pair<int, int>, std::size_t> fwd_of, bwd_of;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    (ops[i].backward ? bwd_of : fwd_of)[{ops[i].mb, ops[i].vs}] = i;
-  }
-  std::vector<double> start(ops.size(), -1.0), end(ops.size(), -1.0);
-  std::vector<std::ptrdiff_t> pred(ops.size(), -1);
-  std::map<int, std::size_t> cursor;  // rank -> next unscheduled index
-
-  bool progressed = true;
-  std::size_t scheduled = 0;
-  while (scheduled < ops.size() && progressed) {
-    progressed = false;
-    for (auto& [rank, order] : by_rank) {
-      std::size_t& cur = cursor[rank];
-      while (cur < order.size()) {
-        const std::size_t i = order[cur];
-        const OpSample& op = ops[i];
-        // Cross-stage dependency.
-        std::ptrdiff_t dep = -1;
-        if (!op.backward) {
-          if (op.vs > 0) {
-            const auto it = fwd_of.find({op.mb, op.vs - 1});
-            if (it == fwd_of.end()) { dep = -1; }  // boundary not traced
-            else dep = static_cast<std::ptrdiff_t>(it->second);
-          }
-        } else {
-          if (op.vs < max_vs) {
-            const auto it = bwd_of.find({op.mb, op.vs + 1});
-            if (it == bwd_of.end()) dep = -1;
-            else dep = static_cast<std::ptrdiff_t>(it->second);
-          } else {
-            const auto it = fwd_of.find({op.mb, op.vs});
-            if (it != fwd_of.end()) dep = static_cast<std::ptrdiff_t>(it->second);
-          }
-        }
-        if (dep >= 0 && end[static_cast<std::size_t>(dep)] < 0) break;  // wait
-
-        double s = 0.0;
-        std::ptrdiff_t bound_by = -1;
-        if (cur > 0) {
-          const std::size_t prev = order[cur - 1];
-          s = end[prev];
-          bound_by = static_cast<std::ptrdiff_t>(prev);
-        }
-        if (dep >= 0 && end[static_cast<std::size_t>(dep)] > s) {
-          s = end[static_cast<std::size_t>(dep)];
-          bound_by = dep;
-        }
-        start[i] = s;
-        end[i] = s + ops[i].dur_ns;
-        pred[i] = bound_by;
-        ++cur;
-        ++scheduled;
-        progressed = true;
+  // The lanes replayed with each op lasting duration(op); returns the
+  // bubble (makespan − t_id) / t_id, t_id = mean lane busy time.
+  std::vector<std::vector<pipeline::ReplayOp>> replayed;
+  pipeline::ReplayResult raw;
+  const auto bubble_of = [&](const std::function<double(const OpSample&)>& duration) {
+    replayed.assign(lanes.size(), {});
+    double busy = 0;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      for (const OpSample& op : lanes[l]) {
+        const double d = duration(op);
+        busy += d;
+        replayed[l].push_back({op.backward ? pipeline::Op::Kind::kBackward
+                                           : pipeline::Op::Kind::kForward,
+                               op.mb, op.vs, d});
       }
     }
-  }
-  // A dependency cycle (malformed trace) leaves ops unscheduled; report
-  // what was schedulable rather than hanging.
+    raw = pipeline::replay(replayed, out.num_virtual_stages);
+    out.ideal_ns = busy / static_cast<double>(lanes.size());
+    return out.ideal_ns > 0 ? (raw.makespan - out.ideal_ns) / out.ideal_ns : 0.0;
+  };
 
-  double makespan = 0;
-  std::ptrdiff_t last = -1;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (end[i] > makespan) {
-      makespan = end[i];
-      last = static_cast<std::ptrdiff_t>(i);
-    }
+  // The bubble's split: every op at the batch's fwd/bwd median gives the
+  // closed form; per-(rank, virtual stage, kind) medians add stage
+  // imbalance; the raw durations add per-op jitter.
+  std::vector<double> by_kind[2];
+  std::map<std::tuple<int, int, bool>, std::vector<double>> by_chunk;
+  for (const OpSample& op : ops) {
+    by_kind[op.backward].push_back(op.dur_ns);
+    by_chunk[{op.rank, op.vs, op.backward}].push_back(op.dur_ns);
   }
-  out.makespan_ns = makespan;
+  const double kind_median[2] = {median(by_kind[0]), median(by_kind[1])};
+  out.closed_form_bubble =
+      bubble_of([&](const OpSample& op) { return kind_median[op.backward]; });
+  const double per_chunk_bubble = bubble_of([&](const OpSample& op) {
+    return median(by_chunk.at({op.rank, op.vs, op.backward}));
+  });
+  out.imbalance_bubble = per_chunk_bubble - out.closed_form_bubble;
 
-  double busy_total = 0;
-  for (const auto& [rank, order] : by_rank) {
-    double busy = 0;
-    for (std::size_t i : order) busy += ops[i].dur_ns;
-    busy_total += busy;
-  }
-  out.ideal_ns = out.p > 0 ? busy_total / out.p : 0.0;
-  out.bubble_fraction =
-      out.ideal_ns > 0 ? (out.makespan_ns - out.ideal_ns) / out.ideal_ns : 0.0;
+  // The raw replay last, so `replayed`, `raw` and ideal_ns describe it. A
+  // dependency cycle (malformed trace) leaves ops unscheduled; report what
+  // was schedulable rather than failing.
+  out.bubble_fraction = bubble_of([](const OpSample& op) { return op.dur_ns; });
+  out.jitter_bubble = out.bubble_fraction - per_chunk_bubble;
+  out.replay_complete = raw.complete;
+  out.makespan_ns = raw.makespan;
 
   // Critical path: walk the binding constraints back from the last op.
-  for (std::ptrdiff_t i = last; i >= 0; i = pred[static_cast<std::size_t>(i)]) {
-    const OpSample& op = ops[static_cast<std::size_t>(i)];
+  for (pipeline::OpRef i = raw.last; i.lane >= 0;) {
+    const auto l = static_cast<std::size_t>(i.lane);
+    const auto k = static_cast<std::size_t>(i.index);
+    const OpSample& op = lanes[l][k];
+    i = replayed[l][k].pred;
     char buf[96];
     std::snprintf(buf, sizeof(buf), "stage%d:%s(mb=%d,vs=%d)", op.stage,
                   op.backward ? "bwd" : "fwd", op.mb, op.vs);
@@ -160,14 +137,15 @@ TimelineReport analyze_events(const std::vector<TraceEvent>& events,
     if (ev.name == nullptr || ev.wall_ns < 0) continue;
     const bool is_fwd = std::strcmp(ev.name, "fwd") == 0;
     const bool is_bwd = std::strcmp(ev.name, "bwd") == 0;
+    const bool is_recv_wait = std::strcmp(ev.name, "recv_wait") == 0;
+    const bool is_send = std::strcmp(ev.name, "p2p_send") == 0;
+    if (!is_fwd && !is_bwd && !is_recv_wait && !is_send) continue;
+    RankTimeline& rt = ranks[ev.rank];
+    rt.rank = ev.rank;
     if (is_fwd || is_bwd) {
-      RankTimeline& rt = ranks[ev.rank];
-      rt.rank = ev.rank;
       rt.ops += 1;
       rt.wall_busy_ns += static_cast<double>(ev.wall_ns);
-      const double dur = options.use_cpu_durations && ev.cpu_ns >= 0
-                             ? static_cast<double>(ev.cpu_ns)
-                             : static_cast<double>(ev.wall_ns);
+      const double dur = static_cast<double>(ev.cpu_ns >= 0 ? ev.cpu_ns : ev.wall_ns);
       rt.busy_ns += dur;
       if (!have_window || ev.ts_ns < wall_min) wall_min = ev.ts_ns;
       if (!have_window || ev.ts_ns + ev.wall_ns > wall_max) {
@@ -183,14 +161,11 @@ TimelineReport analyze_events(const std::vector<TraceEvent>& events,
       op.vs = static_cast<int>(ev.arg("vs", op.stage));
       op.ts_ns = ev.ts_ns;
       op.dur_ns = dur;
+      if (op.mb < 0 || op.vs < 0) continue;  // not a schedule op
       groups[{ev.arg("pipe", 0), ev.arg("batch", 0)}].push_back(op);
-    } else if (std::strcmp(ev.name, "recv_wait") == 0) {
-      RankTimeline& rt = ranks[ev.rank];
-      rt.rank = ev.rank;
+    } else if (is_recv_wait) {
       rt.recv_wait_ns += static_cast<double>(ev.wall_ns);
-    } else if (std::strcmp(ev.name, "p2p_send") == 0) {
-      RankTimeline& rt = ranks[ev.rank];
-      rt.rank = ev.rank;
+    } else {
       rt.p2p_messages += 1;
       rt.p2p_bytes_sent += static_cast<std::uint64_t>(ev.arg("bytes", 0));
     }
@@ -203,19 +178,15 @@ TimelineReport analyze_events(const std::vector<TraceEvent>& events,
 
   if (!report.batches.empty()) {
     std::vector<double> bubbles;
-    for (const BatchTimeline& b : report.batches) {
-      bubbles.push_back(b.bubble_fraction);
-    }
-    std::sort(bubbles.begin(), bubbles.end());
-    report.bubble_fraction = bubbles[bubbles.size() / 2];
+    for (const BatchTimeline& b : report.batches) bubbles.push_back(b.bubble_fraction);
+    report.bubble_fraction = median(bubbles);
 
-    // Analytic (p−1)/(v·m) from the largest observed batch: v = virtual
-    // stages / pipeline ranks.
+    // Analytic (p−1)/(v·m) of the first batch, v = virtual stages / ranks.
     const BatchTimeline& b0 = report.batches.front();
     if (b0.p > 0 && b0.m > 0) {
-      const int v = std::max(1, b0.num_virtual_stages / b0.p);
-      report.analytic_bubble_fraction =
-          static_cast<double>(b0.p - 1) / (static_cast<double>(v) * b0.m);
+      report.analytic_bubble_fraction = pipeline::analytic_bubble_fraction(
+          {pipeline::ScheduleType::kOneFOneB, b0.p, b0.m,
+           std::max(1, b0.num_virtual_stages / b0.p)});
     }
   }
 
@@ -232,10 +203,9 @@ TimelineReport analyze_events(const std::vector<TraceEvent>& events,
   if (report.ranks.size() >= 2) {
     std::vector<double> busy;
     for (const RankTimeline& rt : report.ranks) busy.push_back(rt.busy_ns);
-    std::sort(busy.begin(), busy.end());
-    const double median = busy[busy.size() / 2];
+    const double busy_median = median(busy);
     for (const RankTimeline& rt : report.ranks) {
-      if (median > 0 && rt.busy_ns > options.straggler_factor * median) {
+      if (busy_median > 0 && rt.busy_ns > options.straggler_factor * busy_median) {
         report.stragglers.push_back(rt.rank);
       }
     }
@@ -249,7 +219,7 @@ TimelineReport analyze(const Tracer& tracer, const TimelineOptions& options) {
 
 std::string format_report(const TimelineReport& report) {
   std::string out;
-  char line[256];
+  char line[320];
   std::snprintf(line, sizeof(line),
                 "pipeline timeline: %zu batch(es), measured bubble %.4f "
                 "(analytic (p-1)/(v*m) = %.4f), wall-clock bubble %.4f\n",
@@ -259,12 +229,15 @@ std::string format_report(const TimelineReport& report) {
   for (const BatchTimeline& b : report.batches) {
     std::snprintf(line, sizeof(line),
                   "  batch %lld (pipe %lld): p=%d m=%d vs=%d makespan %.3f ms "
-                  "ideal %.3f ms bubble %.4f critical-path %.3f ms (%zu ops)\n",
+                  "ideal %.3f ms bubble %.4f = closed-form %.4f + imbalance "
+                  "%.4f + jitter %.4f, critical-path %.3f ms (%zu ops)%s\n",
                   static_cast<long long>(b.batch),
                   static_cast<long long>(b.pipe), b.p, b.m,
                   b.num_virtual_stages, b.makespan_ns / 1e6, b.ideal_ns / 1e6,
-                  b.bubble_fraction, b.critical_path_ns / 1e6,
-                  b.critical_path.size());
+                  b.bubble_fraction, b.closed_form_bubble, b.imbalance_bubble,
+                  b.jitter_bubble, b.critical_path_ns / 1e6,
+                  b.critical_path.size(),
+                  b.replay_complete ? "" : " [incomplete: dependency cycle]");
     out += line;
   }
   for (const RankTimeline& rt : report.ranks) {

@@ -1,7 +1,6 @@
 #include "ptdp/pipeline/schedule.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "ptdp/runtime/check.hpp"
 
@@ -135,102 +134,126 @@ int max_in_flight(const std::vector<Op>& ops) {
 }
 
 bool is_valid_rank_schedule(const ScheduleParams& sp, const std::vector<Op>& ops) {
-  if (static_cast<int>(ops.size()) != 2 * sp.m * sp.v) return false;
-  // Track forward-seen per (mb, chunk); forwards/backwards per chunk must be
-  // in ascending microbatch order.
-  std::map<std::pair<int, int>, int> seen;  // (mb, chunk) -> 1 fwd done, 2 bwd done
-  std::vector<int> last_fwd(static_cast<std::size_t>(sp.v), -1);
-  std::vector<int> last_bwd(static_cast<std::size_t>(sp.v), -1);
+  // Per chunk, the forwards and the backwards each run microbatches 0..m-1
+  // in order, and a backward never overtakes its forward.
+  std::vector<int> fwds(static_cast<std::size_t>(sp.v), 0), bwds = fwds;
   for (const Op& op : ops) {
-    if (op.microbatch < 0 || op.microbatch >= sp.m) return false;
     if (op.chunk < 0 || op.chunk >= sp.v) return false;
-    auto key = std::make_pair(op.microbatch, op.chunk);
-    auto& state = seen[key];
-    if (op.kind == Op::Kind::kForward) {
-      if (state != 0) return false;
-      if (op.microbatch <= last_fwd[static_cast<std::size_t>(op.chunk)]) return false;
-      last_fwd[static_cast<std::size_t>(op.chunk)] = op.microbatch;
-      state = 1;
-    } else {
-      if (state != 1) return false;
-      if (op.microbatch <= last_bwd[static_cast<std::size_t>(op.chunk)]) return false;
-      last_bwd[static_cast<std::size_t>(op.chunk)] = op.microbatch;
-      state = 2;
+    const auto c = static_cast<std::size_t>(op.chunk);
+    int& next = op.kind == Op::Kind::kForward ? fwds[c] : bwds[c];
+    if (op.microbatch != next++ || bwds[c] > fwds[c]) return false;
+  }
+  return std::all_of(fwds.begin(), fwds.end(), [&](int n) { return n == sp.m; }) &&
+         bwds == fwds;
+}
+
+ReplayResult replay(std::vector<std::vector<ReplayOp>>& lanes, int P) {
+  int num_mb = 0;
+  std::size_t remaining = 0;
+  for (const auto& lane : lanes) {
+    for (const ReplayOp& op : lane) num_mb = std::max(num_mb, op.microbatch + 1);
+    remaining += lane.size();
+  }
+
+  // producer[key(kind, mb, vs)]: the op computing (kind, mb, vs), if any.
+  auto key = [&](Op::Kind kind, int mb, int vs) {
+    return (static_cast<std::size_t>(mb) * P + vs) * 2 + (kind == Op::Kind::kBackward);
+  };
+  std::vector<OpRef> producer(2 * static_cast<std::size_t>(num_mb) * P);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    for (std::size_t i = 0; i < lanes[l].size(); ++i) {
+      ReplayOp& op = lanes[l][i];
+      PTDP_CHECK(op.microbatch >= 0 && 0 <= op.vs && op.vs < P)
+          << "replay op mb " << op.microbatch << " vs " << op.vs << " of " << P;
+      op.start = op.end = -1.0;  // lanes may be replayed again
+      op.pred = {};
+      producer[key(op.kind, op.microbatch, op.vs)] = {static_cast<int>(l),
+                                                      static_cast<int>(i)};
     }
   }
-  for (const auto& [key, state] : seen) {
-    if (state != 2) return false;
+
+  // Worklist: advance every lane as far as its dependencies allow, until
+  // all ops are placed or a sweep makes no progress (a cycle).
+  ReplayResult result;
+  std::vector<std::size_t> cursor(lanes.size(), 0);
+  for (bool progressed = true; remaining > 0 && progressed;) {
+    progressed = false;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      for (std::size_t& cur = cursor[l]; cur < lanes[l].size(); ++cur) {
+        ReplayOp& op = lanes[l][cur];
+        const int mb = op.microbatch;
+        OpRef dep;
+        if (op.kind == Op::Kind::kForward) {
+          if (op.vs > 0) dep = producer[key(Op::Kind::kForward, mb, op.vs - 1)];
+        } else if (op.vs == P - 1) {
+          dep = producer[key(Op::Kind::kForward, mb, op.vs)];
+        } else {
+          dep = producer[key(Op::Kind::kBackward, mb, op.vs + 1)];
+        }
+        double ready = 0.0;
+        if (dep.lane >= 0) {
+          ready = lanes[static_cast<std::size_t>(dep.lane)]
+                       [static_cast<std::size_t>(dep.index)].end;
+          if (ready < 0.0) break;  // not yet placed
+        }
+        op.start = 0.0;
+        if (cur > 0) {
+          op.start = lanes[l][cur - 1].end;
+          op.pred = {static_cast<int>(l), static_cast<int>(cur - 1)};
+        }
+        if (ready > op.start) {
+          op.start = ready;
+          op.pred = dep;
+        }
+        op.end = op.start + op.duration;
+        if (op.end > result.makespan) {
+          result.makespan = op.end;
+          result.last = {static_cast<int>(l), static_cast<int>(cur)};
+        }
+        --remaining;
+        progressed = true;
+      }
+    }
   }
-  return static_cast<int>(seen.size()) == sp.m * sp.v;
+  result.complete = remaining == 0;
+  return result;
+}
+
+std::vector<std::vector<ReplayOp>> schedule_lanes(
+    const ScheduleParams& sp, const std::function<double(const Op&, int)>& duration) {
+  std::vector<std::vector<ReplayOp>> lanes;
+  for (int r = 0; r < sp.p; ++r) {
+    auto& lane = lanes.emplace_back();
+    for (const Op& op : build_rank_schedule(sp, r)) {
+      const int vs = virtual_stage(r, op.chunk, sp.p);
+      lane.push_back({op.kind, op.microbatch, vs, duration(op, vs)});
+    }
+  }
+  return lanes;
 }
 
 std::vector<std::vector<TimedOp>> simulate_timeline(const ScheduleParams& sp,
                                                     double tf_chunk,
                                                     double tb_chunk) {
   check_params(sp);
-  const int P = num_virtual_stages(sp);
-
-  // Per-rank op lists and cursors.
-  std::vector<std::vector<Op>> ops(static_cast<std::size_t>(sp.p));
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(sp.p), 0);
-  std::vector<double> rank_time(static_cast<std::size_t>(sp.p), 0.0);
-  std::vector<std::vector<TimedOp>> timeline(static_cast<std::size_t>(sp.p));
-  for (int r = 0; r < sp.p; ++r) {
-    ops[static_cast<std::size_t>(r)] = build_rank_schedule(sp, r);
-    timeline[static_cast<std::size_t>(r)].reserve(
-        ops[static_cast<std::size_t>(r)].size());
-  }
-
-  // Completion times of Fwd/Bwd per (mb, virtual stage); -1 = not done.
-  auto idx = [&](int mb, int vs) {
-    return static_cast<std::size_t>(mb) * static_cast<std::size_t>(P) +
-           static_cast<std::size_t>(vs);
-  };
-  std::vector<double> fwd_done(static_cast<std::size_t>(sp.m * P), -1.0);
-  std::vector<double> bwd_done(static_cast<std::size_t>(sp.m * P), -1.0);
-
-  bool progressed = true;
-  std::size_t total_remaining = 0;
-  for (int r = 0; r < sp.p; ++r) total_remaining += ops[static_cast<std::size_t>(r)].size();
-
-  while (total_remaining > 0) {
-    PTDP_CHECK(progressed) << "schedule deadlocked in simulation";
-    progressed = false;
-    for (int r = 0; r < sp.p; ++r) {
-      auto& cur = cursor[static_cast<std::size_t>(r)];
-      while (cur < ops[static_cast<std::size_t>(r)].size()) {
-        const Op& op = ops[static_cast<std::size_t>(r)][cur];
-        const int vs = virtual_stage(r, op.chunk, sp.p);
-        double ready;
-        double duration;
-        if (op.kind == Op::Kind::kForward) {
-          ready = vs == 0 ? 0.0 : fwd_done[idx(op.microbatch, vs - 1)];
-          duration = tf_chunk;
-        } else {
-          ready = vs == P - 1 ? fwd_done[idx(op.microbatch, vs)]
-                              : bwd_done[idx(op.microbatch, vs + 1)];
-          duration = tb_chunk;
-        }
-        if (ready < 0.0) break;  // dependency not yet computed
-        const double start = std::max(rank_time[static_cast<std::size_t>(r)], ready);
-        const double end = start + duration;
-        rank_time[static_cast<std::size_t>(r)] = end;
-        (op.kind == Op::Kind::kForward ? fwd_done : bwd_done)[idx(op.microbatch, vs)] =
-            end;
-        timeline[static_cast<std::size_t>(r)].push_back(TimedOp{op, start, end});
-        ++cur;
-        --total_remaining;
-        progressed = true;
-      }
+  auto lanes = schedule_lanes(sp, [&](const Op& op, int) {
+    return op.kind == Op::Kind::kForward ? tf_chunk : tb_chunk;
+  });
+  PTDP_CHECK(replay(lanes, num_virtual_stages(sp)).complete)
+      << "schedule deadlocked in simulation";
+  std::vector<std::vector<TimedOp>> timeline(lanes.size());
+  for (std::size_t r = 0; r < lanes.size(); ++r) {
+    // vs = chunk·p + rank, so the chunk is vs / p.
+    for (const ReplayOp& op : lanes[r]) {
+      timeline[r].push_back({{op.kind, op.microbatch, op.vs / sp.p}, op.start, op.end});
     }
   }
   return timeline;
 }
 
 double simulate_makespan(const ScheduleParams& sp, double tf_chunk, double tb_chunk) {
-  const auto timeline = simulate_timeline(sp, tf_chunk, tb_chunk);
   double makespan = 0.0;
-  for (const auto& rank_ops : timeline) {
+  for (const auto& rank_ops : simulate_timeline(sp, tf_chunk, tb_chunk)) {
     for (const TimedOp& t : rank_ops) makespan = std::max(makespan, t.end);
   }
   return makespan;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "ptdp/pipeline/schedule.hpp"
+
 namespace ptdp::sim {
 
 namespace {
@@ -49,66 +51,24 @@ IterationResult simulate_iteration(const ClusterSpec& hw, const model::GptConfig
   }
   const double transfer = cfg.p > 1 ? stage_transfer_time(hw, m, cfg) : 0.0;
 
-  // ---- event-driven execution of the actual schedules ----
-  std::vector<std::vector<pipeline::Op>> ops(static_cast<std::size_t>(sp.p));
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(sp.p), 0);
-  std::vector<double> rank_time(static_cast<std::size_t>(sp.p), 0.0);
-  std::size_t remaining = 0;
-  for (int r = 0; r < sp.p; ++r) {
-    ops[static_cast<std::size_t>(r)] = pipeline::build_rank_schedule(sp, r);
-    remaining += ops[static_cast<std::size_t>(r)].size();
-  }
-  auto idx = [&](int mb, int vs) {
-    return static_cast<std::size_t>(mb) * static_cast<std::size_t>(P) +
-           static_cast<std::size_t>(vs);
-  };
-  std::vector<double> fwd_done(static_cast<std::size_t>(sp.m * P), -1.0);
-  std::vector<double> bwd_done(static_cast<std::size_t>(sp.m * P), -1.0);
-
-  bool progressed = true;
-  while (remaining > 0) {
-    PTDP_CHECK(progressed) << "simulated schedule deadlocked";
-    progressed = false;
-    for (int r = 0; r < sp.p; ++r) {
-      auto& cur = cursor[static_cast<std::size_t>(r)];
-      while (cur < ops[static_cast<std::size_t>(r)].size()) {
-        const pipeline::Op& op = ops[static_cast<std::size_t>(r)][cur];
-        const int vs = pipeline::virtual_stage(r, op.chunk, sp.p);
-        const ChunkCost& c = costs[static_cast<std::size_t>(vs)];
-        // Receiving a stage boundary tensor occupies the GPU (NCCL p2p and
-        // the scatter/gather's NVLink all-gather both run on SMs), so the
-        // transfer is serialized into the dependent op's duration — this is
-        // what makes the §4.1 optimization worth ~10% end to end.
-        double ready, duration;
-        if (op.kind == pipeline::Op::Kind::kForward) {
-          ready = vs == 0 ? 0.0 : fwd_done[idx(op.microbatch, vs - 1)];
-          duration = c.fwd() + (vs > 0 ? transfer : 0.0);
-        } else {
-          if (vs == P - 1) {
-            ready = fwd_done[idx(op.microbatch, vs)];
-            duration = c.bwd();
-          } else {
-            ready = bwd_done[idx(op.microbatch, vs + 1)];
-            duration = c.bwd() + transfer;
-          }
-          // §3.5: recomputation replays the forward before the backward.
-          if (cfg.recompute) duration += c.fwd_compute;
-        }
-        if (ready < 0.0) break;
-        const double start = std::max(rank_time[static_cast<std::size_t>(r)], ready);
-        const double end = start + duration;
-        rank_time[static_cast<std::size_t>(r)] = end;
-        (op.kind == pipeline::Op::Kind::kForward ? fwd_done
-                                                 : bwd_done)[idx(op.microbatch, vs)] =
-            end;
-        ++cur;
-        --remaining;
-        progressed = true;
-      }
+  // ---- replay of the actual schedules ----
+  // Receiving a stage boundary tensor occupies the GPU (NCCL p2p and the
+  // scatter/gather's NVLink all-gather both run on SMs), so the transfer is
+  // serialized into the dependent op's duration — this is what makes the
+  // §4.1 optimization worth ~10% end to end.
+  auto lanes = pipeline::schedule_lanes(sp, [&](const pipeline::Op& op, int vs) {
+    const ChunkCost& c = costs[static_cast<std::size_t>(vs)];
+    if (op.kind == pipeline::Op::Kind::kForward) {
+      return c.fwd() + (vs > 0 ? transfer : 0.0);
     }
-  }
-  double makespan = 0.0;
-  for (double t : rank_time) makespan = std::max(makespan, t);
+    double duration = vs == P - 1 ? c.bwd() : c.bwd() + transfer;
+    // §3.5: recomputation replays the forward before the backward.
+    if (cfg.recompute) duration += c.fwd_compute;
+    return duration;
+  });
+  const pipeline::ReplayResult replayed = pipeline::replay(lanes, P);
+  PTDP_CHECK(replayed.complete) << "simulated schedule deadlocked";
+  const double makespan = replayed.makespan;
 
   // Ideal per-rank compute time (rank 0's chunk set; ranks are symmetric up
   // to embedding/head extras — take the max over ranks for the bubble).

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "ptdp/pipeline/schedule.hpp"
 
@@ -108,6 +109,50 @@ TEST(Timeline, FirstRankStartsAtZero) {
     EXPECT_DOUBLE_EQ(timeline[static_cast<std::size_t>(r)].front().start,
                      static_cast<double>(r));
   }
+}
+
+TEST(Replay, BindingPredecessorIsTheLaterConstraint) {
+  // Two lanes, one microbatch, two virtual stages.
+  std::vector<std::vector<ReplayOp>> lanes = {
+      {{Op::Kind::kForward, 0, 0, 1.0}, {Op::Kind::kBackward, 0, 0, 4.0}},
+      {{Op::Kind::kForward, 0, 1, 2.0}, {Op::Kind::kBackward, 0, 1, 3.0}},
+  };
+  const ReplayResult r = replay(lanes, 2);
+  ASSERT_TRUE(r.complete);
+  EXPECT_DOUBLE_EQ(lanes[1][0].start, 1.0);  // after Fwd(0, 0)
+  EXPECT_EQ(lanes[1][0].pred.lane, 0);
+  EXPECT_DOUBLE_EQ(lanes[0][1].start, 6.0);  // after Bwd(0, 1), not Fwd(0, 0)
+  EXPECT_EQ(lanes[0][1].pred.lane, 1);
+  EXPECT_EQ(lanes[0][1].pred.index, 1);
+  EXPECT_EQ(r.last.lane, 0);
+  EXPECT_EQ(r.last.index, 1);
+  EXPECT_DOUBLE_EQ(r.makespan, 10.0);
+}
+
+TEST(Replay, MissingDependencyImposesNoConstraint) {
+  // Stage 0 was not traced: stage 1's forward starts at once.
+  std::vector<std::vector<ReplayOp>> lanes = {
+      {{Op::Kind::kForward, 0, 1, 2.0}, {Op::Kind::kBackward, 0, 1, 3.0}},
+  };
+  const ReplayResult r = replay(lanes, 2);
+  ASSERT_TRUE(r.complete);
+  EXPECT_DOUBLE_EQ(lanes[0][0].start, 0.0);
+  EXPECT_LT(lanes[0][0].pred.lane, 0);
+  EXPECT_DOUBLE_EQ(r.makespan, 5.0);
+}
+
+TEST(Replay, CycleIsReportedIncomplete) {
+  // Lane 0 runs Bwd(0, 0) before Fwd(0, 0): Bwd(0, 0) needs Bwd(0, 1),
+  // which needs Fwd(0, 1), which needs Fwd(0, 0).
+  std::vector<std::vector<ReplayOp>> lanes = {
+      {{Op::Kind::kBackward, 0, 0, 1.0}, {Op::Kind::kForward, 0, 0, 1.0}},
+      {{Op::Kind::kForward, 0, 1, 1.0}, {Op::Kind::kBackward, 0, 1, 1.0}},
+  };
+  const ReplayResult r = replay(lanes, 2);
+  EXPECT_FALSE(r.complete);
+  EXPECT_LT(lanes[0][0].end, 0.0);
+  EXPECT_LT(r.last.lane, 0);
+  EXPECT_DOUBLE_EQ(r.makespan, 0.0);
 }
 
 }  // namespace
