@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,38 +45,47 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bound histogram: bucket i counts observations <= bounds[i]; one
-/// overflow bucket above the last bound. Tracks count/sum/max for means.
+/// Log-linear histogram (HdrHistogram-style): each octave from 2^kMinExp
+/// to 2^kMaxExp splits into 32 equal buckets, so a bucket is at most 1/32
+/// (3.125%) of its lower edge wide; values outside land in an underflow or
+/// an overflow bucket. Tracks count, sum, min and max.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr int kSubBuckets = 32;
+  static constexpr int kMinExp = -20;  ///< ~1e-6
+  static constexpr int kMaxExp = 24;   ///< ~1.7e7
 
   void observe(double x);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double max() const { return max_.load(std::memory_order_relaxed); }
+  /// Observed extremes; 0 before the first observation.
+  double min() const {
+    return count() > 0 ? min_.load(std::memory_order_relaxed) : 0.0;
+  }
+  double max() const {
+    return count() > 0 ? max_.load(std::memory_order_relaxed) : 0.0;
+  }
   double mean() const {
     const auto n = count();
     return n > 0 ? sum() / static_cast<double>(n) : 0.0;
   }
-  /// Upper bound of the bucket containing quantile q in [0, 1], clamped to
-  /// max() (so the overflow bucket reports the observed max).
-  double quantile_bound(double q) const;
-  const std::vector<double>& bounds() const { return bounds_; }
-  std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  /// Quantile q in [0, 1]: rank q·count() located in its bucket, linearly
+  /// interpolated across the bucket and clamped to [min(), max()] — within
+  /// one bucket width (≤ 3.125%) of the exact nearest-rank percentile.
+  double quantile(double q) const;
 
  private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds_.size() + 1
+  static constexpr int kBuckets = (kMaxExp - kMinExp) * kSubBuckets + 2;
+  static int bucket_of(double x);
+  static double bucket_lower(int i);  ///< for i in [1, kBuckets - 1]
+
+  std::vector<std::atomic<std::uint64_t>> buckets_ =
+      std::vector<std::atomic<std::uint64_t>>(kBuckets);
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> max_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
-
-/// Default latency bounds (milliseconds), log-spaced 0.01 ms .. 10 s.
-std::vector<double> default_ms_bounds();
 
 // ---- per-(rank, group) communication volumes --------------------------------------
 
@@ -104,7 +114,7 @@ class MetricsRegistry {
   /// Find-or-create; returned references stay valid until reset().
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
+  Histogram& histogram(const std::string& name);
 
   // Comm volume hot path (called from dist::Comm; no-ops when metrics are
   // off — callers gate on obs::metrics_on() before computing arguments).

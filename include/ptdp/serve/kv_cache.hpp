@@ -1,130 +1,15 @@
 #pragma once
 
-// ptdp::serve paged KV cache (DESIGN.md §16): fixed-size KV blocks drawn
-// from the ptdp::mem pool through a BlockAllocator, with per-sequence
-// block tables so thousands of sequences share one bounded budget —
-// vLLM's paging idea on this repo's CPU substrate.
-//
-// A block holds `block_tokens` consecutive positions of one sequence; each
-// position slot stores K and V rows for every layer ([L][2][hidden_local]
-// floats), so one table entry pages a sequence's entire per-position KV
-// state. Freed blocks park on the allocator's free list and are reused —
-// the pool sees one acquire per block for the lifetime of the allocator,
-// which is what makes steady-state pool growth zero across requests.
-//
-// Accounting is byte-exact at block granularity: live/peak bytes move in
-// whole blocks and are surfaced as the serve.kv.live_bytes /
-// serve.kv.peak_bytes obs gauges (plus alloc/reuse counters) when
-// record_metrics is set — in tensor-parallel worlds only rank 0's engine
-// should record, or every rank would write the same gauges.
+// The serving plane's names for the paged KV cache, which lives in
+// ptdp_model next to the KvStore interface (DESIGN.md §16).
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
-
-#include "ptdp/mem/pool.hpp"
 #include "ptdp/model/kv_cache.hpp"
 
 namespace ptdp::serve {
 
-struct BlockAllocatorOptions {
-  std::int64_t block_floats = 0;     ///< payload floats per block
-  std::int64_t capacity_blocks = 0;  ///< hard budget; allocate() fails above it
-  bool record_metrics = true;        ///< feed the serve.kv.* obs metrics
-};
-
-/// Fixed-budget block allocator over mem::acquire/release. Blocks are
-/// acquired from the pool lazily (first use) and cached on an internal
-/// free list forever after; free()d blocks are reused in LIFO order.
-class BlockAllocator {
- public:
-  explicit BlockAllocator(BlockAllocatorOptions options);
-  ~BlockAllocator();
-  BlockAllocator(const BlockAllocator&) = delete;
-  BlockAllocator& operator=(const BlockAllocator&) = delete;
-
-  /// A free block id, or -1 when the budget is exhausted.
-  std::int32_t allocate();
-  void free(std::int32_t block);
-  float* data(std::int32_t block);
-  const float* data(std::int32_t block) const;
-
-  std::int64_t capacity_blocks() const { return options_.capacity_blocks; }
-  std::int64_t free_blocks() const;
-  std::int64_t live_blocks() const { return live_blocks_; }
-  std::int64_t peak_live_blocks() const { return peak_live_blocks_; }
-  std::int64_t block_bytes() const {
-    return options_.block_floats * static_cast<std::int64_t>(sizeof(float));
-  }
-  std::int64_t live_bytes() const { return live_blocks_ * block_bytes(); }
-  std::int64_t peak_bytes() const { return peak_live_blocks_ * block_bytes(); }
-  /// acquire() calls made against the pool (== high-water distinct blocks).
-  std::int64_t pool_acquires() const { return pool_acquires_; }
-
- private:
-  void publish_gauges() const;
-
-  BlockAllocatorOptions options_;
-  std::vector<mem::Block> blocks_;       ///< pool blocks, indexed by block id
-  std::vector<std::int32_t> free_list_;  ///< ids ready for reuse (LIFO)
-  std::int64_t live_blocks_ = 0;
-  std::int64_t peak_live_blocks_ = 0;
-  std::int64_t pool_acquires_ = 0;
-};
-
-struct KvCacheOptions {
-  std::int64_t num_layers = 0;
-  std::int64_t hidden_local = 0;     ///< heads_local · head_dim on this rank
-  std::int64_t block_tokens = 8;     ///< positions per block
-  std::int64_t capacity_blocks = 0;  ///< shared budget across all sequences
-  bool record_metrics = true;
-};
-
-/// model::KvStore over paged blocks: per-sequence block tables into one
-/// BlockAllocator. Capacity is reserved explicitly (try_reserve) so the
-/// scheduler can make admission/preemption decisions before any write;
-/// write() into unreserved positions is a CHECK failure, never an alloc.
-class PagedKvCache final : public model::KvStore {
- public:
-  explicit PagedKvCache(KvCacheOptions options);
-
-  /// Ensures `seq` has blocks for `len` total positions. Returns false —
-  /// allocating nothing — when the budget cannot cover the missing blocks.
-  bool try_reserve(std::uint64_t seq, std::int64_t len);
-  /// Blocks needed to hold `len` positions.
-  std::int64_t blocks_for(std::int64_t len) const;
-  std::int64_t free_blocks() const { return allocator_.free_blocks(); }
-  std::int64_t seq_blocks(std::uint64_t seq) const;
-  /// Positions currently reserved for `seq` (block-table length · tokens).
-  std::int64_t reserved_tokens(std::uint64_t seq) const;
-  /// Number of sequences with a block table (including empty ones).
-  std::int64_t num_tables() const {
-    return static_cast<std::int64_t>(tables_.size());
-  }
-  /// Sum of all block-table lengths — must equal allocator().live_blocks().
-  std::int64_t total_table_blocks() const;
-  const KvCacheOptions& options() const { return options_; }
-  BlockAllocator& allocator() { return allocator_; }
-
-  // model::KvStore — storage layout per position slot: [layer][K|V][hl].
-  void write(std::uint64_t seq, std::int64_t layer, std::int64_t pos,
-             const tensor::Tensor& k2d, const tensor::Tensor& v2d) override;
-  void gather(std::uint64_t seq, std::int64_t layer, std::int64_t len,
-              tensor::Tensor& k, tensor::Tensor& v) const override;
-  /// Frees the sequence's blocks back to the allocator (preemption/finish).
-  void drop(std::uint64_t seq) override;
-
- private:
-  /// Float offset of (position-in-block, layer, K=0/V=1) inside a block.
-  std::int64_t slot_offset(std::int64_t pos_in_block, std::int64_t layer,
-                           std::int64_t which) const {
-    return ((pos_in_block * options_.num_layers + layer) * 2 + which) *
-           options_.hidden_local;
-  }
-
-  KvCacheOptions options_;
-  BlockAllocator allocator_;
-  std::unordered_map<std::uint64_t, std::vector<std::int32_t>> tables_;
-};
+using model::BlockAllocator;
+using model::BlockAllocatorOptions;
+using model::KvCacheOptions;
+using model::PagedKvCache;
 
 }  // namespace ptdp::serve

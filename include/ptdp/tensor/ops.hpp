@@ -39,6 +39,19 @@ Tensor bmm_nt(const Tensor& a, const Tensor& b);
 /// Batched: C[B,m,n] = A[B,k,m]ᵀ · B[B,k,n]
 Tensor bmm_tn(const Tensor& a, const Tensor& b);
 
+/// Decode attention's K or V read where the KV cache keeps it: head h of
+/// position p is the dk floats at rows[p] + h·head_stride. Products equal
+/// the contiguous [heads, len, dk] operand's bit for bit.
+struct HeadRows {
+  std::span<const float* const> rows;
+  std::int64_t head_stride = 0;
+  std::int64_t dk = 0;
+};
+/// Batched over heads: C[h,m,len] = A[h,m,dk] · K_hᵀ
+Tensor bmm_nt(const Tensor& a, const HeadRows& b);
+/// Batched over heads: C[h,m,dk] = A[h,m,len] · V_h
+Tensor bmm(const Tensor& a, const HeadRows& b);
+
 // ---- elementwise -------------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);

@@ -91,7 +91,15 @@ std::vector<std::int32_t> generate(GptStage& stage,
   std::vector<std::int32_t> out(prompt.begin(), prompt.end());
   Rng rng(options.seed, substream(0x9E4EA7E));
 
-  SimpleKvStore kv;
+  // KV-cached steps stop at the window, so this many positions ever sit in
+  // the cache; it is reserved at the first cached step.
+  const std::int64_t kv_tokens = std::min<std::int64_t>(
+      window, static_cast<std::int64_t>(prompt.size()) + options.max_new_tokens);
+  constexpr std::int64_t kBlockTokens = 16;
+  PagedKvCache kv({stage.config().num_layers,
+                   stage.kv_heads_local() * stage.kv_head_dim(), kBlockTokens,
+                   (kv_tokens + kBlockTokens - 1) / kBlockTokens,
+                   /*record_metrics=*/false});
   std::int64_t cached = 0;  // positions materialized in the KV store
 
   for (std::int64_t step = 0; step < options.max_new_tokens; ++step) {
@@ -101,6 +109,9 @@ std::vector<std::int32_t> generate(GptStage& stage,
     if (options.use_kv_cache && total <= window) {
       // Incremental: feed only the not-yet-cached suffix (the whole prompt
       // on the first step, the single new token afterwards).
+      if (cached == 0) {
+        PTDP_CHECK(kv.try_reserve(/*seq=*/0, kv_tokens));
+      }
       const DecodeSeq seq{/*id=*/0, cached, total - cached};
       std::span<const std::int32_t> fresh(out.data() + cached,
                                           static_cast<std::size_t>(total - cached));

@@ -54,8 +54,9 @@ Tensor mask_fill(const Tensor& x, bool causal) {
 /// Σ seq.len). Each sequence's new K/V rows are appended to ctx.kv, and its
 /// new queries attend over the whole cached prefix through the full-path
 /// kernel sequence (bmm_nt -> scale+causal softmax -> bmm) on
-/// [a_l, len, kv_len] — bitwise the full forward's rows at those positions.
-/// Returns the merged context [rows, h_l].
+/// [a_l, len, kv_len], with K and V read where the store keeps them —
+/// bitwise the full forward's rows at those positions. Returns the merged
+/// context [rows, h_l].
 Tensor decode_attention(const Tensor& qkv2d, const LayerBinding& bind,
                         const ExecContext& ctx) {
   PTDP_CHECK(bind.config->causal) << "incremental decode is causal-only";
@@ -65,55 +66,36 @@ Tensor decode_attention(const Tensor& qkv2d, const LayerBinding& bind,
   const std::int64_t al = bind.attn->heads_local();
   const std::int64_t dk = bind.attn->head_dim();
   const std::int64_t hl = bind.attn->hidden_local();
-  auto qkv = qkv2d.data();
 
   Tensor ctx2d = Tensor::empty({rows, hl});
-  auto ctx_out = ctx2d.data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
 
+  model::KvRows kv_rows;  // reused across sequences: the tables keep capacity
   std::int64_t r0 = 0;
   for (const model::DecodeSeq& seq : ctx.seqs) {
     const std::int64_t c = seq.len;
     const std::int64_t kv_len = seq.pos + c;
     PTDP_CHECK_GT(c, 0);
 
-    // Per-row qkv layout is [a_l, 3dk] (q | k | v per head): split the new
-    // rows into the store's head-major K/V rows and the batched-GEMM query.
-    Tensor k2d = Tensor::empty({c, hl});
-    Tensor v2d = Tensor::empty({c, hl});
-    Tensor q3d = Tensor::empty({al, c, dk});
-    auto kd = k2d.data();
-    auto vd = v2d.data();
-    auto qd = q3d.data();
-    for (std::int64_t i = 0; i < c; ++i) {
-      const float* src = qkv.data() + (r0 + i) * 3 * hl;
-      for (std::int64_t a = 0; a < al; ++a) {
-        std::copy_n(src + a * 3 * dk, static_cast<std::size_t>(dk),
-                    qd.data() + (a * c + i) * dk);
-        std::copy_n(src + a * 3 * dk + dk, static_cast<std::size_t>(dk),
-                    kd.data() + i * hl + a * dk);
-        std::copy_n(src + a * 3 * dk + 2 * dk, static_cast<std::size_t>(dk),
-                    vd.data() + i * hl + a * dk);
-      }
-    }
-    ctx.kv->write(seq.id, bind.layer_idx, seq.pos, k2d, v2d);
+    // Per-row qkv layout is [a_l, 3dk] (q | k | v per head): the store
+    // takes the new rows' head-major K/V, the GEMMs an [a_l, c, dk] query.
+    const Tensor heads = qkv2d.slice(0, r0, c).view({c, al, 3 * dk});
+    ctx.kv->write(seq.id, bind.layer_idx, seq.pos,
+                  heads.slice(-1, dk, dk).view({c, hl}),
+                  heads.slice(-1, 2 * dk, dk).view({c, hl}));
+    const Tensor q3d = heads.slice(-1, 0, dk).permute({1, 0, 2});
 
-    // Contiguous prefix+chunk K/V, then the exact full-path kernel sequence
-    // on [a_l, c, kv_len] — bitwise the full forward's last c rows.
-    Tensor kc = Tensor::empty({al, kv_len, dk});
-    Tensor vc = Tensor::empty({al, kv_len, dk});
-    ctx.kv->gather(seq.id, bind.layer_idx, kv_len, kc, vc);
-    Tensor scores = tensor::bmm_nt(q3d, kc);  // [a_l, c, kv_len]
+    // The exact full-path kernel sequence on [a_l, c, kv_len], the GEMMs
+    // packing K and V straight from the store's rows — bitwise the full
+    // forward's last c rows.
+    ctx.kv->rows(seq.id, bind.layer_idx, kv_len, al, dk, kv_rows);
+    Tensor scores = tensor::bmm_nt(  // [a_l, c, kv_len]
+        q3d, tensor::HeadRows{kv_rows.k, kv_rows.head_stride, dk});
     Tensor probs = tensor::fused_scale_causal_softmax(scores, scale);
-    Tensor cx = tensor::bmm(probs, vc);  // [a_l, c, dk]
-    auto cd = cx.data();
-    for (std::int64_t i = 0; i < c; ++i) {
-      float* dst = ctx_out.data() + (r0 + i) * hl;
-      for (std::int64_t a = 0; a < al; ++a) {
-        std::copy_n(cd.data() + (a * c + i) * dk, static_cast<std::size_t>(dk),
-                    dst + a * dk);
-      }
-    }
+    Tensor cx = tensor::bmm(  // [a_l, c, dk]
+        probs, tensor::HeadRows{kv_rows.v, kv_rows.head_stride, dk});
+    std::copy_n(cx.permute({1, 0, 2}).data().data(), c * hl,
+                ctx2d.data().data() + r0 * hl);
     r0 += c;
   }
   PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";

@@ -2,32 +2,38 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <unordered_map>
 
 namespace ptdp::obs {
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
-  if (bounds_.empty()) bounds_ = default_ms_bounds();
-  if (buckets_.size() != bounds_.size() + 1) {
-    buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-  }
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    // Bounds must be strictly increasing for the bucket search.
-    if (bounds_[i] <= bounds_[i - 1]) bounds_[i] = bounds_[i - 1] * 2.0;
-  }
+int Histogram::bucket_of(double x) {
+  if (!(x >= std::ldexp(1.0, kMinExp))) return 0;  // also catches NaN
+  if (x >= std::ldexp(1.0, kMaxExp)) return kBuckets - 1;
+  int e = 0;
+  const double frac = std::frexp(x, &e);  // x = frac · 2^e, frac in [0.5, 1)
+  const int sub = static_cast<int>((frac * 2.0 - 1.0) * kSubBuckets);
+  return 1 + (e - 1 - kMinExp) * kSubBuckets + sub;
+}
+
+double Histogram::bucket_lower(int i) {
+  return std::ldexp(1.0 + static_cast<double>((i - 1) % kSubBuckets) / kSubBuckets,
+                    kMinExp + (i - 1) / kSubBuckets);
 }
 
 void Histogram::observe(double x) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
+  buckets_[static_cast<std::size_t>(bucket_of(x))].fetch_add(
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  // CAS loops: atomic<double> fetch_add/max are not universally available.
+  // CAS loops: atomic<double> fetch_add/min/max are not universally available.
   double expected = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(expected, expected + x,
                                      std::memory_order_relaxed)) {
+  }
+  double seen_min = min_.load(std::memory_order_relaxed);
+  while (x < seen_min &&
+         !min_.compare_exchange_weak(seen_min, x, std::memory_order_relaxed)) {
   }
   double seen_max = max_.load(std::memory_order_relaxed);
   while (x > seen_max &&
@@ -35,25 +41,27 @@ void Histogram::observe(double x) {
   }
 }
 
-double Histogram::quantile_bound(double q) const {
+double Histogram::quantile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(n) + 0.5);
-  // No observation exceeds max(), so neither may a quantile: clamp the
-  // bucket bound to it (this also covers the unbounded overflow bucket).
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= target) return std::min(bounds_[i], max());
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(n);
+  // The first bucket whose cumulative count reaches the rank holds the
+  // nearest-rank sample; interpolate across it, then clamp, so the answer
+  // stays in that bucket and never leaves the observed range.
+  std::uint64_t before = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    const std::uint64_t in = buckets_[static_cast<std::size_t>(i)].load(
+        std::memory_order_relaxed);
+    if (in == 0 || static_cast<double>(before + in) < rank) {
+      before += in;
+      continue;
+    }
+    const double lo = i == 0 ? min() : bucket_lower(i);
+    const double hi = i == kBuckets - 1 ? max() : bucket_lower(i + 1);
+    const double t = (rank - static_cast<double>(before)) / static_cast<double>(in);
+    return std::clamp(lo + t * (hi - lo), min(), max());
   }
   return max();
-}
-
-std::vector<double> default_ms_bounds() {
-  std::vector<double> b;
-  for (double x = 0.01; x <= 10'000.0; x *= 2.0) b.push_back(x);
-  return b;
 }
 
 MetricsRegistry& MetricsRegistry::instance() {
@@ -75,14 +83,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>(bounds.empty() ? default_ms_bounds()
-                                                      : std::move(bounds));
-  }
+  if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
 }
 
@@ -264,7 +268,7 @@ std::string MetricsRegistry::json() const {
                     "\":{\"count\":%llu,\"mean\":%.6g,\"max\":%.6g,"
                     "\"p50\":%.6g,\"p99\":%.6g}",
                     static_cast<unsigned long long>(h->count()), h->mean(),
-                    h->max(), h->quantile_bound(0.5), h->quantile_bound(0.99));
+                    h->max(), h->quantile(0.5), h->quantile(0.99));
       out += num;
     }
     out += "}";

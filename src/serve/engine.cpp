@@ -150,11 +150,9 @@ void ServeEngine::finish(std::uint64_t id, std::vector<FinishedRequest>& done) {
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("serve.requests_completed").add();
     reg.counter("serve.tokens_generated").add(s.generated);
-    auto bounds = obs::default_ms_bounds();
-    reg.histogram("serve.ttft_ms", bounds)
-        .observe(fin.first_token_ms - fin.submit_ms);
-    reg.histogram("serve.e2e_ms", bounds).observe(fin.finish_ms - fin.submit_ms);
-    auto& tbt = reg.histogram("serve.tbt_ms", bounds);
+    reg.histogram("serve.ttft_ms").observe(fin.first_token_ms - fin.submit_ms);
+    reg.histogram("serve.e2e_ms").observe(fin.finish_ms - fin.submit_ms);
+    auto& tbt = reg.histogram("serve.tbt_ms");
     for (std::size_t i = 1; i < fin.token_ms.size(); ++i) {
       tbt.observe(fin.token_ms[i] - fin.token_ms[i - 1]);
     }

@@ -112,6 +112,38 @@ void pack_b_panel(const TB* b, std::int64_t rsb, std::int64_t csb,
   }
 }
 
+// A HeadRows head at column offset `off` as the driver's B (rsb/csb unused):
+// QKᵀ runs positions along n (B(p, j) = rows[j][off + p]), P·V along k
+// (B(p, j) = rows[p][off + j]). Only this pack overload reads it, so all
+// past the pack is the strided operand's code.
+struct RowTableB {
+  const float* const* rows;
+  std::int64_t off;
+  bool positions_along_n;
+};
+
+void pack_b_panel(const RowTableB* b, std::int64_t /*rsb*/, std::int64_t /*csb*/,
+                  std::int64_t p0, std::int64_t kc, std::int64_t j0,
+                  std::int64_t nc, float* bp) {
+  for (std::int64_t jr = 0; jr < nc; jr += kNR) {
+    const std::int64_t nr = std::min(kNR, nc - jr);
+    float* dst = bp + jr * kc;
+    if (nr < kNR) std::fill_n(dst, kc * kNR, 0.0f);
+    for (std::int64_t p = 0; p < kc; ++p) {
+      float* d = dst + p * kNR;
+      if (b->positions_along_n) {
+        for (std::int64_t j = 0; j < nr; ++j) {
+          d[j] = b->rows[j0 + jr + j][b->off + p0 + p];
+        }
+      } else if (nr == kNR) {
+        std::copy_n(b->rows[p0 + p] + b->off + j0 + jr, kNR, d);  // a vector move
+      } else {
+        std::copy_n(b->rows[p0 + p] + b->off + j0 + jr, nr, d);
+      }
+    }
+  }
+}
+
 // acc[kMR][kNR] = Ap · B over kc steps, where B row p starts at bp + p*ldb:
 // ldb = kNR for a packed sliver, the source row stride when B is read in
 // place.
@@ -565,6 +597,20 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
 
 namespace {
 
+// Runs gemm(batch) for every batch over the pool. Batches are
+// embarrassingly parallel; when a single batch is big enough to fan out on
+// its own (range <= grain here), the per-batch GEMM parallelizes instead.
+template <typename F>
+void for_each_batch(std::int64_t batches, std::int64_t m, std::int64_t n,
+                    std::int64_t k, F&& gemm) {
+  const std::int64_t batch_flops = 2 * m * n * k;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kGemmGrainFlops / std::max<std::int64_t>(batch_flops, 1));
+  parallel_for(0, batches, grain, [&](std::int64_t b0, std::int64_t b1) {
+    for (std::int64_t batch = b0; batch < b1; ++batch) gemm(batch);
+  });
+}
+
 // Batched GEMM over per-variant strides (NN/NT/TN encode their transpose
 // in (rsa, csa, rsb, csb), exactly as the 2-D wrappers do).
 Tensor bmm_impl(const Tensor& a, const Tensor& b, std::int64_t m, std::int64_t n,
@@ -576,19 +622,31 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, std::int64_t m, std::int64_t n
   const std::int64_t sa = a.dim(1) * a.dim(2);
   const std::int64_t sb = b.dim(1) * b.dim(2);
   const std::int64_t sc = m * n;
-  // Batches are embarrassingly parallel; when a single batch is big enough
-  // to fan out on its own (range <= grain here), the per-batch GEMM
-  // parallelizes over row panels instead.
-  const std::int64_t batch_flops = 2 * m * n * k;
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, kGemmGrainFlops / std::max<std::int64_t>(batch_flops, 1));
   dispatch_gemm(a, b, [&](const auto* pa, const auto* pb) {
-    parallel_for(0, batches, grain, [&](std::int64_t b0, std::int64_t b1) {
-      for (std::int64_t batch = b0; batch < b1; ++batch) {
-        gemm_strided(m, n, k, pa + batch * sa, rsa, csa, pb + batch * sb, rsb,
-                     csb, pc + batch * sc);
-      }
+    for_each_batch(batches, m, n, k, [&](std::int64_t batch) {
+      gemm_strided(m, n, k, pa + batch * sa, rsa, csa, pb + batch * sb, rsb,
+                   csb, pc + batch * sc);
     });
+  });
+  return c;
+}
+
+// Heads are the batch axis, split exactly as bmm_impl splits them; head h
+// reads B through the row table at column offset h·head_stride.
+Tensor bmm_rows(const Tensor& a, const HeadRows& b, bool positions_along_n) {
+  check_3d(a, "attention lhs");
+  const std::int64_t heads = a.dim(0), m = a.dim(1);
+  const auto len = static_cast<std::int64_t>(b.rows.size());
+  const std::int64_t n = positions_along_n ? len : b.dk;
+  const std::int64_t k = positions_along_n ? b.dk : len;
+  PTDP_CHECK_EQ(a.dim(2), k) << a.shape_str() << " x " << len << " rows";
+  Tensor c = Tensor::empty({heads, m, n});
+  const float* pa = a.data().data();
+  float* pc = c.data().data();
+  for_each_batch(heads, m, n, k, [&](std::int64_t h) {
+    const RowTableB rt{b.rows.data(), h * b.head_stride, positions_along_n};
+    gemm_strided(m, n, k, pa + h * m * k, k, std::int64_t{1}, &rt,
+                 std::int64_t{0}, std::int64_t{0}, pc + h * m * n);
   });
   return c;
 }
@@ -621,6 +679,9 @@ Tensor bmm_tn(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.dim(2), n = b.dim(2), k = a.dim(1);
   return bmm_impl(a, b, m, n, k, 1, m, n, 1);
 }
+
+Tensor bmm_nt(const Tensor& a, const HeadRows& b) { return bmm_rows(a, b, true); }
+Tensor bmm(const Tensor& a, const HeadRows& b) { return bmm_rows(a, b, false); }
 
 // ---- elementwise ---------------------------------------------------------------
 

@@ -1,9 +1,13 @@
 // Generation tests: greedy decoding is argmax and deterministic, sampling
 // respects temperature and seed, tensor-parallel generation matches serial
-// token-for-token, and a model trained on the synthetic bigram corpus
-// reproduces the corpus's successor rule.
+// token-for-token, KV-cached decode matches the full forward bit for bit
+// (tokens and, past the first 256-deep GEMM k panel, logits), and a model
+// trained on the synthetic bigram corpus reproduces the corpus's successor
+// rule.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
@@ -172,6 +176,61 @@ TEST(Generate, KvCacheMatchesFullForwardBitwise) {
     opt.use_kv_cache = false;
     const auto full = generate(stage, prompt, opt);
     EXPECT_EQ(cached, full) << (greedy ? "greedy" : "sampled");
+  }
+}
+
+TEST(Generate, KvCacheMatchesFullForwardPastOneGemmKPanel) {
+  // The GEMM driver contracts in 256-deep k panels: the first overwrites,
+  // later ones add. A ~250-token prompt decoded 24 tokens past it moves
+  // kv_len across 256, so P·V's contraction gains a second panel mid-run
+  // and the prefill's m crosses the row-panel height; every token must
+  // still match the full-forward oracle bit for bit.
+  GptConfig c = tiny();
+  c.seq = 320;
+  dist::Comm solo = dist::Comm::solo();
+  GptStage stage(c, solo, whole(c));
+  Rng rng(29);
+  std::vector<std::int32_t> prompt(250);
+  for (auto& t : prompt) {
+    t = static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(c.vocab)));
+  }
+  for (const bool greedy : {true, false}) {
+    GenerateOptions opt;
+    opt.greedy = greedy;
+    opt.temperature = 0.9f;
+    opt.top_k = 8;
+    opt.seed = 23;
+    opt.max_new_tokens = 24;
+    opt.use_kv_cache = true;
+    const auto cached = generate(stage, prompt, opt);
+    opt.use_kv_cache = false;
+    const auto full = generate(stage, prompt, opt);
+    ASSERT_EQ(cached.size(), prompt.size() + 24);
+    EXPECT_EQ(cached, full) << (greedy ? "greedy" : "sampled");
+  }
+
+  // A wrong sum over the second panel can leave the argmax alone, so the
+  // logits of every decode step must equal the full forward's last row too.
+  const std::int64_t total = static_cast<std::int64_t>(prompt.size()) + 24;
+  PagedKvCache kv({c.num_layers, stage.kv_heads_local() * stage.kv_head_dim(),
+                   /*block_tokens=*/8, /*capacity_blocks=*/(total + 7) / 8, false});
+  ASSERT_TRUE(kv.try_reserve(0, total));
+  std::vector<std::int32_t> ctx = prompt;
+  std::int64_t cached = 0;
+  while (static_cast<std::int64_t>(ctx.size()) <= total) {
+    const auto len = static_cast<std::int64_t>(ctx.size());
+    const DecodeSeq seq{0, cached, len - cached};
+    const std::span<const std::int32_t> fresh(ctx.data() + cached,
+                                              static_cast<std::size_t>(len - cached));
+    const tensor::Tensor step =
+        stage.decode(std::span<const DecodeSeq>(&seq, 1), fresh, kv);
+    const tensor::Tensor full = forward_logits(stage, ctx, len, 1);
+    const auto last =
+        full.data().subspan(static_cast<std::size_t>((len - 1) * c.vocab));
+    ASSERT_TRUE(std::equal(step.data().begin(), step.data().end(), last.begin()))
+        << "decode logits differ at kv_len " << len;
+    cached = len;
+    ctx.push_back(static_cast<std::int32_t>(len % c.vocab));
   }
 }
 

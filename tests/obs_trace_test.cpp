@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -16,6 +18,7 @@
 #include "ptdp/dist/world.hpp"
 #include "ptdp/obs/metrics.hpp"
 #include "ptdp/obs/trace.hpp"
+#include "ptdp/runtime/rng.hpp"
 
 namespace ptdp::obs {
 namespace {
@@ -191,34 +194,62 @@ TEST_F(ObsMetricsTest, CountersGaugesHistograms) {
   metrics.gauge("test.gauge").set(2.5);
   EXPECT_DOUBLE_EQ(metrics.gauge("test.gauge").value(), 2.5);
 
-  Histogram& h = metrics.histogram("test.ms", {1.0, 10.0, 100.0});
+  Histogram& h = metrics.histogram("test.ms");
+  EXPECT_EQ(&metrics.histogram("test.ms"), &h);
   h.observe(0.5);
   h.observe(5.0);
   h.observe(50.0);
-  h.observe(5000.0);  // overflow bucket
+  h.observe(5000.0);
   EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.min(), 0.5);
   EXPECT_DOUBLE_EQ(h.max(), 5000.0);
   EXPECT_NEAR(h.mean(), (0.5 + 5.0 + 50.0 + 5000.0) / 4.0, 1e-9);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_DOUBLE_EQ(h.quantile_bound(0.5), 10.0);
+  // Rank 2 of 4 is the second sample: 5.0 opens the bucket [5.0, 5.125)
+  // (5 = 1.25·2², width 2²/32), and the estimate stays inside it.
+  EXPECT_GE(h.quantile(0.5), 5.0);
+  EXPECT_LE(h.quantile(0.5), 5.0 + 4.0 / 32);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.5);  // clamped to the observed min
 }
 
 TEST_F(ObsMetricsTest, QuantilesNeverExceedTheObservedMax) {
   auto& metrics = MetricsRegistry::instance();
-  // Power-of-two buckets put 10.19 under the 10.24 bound; p99 must still
-  // report at most the max actually observed.
+  // 10.19 shares the [10.0, 10.25) bucket with values up to 10.25; p99
+  // must still report at most the max actually observed.
   Histogram& h = metrics.histogram("test.e2e_ms");
   for (int i = 0; i < 99; ++i) h.observe(1.0);
   h.observe(10.19);
-  EXPECT_LE(h.quantile_bound(0.99), h.max());
-  EXPECT_DOUBLE_EQ(h.quantile_bound(1.0), 10.19);
-  // An overflow-bucket quantile is the max, not infinity.
-  Histogram& tail = metrics.histogram("test.tail_ms", {1.0, 10.0});
+  EXPECT_LE(h.quantile(0.99), h.max());
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.19);
+  // Beyond the top octave (the overflow bucket) a quantile interpolates up
+  // to the max, not to infinity.
+  Histogram& tail = metrics.histogram("test.tail_ms");
   tail.observe(0.5);
-  tail.observe(50.0);
-  tail.observe(70.0);
-  EXPECT_DOUBLE_EQ(tail.quantile_bound(0.99), 70.0);
+  tail.observe(5e7);
+  tail.observe(7e7);
+  EXPECT_LE(tail.quantile(0.99), 7e7);
+  EXPECT_GT(tail.quantile(0.99), 5e7);
+  EXPECT_DOUBLE_EQ(tail.quantile(1.0), 7e7);
+}
+
+TEST_F(ObsMetricsTest, QuantilesWithinOneBucketOfExactPercentiles) {
+  // Distinct p50 and p99 for a spread of values (a power-of-two histogram
+  // reported both as the same bucket bound), each within one log-linear
+  // bucket (≤ 1/32 of the value) of the exact nearest-rank percentile.
+  auto& metrics = MetricsRegistry::instance();
+  Histogram& h = metrics.histogram("test.spread_ms");
+  Rng rng(5);
+  std::vector<double> xs;
+  for (int i = 0; i < 1000; ++i) {
+    xs.push_back(3.0 + 2.0 * rng.next_uniform() + (i % 50 == 0 ? 40.0 : 0.0));
+    h.observe(xs.back());
+  }
+  std::sort(xs.begin(), xs.end());
+  for (const double q : {0.01, 0.5, 0.9, 0.99, 1.0}) {
+    const double exact = xs[static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(xs.size())) - 1)];
+    EXPECT_NEAR(h.quantile(q), exact, exact / 32) << "q=" << q;
+  }
+  EXPECT_LT(h.quantile(0.5), 0.5 * h.quantile(0.99));
 }
 
 TEST_F(ObsMetricsTest, JsonIsWellFormedEnough) {

@@ -2,16 +2,19 @@
 // the full-forward oracle's (greedy and sampled, serial and 2-way tensor
 // parallel), evicted sequences resume bitwise after re-admission, the KV
 // block budget is never exceeded mid-run, no request starves even under
-// minimal KV capacity, and the steady-state pool never grows.
+// minimal KV capacity, the steady-state pool never grows, and the latency
+// histograms report the runs' exact percentiles within one bucket.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
 #include "ptdp/dist/world.hpp"
 #include "ptdp/model/generate.hpp"
+#include "ptdp/obs/metrics.hpp"
 #include "ptdp/serve/loadgen.hpp"
 
 namespace ptdp::serve {
@@ -107,6 +110,33 @@ TEST(ServeEngine, MatchesOracleGreedyAndSampled) {
   const auto fins = drive(engine, lg);
   ASSERT_EQ(fins.size(), 16u);
   EXPECT_EQ(engine.stats().preemptions, 0);
+  expect_matches_oracle(stage, lg, fins);
+}
+
+TEST(ServeEngine, MatchesOracleAcrossTheSecondGemmKPanel) {
+  // Prompts of 240-290 tokens prefilled in 32-token chunks under a budget
+  // that splits chunks unevenly: chunks straddle position 256, where the
+  // P·V contraction gains its second 256-deep k panel. Streams must stay
+  // bitwise the full-forward oracle's.
+  model::GptConfig c = tiny();
+  c.seq = 320;
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, whole(c));
+  EngineOptions eo = small_engine(/*capacity=*/160);
+  eo.block_tokens = 8;
+  eo.prefill_chunk = 32;
+  eo.max_batch_tokens = 48;
+  ServeEngine engine(stage, eo);
+  LoadGenOptions lo = small_load(c, /*seed=*/13);
+  lo.users = 3;
+  lo.requests_per_user = 1;
+  lo.prompt_min = 240;
+  lo.prompt_max = 290;
+  lo.max_new_min = 4;
+  lo.max_new_max = 12;
+  LoadGen lg(lo);
+  const auto fins = drive(engine, lg);
+  ASSERT_EQ(fins.size(), 3u);
   expect_matches_oracle(stage, lg, fins);
 }
 
@@ -244,6 +274,52 @@ TEST(ServeEngine, WindowFullRequestFinishesEmpty) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].tokens.empty());
   EXPECT_TRUE(engine.idle());
+}
+
+/// Nearest-rank percentile: the ceil(q·n)-th smallest sample.
+double exact_percentile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(xs.size())));
+  return xs[std::max<std::size_t>(rank, 1) - 1];
+}
+
+TEST(ServeEngine, LatencyHistogramsMatchExactPercentiles) {
+  // serve.tbt_ms / serve.ttft_ms quantiles agree with exact percentiles of
+  // the same FinishedRequest timings within one log-linear bucket (≤ 1/32
+  // of the value).
+  obs::Tracer::instance().set_mode(obs::TraceMode::kMetricsOnly);
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.reset();
+  const model::GptConfig c = tiny();
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, whole(c));
+  EngineOptions eo = small_engine(/*capacity=*/64);
+  eo.record_metrics = true;
+  ServeEngine engine(stage, eo);
+  LoadGen lg(small_load(c, /*seed=*/21));
+  const auto fins = drive(engine, lg);
+  obs::Tracer::instance().set_mode(obs::TraceMode::kOff);
+  ASSERT_EQ(fins.size(), 16u);
+
+  std::vector<double> tbt, ttft;
+  for (const auto& [id, fin] : fins) {
+    ttft.push_back(fin.first_token_ms - fin.submit_ms);
+    for (std::size_t i = 1; i < fin.token_ms.size(); ++i) {
+      tbt.push_back(fin.token_ms[i] - fin.token_ms[i - 1]);
+    }
+  }
+  const obs::Histogram& tbt_h = reg.histogram("serve.tbt_ms");
+  const obs::Histogram& ttft_h = reg.histogram("serve.ttft_ms");
+  ASSERT_EQ(tbt_h.count(), tbt.size());
+  ASSERT_EQ(ttft_h.count(), ttft.size());
+  for (const double q : {0.5, 0.99}) {
+    const double tbt_exact = exact_percentile(tbt, q);
+    const double ttft_exact = exact_percentile(ttft, q);
+    EXPECT_NEAR(tbt_h.quantile(q), tbt_exact, tbt_exact / 32 + 1e-9) << "q=" << q;
+    EXPECT_NEAR(ttft_h.quantile(q), ttft_exact, ttft_exact / 32 + 1e-9) << "q=" << q;
+  }
+  reg.reset();
 }
 
 TEST(ServeEngine, RejectsBadRequests) {

@@ -1,13 +1,16 @@
 // Paged KV cache tests: block allocator alloc/free/reuse and hard budget,
 // fragmentation under churn, byte-exact accounting, zero steady-state pool
-// growth across request lifecycles, and byte equality between the paged
-// store and the contiguous SimpleKvStore reference.
+// growth across request lifecycles, gather() and the in-place row accessor
+// returning exactly the bytes written, and decode through KvStore
+// decorators: one that implements only write/gather/drop decodes through
+// the gather-based rows() default bitwise like the bare cache, and one
+// whose gather() fails shows the decode path never calls it.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "ptdp/model/kv_cache.hpp"
+#include "ptdp/model/stage.hpp"
 #include "ptdp/serve/kv_cache.hpp"
 
 namespace ptdp::serve {
@@ -113,7 +116,6 @@ TEST(PagedKvCache, ReserveWriteGatherRoundTrip) {
   PagedKvCache kv(tiny_kv());
   ASSERT_TRUE(kv.try_reserve(7, 6));  // 6 tokens -> 2 blocks of 4
   EXPECT_EQ(kv.seq_blocks(7), 2);
-  EXPECT_EQ(kv.reserved_tokens(7), 8);
 
   // Two appends per layer, like chunked prefill.
   for (std::int64_t layer = 0; layer < 2; ++layer) {
@@ -138,13 +140,17 @@ TEST(PagedKvCache, ReserveWriteGatherRoundTrip) {
   EXPECT_EQ(kv.free_blocks(), 8);
 }
 
-TEST(PagedKvCache, MatchesSimpleKvStoreBytes) {
-  // The paged store must return byte-identical K/V to the contiguous
-  // reference store for identical appends.
-  const std::int64_t layers = 2, hl = 8, len = 11;
+TEST(PagedKvCache, GatherAndRowsReturnWrittenBytes) {
+  // 11 positions in blocks of 4 (3 blocks, the last partial), 2 layers,
+  // appended in uneven chunks: gather() and rows() must both hand back
+  // exactly the rows the test wrote.
+  const std::int64_t layers = 2, hl = 8, heads = 2, dk = 4, len = 11;
   PagedKvCache paged({layers, hl, /*block_tokens=*/4, /*capacity=*/16, false});
-  model::SimpleKvStore simple;
   ASSERT_TRUE(paged.try_reserve(1, len));
+  EXPECT_EQ(paged.seq_blocks(1), 3);
+  // written[layer][which] holds [len, hl] rows, K then V.
+  std::vector<std::vector<std::vector<float>>> written(
+      layers, std::vector<std::vector<float>>(2));
   Rng rng(11);
   std::int64_t pos = 0;
   for (const std::int64_t chunk : {3LL, 1LL, 5LL, 2LL}) {
@@ -153,21 +159,143 @@ TEST(PagedKvCache, MatchesSimpleKvStoreBytes) {
       for (auto& x : k.data()) x = static_cast<float>(rng.next_gaussian());
       for (auto& x : v.data()) x = static_cast<float>(rng.next_gaussian());
       paged.write(1, layer, pos, k, v);
-      simple.write(1, layer, pos, k, v);
+      auto& w = written[static_cast<std::size_t>(layer)];
+      w[0].insert(w[0].end(), k.data().begin(), k.data().end());
+      w[1].insert(w[1].end(), v.data().begin(), v.data().end());
     }
     pos += chunk;
   }
+  ASSERT_EQ(pos, len);
   for (std::int64_t layer = 0; layer < layers; ++layer) {
-    tensor::Tensor pk({2, len, 4}), pv({2, len, 4});
-    tensor::Tensor sk({2, len, 4}), sv({2, len, 4});
-    paged.gather(1, layer, len, pk, pv);
-    simple.gather(1, layer, len, sk, sv);
-    auto a = pk.data(), b = sk.data();
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
-    a = pv.data();
-    b = sv.data();
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+    const auto& w = written[static_cast<std::size_t>(layer)];
+    tensor::Tensor gk({heads, len, dk}), gv({heads, len, dk});
+    paged.gather(1, layer, len, gk, gv);
+    model::KvRows r;
+    paged.rows(1, layer, len, heads, dk, r);
+    ASSERT_EQ(r.k.size(), static_cast<std::size_t>(len));
+    ASSERT_EQ(r.v.size(), static_cast<std::size_t>(len));
+    EXPECT_EQ(r.head_stride, dk);  // the block slots, not a copy
+    for (std::int64_t p = 0; p < len; ++p) {
+      for (std::int64_t h = 0; h < heads; ++h) {
+        for (std::int64_t d = 0; d < dk; ++d) {
+          const auto col = static_cast<std::size_t>(p * hl + h * dk + d);
+          const auto at = static_cast<std::size_t>(h * r.head_stride + d);
+          ASSERT_EQ(gk.at({h, p, d}), w[0][col]);
+          ASSERT_EQ(gv.at({h, p, d}), w[1][col]);
+          ASSERT_EQ(r.k[static_cast<std::size_t>(p)][at], w[0][col]);
+          ASSERT_EQ(r.v[static_cast<std::size_t>(p)][at], w[1][col]);
+        }
+      }
+    }
   }
+}
+
+/// A KvStore decorator that implements only write/gather/drop, the way a
+/// timing wrapper does: decode reaches its K/V through rows()'s default,
+/// which gathers.
+class GatherOnlyKv final : public model::KvStore {
+ public:
+  explicit GatherOnlyKv(model::KvStore& inner) : inner_(inner) {}
+  void write(std::uint64_t seq, std::int64_t layer, std::int64_t pos,
+             const tensor::Tensor& k2d, const tensor::Tensor& v2d) override {
+    inner_.write(seq, layer, pos, k2d, v2d);
+  }
+  void gather(std::uint64_t seq, std::int64_t layer, std::int64_t len,
+              tensor::Tensor& k, tensor::Tensor& v) const override {
+    ++gathers;
+    inner_.gather(seq, layer, len, k, v);
+  }
+  void drop(std::uint64_t seq) override { inner_.drop(seq); }
+  mutable std::int64_t gathers = 0;
+
+ private:
+  model::KvStore& inner_;
+};
+
+/// A decorator that forwards rows() and fails on gather(): decoding through
+/// it proves the decode path reads K/V only in place.
+class NoGatherKv final : public model::KvStore {
+ public:
+  explicit NoGatherKv(model::KvStore& inner) : inner_(inner) {}
+  void write(std::uint64_t seq, std::int64_t layer, std::int64_t pos,
+             const tensor::Tensor& k2d, const tensor::Tensor& v2d) override {
+    inner_.write(seq, layer, pos, k2d, v2d);
+  }
+  void gather(std::uint64_t, std::int64_t, std::int64_t, tensor::Tensor&,
+              tensor::Tensor&) const override {
+    PTDP_CHECK(false) << "the decode path called gather()";
+  }
+  void rows(std::uint64_t seq, std::int64_t layer, std::int64_t len,
+            std::int64_t heads, std::int64_t dk, model::KvRows& out) const override {
+    inner_.rows(seq, layer, len, heads, dk, out);
+  }
+  void drop(std::uint64_t seq) override { inner_.drop(seq); }
+
+ private:
+  model::KvStore& inner_;
+};
+
+model::GptConfig tiny_model() {
+  model::GptConfig c;
+  c.num_layers = 2;
+  c.hidden = 32;
+  c.heads = 4;
+  c.vocab = 32;
+  c.seq = 24;
+  c.dropout = 0.0f;
+  c.seed = 41;
+  return c;
+}
+
+enum class Via { kBare, kGatherOnly, kNoGather };
+
+/// Two sequences: a 5- and a 3-token prefill chunk, then four batched
+/// single-token steps through the store `via` names, each step's logits
+/// appended to the result. `gathers` receives GatherOnlyKv's gather count.
+std::vector<float> decode_through(model::GptStage& stage, Via via,
+                                  std::int64_t* gathers = nullptr) {
+  const model::GptConfig& c = stage.config();
+  PagedKvCache cache({c.num_layers, stage.kv_heads_local() * stage.kv_head_dim(),
+                      /*block_tokens=*/4, /*capacity=*/8, false});
+  EXPECT_TRUE(cache.try_reserve(1, 12));
+  EXPECT_TRUE(cache.try_reserve(2, 12));
+  GatherOnlyKv gather_only(cache);
+  NoGatherKv no_gather(cache);
+  model::KvStore* kv = &cache;
+  if (via == Via::kGatherOnly) kv = &gather_only;
+  if (via == Via::kNoGather) kv = &no_gather;
+  std::vector<float> out;
+  auto step = [&](std::vector<model::DecodeSeq> seqs,
+                  std::vector<std::int32_t> tokens) {
+    const tensor::Tensor logits = stage.decode(seqs, tokens, *kv);
+    out.insert(out.end(), logits.data().begin(), logits.data().end());
+  };
+  step({{1, 0, 5}, {2, 0, 3}}, {3, 1, 4, 1, 5, 9, 2, 6});
+  for (std::int32_t i = 0; i < 4; ++i) {
+    step({{1, 5 + i, 1}, {2, 3 + i, 1}}, {i, 7 + i});
+  }
+  if (gathers != nullptr) *gathers = gather_only.gathers;
+  return out;
+}
+
+TEST(PagedKvCache, GatherOnlyDecoratorDecodesBitwise) {
+  const model::GptConfig c = tiny_model();
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, model::StageSpec{true, true, 0, c.num_layers, false});
+  const auto bare = decode_through(stage, Via::kBare);
+  std::int64_t gathers = 0;
+  EXPECT_EQ(decode_through(stage, Via::kGatherOnly, &gathers), bare);
+  EXPECT_EQ(gathers, 5 * 2 * c.num_layers);  // steps × sequences × layers
+}
+
+TEST(PagedKvCache, DecodeNeverCallsGather) {
+  const model::GptConfig c = tiny_model();
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, model::StageSpec{true, true, 0, c.num_layers, false});
+  const auto bare = decode_through(stage, Via::kBare);
+  std::vector<float> wrapped;
+  EXPECT_NO_THROW(wrapped = decode_through(stage, Via::kNoGather));
+  EXPECT_EQ(bare, wrapped);
 }
 
 TEST(PagedKvCache, ReserveFailureAllocatesNothing) {
