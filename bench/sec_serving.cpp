@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "ptdp/graph/passes.hpp"
 #include "ptdp/runtime/stopwatch.hpp"
 #include "ptdp/serve/loadgen.hpp"
 
@@ -71,11 +70,9 @@ std::unique_ptr<model::GptStage> make_stage(const model::GptConfig& base,
   auto stage = std::make_unique<model::GptStage>(
       c, comm, model::StageSpec{true, true, 0, c.num_layers, false});
   if (dtype == "int8" || dtype == "q4") {
-    graph::QuantPolicy policy;
-    policy.kind =
-        dtype == "q4" ? tensor::QuantKind::kQ4 : tensor::QuantKind::kInt8;
-    policy.group_size = group_size;
-    stage->quantize_for_serving(policy);
+    stage->quantize_for_serving(
+        dtype == "q4" ? tensor::QuantKind::kQ4 : tensor::QuantKind::kInt8,
+        group_size);
   }
   return stage;
 }

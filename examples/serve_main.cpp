@@ -10,14 +10,15 @@
 //
 // --weight-dtype selects the serving weight format (DESIGN.md §17): f32,
 // bf16, or the weight-only quantized int8 / q4 formats. Quantized runs
-// build the stage in f32, quantize-once through the graph planner's
-// kernel-selection pass, and validate against a SECOND fp32 stage (same
-// config + seed => identical initial weights): int8 greedy decode must be
-// token-identical to the fp32 oracle; q4 reports teacher-forced top-1
-// agreement (gated at 0.90). --dump-plan writes the decode plans the
-// stage executes (a "decode_attention" node per layer; kernel selection
-// visible as "linear_fwd_quant" nodes);
-// --save/load-quant-ckpt exercise the dtype-tagged quantized checkpoint.
+// build the stage in f32, quantize every linear once
+// (GptStage::quantize_for_serving), and validate against a SECOND fp32
+// stage (same config + seed => identical initial weights): int8 greedy
+// decode must be token-identical to the fp32 oracle; q4 reports
+// teacher-forced top-1 agreement (gated at 0.90). --dump-plan writes the
+// decode plans the stage executes (a "decode_attention" node per layer;
+// the plan is the same at every weight dtype — the linear modules pick the
+// quantized GEMM themselves); --save/load-quant-ckpt exercise the
+// dtype-tagged quantized checkpoint on the shared commit protocol.
 //
 //   serve_main [--users N] [--requests N] [--capacity-blocks N] [--tp N]
 //              [--seed N] [--no-check] [--trace-out F] [--metrics-out F]
@@ -127,10 +128,9 @@ int main(int argc, char** argv) {
                  args.weight_dtype.c_str());
     return 2;
   }
-  graph::QuantPolicy policy;
-  policy.kind = args.weight_dtype == "q4" ? tensor::QuantKind::kQ4
-                                          : tensor::QuantKind::kInt8;
-  policy.group_size = args.group_size;
+  const tensor::QuantKind quant_kind = args.weight_dtype == "q4"
+                                           ? tensor::QuantKind::kQ4
+                                           : tensor::QuantKind::kInt8;
 
   model::GptConfig config;
   config.num_layers = 2;
@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
   }
 
   int mismatches = 0;
-  int q4_disagreements = 0;
   auto body = [&](dist::Comm& comm) {
     model::GptStage stage(
         config, comm, model::StageSpec{true, true, 0, config.num_layers, false});
@@ -175,7 +174,8 @@ int main(int argc, char** argv) {
                              model::StageSpec{true, true, 0, config.num_layers,
                                               false});
       }
-      const model::QuantizeReport report = stage.quantize_for_serving(policy);
+      const model::QuantizeReport report =
+          stage.quantize_for_serving(quant_kind, args.group_size);
       if (comm.rank() == 0) {
         std::printf("quantized %d linears to %s: %lld weight bytes -> %lld "
                     "(%.2fx smaller)\n",
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       }
       if (!args.save_quant_ckpt.empty()) {
         quant::save_quantized_checkpoint(args.save_quant_ckpt, 0, comm,
-                                         stage.quantized_weights(), policy.kind);
+                                         stage.quantized_weights(), quant_kind);
         if (comm.rank() == 0) {
           std::printf("quantized checkpoint -> %s\n",
                       args.save_quant_ckpt.c_str());
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       }
       if (!args.load_quant_ckpt.empty()) {
         const auto step = quant::load_quantized_checkpoint(
-            args.load_quant_ckpt, comm, stage.quantized_weights(), policy.kind);
+            args.load_quant_ckpt, comm, stage.quantized_weights(), quant_kind);
         PTDP_CHECK(step.has_value())
             << "no committed " << args.weight_dtype << " checkpoint under "
             << args.load_quant_ckpt;
@@ -210,8 +210,8 @@ int main(int argc, char** argv) {
     }
 
     if (plan_file != nullptr && comm.rank() == 0) {
-      // The decode plans the engine executes, kernel selection included
-      // ("linear_fwd_quant" nodes carry a "quant" attribute).
+      // The decode plans the engine executes ("linear_fwd" nodes run the
+      // quantized GEMM when the stage is quantized).
       graph::dump_stage_plan_json(stage.decode_plan(), config, plan_file);
       std::fclose(plan_file);
       std::printf("plan -> %s\n", args.dump_plan.c_str());
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
     }
 
     if (args.check && quantized &&
-        policy.kind == tensor::QuantKind::kInt8) {
+        quant_kind == tensor::QuantKind::kInt8) {
       // Accuracy gate (DESIGN.md §17): int8 greedy decode must pick the
       // SAME tokens the fp32 model picks — not bitwise logits, identical
       // argmax at every step.
@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (args.check && quantized && policy.kind == tensor::QuantKind::kQ4) {
+    if (args.check && quantized && quant_kind == tensor::QuantKind::kQ4) {
       // Q4 is gated on measured agreement, not exactness: teacher-force
       // the fp32 oracle's continuation through the quantized model and
       // count top-1 matches at every generated position.

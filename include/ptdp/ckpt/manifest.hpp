@@ -21,9 +21,13 @@
 // in favor of the newest checkpoint that is actually whole.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "ptdp/ckpt/checkpoint.hpp"
+#include "ptdp/dist/comm.hpp"
 
 namespace ptdp::ckpt {
 
@@ -92,5 +96,42 @@ std::optional<CommittedCheckpoint> find_latest_valid_checkpoint(
 /// newest valid one are garbage too. Never touches the step dir of a
 /// retained manifest.
 void gc_checkpoints(const std::string& dir, int keep);
+
+// ---- the collective commit pair --------------------------------------------
+//
+// The one implementation of the protocol above over a dist::Comm. Callers
+// (PtdpEngine, the quantized serving checkpoints) bring their own shard
+// writer and loader; what a committed shard set is and how it is resolved
+// lives only here.
+
+/// One rank's part of a commit: its shard coordinates (the shard_path name
+/// inside the step directory) and the precision stamp every manifest entry
+/// carries (uniform across ranks, so rank 0 stamps it).
+struct CommitSpec {
+  std::uint64_t step = 0;
+  int p = 0, t = 0, d = 0;
+  std::string dtype = "f32";
+  bool has_master_weights = false;
+};
+
+/// Writes this rank's shard to `path` and reports what it wrote.
+using ShardWriter = std::function<SaveResult(const std::string& path)>;
+
+/// Collective two-phase save over `comm`: rank 0 creates <dir>/step-<step>,
+/// then a barrier; every rank writes its shard with `write_shard`; one
+/// all-gather of (file, bytes, crc) doubles as the all-shards-durable
+/// barrier; rank 0 publishes the stamped manifest and LATEST; a final
+/// barrier, so no rank returns before the commit is visible.
+void commit_checkpoint(const dist::Comm& comm, const std::string& dir,
+                       const CommitSpec& spec, const ShardWriter& write_shard);
+
+/// Collective resolve over `comm`: rank 0 finds the newest valid committed
+/// step written at `dtype` (CHECK-failing, like find_latest_valid_checkpoint,
+/// when the newest one is at another dtype) and broadcasts it, so every rank
+/// loads the same step even if the directory changes concurrently. nullopt
+/// on every rank when nothing is committed under `dir`.
+std::optional<std::uint64_t> resolve_checkpoint(const dist::Comm& comm,
+                                                const std::string& dir,
+                                                const std::string& dtype);
 
 }  // namespace ptdp::ckpt

@@ -73,10 +73,6 @@ enum class OpKind : std::uint8_t {
   kScaleCausalSoftmax,
   kScaleMaskSoftmax,
   kScaleSoftmaxBwd,
-  // serving-only kernel selections (§17): rewritten from kLinearFwd by the
-  // select_kernels pass on inference plans — same module call, but the GEMM
-  // streams blockwise-quantized weight bytes (Node::quant names the format)
-  kLinearFwdQuant,
   // inference-only (§16): KV-cached attention core of a decode plan — qkv
   // rows in, merged per-row context out; writes K/V and attends over the
   // cached prefix of every sequence in ExecContext::seqs
@@ -112,7 +108,6 @@ struct Node {
   model::DropSite site = model::DropSite::kEmbedding;  ///< RNG site for dropout kinds
   float scale = 0.0f;       ///< softmax scale / kScale factor
   bool causal = false;      ///< kMaskFill / kScale*Softmax variant
-  std::int8_t quant = -1;   ///< tensor::QuantKind, for kLinearFwdQuant
 };
 
 /// One tensor in the plan. Shape is symbolic (for dumps) plus a concrete

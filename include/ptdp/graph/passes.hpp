@@ -9,21 +9,8 @@
 
 #include "ptdp/graph/ir.hpp"
 #include "ptdp/model/config.hpp"
-#include "ptdp/tensor/quant_ops.hpp"
 
 namespace ptdp::graph {
-
-/// Per-op policy for the §17 kernel-selection pass: which linear slots of an
-/// inference plan get rewritten to quantized GEMMs, at what format and group
-/// size. `drop_f32` releases the fp32 weight storage after quantize-once (a
-/// serving world never needs the masters; training worlds keep them).
-struct QuantPolicy {
-  tensor::QuantKind kind = tensor::QuantKind::kInt8;
-  std::int64_t group_size = 64;  ///< rows per scale group (clamped per shard
-                                 ///< via quant::effective_group_size)
-  bool slots[4] = {true, true, true, true};  ///< indexed by LinearSlot
-  bool drop_f32 = true;
-};
 
 /// §4.2 operator fusion. Jointly rewrites forward and backward graphs:
 ///   add_bias + [dropout] + add     -> fused_bias_dropout_add
@@ -43,13 +30,6 @@ int fuse_operators(LayerPlan& plan);
 /// linear layer narrows its stashed input to the weight dtype). Also fixes
 /// ref_bytes to the dtype-aware size.
 void propagate_dtypes(LayerPlan& plan, const model::GptConfig& config);
-
-/// §17 kernel selection: rewrites every policy-eligible kLinearFwd in an
-/// INFERENCE plan (empty backward graph) to kLinearFwdQuant, tagging the
-/// node with the quant format. Returns the number of nodes rewritten, or -1
-/// — leaving the plan untouched — when the plan still has a backward graph:
-/// quantized weights have no gradient, so training-mode plans are refused.
-int select_kernels(LayerPlan& plan, const QuantPolicy& policy);
 
 /// Fills Value::def/last_use/saved over the unified fwd++bwd node order.
 void analyze_lifetimes(LayerPlan& plan);

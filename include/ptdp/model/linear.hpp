@@ -48,11 +48,10 @@ class ColumnParallelLinear {
   void collect_params(ParamRefs& out);
 
   /// Serving-only: repack the weight shard into blockwise-quantized form
-  /// (DESIGN.md §17). Forward then dispatches the quantized GEMM; backward
-  /// CHECK-fails (quantized weights have no gradient). `drop_f32` releases
-  /// the f32/bf16 master storage — training worlds must keep it.
-  void quantize_weight(tensor::QuantKind kind, std::int64_t group_size,
-                       bool drop_f32);
+  /// (DESIGN.md §17) and release the f32/bf16 master storage. Forward then
+  /// dispatches the quantized GEMM; backward CHECK-fails (quantized weights
+  /// have no gradient).
+  void quantize_weight(tensor::QuantKind kind, std::int64_t group_size);
   bool quantized() const { return qweight_.defined(); }
   quant::QuantizedWeight& quantized_weight() { return qweight_; }
   const quant::QuantizedWeight& quantized_weight() const { return qweight_; }
@@ -94,10 +93,9 @@ class RowParallelLinear {
   void collect_params(ParamRefs& out);
 
   /// See ColumnParallelLinear::quantize_weight. Groups run along the local
-  /// K shard (in/t rows); a policy group size dividing in/t keeps t=1 and
-  /// t=2 quantization bitwise-consistent (quant.hpp shard-alignment rule).
-  void quantize_weight(tensor::QuantKind kind, std::int64_t group_size,
-                       bool drop_f32);
+  /// K shard (in/t rows); a group size dividing in/t keeps t=1 and t=2
+  /// quantization bitwise-consistent (quant.hpp shard-alignment rule).
+  void quantize_weight(tensor::QuantKind kind, std::int64_t group_size);
   bool quantized() const { return qweight_.defined(); }
   quant::QuantizedWeight& quantized_weight() { return qweight_; }
   const quant::QuantizedWeight& quantized_weight() const { return qweight_; }

@@ -19,10 +19,6 @@
 #include "ptdp/model/transformer_layer.hpp"
 #include "ptdp/quant/quant.hpp"
 
-namespace ptdp::graph {
-struct QuantPolicy;
-}
-
 namespace ptdp::model {
 
 /// One microbatch of token data. `tag` must be unique per microbatch within
@@ -122,18 +118,19 @@ class GptStage {
   /// (0 for evaluation/generation, the configured value for training).
   void set_dropout(float p);
 
-  /// The decode plans decode() executes, one per layer (kernel selection
-  /// included once quantize_for_serving has run) — what plan dumps show.
+  /// The decode plans decode() executes, one per layer — what plan dumps
+  /// show.
   graph::StagePlan decode_plan() const;
 
-  /// Serving-only weight quantization (DESIGN.md §17). Runs the
-  /// graph-planner kernel-selection pass on every layer's decode plan and
-  /// quantizes the linear modules the rewritten nodes name (quantize-once
-  /// at load; with policy.drop_f32 the f32 masters are released). Requires
-  /// dropout == 0. Records quant.* metrics when the registry is on.
-  /// Training stages must never call this — backward through a quantized
-  /// linear CHECK-fails.
-  QuantizeReport quantize_for_serving(const graph::QuantPolicy& policy);
+  /// Serving-only weight quantization (DESIGN.md §17): quantizes every
+  /// transformer linear once to `kind` with `group_size` rows per scale
+  /// group (clamped per shard by quant::effective_group_size) and releases
+  /// the f32 masters. The modules then run the quantized GEMM themselves.
+  /// Requires dropout == 0. Records quant.* metrics when the registry is
+  /// on. Training stages must never call this — backward through a
+  /// quantized linear CHECK-fails.
+  QuantizeReport quantize_for_serving(tensor::QuantKind kind,
+                                      std::int64_t group_size);
 
   /// Name -> packed-weight views over every quantized linear, in
   /// deterministic (layer, slot) order — the unit of quantized

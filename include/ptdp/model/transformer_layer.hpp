@@ -19,10 +19,6 @@
 #include "ptdp/model/mlp.hpp"
 #include "ptdp/tensor/ops.hpp"
 
-namespace ptdp::graph {
-struct QuantPolicy;
-}
-
 namespace ptdp::model {
 
 /// Per-(layer, microbatch) state: the planned frame. keep_input_only()
@@ -66,9 +62,6 @@ class TransformerLayer {
   /// The inference plan KV-cached decode runs (GptStage::decode): the
   /// forward with its attention core replaced by kDecodeAttention (§16).
   const graph::LayerPlan& decode_plan() const { return plan_decode_; }
-  /// §17 kernel selection on the decode plan; the caller quantizes the
-  /// modules its kLinearFwdQuant nodes name (GptStage::quantize_for_serving).
-  void select_decode_kernels(const graph::QuantPolicy& policy);
 
  private:
   GptConfig config_;

@@ -5,20 +5,19 @@
 // layer's [k, n] weight shard: payload bytes, per-(group, column) f32
 // scales, and u8 zero-points, in the ptdp::tensor panel layout
 // (tensor/quant_ops.hpp). All three live in Tensors drawn from the
-// ptdp::mem pool, so byte accounting, checkpoint CRCs, and dist transport
-// come for free.
+// ptdp::mem pool, so byte accounting and checkpoint CRCs come for free.
 //
-// Shard-alignment rule: quantization groups run along K (the reduction
-// dimension). Column-parallel shards split N, so per-column groups are
-// unaffected by t; row-parallel shards split K, so a group size dividing
-// K/t makes each rank's groups a contiguous sub-range of the full-weight
-// groups. Under that rule quantize(full) restricted to a rank's shard is
-// BITWISE equal to quantize(shard) — t ∈ {1, 2} stays rank-deterministic,
-// and shard_rows/slice_cols below are exact (pure byte shuffles).
+// Shard-alignment rule, a property of quantize(): groups run along K (the
+// reduction dimension) and columns are packed in kQuantPanel-wide panels.
+// Column-parallel shards split N, so a panel-aligned column slice keeps
+// every per-column group; row-parallel shards split K, so a group size
+// dividing K/t makes each rank's groups a contiguous sub-range of the
+// full-weight groups. Under that rule dequantize(quantize(shard)) is
+// BITWISE the same slice of dequantize(quantize(full)), so t ∈ {1, 2}
+// serve the same weights.
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -34,8 +33,8 @@ struct QuantizedWeight {
   std::int64_t cols = 0;        ///< n (output dim)
   std::int64_t group_size = 0;  ///< rows per (scale, zero-point) group
   // Storage: payload/zeros are byte arrays carried in f32 tensors (numel =
-  // ceil(bytes/4), tail zero-filled) so the pool, checkpoint CRC, and comm
-  // layers see ordinary tensors.
+  // ceil(bytes/4), tail zero-filled) so the pool and checkpoint CRC see
+  // ordinary tensors.
   tensor::Tensor payload;
   tensor::Tensor scales;  ///< f32 [ngroups * npanels * kQuantPanel]
   tensor::Tensor zeros;   ///< u8, packed like payload
@@ -53,8 +52,8 @@ struct QuantizedWeight {
 };
 
 /// Largest divisor of k_rows that is <= requested: the group size actually
-/// used, so any (policy, shard) combination quantizes instead of failing.
-/// For exact t=1 vs t=2 row-shard equality pick a policy group dividing K/t.
+/// used, so any (group, shard) combination quantizes instead of failing.
+/// For exact t=1 vs t=2 row-shard equality pick a group dividing K/t.
 std::int64_t effective_group_size(std::int64_t requested, std::int64_t k_rows);
 
 /// Quantize a [k, n] f32 (or bf16, widened first) weight. group_size is
@@ -65,57 +64,33 @@ QuantizedWeight quantize(const tensor::Tensor& w, tensor::QuantKind kind,
 /// ŵ [k, n] f32 — exactly what the quantized GEMM multiplies by.
 tensor::Tensor dequantize(const QuantizedWeight& w);
 
-/// C = a · dequant(w): a is [..., k] f32, result [..., n] f32. Dispatches
-/// gemm_f32xq{8,4}; bitwise-deterministic across thread counts.
+/// C = a · dequant(w): a is [..., k] f32, result [..., n] f32. Runs
+/// tensor::gemm_f32xq; bitwise-deterministic across thread counts.
 tensor::Tensor matmul(const tensor::Tensor& a, const QuantizedWeight& w);
-
-// ---- wire format (dist broadcast/scatter at world bring-up) ----------------
-
-/// Self-describing byte image: header (magic, kind, geometry) + payload +
-/// scales + zeros. ~4x (int8) / ~7x (q4) smaller than the f32 weight, which
-/// multiplies the effective bandwidth of weight distribution.
-std::vector<std::uint8_t> serialize(const QuantizedWeight& w);
-QuantizedWeight deserialize(std::span<const std::uint8_t> bytes);
-
-/// Collective: root serializes `w` (others pass anything) and every rank
-/// returns the root's weight. `wire_bytes` (optional) receives the payload
-/// size actually broadcast.
-QuantizedWeight broadcast(const dist::Comm& comm, const QuantizedWeight& w,
-                          int root, std::int64_t* wire_bytes = nullptr);
-
-/// Row slice [r0, r1) — a row-parallel TP shard. r0 and r1 - r0 must be
-/// multiples of group_size; the result is bitwise what quantizing the f32
-/// row slice directly produces.
-QuantizedWeight shard_rows(const QuantizedWeight& w, std::int64_t r0,
-                           std::int64_t r1);
-
-/// Column slice [c0, c1) — a column-parallel TP shard. c0 must be panel-
-/// aligned (multiple of tensor::kQuantPanel) and c1 panel-aligned or == cols.
-QuantizedWeight slice_cols(const QuantizedWeight& w, std::int64_t c0,
-                           std::int64_t c1);
 
 // ---- dtype-tagged checkpoints ----------------------------------------------
 
-/// A named quantized weight for checkpoint/wire helpers.
+/// A named quantized weight for the checkpoint helpers.
 struct NamedQuant {
   std::string name;
   QuantizedWeight* weight = nullptr;
 };
 
-/// Two-phase committed save (ckpt/manifest.hpp protocol) of every rank's
-/// quantized shards under `dir`, manifest dtype-tagged "int8"/"q4" so a
-/// resume at the wrong precision regime is rejected before any shard opens.
-/// Collective over `tp` (the all-gather of per-shard CRCs is the barrier).
+/// Collective committed save (ckpt::commit_checkpoint) over `tp` of every
+/// rank's quantized shards under `dir`, the manifest dtype-tagged
+/// "int8"/"q4" so a resume at the wrong precision regime is rejected before
+/// any shard opens.
 void save_quantized_checkpoint(const std::string& dir, std::uint64_t step,
                                const dist::Comm& tp,
                                const std::vector<NamedQuant>& weights,
                                tensor::QuantKind kind);
 
-/// Loads the newest valid checkpoint whose manifest dtype matches `kind`
-/// into `weights` (matched by name; geometry must agree — quantize first to
-/// size the tensors, then load overwrites the bytes). Returns the step, or
-/// nullopt when no committed checkpoint exists. CHECK-fails if the newest
-/// valid checkpoint was written at a different dtype.
+/// Collective load of the newest valid checkpoint whose manifest dtype
+/// matches `kind` (ckpt::resolve_checkpoint) into `weights` (matched by
+/// name; geometry must agree — quantize first to size the tensors, then
+/// load overwrites the bytes). Returns the step, or nullopt when no
+/// committed checkpoint exists. CHECK-fails if the newest valid checkpoint
+/// was written at a different dtype.
 std::optional<std::uint64_t> load_quantized_checkpoint(
     const std::string& dir, const dist::Comm& tp,
     const std::vector<NamedQuant>& weights, tensor::QuantKind kind);

@@ -16,7 +16,7 @@
 // Dequantization is w ≈ (q - z)·s with q, z unsigned; the scale is widened
 // after rounding the zero-point so both group extremes stay representable,
 // giving max|ŵ - w| ≤ (max - min)/Q per group (Q = 255 for int8, 15 for
-// q4). gemm_f32xq{8,4} dequantize inside the packed-panel inner loop —
+// q4). gemm_f32xq dequantizes inside the packed-panel inner loop —
 // the weight matrix is streamed at 1 (or 0.5) bytes per element instead of
 // 4, which is the whole win in the memory-bandwidth-bound decode regime.
 // Accumulation per output element is serial over k within one panel task,
@@ -26,8 +26,8 @@
 
 namespace ptdp::tensor {
 
-/// Quantized weight storage formats. Values are stable (serialized in the
-/// ptdp::quant wire format and checkpoint manifests).
+/// Quantized weight storage formats. quant_kind_name() tags checkpoint
+/// manifests, so the names are stable.
 enum class QuantKind : std::uint8_t {
   kInt8 = 0,  ///< 8-bit, Q = 255, ~4x smaller than f32
   kQ4 = 1,    ///< 4-bit (two per byte), Q = 15, ~8x smaller
@@ -69,21 +69,11 @@ void quant_unpack(QuantKind kind, const std::uint8_t* payload, const float* scal
                   std::int64_t group, float* w);
 
 /// C[m,n] = A[m,k] · dequant(W)[k,n]. A and C are row-major f32 with leading
-/// dimensions lda/ldc; W is the packed representation above. C is fully
-/// overwritten. Parallel over column panels (the natural decomposition for
-/// the m ∈ {1..8} decode shapes where row-parallel GEMM degenerates to one
-/// serial task); per (row, panel) the k loop is serial, so the result is
-/// bitwise-deterministic across thread counts.
-void gemm_f32xq8(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-                 std::int64_t lda, const std::uint8_t* payload, const float* scales,
-                 const std::uint8_t* zeros, std::int64_t group, float* c,
-                 std::int64_t ldc);
-void gemm_f32xq4(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-                 std::int64_t lda, const std::uint8_t* payload, const float* scales,
-                 const std::uint8_t* zeros, std::int64_t group, float* c,
-                 std::int64_t ldc);
-
-/// Kind-dispatched entry point for the two kernels above.
+/// dimensions lda/ldc; W is the packed representation above, in format
+/// `kind`. C is fully overwritten. Parallel over column panels (the natural
+/// decomposition for the m ∈ {1..8} decode shapes where row-parallel GEMM
+/// degenerates to one serial task); per (row, panel) the k loop is serial,
+/// so the result is bitwise-deterministic across thread counts.
 void gemm_f32xq(QuantKind kind, std::int64_t m, std::int64_t n, std::int64_t k,
                 const float* a, std::int64_t lda, const std::uint8_t* payload,
                 const float* scales, const std::uint8_t* zeros, std::int64_t group,

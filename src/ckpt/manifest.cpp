@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -306,6 +307,78 @@ void gc_checkpoints(const std::string& dir, int keep) {
     fs::remove(dir + "/" + manifest_name(steps[i]), ec);
     fs::remove_all(step_dir(dir, steps[i]), ec);
   }
+}
+
+namespace {
+
+// Wire format of the commit's metadata exchange: each rank reports the
+// relative shard file name it wrote plus the intended (bytes, crc).
+std::vector<std::uint8_t> pack_entry(const ManifestEntry& e) {
+  std::vector<std::uint8_t> out(sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                                e.file.size());
+  std::memcpy(out.data(), &e.bytes, sizeof(e.bytes));
+  std::memcpy(out.data() + sizeof(e.bytes), &e.crc, sizeof(e.crc));
+  std::memcpy(out.data() + sizeof(e.bytes) + sizeof(e.crc), e.file.data(),
+              e.file.size());
+  return out;
+}
+
+ManifestEntry unpack_entry(const std::vector<std::uint8_t>& in) {
+  constexpr std::size_t header = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  PTDP_CHECK_GE(in.size(), header) << "malformed manifest-entry message";
+  ManifestEntry e;
+  std::memcpy(&e.bytes, in.data(), sizeof(e.bytes));
+  std::memcpy(&e.crc, in.data() + sizeof(e.bytes), sizeof(e.crc));
+  e.file.assign(reinterpret_cast<const char*>(in.data() + header),
+                in.size() - header);
+  return e;
+}
+
+}  // namespace
+
+void commit_checkpoint(const dist::Comm& comm, const std::string& dir,
+                       const CommitSpec& spec, const ShardWriter& write_shard) {
+  const std::string sdir = step_dir(dir, spec.step);
+  if (comm.rank() == 0) fs::create_directories(sdir);
+  comm.barrier();  // the directory exists before any peer writes into it
+
+  // Phase 1: every rank writes its own shard atomically.
+  const std::string path = shard_path(sdir, spec.p, spec.t, spec.d);
+  const SaveResult saved = write_shard(path);
+  const ManifestEntry mine{fs::path(path).lexically_relative(dir).string(),
+                           static_cast<std::uint64_t>(saved.bytes), saved.crc};
+
+  // Phase 2: gather every rank's entry (doubling as the all-shards-durable
+  // barrier), then rank 0 publishes the commit.
+  const auto packed = pack_entry(mine);
+  const auto all = comm.all_gather_variable(
+      std::span<const std::uint8_t>(packed.data(), packed.size()));
+  if (comm.rank() == 0) {
+    Manifest m{spec.step, 0, {}};
+    m.shards.reserve(all.size());
+    for (const auto& msg : all) {
+      ManifestEntry e = unpack_entry(msg);
+      e.dtype = spec.dtype;
+      e.has_master_weights = spec.has_master_weights;
+      m.shards.push_back(std::move(e));
+    }
+    write_manifest(dir, m);
+  }
+  comm.barrier();  // no rank returns before the commit is visible
+}
+
+std::optional<std::uint64_t> resolve_checkpoint(const dist::Comm& comm,
+                                                const std::string& dir,
+                                                const std::string& dtype) {
+  std::int64_t chosen = -1;
+  if (comm.rank() == 0) {
+    if (const auto best = find_latest_valid_checkpoint(dir, dtype)) {
+      chosen = static_cast<std::int64_t>(best->step());
+    }
+  }
+  comm.broadcast(std::span<std::int64_t>(&chosen, 1), 0);
+  if (chosen < 0) return std::nullopt;
+  return static_cast<std::uint64_t>(chosen);
 }
 
 }  // namespace ptdp::ckpt

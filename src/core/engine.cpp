@@ -1,8 +1,5 @@
 #include "ptdp/core/engine.hpp"
 
-#include <cstring>
-#include <filesystem>
-
 #include "ptdp/ckpt/manifest.hpp"
 #include "ptdp/core/analytics.hpp"
 #include "ptdp/dist/world.hpp"
@@ -255,74 +252,22 @@ ckpt::NamedTensors PtdpEngine::checkpoint_tensors() {
   return tensors;
 }
 
-namespace {
-
-// Wire format for the commit-protocol metadata exchange: each rank reports
-// the relative shard file name it wrote plus the intended (bytes, crc).
-std::vector<std::uint8_t> pack_entry(const ckpt::ManifestEntry& e) {
-  std::vector<std::uint8_t> out(sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                                e.file.size());
-  std::memcpy(out.data(), &e.bytes, sizeof(e.bytes));
-  std::memcpy(out.data() + sizeof(e.bytes), &e.crc, sizeof(e.crc));
-  std::memcpy(out.data() + sizeof(e.bytes) + sizeof(e.crc), e.file.data(),
-              e.file.size());
-  return out;
-}
-
-ckpt::ManifestEntry unpack_entry(const std::vector<std::uint8_t>& in) {
-  constexpr std::size_t header = sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  PTDP_CHECK_GE(in.size(), header) << "malformed manifest-entry message";
-  ckpt::ManifestEntry e;
-  std::memcpy(&e.bytes, in.data(), sizeof(e.bytes));
-  std::memcpy(&e.crc, in.data() + sizeof(e.bytes), sizeof(e.crc));
-  e.file.assign(reinterpret_cast<const char*>(in.data() + header),
-                in.size() - header);
-  return e;
-}
-
-}  // namespace
-
 void PtdpEngine::save_checkpoint(const std::string& dir, std::uint64_t step) {
-  // Two-phase commit (§5.10 at failure-prone scale): shards land in a
-  // per-step directory, then rank 0 publishes the manifest + LATEST marker
-  // naming the complete set. A crash anywhere leaves either the previous
-  // committed checkpoint or this one — never a torn mix.
+  // Two-phase commit (§5.10 at failure-prone scale, ckpt::commit_checkpoint):
+  // a crash anywhere leaves either the previous committed checkpoint or this
+  // one — never a torn mix.
   const auto& c = groups_->coord();
-  const dist::Comm& world = groups_->world();
-  const std::string sdir = ckpt::step_dir(dir, step);
-  if (world.rank() == 0) std::filesystem::create_directories(sdir);
-  world.barrier();  // the directory exists before any peer writes into it
-
-  // Phase 1: every rank writes its own shard atomically.
-  const std::string path = ckpt::shard_path(sdir, c.pipeline, c.tensor, c.data);
-  const ckpt::SaveResult saved =
-      ckpt::save_checkpoint(path, checkpoint_tensors(), {step, 0});
-  optimizer_->commit_state();
-  ckpt::ManifestEntry mine{
-      std::filesystem::path(path).lexically_relative(dir).string(),
-      static_cast<std::uint64_t>(saved.bytes), saved.crc};
-
-  // Phase 2: gather every rank's entry (doubling as the all-shards-durable
-  // barrier), then rank 0 publishes the commit.
-  const auto packed = pack_entry(mine);
-  const auto all = world.all_gather_variable(
-      std::span<const std::uint8_t>(packed.data(), packed.size()));
-  if (world.rank() == 0) {
-    ckpt::Manifest m{step, 0, {}};
-    m.shards.reserve(all.size());
-    for (const auto& msg : all) {
-      ckpt::ManifestEntry e = unpack_entry(msg);
-      // Precision metadata is uniform across ranks (one EngineOptions per
-      // world), so rank 0 stamps it from its own options rather than
-      // widening the wire format of the per-rank entry exchange.
-      e.dtype = tensor::dtype_name(options_.model.dtype);
-      e.has_master_weights = options_.model.dtype == tensor::DType::kBf16;
-      m.shards.push_back(std::move(e));
-    }
-    ckpt::write_manifest(dir, m);
-    ckpt::gc_checkpoints(dir, options_.ckpt_keep);
-  }
-  world.barrier();  // no rank returns before the commit is visible
+  const tensor::DType dtype = options_.model.dtype;
+  const ckpt::CommitSpec spec{step, c.pipeline, c.tensor, c.data,
+                              tensor::dtype_name(dtype),
+                              dtype == tensor::DType::kBf16};
+  ckpt::commit_checkpoint(groups_->world(), dir, spec, [&](const std::string& path) {
+    const ckpt::SaveResult saved =
+        ckpt::save_checkpoint(path, checkpoint_tensors(), {step, 0});
+    optimizer_->commit_state();
+    return saved;
+  });
+  if (groups_->world().rank() == 0) ckpt::gc_checkpoints(dir, options_.ckpt_keep);
 }
 
 std::uint64_t PtdpEngine::load_resharded(const std::string& dir) {
@@ -339,22 +284,12 @@ std::uint64_t PtdpEngine::load_resharded(const std::string& dir) {
 }
 
 std::uint64_t PtdpEngine::load_checkpoint(const std::string& dir) {
-  // Rank 0 resolves (and fully validates) the newest committed checkpoint,
-  // then broadcasts the chosen step so every rank loads the same one even
-  // if the directory changes concurrently.
-  const dist::Comm& world = groups_->world();
-  std::int64_t chosen = -1;
-  if (world.rank() == 0) {
-    // Rejects (CHECK-fails) if the newest valid checkpoint was written at a
-    // different weight dtype than this run — see find_latest_valid_checkpoint.
-    if (const auto best = ckpt::find_latest_valid_checkpoint(
-            dir, std::string(tensor::dtype_name(options_.model.dtype)))) {
-      chosen = static_cast<std::int64_t>(best->step());
-    }
-  }
-  world.broadcast(std::span<std::int64_t>(&chosen, 1), 0);
-  PTDP_CHECK_GE(chosen, 0) << "no committed checkpoint under " << dir;
-  const auto step = static_cast<std::uint64_t>(chosen);
+  // Rejects (CHECK-fails) if the newest valid checkpoint was written at a
+  // different weight dtype than this run — see find_latest_valid_checkpoint.
+  const auto resolved = ckpt::resolve_checkpoint(
+      groups_->world(), dir, tensor::dtype_name(options_.model.dtype));
+  PTDP_CHECK(resolved.has_value()) << "no committed checkpoint under " << dir;
+  const std::uint64_t step = *resolved;
 
   const auto& c = groups_->coord();
   const auto meta = ckpt::load_checkpoint(

@@ -36,7 +36,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kScaleCausalSoftmax: return "graph.scale_causal_softmax";
     case OpKind::kScaleMaskSoftmax: return "graph.scale_mask_softmax";
     case OpKind::kScaleSoftmaxBwd: return "graph.scale_softmax_bwd";
-    case OpKind::kLinearFwdQuant: return "graph.linear_fwd_quant";
     case OpKind::kDecodeAttention: return "graph.decode_attention";
   }
   return "graph.unknown";

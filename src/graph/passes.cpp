@@ -179,8 +179,7 @@ const char* dtype_json(tensor::DType d) {
   return d == tensor::DType::kBf16 ? "bf16" : "f32";
 }
 
-void dump_nodes_json(const LayerPlan& plan, const std::vector<Node>& seg,
-                     std::FILE* out) {
+void dump_nodes_json(const std::vector<Node>& seg, std::FILE* out) {
   std::fputc('[', out);
   for (std::size_t i = 0; i < seg.size(); ++i) {
     const Node& n = seg[i];
@@ -202,10 +201,6 @@ void dump_nodes_json(const LayerPlan& plan, const std::vector<Node>& seg,
       std::fprintf(out, ", \"site\": %d", static_cast<int>(n.site));
     }
     if (n.scale != 0.0f) std::fprintf(out, ", \"scale\": %.9g", n.scale);
-    if (n.quant >= 0) {
-      std::fprintf(out, ", \"quant\": \"%s\"",
-                   tensor::quant_kind_name(static_cast<tensor::QuantKind>(n.quant)));
-    }
     std::fputc('}', out);
   }
   std::fputs("\n  ]", out);
@@ -238,21 +233,6 @@ void propagate_dtypes(LayerPlan& plan, const model::GptConfig& config) {
       cached.ref_bytes /= 2;
     }
   }
-}
-
-int select_kernels(LayerPlan& plan, const QuantPolicy& policy) {
-  // Quantized weights are forward-only: refuse any plan that still carries
-  // a backward graph rather than silently producing an untrainable plan.
-  if (!plan.bwd.empty()) return -1;
-  int n = 0;
-  for (Node& node : plan.fwd) {
-    if (node.kind != OpKind::kLinearFwd) continue;
-    if (node.linear < 0 || !policy.slots[node.linear]) continue;
-    node.kind = OpKind::kLinearFwdQuant;
-    node.quant = static_cast<std::int8_t>(policy.kind);
-    ++n;
-  }
-  return n;
 }
 
 void analyze_lifetimes(LayerPlan& plan) {
@@ -358,9 +338,9 @@ void dump_plan_json(const LayerPlan& plan, std::int64_t layer_idx,
     first = false;
   }
   std::fputs("\n  ],\n  \"forward\": ", out);
-  dump_nodes_json(plan, plan.fwd, out);
+  dump_nodes_json(plan.fwd, out);
   std::fputs(",\n  \"backward\": ", out);
-  dump_nodes_json(plan, plan.bwd, out);
+  dump_nodes_json(plan.bwd, out);
   std::fputs("\n}", out);
 }
 

@@ -147,12 +147,9 @@ struct Runner {
         at(n.out[0]) = g.dx;
         break;
       }
-      case OpKind::kLinearFwd:
-      case OpKind::kLinearFwdQuant: {
-        // Same dispatch: the linear module itself routes to the quantized
-        // GEMM when its weight has been quantized (quantize_for_serving
-        // quantizes exactly the modules this plan's kLinearFwdQuant nodes
-        // name).
+      case OpKind::kLinearFwd: {
+        // The linear module routes to the quantized GEMM itself once
+        // quantize_for_serving has packed its weight (DESIGN.md §17).
         model::LinearCache c;
         switch (static_cast<LinearSlot>(n.linear)) {
           case LinearSlot::kQkv: at(n.out[0]) = bind.qkv->forward(at(n.in[0]), c); break;

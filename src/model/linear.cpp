@@ -22,20 +22,13 @@ Tensor gemm_input(const Tensor& x, const Tensor& weight) {
   return x;
 }
 
-// Quantize-once at serving load: repack the (widened-to-f32) weight shard,
-// optionally dropping the master storage. Shared by both layer flavors.
+// Quantize-once at serving load: repack the (widened-to-f32) weight shard
+// and release the master storage. Shared by both layer flavors.
 void quantize_param(Param& weight, quant::QuantizedWeight& qweight,
-                    tensor::QuantKind kind, std::int64_t group_size,
-                    bool drop_f32) {
-  Tensor w = weight.value.dtype() == tensor::DType::kF32
-                 ? weight.value
-                 : weight.value.to(tensor::DType::kF32);
-  qweight = quant::quantize(
-      w, kind, quant::effective_group_size(group_size, w.dim(0)));
-  if (drop_f32) {
-    weight.value = Tensor();
-    weight.grad = Tensor();
-  }
+                    tensor::QuantKind kind, std::int64_t group_size) {
+  qweight = quant::quantize(weight.value, kind, group_size);
+  weight.value = Tensor();
+  weight.grad = Tensor();
 }
 
 }  // namespace
@@ -93,9 +86,8 @@ void ColumnParallelLinear::collect_params(ParamRefs& out) {
 }
 
 void ColumnParallelLinear::quantize_weight(tensor::QuantKind kind,
-                                           std::int64_t group_size,
-                                           bool drop_f32) {
-  quantize_param(weight_, qweight_, kind, group_size, drop_f32);
+                                           std::int64_t group_size) {
+  quantize_param(weight_, qweight_, kind, group_size);
 }
 
 RowParallelLinear::RowParallelLinear(std::string name, std::int64_t in,
@@ -153,9 +145,8 @@ void RowParallelLinear::collect_params(ParamRefs& out) {
 }
 
 void RowParallelLinear::quantize_weight(tensor::QuantKind kind,
-                                        std::int64_t group_size,
-                                        bool drop_f32) {
-  quantize_param(weight_, qweight_, kind, group_size, drop_f32);
+                                        std::int64_t group_size) {
+  quantize_param(weight_, qweight_, kind, group_size);
 }
 
 }  // namespace ptdp::model

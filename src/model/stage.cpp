@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ptdp/graph/passes.hpp"
 #include "ptdp/obs/metrics.hpp"
 #include "ptdp/obs/trace.hpp"
 
@@ -174,33 +173,27 @@ void GptStage::set_dropout(float p) {
   for (auto& layer : layers_) layer->set_dropout(p);
 }
 
-QuantizeReport GptStage::quantize_for_serving(const graph::QuantPolicy& policy) {
+QuantizeReport GptStage::quantize_for_serving(tensor::QuantKind kind,
+                                              std::int64_t group_size) {
   PTDP_CHECK_EQ(config_.dropout, 0.0f)
       << "quantize_for_serving is inference-only; set_dropout(0) first";
-  // The plan decides, the modules follow: the §17 kernel-selection pass
-  // rewrites each layer's decode plan — the plan decode() executes — and
-  // every linear a kLinearFwdQuant node names is quantized once.
+  // Every linear is quantized once and releases its masters; its forward
+  // then routes to the quantized GEMM on its own, so the plans are unchanged.
   QuantizeReport report;
   auto quantize_one = [&](auto* lin) {
     if (lin->quantized()) return;  // quantize-once
-    lin->quantize_weight(policy.kind, policy.group_size, policy.drop_f32);
+    lin->quantize_weight(kind, group_size);
     const quant::QuantizedWeight& qw = lin->quantized_weight();
     report.weight_bytes_f32 += qw.rows * qw.cols * 4;
     report.weight_bytes += qw.quant_bytes();
     ++report.linears;
   };
   for (auto& layer : layers_) {
-    layer->select_decode_kernels(policy);
     const graph::LayerBinding& bind = layer->binding();
-    for (const graph::Node& n : layer->decode_plan().fwd) {
-      if (n.kind != graph::OpKind::kLinearFwdQuant) continue;
-      switch (static_cast<graph::LinearSlot>(n.linear)) {
-        case graph::LinearSlot::kQkv: quantize_one(bind.qkv); break;
-        case graph::LinearSlot::kProj: quantize_one(bind.proj); break;
-        case graph::LinearSlot::kFc1: quantize_one(bind.fc1); break;
-        case graph::LinearSlot::kFc2: quantize_one(bind.fc2); break;
-      }
-    }
+    quantize_one(bind.qkv);
+    quantize_one(bind.proj);
+    quantize_one(bind.fc1);
+    quantize_one(bind.fc2);
   }
 
   if (obs::metrics_on()) {

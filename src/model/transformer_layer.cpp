@@ -77,10 +77,6 @@ Tensor TransformerLayer::backward_recompute(const Tensor& dy, LayerCache& cache,
   return graph::SequentialExecutor::run_recompute(plan, cache, binding_, ctx, dy);
 }
 
-void TransformerLayer::select_decode_kernels(const graph::QuantPolicy& policy) {
-  PTDP_CHECK_GE(graph::select_kernels(plan_decode_, policy), 0);
-}
-
 void TransformerLayer::set_dropout(float p) {
   config_.dropout = p;
   attention_.set_dropout(p);

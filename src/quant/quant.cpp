@@ -1,24 +1,20 @@
 #include "ptdp/quant/quant.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <filesystem>
 
 #include "ptdp/ckpt/checkpoint.hpp"
 #include "ptdp/ckpt/manifest.hpp"
 
 namespace ptdp::quant {
 
-using tensor::kQuantPanel;
 using tensor::QuantKind;
 using tensor::Tensor;
 
 namespace {
 
 // Byte blobs ride in f32 tensors (numel = ceil(bytes/4)) so pool
-// accounting, checkpoint CRCs, and comm transport treat them uniformly.
-// The padding tail is zeroed, keeping the stored bits a pure function of
-// the quantized content.
+// accounting and checkpoint CRCs treat them uniformly. The padding tail is
+// zeroed, keeping the stored bits a pure function of the quantized content.
 Tensor byte_tensor(std::int64_t nbytes) {
   Tensor t = Tensor::empty({(nbytes + 3) / 4});
   t.zero();
@@ -31,28 +27,6 @@ std::uint8_t* tensor_u8(Tensor& t) {
 const std::uint8_t* tensor_u8(const Tensor& t) {
   return reinterpret_cast<const std::uint8_t*>(t.raw_bytes().data());
 }
-
-QuantizedWeight make_shell(QuantKind kind, std::int64_t rows, std::int64_t cols,
-                           std::int64_t group) {
-  QuantizedWeight w;
-  w.kind = kind;
-  w.rows = rows;
-  w.cols = cols;
-  w.group_size = group;
-  w.payload = byte_tensor(tensor::quant_payload_bytes(kind, rows, cols));
-  w.scales = Tensor::empty({tensor::quant_meta_elems(rows, cols, group)});
-  w.zeros = byte_tensor(w.scales.numel());
-  return w;
-}
-
-struct WireHeader {
-  std::uint32_t magic = 0x57515450;  // "PTQW"
-  std::uint8_t kind = 0;
-  std::uint8_t pad[3] = {};
-  std::int64_t rows = 0;
-  std::int64_t cols = 0;
-  std::int64_t group = 0;
-};
 
 }  // namespace
 
@@ -90,7 +64,10 @@ QuantizedWeight quantize(const Tensor& w, QuantKind kind, std::int64_t group_siz
   const std::int64_t k = wf.dim(0);
   const std::int64_t n = wf.dim(1);
   const std::int64_t g = effective_group_size(group_size, k);
-  QuantizedWeight q = make_shell(kind, k, n, g);
+  const std::int64_t meta = tensor::quant_meta_elems(k, n, g);
+  QuantizedWeight q{kind, k, n, g,
+                    byte_tensor(tensor::quant_payload_bytes(kind, k, n)),
+                    Tensor::empty({meta}), byte_tensor(meta)};
   tensor::quant_pack(kind, wf.data().data(), k, n, g, q.payload_u8(),
                      q.scales.data().data(), q.zeros_u8());
   return q;
@@ -120,115 +97,6 @@ Tensor matmul(const Tensor& a, const QuantizedWeight& w) {
   return c;
 }
 
-std::vector<std::uint8_t> serialize(const QuantizedWeight& w) {
-  PTDP_CHECK(w.defined());
-  WireHeader h;
-  h.kind = static_cast<std::uint8_t>(w.kind);
-  h.rows = w.rows;
-  h.cols = w.cols;
-  h.group = w.group_size;
-  const std::int64_t pb = w.payload_bytes();
-  const std::int64_t me = w.meta_elems();
-  std::vector<std::uint8_t> out(sizeof(WireHeader) +
-                                static_cast<std::size_t>(pb + me * 5));
-  std::uint8_t* p = out.data();
-  std::memcpy(p, &h, sizeof(h));
-  p += sizeof(h);
-  std::memcpy(p, w.payload_u8(), static_cast<std::size_t>(pb));
-  p += pb;
-  std::memcpy(p, w.scales.data().data(), static_cast<std::size_t>(me) * 4);
-  p += me * 4;
-  std::memcpy(p, w.zeros_u8(), static_cast<std::size_t>(me));
-  return out;
-}
-
-QuantizedWeight deserialize(std::span<const std::uint8_t> bytes) {
-  WireHeader h;
-  PTDP_CHECK_GE(bytes.size(), sizeof(WireHeader));
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  PTDP_CHECK_EQ(h.magic, WireHeader{}.magic) << "bad quantized-weight wire magic";
-  QuantizedWeight w =
-      make_shell(static_cast<QuantKind>(h.kind), h.rows, h.cols, h.group);
-  const std::int64_t pb = w.payload_bytes();
-  const std::int64_t me = w.meta_elems();
-  PTDP_CHECK_EQ(bytes.size(), sizeof(WireHeader) + static_cast<std::size_t>(pb + me * 5));
-  const std::uint8_t* p = bytes.data() + sizeof(WireHeader);
-  std::memcpy(w.payload_u8(), p, static_cast<std::size_t>(pb));
-  p += pb;
-  std::memcpy(w.scales.data().data(), p, static_cast<std::size_t>(me) * 4);
-  p += me * 4;
-  std::memcpy(w.zeros_u8(), p, static_cast<std::size_t>(me));
-  return w;
-}
-
-QuantizedWeight broadcast(const dist::Comm& comm, const QuantizedWeight& w,
-                          int root, std::int64_t* wire_bytes) {
-  std::vector<std::uint8_t> buf;
-  std::int64_t n = 0;
-  if (comm.rank() == root) {
-    buf = serialize(w);
-    n = static_cast<std::int64_t>(buf.size());
-  }
-  comm.broadcast(std::span<std::int64_t>(&n, 1), root);
-  buf.resize(static_cast<std::size_t>(n));
-  comm.broadcast(std::span<std::uint8_t>(buf.data(), buf.size()), root);
-  if (wire_bytes != nullptr) *wire_bytes = n;
-  return deserialize(buf);
-}
-
-QuantizedWeight shard_rows(const QuantizedWeight& w, std::int64_t r0,
-                           std::int64_t r1) {
-  PTDP_CHECK(w.defined());
-  PTDP_CHECK(0 <= r0 && r0 < r1 && r1 <= w.rows);
-  PTDP_CHECK_EQ(r0 % w.group_size, 0)
-      << "row shard must start on a group boundary (pick group | K/t)";
-  PTDP_CHECK_EQ((r1 - r0) % w.group_size, 0)
-      << "row shard must cover whole groups (pick group | K/t)";
-  const std::int64_t k = r1 - r0;
-  QuantizedWeight out = make_shell(w.kind, k, w.cols, w.group_size);
-  const std::int64_t npanels = tensor::quant_num_panels(w.cols);
-  const std::int64_t rb = tensor::quant_payload_bytes(w.kind, 1, kQuantPanel);
-  for (std::int64_t jp = 0; jp < npanels; ++jp) {
-    std::memcpy(out.payload_u8() + jp * k * rb,
-                w.payload_u8() + (jp * w.rows + r0) * rb,
-                static_cast<std::size_t>(k * rb));
-  }
-  const std::int64_t g0 = r0 / w.group_size;
-  const std::int64_t stride = npanels * kQuantPanel;
-  std::memcpy(out.scales.data().data(), w.scales.data().data() + g0 * stride,
-              static_cast<std::size_t>(out.meta_elems()) * 4);
-  std::memcpy(out.zeros_u8(), w.zeros_u8() + g0 * stride,
-              static_cast<std::size_t>(out.meta_elems()));
-  return out;
-}
-
-QuantizedWeight slice_cols(const QuantizedWeight& w, std::int64_t c0,
-                           std::int64_t c1) {
-  PTDP_CHECK(w.defined());
-  PTDP_CHECK(0 <= c0 && c0 < c1 && c1 <= w.cols);
-  PTDP_CHECK_EQ(c0 % kQuantPanel, 0) << "column shard must be panel-aligned";
-  PTDP_CHECK(c1 % kQuantPanel == 0 || c1 == w.cols)
-      << "column shard must end on a panel boundary (or the last column)";
-  const std::int64_t p0 = c0 / kQuantPanel;
-  QuantizedWeight out = make_shell(w.kind, w.rows, c1 - c0, w.group_size);
-  const std::int64_t npanels = tensor::quant_num_panels(w.cols);
-  const std::int64_t npanels_out = tensor::quant_num_panels(c1 - c0);
-  const std::int64_t rb = tensor::quant_payload_bytes(w.kind, 1, kQuantPanel);
-  std::memcpy(out.payload_u8(), w.payload_u8() + p0 * w.rows * rb,
-              static_cast<std::size_t>(npanels_out * w.rows * rb));
-  const std::int64_t ngroups = w.rows / w.group_size;
-  for (std::int64_t gi = 0; gi < ngroups; ++gi) {
-    std::memcpy(
-        out.scales.data().data() + gi * npanels_out * kQuantPanel,
-        w.scales.data().data() + (gi * npanels + p0) * kQuantPanel,
-        static_cast<std::size_t>(npanels_out * kQuantPanel) * 4);
-    std::memcpy(out.zeros_u8() + gi * npanels_out * kQuantPanel,
-                w.zeros_u8() + (gi * npanels + p0) * kQuantPanel,
-                static_cast<std::size_t>(npanels_out * kQuantPanel));
-  }
-  return out;
-}
-
 namespace {
 
 ckpt::NamedTensors checkpoint_tensors(const std::vector<NamedQuant>& weights) {
@@ -248,51 +116,23 @@ void save_quantized_checkpoint(const std::string& dir, std::uint64_t step,
                                const dist::Comm& tp,
                                const std::vector<NamedQuant>& weights,
                                QuantKind kind) {
-  const std::string sd = ckpt::step_dir(dir, step);
-  std::filesystem::create_directories(sd);
-  const ckpt::NamedTensors nt = checkpoint_tensors(weights);
-  const std::string shard = ckpt::shard_path(sd, 0, tp.rank(), 0);
-  const ckpt::SaveResult res = ckpt::save_checkpoint(shard, nt, {step, 0});
-  // Phase 2: gather every rank's intended (bytes, crc) — the all-gather
-  // doubles as the shard-durability barrier — then rank 0 publishes the
-  // dtype-tagged manifest and swings LATEST.
-  std::vector<std::int64_t> bytes(static_cast<std::size_t>(tp.size()));
-  std::vector<std::uint32_t> crcs(static_cast<std::size_t>(tp.size()));
-  const std::int64_t my_bytes = res.bytes;
-  const std::uint32_t my_crc = res.crc;
-  tp.all_gather(std::span<const std::int64_t>(&my_bytes, 1),
-                std::span<std::int64_t>(bytes));
-  tp.all_gather(std::span<const std::uint32_t>(&my_crc, 1),
-                std::span<std::uint32_t>(crcs));
-  if (tp.rank() == 0) {
-    ckpt::Manifest m;
-    m.step = step;
-    for (int t = 0; t < tp.size(); ++t) {
-      ckpt::ManifestEntry e;
-      e.file = std::filesystem::path(ckpt::shard_path(
-                   "step-" + std::to_string(step), 0, t, 0)).generic_string();
-      e.bytes = static_cast<std::uint64_t>(bytes[static_cast<std::size_t>(t)]);
-      e.crc = crcs[static_cast<std::size_t>(t)];
-      e.dtype = tensor::quant_kind_name(kind);
-      e.has_master_weights = false;
-      m.shards.push_back(std::move(e));
-    }
-    ckpt::write_manifest(dir, m);
-  }
-  tp.barrier();  // manifest visible before any rank proceeds to load
+  const ckpt::CommitSpec spec{step, 0, tp.rank(), 0, tensor::quant_kind_name(kind),
+                              /*has_master_weights=*/false};
+  ckpt::commit_checkpoint(tp, dir, spec, [&](const std::string& path) {
+    return ckpt::save_checkpoint(path, checkpoint_tensors(weights), {step, 0});
+  });
 }
 
 std::optional<std::uint64_t> load_quantized_checkpoint(
     const std::string& dir, const dist::Comm& tp,
     const std::vector<NamedQuant>& weights, QuantKind kind) {
-  const auto committed =
-      ckpt::find_latest_valid_checkpoint(dir, tensor::quant_kind_name(kind));
-  if (!committed) return std::nullopt;
-  const ckpt::NamedTensors nt = checkpoint_tensors(weights);
-  const std::string shard =
-      ckpt::shard_path(committed->shard_dir, 0, tp.rank(), 0);
-  ckpt::load_checkpoint_by_name(shard, nt);
-  return committed->step();
+  const auto step =
+      ckpt::resolve_checkpoint(tp, dir, tensor::quant_kind_name(kind));
+  if (!step) return std::nullopt;
+  ckpt::load_checkpoint_by_name(
+      ckpt::shard_path(ckpt::step_dir(dir, *step), 0, tp.rank(), 0),
+      checkpoint_tensors(weights));
+  return step;
 }
 
 }  // namespace ptdp::quant

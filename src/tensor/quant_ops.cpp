@@ -333,28 +333,14 @@ void quant_unpack(QuantKind kind, const std::uint8_t* payload, const float* scal
   }
 }
 
-void gemm_f32xq8(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-                 std::int64_t lda, const std::uint8_t* payload, const float* scales,
-                 const std::uint8_t* zeros, std::int64_t group, float* c,
-                 std::int64_t ldc) {
-  qgemm<false>(m, n, k, a, lda, payload, scales, zeros, group, c, ldc);
-}
-
-void gemm_f32xq4(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-                 std::int64_t lda, const std::uint8_t* payload, const float* scales,
-                 const std::uint8_t* zeros, std::int64_t group, float* c,
-                 std::int64_t ldc) {
-  qgemm<true>(m, n, k, a, lda, payload, scales, zeros, group, c, ldc);
-}
-
 void gemm_f32xq(QuantKind kind, std::int64_t m, std::int64_t n, std::int64_t k,
                 const float* a, std::int64_t lda, const std::uint8_t* payload,
                 const float* scales, const std::uint8_t* zeros, std::int64_t group,
                 float* c, std::int64_t ldc) {
   if (kind == QuantKind::kQ4) {
-    gemm_f32xq4(m, n, k, a, lda, payload, scales, zeros, group, c, ldc);
+    qgemm<true>(m, n, k, a, lda, payload, scales, zeros, group, c, ldc);
   } else {
-    gemm_f32xq8(m, n, k, a, lda, payload, scales, zeros, group, c, ldc);
+    qgemm<false>(m, n, k, a, lda, payload, scales, zeros, group, c, ldc);
   }
 }
 

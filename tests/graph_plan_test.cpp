@@ -10,7 +10,6 @@
 //   5. Plan execution is bitwise-identical to the reference bodies
 //      (layer_reference.hpp) — forward, backward, and the recompute plan
 //      transformation, with two microbatches in flight.
-//   6. §17 kernel selection rewrites the decode plans the layers run.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,7 @@
 #include "ptdp/graph/builder.hpp"
 #include "ptdp/graph/executor.hpp"
 #include "ptdp/graph/passes.hpp"
-#include "ptdp/model/stage.hpp"
+#include "ptdp/model/transformer_layer.hpp"
 #include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::graph {
@@ -451,82 +450,6 @@ TEST(GraphBuilder, StagePlanCoversLayerRange) {
   EXPECT_TRUE(sp.has_head);
   EXPECT_FALSE(sp.has_embedding);
   EXPECT_TRUE(sp.recompute);
-}
-
-// ---- 6. §17 kernel selection ----------------------------------------------
-
-TEST(GraphKernelSelection, RefusesTrainingPlans) {
-  LayerPlan plan = build_layer_plan(tiny_config(), /*with_dropout=*/false);
-  ASSERT_FALSE(plan.bwd.empty());
-  const std::vector<OpKind> before = kinds(plan.fwd);
-  QuantPolicy policy;
-  EXPECT_EQ(select_kernels(plan, policy), -1);
-  EXPECT_EQ(kinds(plan.fwd), before) << "refused pass must leave the plan untouched";
-}
-
-TEST(GraphKernelSelection, RewritesExactlyTheEligibleLinears) {
-  QuantPolicy policy;  // every slot eligible, int8
-  dist::Comm solo = dist::Comm::solo();
-  model::TransformerLayer layer(tiny_config(), 0, solo);
-  layer.select_decode_kernels(policy);
-  const LayerPlan& plan = layer.decode_plan();
-  EXPECT_TRUE(plan.bwd.empty());
-  int quantized = 0;
-  int decode_attention = 0;
-  for (const Node& n : plan.fwd) {
-    EXPECT_NE(n.kind, OpKind::kLinearFwd)
-        << "all-slots policy left an unquantized linear";
-    decode_attention += n.kind == OpKind::kDecodeAttention;
-    if (n.kind == OpKind::kLinearFwdQuant) {
-      ++quantized;
-      EXPECT_EQ(n.quant,
-                static_cast<std::int8_t>(tensor::QuantKind::kInt8));
-    }
-  }
-  EXPECT_EQ(quantized, 4);  // qkv, proj, fc1, fc2
-  EXPECT_EQ(decode_attention, 1);
-  // The training plans the same layer runs are untouched.
-  for (const Node& n : layer.plan(false).fwd) {
-    EXPECT_NE(n.kind, OpKind::kLinearFwdQuant);
-  }
-}
-
-TEST(GraphKernelSelection, PartialPolicyLeavesOtherSlotsAlone) {
-  QuantPolicy policy;
-  policy.kind = tensor::QuantKind::kQ4;
-  policy.slots[static_cast<int>(LinearSlot::kQkv)] = false;
-  policy.slots[static_cast<int>(LinearSlot::kProj)] = false;
-  const GptConfig c = tiny_config();
-  dist::Comm solo = dist::Comm::solo();
-  model::GptStage stage(c, solo,
-                        model::StageSpec{true, true, 0, c.num_layers, false});
-  const model::QuantizeReport report = stage.quantize_for_serving(policy);
-  EXPECT_EQ(report.linears, 2 * c.num_layers);  // fc1 + fc2 per layer
-  const StagePlan sp = stage.decode_plan();
-  ASSERT_EQ(sp.layers.size(), static_cast<std::size_t>(c.num_layers));
-  for (const LayerPlan& plan : sp.layers) {
-    std::map<int, OpKind> by_slot;
-    for (const Node& n : plan.fwd) {
-      if (n.kind == OpKind::kLinearFwd || n.kind == OpKind::kLinearFwdQuant) {
-        by_slot[n.linear] = n.kind;
-        if (n.kind == OpKind::kLinearFwdQuant) {
-          EXPECT_EQ(n.quant, static_cast<std::int8_t>(tensor::QuantKind::kQ4));
-        }
-      }
-    }
-    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kQkv)), OpKind::kLinearFwd);
-    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kProj)), OpKind::kLinearFwd);
-    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kFc1)),
-              OpKind::kLinearFwdQuant);
-    EXPECT_EQ(by_slot.at(static_cast<int>(LinearSlot::kFc2)),
-              OpKind::kLinearFwdQuant);
-  }
-  // The modules follow the plan: exactly the selected linears are quantized.
-  const auto named = stage.quantized_weights();
-  ASSERT_EQ(named.size(), static_cast<std::size_t>(2 * c.num_layers));
-  for (const auto& nq : named) {
-    EXPECT_NE(nq.name.find(".mlp.fc"), std::string::npos) << nq.name;
-  }
 }
 
 }  // namespace

@@ -5,16 +5,17 @@
 //      the lossless group_size = 1 case.
 //   2. quant::matmul multiplies by exactly dequantize(w) and is bitwise
 //      deterministic across thread counts.
-//   3. TP-shard-aligned grouping: shard_rows / slice_cols of a full-weight
-//      quantization are bitwise what quantizing the f32 shard directly
-//      produces, so t = 1 and t = 2 stay rank-deterministic.
-//   4. Wire format: serialize/deserialize round-trips bitwise, broadcast
-//      delivers the root's weight to every rank at < 1/3 the f32 bytes.
-//   5. Dtype-tagged checkpoints: round-trip bitwise, wrong-kind load is
-//      rejected.
-//   6. A quantized serving engine has zero steady-state pool growth, and
-//      2-way tensor-parallel quantized decode matches the serial quantized
-//      engine token-for-token.
+//   3. The shard-alignment rule: dequantize(quantize(shard)) is bitwise the
+//      matching slice of dequantize(quantize(full)) for row shards whose
+//      group divides the shard and for column slices, so t = 1 and t = 2
+//      serve the same weights.
+//   4. Dtype-tagged checkpoints on the shared commit protocol: round-trip
+//      bitwise (solo and at tp = 2, each rank its own shard), wrong-kind
+//      load is rejected.
+//   5. Quantized linears are forward-only, quantize_for_serving quantizes
+//      every linear and releases the masters, a quantized serving engine
+//      has zero steady-state pool growth, and 2-way tensor-parallel
+//      quantized decode matches the serial quantized engine token-for-token.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "ptdp/ckpt/manifest.hpp"
 #include "ptdp/dist/world.hpp"
-#include "ptdp/graph/passes.hpp"
 #include "ptdp/quant/quant.hpp"
 #include "ptdp/runtime/parallel_for.hpp"
 #include "ptdp/serve/loadgen.hpp"
@@ -60,14 +61,30 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
   return true;
 }
 
+bool bytes_equal(const Tensor& a, const Tensor& b) {
+  const auto ra = a.raw_bytes();
+  const auto rb = b.raw_bytes();
+  return ra.size() == rb.size() &&
+         std::memcmp(ra.data(), rb.data(), ra.size()) == 0;
+}
+
 bool quant_bitwise_equal(const QuantizedWeight& a, const QuantizedWeight& b) {
-  if (a.kind != b.kind || a.rows != b.rows || a.cols != b.cols ||
-      a.group_size != b.group_size) {
-    return false;
+  return a.kind == b.kind && a.rows == b.rows && a.cols == b.cols &&
+         a.group_size == b.group_size && bytes_equal(a.payload, b.payload) &&
+         bytes_equal(a.scales, b.scales) && bytes_equal(a.zeros, b.zeros);
+}
+
+// Rows [r0, r1) and columns [c0, c1) of a row-major [k, n] tensor.
+Tensor slice(const Tensor& w, std::int64_t r0, std::int64_t r1, std::int64_t c0,
+             std::int64_t c1) {
+  const std::int64_t n = w.dim(1);
+  const auto dw = w.data();
+  std::vector<float> out;
+  out.reserve(static_cast<std::size_t>((r1 - r0) * (c1 - c0)));
+  for (std::int64_t i = r0; i < r1; ++i) {
+    out.insert(out.end(), dw.begin() + i * n + c0, dw.begin() + i * n + c1);
   }
-  const auto sb = serialize(a);
-  const auto sc = serialize(b);
-  return sb == sc;
+  return Tensor::from_vector({r1 - r0, c1 - c0}, out);
 }
 
 // ---- 1. round-trip error bounds --------------------------------------------
@@ -170,76 +187,79 @@ TEST(QuantMatmul, BitwiseAcrossThreadCounts) {
   }
 }
 
-// ---- 3. TP-shard-aligned grouping ------------------------------------------
+// ---- 3. shard-alignment rule ----------------------------------------------
 
 TEST(QuantSharding, ShardRowsMatchesDirectShardQuantization) {
   // Row-parallel t = 2: each rank owns rows [r*64, (r+1)*64). With group 16
-  // dividing K/t = 64, shard-of-quantize must be bitwise quantize-of-shard.
+  // dividing K/t = 64, the rank's groups are a contiguous sub-range of the
+  // full weight's, so the shard dequantizes to exactly the full rows.
   const std::int64_t k = 128, n = 48, group = 16;
   const Tensor w = random_weight(k, n, 19);
-  const auto dw = w.data();
-  const QuantizedWeight full = quantize(w, QuantKind::kInt8, group);
-  for (std::int64_t r = 0; r < 2; ++r) {
-    const std::int64_t r0 = r * (k / 2), r1 = (r + 1) * (k / 2);
-    std::vector<float> shard(static_cast<std::size_t>((r1 - r0) * n));
-    std::copy(dw.begin() + r0 * n, dw.begin() + r1 * n, shard.begin());
-    const QuantizedWeight direct =
-        quantize(Tensor::from_vector({r1 - r0, n}, shard), QuantKind::kInt8,
-                 group);
-    EXPECT_TRUE(quant_bitwise_equal(shard_rows(full, r0, r1), direct))
-        << "rank " << r;
+  for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kQ4}) {
+    const Tensor full = dequantize(quantize(w, kind, group));
+    for (std::int64_t r = 0; r < 2; ++r) {
+      const std::int64_t r0 = r * (k / 2), r1 = (r + 1) * (k / 2);
+      const Tensor shard = dequantize(quantize(slice(w, r0, r1, 0, n), kind, group));
+      EXPECT_TRUE(bitwise_equal(shard, slice(full, r0, r1, 0, n)))
+          << tensor::quant_kind_name(kind) << " rank " << r;
+    }
   }
 }
 
 TEST(QuantSharding, SliceColsMatchesDirectShardQuantization) {
-  // Column-parallel t = 2 on panel-aligned halves of n = 64.
-  const std::int64_t k = 64, n = 64, group = 16;
-  const Tensor w = random_weight(k, n, 23);
-  const auto dw = w.data();
-  const QuantizedWeight full = quantize(w, QuantKind::kQ4, group);
-  for (std::int64_t r = 0; r < 2; ++r) {
-    const std::int64_t c0 = r * (n / 2), c1 = (r + 1) * (n / 2);
-    std::vector<float> shard(static_cast<std::size_t>(k * (c1 - c0)));
-    for (std::int64_t i = 0; i < k; ++i) {
-      std::copy(dw.begin() + i * n + c0, dw.begin() + i * n + c1,
-                shard.begin() + i * (c1 - c0));
+  // Column-parallel t = 2 on panel-aligned halves of n = 64, plus the
+  // 8-column tail panel of n = 40.
+  struct Cols {
+    std::int64_t n, c0, c1;
+  };
+  const std::int64_t k = 64, group = 16;
+  for (const Cols cols : {Cols{64, 0, 32}, Cols{64, 32, 64}, Cols{40, 32, 40}}) {
+    const Tensor w = random_weight(k, cols.n, 23);
+    for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kQ4}) {
+      const Tensor full = dequantize(quantize(w, kind, group));
+      const Tensor shard =
+          dequantize(quantize(slice(w, 0, k, cols.c0, cols.c1), kind, group));
+      EXPECT_TRUE(bitwise_equal(shard, slice(full, 0, k, cols.c0, cols.c1)))
+          << tensor::quant_kind_name(kind) << " cols [" << cols.c0 << ", "
+          << cols.c1 << ") of " << cols.n;
     }
-    const QuantizedWeight direct = quantize(
-        Tensor::from_vector({k, c1 - c0}, shard), QuantKind::kQ4, group);
-    EXPECT_TRUE(quant_bitwise_equal(slice_cols(full, c0, c1), direct))
-        << "rank " << r;
   }
 }
 
-// ---- 4. wire format --------------------------------------------------------
-
-TEST(QuantWire, SerializeRoundTripsBitwise) {
-  const Tensor w = random_weight(128, 64, 29);
-  for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kQ4}) {
-    const QuantizedWeight q = quantize(w, kind, 64);
-    const auto bytes = serialize(q);
-    EXPECT_TRUE(quant_bitwise_equal(deserialize(bytes), q));
-    // The wire image must beat f32 by > 3x (the §17 bandwidth claim).
-    EXPECT_LT(bytes.size() * 3, static_cast<std::size_t>(128 * 64 * 4))
-        << tensor::quant_kind_name(kind);
-  }
+model::GptConfig tiny() {
+  model::GptConfig c;
+  c.num_layers = 2;
+  c.hidden = 32;
+  c.heads = 4;
+  c.vocab = 32;
+  c.seq = 24;
+  c.dropout = 0.0f;
+  c.seed = 41;
+  return c;
 }
 
-TEST(QuantWire, BroadcastDeliversRootWeightToEveryRank) {
-  const Tensor w = random_weight(64, 32, 31);
-  dist::World world(2);
-  world.run([&](dist::Comm& comm) {
-    QuantizedWeight mine;  // non-root starts empty
-    if (comm.rank() == 0) mine = quantize(w, QuantKind::kInt8, 16);
-    std::int64_t wire_bytes = 0;
-    const QuantizedWeight got = broadcast(comm, mine, /*root=*/0, &wire_bytes);
-    const QuantizedWeight want = quantize(w, QuantKind::kInt8, 16);
-    EXPECT_TRUE(quant_bitwise_equal(got, want)) << "rank " << comm.rank();
-    EXPECT_LT(wire_bytes * 3, 64 * 32 * 4);
-  });
+model::StageSpec whole(const model::GptConfig& c) {
+  return model::StageSpec{true, true, 0, c.num_layers, false};
 }
 
-// ---- 5. dtype-tagged checkpoints -------------------------------------------
+serve::EngineOptions small_engine(std::int64_t capacity_blocks) {
+  serve::EngineOptions eo;
+  eo.block_tokens = 4;
+  eo.capacity_blocks = capacity_blocks;
+  eo.max_batch_tokens = 32;
+  eo.prefill_chunk = 4;
+  eo.max_running = 16;
+  eo.record_metrics = false;
+  return eo;
+}
+
+constexpr std::int64_t kGroup = 8;  // divides every per-rank K at t in {1, 2}
+
+void quantize_int8(model::GptStage& stage) {
+  stage.quantize_for_serving(QuantKind::kInt8, kGroup);
+}
+
+// ---- 4. dtype-tagged checkpoints -------------------------------------------
 
 class QuantCkptTest : public ::testing::Test {
  protected:
@@ -278,47 +298,111 @@ TEST_F(QuantCkptTest, RoundTripsBitwiseAndRejectsWrongKind) {
                CheckError);
 }
 
-// ---- 6. quantized serving engine -------------------------------------------
+TEST_F(QuantCkptTest, TensorParallelCommitLoadsEachRankItsOwnShard) {
+  // Save at tp = 2 through the shared commit pair, then load into a freshly
+  // quantized stage with different weights: every rank gets its own shard
+  // back bitwise and both ranks resolve the same step.
+  const model::GptConfig c = tiny();
+  model::GptConfig other = c;
+  other.seed = c.seed + 1;
+  dist::World(2).run([&](dist::Comm& comm) {
+    model::GptStage saved(c, comm, whole(c));
+    quantize_int8(saved);
+    save_quantized_checkpoint(dir_, 7, comm, saved.quantized_weights(),
+                              QuantKind::kInt8);
+    model::GptStage loaded(other, comm, whole(other));
+    quantize_int8(loaded);
+    const auto want = saved.quantized_weights();
+    const auto got = loaded.quantized_weights();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_FALSE(quant_bitwise_equal(*got[0].weight, *want[0].weight))
+        << "the load target must start out different";
 
-model::GptConfig tiny() {
-  model::GptConfig c;
-  c.num_layers = 2;
-  c.hidden = 32;
-  c.heads = 4;
-  c.vocab = 32;
-  c.seq = 24;
-  c.dropout = 0.0f;
-  c.seed = 41;
-  return c;
+    const auto step =
+        load_quantized_checkpoint(dir_, comm, got, QuantKind::kInt8);
+    ASSERT_TRUE(step.has_value());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].name, want[i].name);
+      EXPECT_TRUE(quant_bitwise_equal(*got[i].weight, *want[i].weight))
+          << "rank " << comm.rank() << " " << want[i].name;
+    }
+    const std::uint64_t mine = *step;
+    std::vector<std::uint64_t> steps(2);
+    comm.all_gather(std::span<const std::uint64_t>(&mine, 1),
+                    std::span<std::uint64_t>(steps));
+    EXPECT_EQ(steps, (std::vector<std::uint64_t>{7, 7}));
+  });
+  const auto committed = ckpt::find_latest_valid_checkpoint(dir_, "int8");
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_EQ(committed->manifest.shards.size(), 2u);
+
+  // Resolving the int8 checkpoint at q4 fails the whole world.
+  try {
+    dist::World(2).run([&](dist::Comm& comm) {
+      model::GptStage q4(c, comm, whole(c));
+      q4.quantize_for_serving(QuantKind::kQ4, kGroup);
+      load_quantized_checkpoint(dir_, comm, q4.quantized_weights(),
+                                QuantKind::kQ4);
+    });
+    FAIL() << "a q4 load of an int8 checkpoint must fail";
+  } catch (const dist::RankFailure& e) {
+    EXPECT_TRUE(e.caused_by<CheckError>()) << e.what();
+  }
 }
 
-model::StageSpec whole(const model::GptConfig& c) {
-  return model::StageSpec{true, true, 0, c.num_layers, false};
+// ---- 5. quantized linears and the serving engine ---------------------------
+
+TEST(QuantLinear, BackwardThroughQuantizedColumnParallelThrows) {
+  dist::Comm solo = dist::Comm::solo();
+  model::ColumnParallelLinear lin("col", 16, 32, solo, 0.02f, 1);
+  lin.quantize_weight(QuantKind::kInt8, kGroup);
+  Rng rng(1);
+  model::LinearCache cache;
+  const Tensor y = lin.forward(Tensor::randn({3, 16}, rng), cache);
+  EXPECT_THROW(lin.backward(y, cache), CheckError);
 }
 
-serve::EngineOptions small_engine(std::int64_t capacity_blocks) {
-  serve::EngineOptions eo;
-  eo.block_tokens = 4;
-  eo.capacity_blocks = capacity_blocks;
-  eo.max_batch_tokens = 32;
-  eo.prefill_chunk = 4;
-  eo.max_running = 16;
-  eo.record_metrics = false;
-  return eo;
+TEST(QuantLinear, BackwardThroughQuantizedRowParallelThrows) {
+  dist::Comm solo = dist::Comm::solo();
+  model::RowParallelLinear lin("row", 32, 16, solo, 0.02f, 1);
+  lin.quantize_weight(QuantKind::kQ4, kGroup);
+  Rng rng(2);
+  model::LinearCache cache;
+  const Tensor y = lin.forward(Tensor::randn({3, 32}, rng), cache);
+  EXPECT_THROW(lin.backward(y, cache), CheckError);
 }
 
-graph::QuantPolicy int8_policy() {
-  graph::QuantPolicy policy;
-  policy.kind = QuantKind::kInt8;
-  policy.group_size = 8;  // divides every per-rank K at t in {1, 2}
-  return policy;
+TEST(QuantLinear, QuantizeForServingRefusesDropout) {
+  model::GptConfig c = tiny();
+  c.dropout = 0.1f;
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, whole(c));
+  EXPECT_THROW(quantize_int8(stage), CheckError);
+  EXPECT_TRUE(stage.quantized_weights().empty());
+}
+
+TEST(QuantLinear, QuantizeForServingQuantizesEveryLinearAndReleasesMasters) {
+  const model::GptConfig c = tiny();
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, whole(c));
+  const model::ParamRefs params = stage.params();
+  quantize_int8(stage);
+  const auto named = stage.quantized_weights();
+  ASSERT_EQ(named.size(), static_cast<std::size_t>(4 * c.num_layers));
+  for (const NamedQuant& nq : named) {
+    bool released = false;
+    for (const model::Param* p : params) {
+      if (p->name == nq.name) released = !p->value.defined() && !p->grad.defined();
+    }
+    EXPECT_TRUE(released) << nq.name << " kept its f32 master";
+  }
 }
 
 TEST(QuantServe, ZeroSteadyStatePoolGrowth) {
   const model::GptConfig c = tiny();
   dist::Comm solo = dist::Comm::solo();
   model::GptStage stage(c, solo, whole(c));
-  const auto report = stage.quantize_for_serving(int8_policy());
+  const auto report = stage.quantize_for_serving(QuantKind::kInt8, kGroup);
   EXPECT_EQ(report.linears, 2 * 4);
   EXPECT_LT(report.weight_bytes * 2, report.weight_bytes_f32);
   serve::ServeEngine engine(stage, small_engine(/*capacity=*/24));
@@ -377,7 +461,7 @@ TEST(QuantServe, TensorParallelQuantizedMatchesSerialQuantized) {
 
   dist::Comm solo = dist::Comm::solo();
   model::GptStage serial(c, solo, whole(c));
-  serial.quantize_for_serving(int8_policy());
+  quantize_int8(serial);
   serve::ServeEngine ref_engine(serial, small_engine(/*capacity=*/16));
   serve::LoadGen ref_lg(lo);
   const auto expected = drive(ref_engine, ref_lg);
@@ -386,7 +470,7 @@ TEST(QuantServe, TensorParallelQuantizedMatchesSerialQuantized) {
   dist::World world(2);
   world.run([&](dist::Comm& comm) {
     model::GptStage stage(c, comm, whole(c));
-    stage.quantize_for_serving(int8_policy());
+    quantize_int8(stage);
     serve::ServeEngine engine(stage, small_engine(/*capacity=*/16));
     serve::LoadGen lg(lo);
     const auto got = drive(engine, lg);
