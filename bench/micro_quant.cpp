@@ -6,6 +6,14 @@
 // harness, and writes BENCH_quant.json with the §17 acceptance ratios
 // (int8 >= 2x, q4 >= 1.5x over f32 at the 1x4096 shape).
 //
+// Protocol: f32, int8 and q4 alternate inside each of kRepeats repeats, so
+// host drift lands on all three alike; each row records the median, min
+// and p90 of its repeats. GEMMs at m <= 8 are bandwidth-bound, so every
+// row also reports weight GB/s: the bytes of the weight operand as stored
+// (f32, or payload + scales + zero-points) streamed once per product, over
+// the median time. Speedups are ratios of medians. The intra-op thread
+// count comes from PTDP_NUM_THREADS (default: all cores).
+//
 // Exits non-zero when an acceptance threshold fails so CI can gate on it.
 
 #include <algorithm>
@@ -25,23 +33,30 @@ namespace {
 using namespace ptdp;
 using tensor::Tensor;
 
-double time_best(const std::function<void()>& fn, int reps = 7) {
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+constexpr int kRepeats = 7;
+
+double seconds(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+// Nearest-rank quantile of the samples (q in [0, 1]).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
+  return v[std::clamp<std::size_t>(rank, 1, v.size()) - 1];
 }
 
 struct GemmRow {
   std::int64_t m, k, n;
   std::string op;  ///< "f32" | "int8" | "q4"
-  double ms;
-  double gflops;
-  double speedup;  ///< vs the f32 matmul at the same shape
+  double weight_bytes;
+  double ms_median, ms_min, ms_p90;
+  double gflops;       ///< at the median
+  double weight_gbps;  ///< weight bytes / median time
+  double speedup;      ///< f32 median / this median at the same shape
 };
 
 struct ErrRow {
@@ -67,17 +82,34 @@ void bench_shape(std::int64_t m, std::int64_t k, std::int64_t n,
   const double flops = 2.0 * static_cast<double>(m) * k * n;
   const int inner = reps_for(static_cast<std::int64_t>(flops));
 
-  auto run = [&](const char* op, const std::function<void()>& fn) {
-    const double secs = time_best(fn) / inner;
-    out.push_back(GemmRow{m, k, n, op, secs * 1e3, flops / secs / 1e9, 0.0});
+  struct Op {
+    const char* name;
+    double weight_bytes;
+    std::function<void()> run;
+    std::vector<double> secs;
   };
-  run("f32", [&] { for (int r = 0; r < inner; ++r) tensor::matmul(a, w); });
-  run("int8", [&] { for (int r = 0; r < inner; ++r) quant::matmul(a, q8); });
-  run("q4", [&] { for (int r = 0; r < inner; ++r) quant::matmul(a, q4); });
-
-  const double f32_ms = out[out.size() - 3].ms;
-  out[out.size() - 2].speedup = f32_ms / out[out.size() - 2].ms;
-  out[out.size() - 1].speedup = f32_ms / out[out.size() - 1].ms;
+  std::vector<Op> ops = {
+      {"f32", 4.0 * static_cast<double>(k) * n, [&] { tensor::matmul(a, w); }, {}},
+      {"int8", static_cast<double>(q8.quant_bytes()), [&] { quant::matmul(a, q8); }, {}},
+      {"q4", static_cast<double>(q4.quant_bytes()), [&] { quant::matmul(a, q4); }, {}},
+  };
+  for (Op& op : ops) op.run();  // warm-up: scratch buffers, pool, caches
+  for (int r = 0; r < kRepeats; ++r) {
+    for (Op& op : ops) {
+      op.secs.push_back(seconds([&] {
+                          for (int i = 0; i < inner; ++i) op.run();
+                        }) /
+                        inner);
+    }
+  }
+  const double f32_median = quantile(ops[0].secs, 0.5);
+  for (const Op& op : ops) {
+    const double median = quantile(op.secs, 0.5);
+    out.push_back(GemmRow{m, k, n, op.name, op.weight_bytes, median * 1e3,
+                          quantile(op.secs, 0.0) * 1e3, quantile(op.secs, 0.9) * 1e3,
+                          flops / median / 1e9, op.weight_bytes / median / 1e9,
+                          f32_median / median});
+  }
 }
 
 void roundtrip_errors(std::vector<ErrRow>& out) {
@@ -123,6 +155,8 @@ void write_json(const std::vector<GemmRow>& rows, const std::vector<ErrRow>& err
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_quant\",\n");
+  std::fprintf(f, "  \"threads\": %zu,\n", runtime::intra_op_threads());
+  std::fprintf(f, "  \"repeats\": %d,\n", kRepeats);
   std::fprintf(f, "  \"int8_speedup_vs_f32_1x4096\": %.2f,\n", int8_speedup_4096);
   std::fprintf(f, "  \"q4_speedup_vs_f32_1x4096\": %.2f,\n", q4_speedup_4096);
   std::fprintf(f, "  \"gemm\": [\n");
@@ -130,10 +164,13 @@ void write_json(const std::vector<GemmRow>& rows, const std::vector<ErrRow>& err
     const GemmRow& r = rows[i];
     std::fprintf(f,
                  "    {\"op\": \"%s\", \"m\": %lld, \"k\": %lld, \"n\": %lld, "
-                 "\"ms\": %.4f, \"gflops\": %.2f, \"speedup_vs_f32\": %.2f}%s\n",
+                 "\"weight_bytes\": %.0f, \"ms_median\": %.4f, \"ms_min\": %.4f, "
+                 "\"ms_p90\": %.4f, \"gflops\": %.2f, \"weight_gbps\": %.2f, "
+                 "\"speedup_vs_f32\": %.2f}%s\n",
                  r.op.c_str(), static_cast<long long>(r.m),
-                 static_cast<long long>(r.k), static_cast<long long>(r.n), r.ms,
-                 r.gflops, r.speedup, i + 1 == rows.size() ? "" : ",");
+                 static_cast<long long>(r.k), static_cast<long long>(r.n),
+                 r.weight_bytes, r.ms_median, r.ms_min, r.ms_p90, r.gflops,
+                 r.weight_gbps, r.speedup, i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n  \"roundtrip_error\": [\n");
   for (std::size_t i = 0; i < errs.size(); ++i) {
@@ -153,8 +190,9 @@ void write_json(const std::vector<GemmRow>& rows, const std::vector<ErrRow>& err
 }  // namespace
 
 int main() {
-  std::printf("quantized GEMM at decode shapes (group 64, %zu threads)\n",
-              runtime::intra_op_threads());
+  std::printf("quantized GEMM at decode shapes (group 64, %zu threads, "
+              "%d alternating repeats)\n",
+              runtime::intra_op_threads(), kRepeats);
   std::vector<GemmRow> rows;
   // Single-token decode (m=1) and small-batch decode (m=8) at transformer
   // widths; K=N keeps the table square like the micro_tensor_ops sweep.
@@ -163,12 +201,15 @@ int main() {
   }
   bench_shape(8, 4096, 4096, 64, rows);
 
-  std::printf("%4s %6s %6s %6s %10s %10s %8s\n", "op", "m", "k", "n", "ms",
-              "GFLOP/s", "vs f32");
+  std::printf("%4s %6s %6s %6s %10s %10s %10s %10s %10s %8s\n", "op", "m", "k",
+              "n", "ms med", "ms min", "ms p90", "GFLOP/s", "weight GB/s",
+              "vs f32");
   for (const GemmRow& r : rows) {
-    std::printf("%4s %6lld %6lld %6lld %10.4f %10.2f %7.2fx\n", r.op.c_str(),
-                static_cast<long long>(r.m), static_cast<long long>(r.k),
-                static_cast<long long>(r.n), r.ms, r.gflops, r.speedup);
+    std::printf("%4s %6lld %6lld %6lld %10.4f %10.4f %10.4f %10.2f %10.2f %7.2fx\n",
+                r.op.c_str(), static_cast<long long>(r.m),
+                static_cast<long long>(r.k), static_cast<long long>(r.n),
+                r.ms_median, r.ms_min, r.ms_p90, r.gflops, r.weight_gbps,
+                r.speedup);
   }
 
   std::vector<ErrRow> errs;

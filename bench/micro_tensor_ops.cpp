@@ -145,7 +145,10 @@ void seed_scalar_gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k,
         }
       }
       for (; i < m; ++i) {
-        float* crow = c + i * n;
+        // Unsigned row offset: with the sweep's constant 512³ shape inlined,
+        // gcc 12 proves this tail dead yet warns that a signed i * n would
+        // overflow in it (-Waggressive-loop-optimizations).
+        float* crow = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
         for (std::int64_t p = pp; p < pe; ++p) {
           const float av = a[i * k + p];
           const float* brow = b + p * n;

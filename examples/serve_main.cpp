@@ -3,7 +3,8 @@
 // every response against the full-forward oracle (model::generate with the
 // KV cache disabled) — the engine's paged, preempted, batched decode must
 // produce bit-identical token streams. With --trace-out/--metrics-out the
-// run records serve.* spans and metrics (serve.step spans, per-request
+// run records serve.* spans (of the engine loop; the oracle replays record
+// metrics only) and metrics (serve.step spans, per-request
 // serve.request_done instants, serve.kv.peak_bytes, TTFT histograms, ...)
 // in the same ptdp-trace-v1 format train_main emits, so
 // tools/validate_trace.py can gate on them in CI.
@@ -251,6 +252,13 @@ int main(int argc, char** argv) {
       const auto done = engine.step();
       lg.on_finished(done, step);
       ++step;
+    }
+
+    // The trace is the engine loop's. The oracle replays below re-run the
+    // full forward once per request (twice when quantized) and would wrap
+    // the span rings over it; metrics keep counting.
+    if (!args.trace_out.empty()) {
+      obs::Tracer::instance().set_mode(obs::TraceMode::kMetricsOnly);
     }
 
     const auto& st = engine.stats();

@@ -44,6 +44,8 @@ struct QuantizedWeight {
   std::int64_t meta_elems() const;
   /// Exact quantized footprint: payload + scales (4B) + zeros (1B each).
   std::int64_t quant_bytes() const;
+  /// The packed weight in place, as tensor::quant_unpack/gemm_f32xq read it.
+  tensor::QuantView view() const;
 
   std::uint8_t* payload_u8();
   const std::uint8_t* payload_u8() const;
@@ -65,7 +67,8 @@ QuantizedWeight quantize(const tensor::Tensor& w, tensor::QuantKind kind,
 tensor::Tensor dequantize(const QuantizedWeight& w);
 
 /// C = a · dequant(w): a is [..., k] f32, result [..., n] f32. Runs
-/// tensor::gemm_f32xq; bitwise-deterministic across thread counts.
+/// tensor::gemm_f32xq, so it is bitwise tensor::matmul(a, dequantize(w))
+/// at any m and thread count.
 tensor::Tensor matmul(const tensor::Tensor& a, const QuantizedWeight& w);
 
 // ---- dtype-tagged checkpoints ----------------------------------------------

@@ -43,6 +43,11 @@ std::int64_t QuantizedWeight::quant_bytes() const {
   return payload_bytes() + meta_elems() * 5;  // f32 scale + u8 zero per group
 }
 
+tensor::QuantView QuantizedWeight::view() const {
+  return {kind, payload_u8(), scales.data().data(), zeros_u8(), rows, cols,
+          group_size};
+}
+
 std::uint8_t* QuantizedWeight::payload_u8() { return tensor_u8(payload); }
 const std::uint8_t* QuantizedWeight::payload_u8() const {
   return tensor_u8(payload);
@@ -76,9 +81,7 @@ QuantizedWeight quantize(const Tensor& w, QuantKind kind, std::int64_t group_siz
 Tensor dequantize(const QuantizedWeight& w) {
   PTDP_CHECK(w.defined());
   Tensor out = Tensor::empty({w.rows, w.cols});
-  tensor::quant_unpack(w.kind, w.payload_u8(), w.scales.data().data(),
-                       w.zeros_u8(), w.rows, w.cols, w.group_size,
-                       out.data().data());
+  tensor::quant_unpack(w.view(), out.data().data());
   return out;
 }
 
@@ -87,13 +90,11 @@ Tensor matmul(const Tensor& a, const QuantizedWeight& w) {
   PTDP_CHECK(a.dtype() == tensor::DType::kF32)
       << "quantized GEMM takes f32 activations";
   PTDP_CHECK_EQ(a.dim(-1), w.rows);
-  const std::int64_t m = a.numel() / w.rows;
   tensor::Shape out_shape = a.shape();
   out_shape.back() = w.cols;
   Tensor c = Tensor::empty(std::move(out_shape));
-  tensor::gemm_f32xq(w.kind, m, w.cols, w.rows, a.data().data(), w.rows,
-                     w.payload_u8(), w.scales.data().data(), w.zeros_u8(),
-                     w.group_size, c.data().data(), w.cols);
+  tensor::gemm_f32xq(w.view(), a.numel() / w.rows, a.data().data(),
+                     c.data().data());
   return c;
 }
 

@@ -7,8 +7,11 @@
 #include <type_traits>
 #include <vector>
 
-#if defined(__AMX_BF16__) && defined(__AMX_TILE__) && defined(__linux__)
+#if defined(__AVX2__) || defined(__AMX_TILE__)
 #include <immintrin.h>
+#endif
+
+#if defined(__AMX_BF16__) && defined(__AMX_TILE__) && defined(__linux__)
 #include <sys/syscall.h>
 #include <unistd.h>
 #define PTDP_GEMM_NATIVE_BF16 1
@@ -17,6 +20,7 @@
 #endif
 
 #include "ptdp/runtime/parallel_for.hpp"
+#include "ptdp/tensor/quant_ops.hpp"
 
 namespace ptdp::tensor {
 
@@ -57,7 +61,10 @@ std::int64_t row_grain(std::int64_t n) {
 // and therefore the bit pattern of the result — is independent of the
 // thread count. Products with a single row panel take the small-m path
 // (gemm_small_m), which splits column slivers instead and reads row-major
-// f32 B in place, bitwise equal to the row-panel path.
+// f32 B in place, bitwise equal to the row-panel path. Quantized weights
+// (gemm_f32xq) are one more B source of that path at every m, so they
+// multiply bitwise like their dequantized f32 copy. bf16 x bf16 runs on AMX
+// where the platform has it: three drivers in all.
 
 constexpr std::int64_t kMR = 8;     // micro-tile rows
 constexpr std::int64_t kNR = 16;    // micro-tile cols (one AVX-512 / two AVX2 vectors)
@@ -148,6 +155,7 @@ void pack_b_panel(const RowTableB* b, std::int64_t /*rsb*/, std::int64_t /*csb*/
 // ldb = kNR for a packed sliver, the source row stride when B is read in
 // place.
 #if defined(__GNUC__) || defined(__clang__)
+#define PTDP_GEMM_VEC 1
 // One vector register file's worth of accumulators: kMR row vectors of kNR
 // lanes each, updated by broadcast(a) * b FMAs. Writing the tile with vector
 // extensions (rather than hoping the auto-vectorizer picks the right axis)
@@ -179,6 +187,7 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
   }
 }
 #else
+#define PTDP_GEMM_VEC 0
 void micro_kernel(std::int64_t kc, const float* __restrict ap,
                   const float* __restrict bp, std::int64_t ldb,
                   float* __restrict acc) {
@@ -208,6 +217,122 @@ void store_tile(const float* acc, std::int64_t mr, std::int64_t nr, float* c,
     }
   }
 }
+
+// Quantized B (DESIGN.md §17) is read where it sits: a packed column panel
+// is exactly one sliver.
+static_assert(kQuantPanel == kNR, "a quantized panel must be one B sliver");
+
+#if PTDP_GEMM_VEC
+using VecNI = std::int32_t __attribute__((vector_size(sizeof(float) * kNR),
+                                          aligned(alignof(float))));
+using VecNU8 = std::uint8_t __attribute__((vector_size(kNR), aligned(1)));
+
+// kNR u8 codes as f32 lanes; exact for every code. GCC lowers the generic
+// u8 -> i32 convert of a freshly loaded vector to one byte extract per lane,
+// which costs more than the FMAs it feeds, so x86 spells out vpmovzxbd (the
+// all-lanes maskz form: GCC 12's unmasked one trips -Wmaybe-uninitialized).
+inline VecNR codes_f32(VecNU8 q) {
+#if defined(__AVX512F__)
+  const VecNI qi = (VecNI)_mm512_maskz_cvtepu8_epi32(0xFFFF, (__m128i)q);
+#elif defined(__AVX2__)
+  const __m256i lo = _mm256_cvtepu8_epi32((__m128i)q);
+  const __m256i hi = _mm256_cvtepu8_epi32(_mm_srli_si128((__m128i)q, 8));
+  VecNI qi;
+  std::memcpy(&qi, &lo, sizeof lo);
+  std::memcpy(reinterpret_cast<char*>(&qi) + sizeof lo, &hi, sizeof hi);
+#else
+  const VecNI qi = __builtin_convertvector(q, VecNI);
+#endif
+  return __builtin_convertvector(qi, VecNR);
+}
+
+// One payload row of a quantized sliver, in column order: int8 stores the
+// kNR codes as bytes; q4 stores columns j and j + 8 in the low and high
+// nibble of byte j.
+template <bool kQ4>
+inline VecNR load_codes(const std::uint8_t* p) {
+  VecNU8 q;
+  if constexpr (kQ4) {
+    std::uint8_t both[kNR];
+    std::memcpy(both, p, kNR / 2);
+    std::memcpy(both + kNR / 2, p, kNR / 2);
+    std::memcpy(&q, both, kNR);
+    constexpr VecNU8 kShift = {0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4};
+    q = (q >> kShift) & 0x0F;
+  } else {
+    std::memcpy(&q, p, kNR);
+  }
+  return codes_f32(q);
+}
+
+// acc[MB][kNR] = A · ŵ over the k panel [k0, k0 + kc) of quantized panel
+// jp, A read in place (a points at row 0, column k0; row stride lda). Each
+// k step dequantizes its kNR weights as (q - z)·s, quant_unpack's
+// arithmetic, then takes micro_kernel's broadcast(a)·b accumulate, so a
+// tile equals micro_kernel over the dequantized sliver bit for bit. A
+// quantization group may end inside the panel: scale and zero-point step
+// per group segment.
+template <int MB, bool kQ4>
+void quant_micro_kernel(const QuantView& w, std::int64_t jp, std::int64_t k0,
+                        std::int64_t kc, const float* __restrict a,
+                        std::int64_t lda, float* __restrict acc) {
+  constexpr std::int64_t kRowBytes = kQ4 ? kNR / 2 : kNR;
+  const std::int64_t meta_stride = quant_num_panels(w.n) * kNR;
+  const std::uint8_t* pay = w.payload + (jp * w.k + k0) * kRowBytes;
+  VecNR c[MB];
+  for (int i = 0; i < MB; ++i) c[i] = VecNR{};
+  for (std::int64_t p = 0; p < kc;) {
+    const std::int64_t g = (k0 + p) / w.group;
+    const std::int64_t seg_end = std::min(kc, (g + 1) * w.group - k0);
+    const std::int64_t meta = g * meta_stride + jp * kNR;
+    const VecNR s = *reinterpret_cast<const VecNR*>(w.scales + meta);
+    VecNU8 zq;
+    std::memcpy(&zq, w.zeros + meta, kNR);
+    const VecNR z = codes_f32(zq);
+    for (; p < seg_end; ++p) {
+      const VecNR b = (load_codes<kQ4>(pay + p * kRowBytes) - z) * s;
+      for (int i = 0; i < MB; ++i) c[i] += a[i * lda + p] * b;
+    }
+  }
+  for (int i = 0; i < MB; ++i) *reinterpret_cast<VecNR*>(acc + i * kNR) = c[i];
+}
+
+// C's sliver jp over the k panel [k0, k0 + kc), all m rows, in 8/4/2/1-row
+// tiles landed through store_tile (nr live columns, row stride ldc).
+template <bool kQ4>
+void quant_sliver(const QuantView& w, std::int64_t jp, std::int64_t k0,
+                  std::int64_t kc, std::int64_t m, const float* a,
+                  std::int64_t lda, std::int64_t nr, float* c,
+                  std::int64_t ldc) {
+  static_assert(kMR == 8, "row tiles below are written for kMR == 8");
+  for (std::int64_t ir = 0; ir < m;) {
+    float acc[kMR * kNR];
+    const float* ai = a + ir * lda + k0;
+    const std::int64_t left = m - ir;
+    const std::int64_t mr = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
+    if (mr == 8) {
+      quant_micro_kernel<8, kQ4>(w, jp, k0, kc, ai, lda, acc);
+    } else if (mr == 4) {
+      quant_micro_kernel<4, kQ4>(w, jp, k0, kc, ai, lda, acc);
+    } else if (mr == 2) {
+      quant_micro_kernel<2, kQ4>(w, jp, k0, kc, ai, lda, acc);
+    } else {
+      quant_micro_kernel<1, kQ4>(w, jp, k0, kc, ai, lda, acc);
+    }
+    store_tile(acc, mr, nr, c + ir * ldc, ldc, k0 == 0);
+    ir += mr;
+  }
+}
+#else
+// Portable builds dequantize whole slivers for the scalar micro_kernel.
+void pack_b_panel(const QuantView* b, std::int64_t /*rsb*/, std::int64_t /*csb*/,
+                  std::int64_t p0, std::int64_t kc, std::int64_t j0,
+                  std::int64_t nc, float* bp) {
+  for (std::int64_t jr = 0; jr < nc; jr += kNR) {
+    quant_unpack_panel(*b, (j0 + jr) / kNR, p0, kc, kNR, bp + jr * kc, kNR);
+  }
+}
+#endif  // PTDP_GEMM_VEC
 
 // Grow-only per-thread GEMM scratch, so steady-state calls neither allocate
 // nor zero-fill. A thread_local resolves to the thread that names it: the
@@ -421,15 +546,21 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
 // accumulation order: results are bitwise equal to it at any thread count.
 // f32 B with unit column stride (row-major weights, V in bmm) is read in
 // place at row stride rsb; a ragged last sliver, transposed and bf16 B are
-// packed one sliver at a time by the task that computes it.
+// packed one sliver at a time by the task that computes it. Quantized B
+// takes this path at every m: the vector build dequantizes in the fused
+// kernel and reads A in place, portable builds pack dequantized slivers.
 template <typename TA, typename TB>
 void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
                   std::int64_t rsa, std::int64_t csa, const TB* b,
                   std::int64_t rsb, std::int64_t csb, float* c) {
+  constexpr bool kFusedQuant = PTDP_GEMM_VEC && std::is_same_v<TB, QuantView>;
   const std::int64_t mp = (m + kMR - 1) / kMR * kMR;
-  float* ap = shared_scratch(mp * k);
-  for (std::int64_t pc = 0; pc < k; pc += kKC) {
-    pack_a_block(a, rsa, csa, 0, m, pc, std::min(kKC, k - pc), ap + mp * pc);
+  float* ap = nullptr;
+  if constexpr (!kFusedQuant) {
+    ap = shared_scratch(mp * k);
+    for (std::int64_t pc = 0; pc < k; pc += kKC) {
+      pack_a_block(a, rsa, csa, 0, m, pc, std::min(kKC, k - pc), ap + mp * pc);
+    }
   }
 
   const std::int64_t slivers = (n + kNR - 1) / kNR;
@@ -443,23 +574,34 @@ void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
       for (std::int64_t s = s0; s < s1; ++s) {
         const std::int64_t j0 = s * kNR;
         const std::int64_t nr = std::min(kNR, n - j0);
-        const float* bsliver = nullptr;
-        std::int64_t ldb = kNR;
-        if constexpr (std::is_same_v<TB, float>) {
-          if (csb == 1 && nr == kNR) {
-            bsliver = b + pc * rsb + j0;
-            ldb = rsb;
+        if constexpr (kFusedQuant) {
+#if PTDP_GEMM_VEC
+          if (b->kind == QuantKind::kQ4) {
+            quant_sliver<true>(*b, s, pc, kc, m, a, rsa, nr, c + j0, n);
+          } else {
+            quant_sliver<false>(*b, s, pc, kc, m, a, rsa, nr, c + j0, n);
           }
-        }
-        if (bsliver == nullptr) {
-          float* bp = task_scratch(kKC * kNR);
-          pack_b_panel(b, rsb, csb, pc, kc, j0, nr, bp);
-          bsliver = bp;
-        }
-        for (std::int64_t ir = 0; ir < m; ir += kMR) {
-          float acc[kMR * kNR];
-          micro_kernel(kc, ap + mp * pc + ir * kc, bsliver, ldb, acc);
-          store_tile(acc, std::min(kMR, m - ir), nr, c + ir * n + j0, n, pc == 0);
+#endif
+        } else {
+          const float* bsliver = nullptr;
+          std::int64_t ldb = kNR;
+          if constexpr (std::is_same_v<TB, float>) {
+            if (csb == 1 && nr == kNR) {
+              bsliver = b + pc * rsb + j0;
+              ldb = rsb;
+            }
+          }
+          if (bsliver == nullptr) {
+            float* bp = task_scratch(kKC * kNR);
+            pack_b_panel(b, rsb, csb, pc, kc, j0, nr, bp);
+            bsliver = bp;
+          }
+          for (std::int64_t ir = 0; ir < m; ir += kMR) {
+            float acc[kMR * kNR];
+            micro_kernel(kc, ap + mp * pc + ir * kc, bsliver, ldb, acc);
+            store_tile(acc, std::min(kMR, m - ir), nr, c + ir * n + j0, n,
+                       pc == 0);
+          }
         }
       }
     }
@@ -593,6 +735,13 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     gemm_strided(m, n, k, pa, 1, m, pb, n, 1, c.data().data());
   });
   return c;
+}
+
+void gemm_f32xq(const QuantView& w, std::int64_t m, const float* a, float* c) {
+  PTDP_CHECK(w.group > 0 && w.k % w.group == 0) << "group must divide k";
+  if (m <= 0 || w.n <= 0) return;
+  gemm_small_m(m, w.n, w.k, a, w.k, std::int64_t{1}, &w, std::int64_t{0},
+               std::int64_t{0}, c);
 }
 
 namespace {
@@ -803,8 +952,6 @@ namespace {
 // on f in [-0.5, 0.5].
 // Everything is elementwise, so results are bitwise independent of both
 // chunking and lane position — thread-count determinism comes for free.
-using VecNI = std::int32_t __attribute__((vector_size(sizeof(float) * kNR),
-                                          aligned(alignof(float))));
 
 inline VecNR gelu_loadu(const float* p) {
   VecNR v;

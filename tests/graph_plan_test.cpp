@@ -159,7 +159,9 @@ TEST(GraphPasses, NonCausalUsesMaskSoftmaxAndDropoutFreeTopologyAliases) {
     EXPECT_NE(n.kind, OpKind::kDropout);
     EXPECT_NE(n.kind, OpKind::kDropoutBwd);
     EXPECT_NE(n.kind, OpKind::kAttnProbMask);
-    if (n.kind == OpKind::kFusedBiasDropoutAdd) EXPECT_EQ(n.out.size(), 1u);
+    if (n.kind == OpKind::kFusedBiasDropoutAdd) {
+      EXPECT_EQ(n.out.size(), 1u);
+    }
     EXPECT_NE(n.kind, OpKind::kScaleCausalSoftmax);
   }
   bool saw_masked_softmax = false;

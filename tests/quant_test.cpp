@@ -3,8 +3,9 @@
 //      (max - min) / levels for every group size, including tail panels
 //      (n not a multiple of kQuantPanel), degenerate constant groups, and
 //      the lossless group_size = 1 case.
-//   2. quant::matmul multiplies by exactly dequantize(w) and is bitwise
-//      deterministic across thread counts.
+//   2. quant::matmul is bitwise tensor::matmul(a, dequantize(w)) and
+//      deterministic across thread counts, and a quantized stage decodes
+//      bitwise like an f32 stage holding the dequantized weights.
 //   3. The shard-alignment rule: dequantize(quantize(shard)) is bitwise the
 //      matching slice of dequantize(quantize(full)) for row shards whose
 //      group divides the shard and for column slices, so t = 1 and t = 2
@@ -158,15 +159,18 @@ TEST(QuantRoundTrip, EffectiveGroupSizeIsLargestDivisor) {
 // ---- 2. quantized GEMM -----------------------------------------------------
 
 TEST(QuantMatmul, MatchesDequantizedReference) {
+  // Bitwise, not within a tolerance: the quantized GEMM is the f32 driver
+  // reading ŵ. k = 300 crosses the driver's 256-deep k panel, and its
+  // effective group of 30 ends inside that panel.
   Rng rng(11);
-  const Tensor a = Tensor::randn({5, 96}, rng);
-  const Tensor w = random_weight(96, 40, 7);
-  for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kQ4}) {
-    const QuantizedWeight q = quantize(w, kind, 32);
-    const Tensor got = matmul(a, q);
-    const Tensor want = tensor::matmul(a, dequantize(q));
-    EXPECT_LT(tensor::max_abs_diff(got, want), 1e-4f)
-        << tensor::quant_kind_name(kind);
+  for (const std::int64_t k : {96, 300}) {
+    const Tensor a = Tensor::randn({5, k}, rng);
+    const Tensor w = random_weight(k, 40, 7);
+    for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kQ4}) {
+      const QuantizedWeight q = quantize(w, kind, 32);
+      EXPECT_TRUE(bitwise_equal(matmul(a, q), tensor::matmul(a, dequantize(q))))
+          << tensor::quant_kind_name(kind) << " k=" << k;
+    }
   }
 }
 
@@ -395,6 +399,57 @@ TEST(QuantLinear, QuantizeForServingQuantizesEveryLinearAndReleasesMasters) {
       if (p->name == nq.name) released = !p->value.defined() && !p->grad.defined();
     }
     EXPECT_TRUE(released) << nq.name << " kept its f32 master";
+  }
+}
+
+TEST(QuantServe, Int8StageDecodesBitwiseLikeF32StageOfDequantizedWeights) {
+  // hidden 80: FC2 contracts over k = 320, past the GEMM's 256-deep k
+  // panel (tiny()'s hidden 32 never gets there), and group 40 ends inside
+  // that panel. The prefill runs m = 6 rows, each decode step m = 1.
+  model::GptConfig c = tiny();
+  c.hidden = 80;
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage quantized(c, solo, whole(c));
+  model::GptStage reference(c, solo, whole(c));
+  quantized.quantize_for_serving(QuantKind::kInt8, 40);
+  const model::ParamRefs params = reference.params();
+  int replaced = 0;
+  for (const NamedQuant& nq : quantized.quantized_weights()) {
+    for (model::Param* p : params) {
+      if (p->name != nq.name) continue;
+      p->value = dequantize(*nq.weight);
+      ++replaced;
+    }
+  }
+  ASSERT_EQ(replaced, 4 * c.num_layers);
+
+  const std::vector<std::int32_t> tokens = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8};
+  constexpr std::int64_t kPrefill = 6;
+  auto decode_logits = [&](model::GptStage& stage) {
+    const auto len = static_cast<std::int64_t>(tokens.size());
+    model::PagedKvCache kv({c.num_layers, stage.kv_heads_local() * stage.kv_head_dim(),
+                            /*block_tokens=*/4, /*capacity_blocks=*/(len + 3) / 4,
+                            false});
+    EXPECT_TRUE(kv.try_reserve(0, len));
+    std::vector<Tensor> out;
+    for (std::int64_t pos = 0; pos < len;) {
+      const std::int64_t step = pos == 0 ? kPrefill : 1;
+      const model::DecodeSeq seq{0, pos, step};
+      out.push_back(stage.decode(
+          std::span<const model::DecodeSeq>(&seq, 1),
+          std::span<const std::int32_t>(tokens.data() + pos,
+                                        static_cast<std::size_t>(step)),
+          kv));
+      pos += step;
+    }
+    return out;
+  };
+  const std::vector<Tensor> got = decode_logits(quantized);
+  const std::vector<Tensor> want = decode_logits(reference);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(got[i], want[i]))
+        << "decode step " << i << ": max |diff| " << tensor::max_abs_diff(got[i], want[i]);
   }
 }
 

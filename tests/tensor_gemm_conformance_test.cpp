@@ -6,7 +6,10 @@
 //     (f32|bf16)² operand pair. m spans the small-m sliver path (m < 128)
 //     and the row-panel path; bf16 × bf16 takes the AMX kernel where the
 //     host has one.
-//   * quant::matmul at int8 and Q4, against dequantize(w) in double.
+//   * quant::matmul at int8 and Q4, against dequantize(w) in double, and
+//     bitwise against tensor::matmul(a, dequantize(w)) at 1 and 4 threads:
+//     quantized B is a source of the f32 driver's small-m loop, so the two
+//     products share the k-panel order and differ in no bit.
 //
 // Shapes: the full cross product m, n, k ∈ {1, 3, 4, 8, 16, 127, 128, 129,
 // 133, 300} — every register-tile, panel and k-block edge the kernels have.
@@ -18,7 +21,7 @@
 // (k + 2)·2⁻²⁴·Σ|a·b| per element. A dropped, doubled or misplaced product
 // is orders of magnitude above it.
 //
-// Run time: ~1–2 s per instance (6 instances) on a 4-core AVX-512 host at
+// Run time: ~1–2 s per instance (8 instances) on a 4-core AVX-512 host at
 // RelWithDebInfo, dominated by the double-precision reference.
 
 #include <gtest/gtest.h>
@@ -26,10 +29,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "ptdp/quant/quant.hpp"
+#include "ptdp/runtime/parallel_for.hpp"
 #include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::tensor {
@@ -180,6 +185,42 @@ TEST_P(QuantGemm, MatchesDoubleReferenceOfDequantizedWeight) {
     }
   }
   EXPECT_EQ(failures, 0);
+}
+
+TEST_P(QuantGemm, BitwiseEqualsF32ProductOfDequantizedWeight) {
+  const QuantKind kind = GetParam();
+  const std::size_t saved_threads = runtime::intra_op_threads();
+  Rng rng(22);
+  int mismatched_shapes = 0;
+  for (const std::int64_t m : kSizes) {
+    for (const std::int64_t n : kSizes) {
+      for (const std::int64_t k : kSizes) {
+        const Tensor a = Tensor::randn({m, k}, rng);
+        const quant::QuantizedWeight w =
+            quant::quantize(Tensor::randn({k, n}, rng), kind, 32);
+        const Tensor wd = quant::dequantize(w);
+        bool mismatch = false;
+        for (const std::size_t threads : {1u, 4u}) {
+          runtime::set_intra_op_threads(threads);
+          const Tensor got = quant::matmul(a, w);
+          const Tensor want = matmul(a, wd);
+          if (std::memcmp(got.data().data(), want.data().data(),
+                          got.data().size_bytes()) == 0) {
+            continue;
+          }
+          if (!mismatch && mismatched_shapes == 0) {
+            ADD_FAILURE() << quant_kind_name(kind) << " " << shape_name(m, n, k)
+                          << " at " << threads << " threads: max |diff| "
+                          << max_abs_diff(got, want);
+          }
+          mismatch = true;
+        }
+        mismatched_shapes += mismatch ? 1 : 0;
+      }
+    }
+  }
+  runtime::set_intra_op_threads(saved_threads);
+  EXPECT_EQ(mismatched_shapes, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(GemmConformance, QuantGemm,
