@@ -9,8 +9,37 @@
 #include <vector>
 
 #include "ptdp/sim/simulator.hpp"
+#include "ptdp/tensor/ops.hpp"
 
 namespace ptdp::bench {
+
+/// tensor::attention over contiguous [heads, s, dk] q, k, v of one sequence,
+/// every query seeing every key: the fused operator the benches time
+/// against its composition bmm_nt -> scale -> softmax_lastdim -> bmm.
+/// Returns the context rows [s, heads·dk].
+inline tensor::Tensor attention_heads(const tensor::Tensor& q,
+                                      const tensor::Tensor& k,
+                                      const tensor::Tensor& v) {
+  const std::int64_t heads = q.dim(0), s = q.dim(1), dk = q.dim(2);
+  std::vector<const float*> krows, vrows;
+  for (std::int64_t j = 0; j < s; ++j) {
+    krows.push_back(k.data().data() + j * dk);
+    vrows.push_back(v.data().data() + j * dk);
+  }
+  tensor::Tensor out = tensor::Tensor::empty({s, heads * dk});
+  const tensor::AttentionSeq seq{q.data().data(), dk, s, 0, krows, vrows,
+                                 s * dk, out.data().data(), heads * dk};
+  tensor::attention({&seq, 1}, {heads, dk, s * dk, 0.125f, /*causal=*/false});
+  return out;
+}
+
+/// The unfused composition attention_heads() replaces: [heads, s, dk].
+inline tensor::Tensor attention_composed(const tensor::Tensor& q,
+                                         const tensor::Tensor& k,
+                                         const tensor::Tensor& v) {
+  return tensor::bmm(
+      tensor::softmax_lastdim(tensor::scale(tensor::bmm_nt(q, k), 0.125f)), v);
+}
 
 inline void header(const char* id, const char* title) {
   std::printf("\n================================================================\n");

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "ptdp/runtime/parallel_for.hpp"
 #include "ptdp/tensor/ops.hpp"
 
@@ -77,25 +78,29 @@ void BM_BiasGeluFused(benchmark::State& state) {
 }
 BENCHMARK(BM_BiasGeluFused)->Arg(256);
 
-void BM_CausalSoftmaxFused(benchmark::State& state) {
+void BM_AttentionFused(benchmark::State& state) {
   const auto s = state.range(0);
   Rng rng(4);
-  Tensor scores = Tensor::randn({8, s, s}, rng);
+  Tensor q = Tensor::randn({8, s, 64}, rng);
+  Tensor k = Tensor::randn({8, s, 64}, rng);
+  Tensor v = Tensor::randn({8, s, 64}, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::fused_scale_causal_softmax(scores, 0.125f));
+    benchmark::DoNotOptimize(bench::attention_heads(q, k, v));
   }
 }
-BENCHMARK(BM_CausalSoftmaxFused)->Arg(64)->Arg(128);
+BENCHMARK(BM_AttentionFused)->Arg(64)->Arg(128);
 
-void BM_SoftmaxComposed(benchmark::State& state) {
+void BM_AttentionComposed(benchmark::State& state) {
   const auto s = state.range(0);
   Rng rng(4);
-  Tensor scores = Tensor::randn({8, s, s}, rng);
+  Tensor q = Tensor::randn({8, s, 64}, rng);
+  Tensor k = Tensor::randn({8, s, 64}, rng);
+  Tensor v = Tensor::randn({8, s, 64}, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::softmax_lastdim(tensor::scale(scores, 0.125f)));
+    benchmark::DoNotOptimize(bench::attention_composed(q, k, v));
   }
 }
-BENCHMARK(BM_SoftmaxComposed)->Arg(64)->Arg(128);
+BENCHMARK(BM_AttentionComposed)->Arg(64)->Arg(128);
 
 void BM_LayerNorm(benchmark::State& state) {
   const auto h = state.range(0);
@@ -295,12 +300,19 @@ void run_sweep() {
                                         tensor::layernorm(x, gamma, beta));
                                   }));
 
-    Tensor scores = Tensor::randn({16, 256, 256}, rng);
-    results.push_back(sweep_entry("fused_scale_causal_softmax", {16, 256, 256},
-                                  threads, 5.0 * 16 * 256 * 256, [&] {
+    // Attention over the same heads, every key visible: the fused kernel and
+    // the composition it replaces (4·h·s²·dk FLOPs).
+    Tensor vv = Tensor::randn({16, 256, 64}, rng);
+    const double attn_flops = 4.0 * 16 * 256 * 256 * 64;
+    results.push_back(sweep_entry("attention", {16, 256, 64}, threads, attn_flops,
+                                  [&] {
                                     benchmark::DoNotOptimize(
-                                        tensor::fused_scale_causal_softmax(scores,
-                                                                           0.125f));
+                                        bench::attention_heads(q, kk, vv));
+                                  }));
+    results.push_back(sweep_entry("attention_composed", {16, 256, 64}, threads,
+                                  attn_flops, [&] {
+                                    benchmark::DoNotOptimize(
+                                        bench::attention_composed(q, kk, vv));
                                   }));
   }
   // Serving-decode GEMMs: m rows in flight times the [256 -> 768] QKV,

@@ -1,9 +1,11 @@
 // Observability-plane overhead microbenchmark (DESIGN.md §11): runs the
 // same (p=4, v=2, interleaved) engine workload with tracing off, metrics
-// only, and full span recording, and writes BENCH_trace_overhead.json (the
-// BENCH_tensor_ops.json convention) with steps/s per mode and the overhead
-// relative to tracing-off. The acceptance target is <1% steps/s cost for
-// the disabled tracer: a disabled site is one relaxed atomic load.
+// only, and full span recording, alternating the three modes inside each of
+// kRepeats repeats, and writes BENCH_trace_overhead.json (the
+// BENCH_tensor_ops.json convention): median/min/p90 steps/s per mode and
+// the overhead relative to tracing-off, paired within each repeat. The
+// acceptance target is <1% steps/s cost for the disabled tracer: a disabled
+// site is one relaxed atomic load.
 
 #include <algorithm>
 #include <cstdio>
@@ -21,7 +23,7 @@ namespace {
 
 constexpr int kWarmupSteps = 2;
 constexpr int kTimedSteps = 8;
-constexpr int kRepeats = 3;
+constexpr int kRepeats = 7;
 
 model::GptConfig bench_config() {
   model::GptConfig c;
@@ -69,12 +71,16 @@ double run_once(obs::TraceMode mode, const data::TokenDataset& dataset) {
   return static_cast<double>(kTimedSteps) / seconds;
 }
 
-struct ModeResult {
-  const char* name;
-  double steps_per_s = 0;
-  double overhead_pct = 0;  ///< vs tracing-off
-  std::uint64_t events = 0;
+// Median, min and p90 of a sample (sorted copy; p90 by nearest rank).
+struct Spread {
+  double median = 0, min = 0, p90 = 0;
 };
+Spread spread(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return {n % 2 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]), xs.front(),
+          xs[std::min(n - 1, (9 * n + 9) / 10 - 1)]};
+}
 
 }  // namespace
 }  // namespace ptdp
@@ -90,31 +96,37 @@ int main() {
       {"metrics_only", obs::TraceMode::kMetricsOnly},
       {"full", obs::TraceMode::kFull},
   };
-  std::vector<ModeResult> results;
-  for (const auto& m : modes) {
-    // Median of repeats: single runs on an oversubscribed host are noisy.
-    std::vector<double> sps;
-    std::uint64_t events = 0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
+  constexpr int kModes = 3;
+  // Every repeat runs all three modes back to back, starting from a
+  // different mode each time, so host drift lands on every mode alike.
+  // Overheads are paired within a repeat: (off - mode) / off.
+  std::vector<double> sps[kModes], overhead[kModes];
+  std::uint64_t events[kModes] = {};
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    double run_sps[kModes];
+    for (int i = 0; i < kModes; ++i) {
+      const int m = (rep + i) % kModes;
       obs::Tracer::instance().reset();
       obs::MetricsRegistry::instance().reset();
-      sps.push_back(run_once(m.mode, dataset));
-      events = obs::Tracer::instance().events_recorded();
+      run_sps[m] = run_once(modes[m].mode, dataset);
+      events[m] = obs::Tracer::instance().events_recorded();
     }
-    std::sort(sps.begin(), sps.end());
-    results.push_back({m.name, sps[sps.size() / 2], 0.0, events});
-  }
-  const double base = results[0].steps_per_s;
-  for (ModeResult& r : results) {
-    r.overhead_pct = base > 0 ? (base - r.steps_per_s) / base * 100.0 : 0.0;
+    for (int m = 0; m < kModes; ++m) {
+      sps[m].push_back(run_sps[m]);
+      overhead[m].push_back((run_sps[0] - run_sps[m]) / run_sps[0] * 100.0);
+    }
   }
 
-  std::printf("trace overhead (p=4 v=2 m=8, %d timed steps, median of %d):\n",
+  std::printf("trace overhead (p=4 v=2 m=8, %d timed steps, %d alternating "
+              "repeats; overhead paired per repeat):\n",
               kTimedSteps, kRepeats);
-  for (const ModeResult& r : results) {
-    std::printf("  %-12s %8.2f steps/s  overhead %+6.2f%%  (%llu events/run)\n",
-                r.name, r.steps_per_s, r.overhead_pct,
-                static_cast<unsigned long long>(r.events));
+  for (int m = 0; m < kModes; ++m) {
+    const Spread s = spread(sps[m]);
+    const Spread o = spread(overhead[m]);
+    std::printf("  %-12s steps/s median %7.2f min %7.2f p90 %7.2f   overhead "
+                "median %+6.2f%% [min %+6.2f%%, p90 %+6.2f%%]  (%llu events/run)\n",
+                modes[m].name, s.median, s.min, s.p90, o.median, o.min, o.p90,
+                static_cast<unsigned long long>(events[m]));
   }
 
   std::FILE* f = std::fopen("BENCH_trace_overhead.json", "w");
@@ -127,17 +139,19 @@ int main() {
                   "\"timed_steps\": %d, \"repeats\": %d},\n",
                kTimedSteps, kRepeats);
   std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ModeResult& r = results[i];
+  for (int m = 0; m < kModes; ++m) {
+    const Spread s = spread(sps[m]);
+    const Spread o = spread(overhead[m]);
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"steps_per_s\": %.3f, "
-                 "\"overhead_pct\": %.3f, \"events_per_run\": %llu}%s\n",
-                 r.name, r.steps_per_s, r.overhead_pct,
-                 static_cast<unsigned long long>(r.events),
-                 i + 1 == results.size() ? "" : ",");
+                 "    {\"mode\": \"%s\", \"steps_per_s\": {\"median\": %.3f, "
+                 "\"min\": %.3f, \"p90\": %.3f}, \"overhead_pct\": {\"median\": "
+                 "%.3f, \"min\": %.3f, \"p90\": %.3f}, \"events_per_run\": %llu}%s\n",
+                 modes[m].name, s.median, s.min, s.p90, o.median, o.min, o.p90,
+                 static_cast<unsigned long long>(events[m]),
+                 m + 1 == kModes ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-  std::printf("wrote BENCH_trace_overhead.json (%zu modes)\n", results.size());
+  std::printf("wrote BENCH_trace_overhead.json (%d modes)\n", kModes);
   return 0;
 }

@@ -2,7 +2,9 @@
 // GPT-3 175B (113 -> 135 TFLOP/s per GPU) and +11% for the 530B model
 // (133 -> 148). We run the same end-to-end configurations with the fused
 // kernels toggled in the cost model, measure the *real* CPU fused kernels
-// against their unfused compositions, and run a whole transformer block
+// (bias+GeLU, bias+dropout+add, and attention with scale+softmax between its
+// two products) against their unfused compositions, and run a whole
+// transformer block
 // twice — unfused (planned graph, fusion pass off) and planner-fused (the
 // plan the layer executes) — writing the comparison to
 // BENCH_graph_fusion.json.
@@ -86,17 +88,17 @@ int main() {
   std::printf("  bias+dropout+add : %6.3f ms -> %6.3f ms (%.2fx)\n", unfused_bda,
               fused_bda, unfused_bda / fused_bda);
 
-  tensor::Tensor scores = tensor::Tensor::randn({16, 128, 128}, rng);
-  const double composed_sm = time_ms([&] {
-    // scale, explicit mask build once outside would be cheating — the
-    // unfused path applies softmax then zeroes; emulate with generic ops.
-    auto y = tensor::softmax_lastdim(tensor::scale(scores, 0.125f));
-  });
-  const double fused_sm = time_ms(
-      [&] { auto y = tensor::fused_scale_causal_softmax(scores, 0.125f); });
-  std::printf("  scale+mask+softmax: %6.3f ms -> %6.3f ms (%.2fx, and the fused "
-              "kernel also applies causal masking)\n",
-              composed_sm, fused_sm, composed_sm / fused_sm);
+  // Attention core, 16 heads x 128 positions x dk 64: the composed
+  // bmm_nt -> scale -> softmax -> bmm against the one fused kernel.
+  const tensor::Tensor q = tensor::Tensor::randn({16, 128, 64}, rng);
+  const tensor::Tensor k = tensor::Tensor::randn({16, 128, 64}, rng);
+  const tensor::Tensor v = tensor::Tensor::randn({16, 128, 64}, rng);
+  const double composed_attn =
+      time_ms([&] { auto y = bench::attention_composed(q, k, v); });
+  const double fused_attn =
+      time_ms([&] { auto y = bench::attention_heads(q, k, v); });
+  std::printf("  attention        : %6.3f ms -> %6.3f ms (%.2fx)\n",
+              composed_attn, fused_attn, composed_attn / fused_attn);
 
   // ---- block benchmark: unfused plan vs planner-fused plan ----
   model::GptConfig bc;
@@ -164,9 +166,9 @@ int main() {
                ms_unfused / ms_planner);
   std::fprintf(f, "  \"kernel_ms\": {\"bias_gelu\": [%.4f, %.4f], "
                   "\"bias_dropout_add\": [%.4f, %.4f], "
-                  "\"scale_softmax\": [%.4f, %.4f]}\n}\n",
-               unfused_gelu, fused_gelu, unfused_bda, fused_bda, composed_sm,
-               fused_sm);
+                  "\"attention\": [%.4f, %.4f]}\n}\n",
+               unfused_gelu, fused_gelu, unfused_bda, fused_bda, composed_attn,
+               fused_attn);
   std::fclose(f);
   std::printf("wrote BENCH_graph_fusion.json\n");
   return 0;

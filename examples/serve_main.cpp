@@ -16,9 +16,9 @@
 // stage (same config + seed => identical initial weights): int8 greedy
 // decode must be token-identical to the fp32 oracle; q4 reports
 // teacher-forced top-1 agreement (gated at 0.90). --dump-plan writes the
-// decode plans the stage executes (a "decode_attention" node per layer;
-// the plan is the same at every weight dtype — the linear modules pick the
-// quantized GEMM themselves); --save/load-quant-ckpt exercise the
+// decode plans the stage executes (the evaluation forward, one "attention"
+// node per layer; the plan is the same at every weight dtype — the linear
+// modules pick the quantized GEMM themselves); --save/load-quant-ckpt exercise the
 // dtype-tagged quantized checkpoint on the shared commit protocol.
 //
 //   serve_main [--users N] [--requests N] [--capacity-blocks N] [--tp N]

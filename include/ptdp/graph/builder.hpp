@@ -1,12 +1,12 @@
 #pragma once
 
 // Builds LayerPlans from GptConfig (DESIGN.md §14). The builder emits the
-// canonical *unfused* per-block sequence — add_bias / dropout / add,
-// scale / mask / softmax as separate nodes — and build_layer_plan then runs
-// the planner passes: fusion (unless PlannerOptions turns it off), dtype
+// canonical *unfused* per-block sequence — add_bias / dropout / add as
+// separate nodes, the attention softmax fused from the start (kAttention
+// forward, kScaleSoftmaxBwd backward) — and build_layer_plan then runs the
+// planner passes: fusion (unless PlannerOptions turns it off), dtype
 // propagation and buffer planning. With `inference` the result is the decode
-// plan (§16): the training forward with its attention core replaced by one
-// kDecodeAttention node.
+// plan (§16): the evaluation forward with no backward.
 
 #include "ptdp/graph/ir.hpp"
 #include "ptdp/model/config.hpp"
@@ -19,8 +19,7 @@ struct PlannerOptions {
                                   ///< tensors for the buffer plan; topology
                                   ///< is t-independent)
   bool inference = false;         ///< decode plan: drop the backward graph
-                                  ///< after fusion and replace the attention
-                                  ///< core by kDecodeAttention (dropout-free)
+                                  ///< after fusion (dropout-free)
 };
 
 /// The raw unfused plan for one block (no passes run). `with_dropout`

@@ -10,8 +10,7 @@
 // slot assignment predicted. Activation recomputation is the plan
 // transformation fwd ++ bwd run over a frame that holds only the layer input
 // (Frame::keep_input_only). Decode runs an inference plan whose
-// kDecodeAttention node reads the batch layout and KV store from the
-// ExecContext.
+// kAttention node reads the batch layout and KV store from the ExecContext.
 //
 // Every node executes under a per-op obs::Span (static name from op_name),
 // so Perfetto timelines show the planned schedule op by op.
@@ -74,8 +73,8 @@ struct LayerBinding {
 /// current dropout probability (an eval-mode runtime input — plan topology
 /// only depends on whether training dropout exists at all). Decode plans
 /// run with s = Σ seq.len rows, b = 1, and also read the sequences of the
-/// batch (in row order) and the KV store their kDecodeAttention node
-/// writes and attends over.
+/// batch (in row order) and the KV store their kAttention node writes and
+/// attends over.
 struct ExecContext {
   std::int64_t s = 0, b = 0;
   std::uint64_t mb_tag = 0;

@@ -6,13 +6,15 @@
 // table plus two topologically-ordered node lists (forward and backward)
 // whose nodes name existing tensor kernels, fused §4.2 kernels, or
 // tensor-parallel module calls (linear fwd/bwd, attention dropout-mask
-// draw). The builder emits the canonical *unfused* sequence from GptConfig;
-// planner passes (passes.hpp) then fuse operators, propagate §13 dtypes,
-// and assign lifetime-planned buffer slots. Activation recomputation is a
-// plan transformation — the unified node order fwd ++ bwd *is* the
-// recompute schedule, since backward nodes reference forward value ids
-// directly. Incremental decode is an inference plan (forward only) whose
-// attention core is one KV-cached kDecodeAttention node (§16).
+// draw). The forward attention core is one kAttention node (the
+// tensor::attention kernel) in every plan. The builder emits the canonical
+// *unfused* sequence from GptConfig; planner passes (passes.hpp) then fuse
+// operators, propagate §13 dtypes, and assign lifetime-planned buffer
+// slots. Activation recomputation is a plan transformation — the unified
+// node order fwd ++ bwd *is* the recompute schedule, since backward nodes
+// reference forward value ids directly. Incremental decode is an inference
+// plan: the forward alone, whose kAttention node reads and writes the KV
+// store (§16).
 //
 // The plan is the only body a layer has: training, recompute, evaluation
 // and decode all execute it through the SequentialExecutor. RNG streams
@@ -39,8 +41,7 @@ enum class OpKind : std::uint8_t {
   // structural (metadata views + head split/merge copies)
   kView2D,             ///< [s,b,h] -> [s*b,h] (zero-copy)
   kView3D,             ///< [s*b,h] -> [s,b,h] (zero-copy)
-  kAttnSplitHeads,     ///< qkv [sb,3h_l] -> q,k,v each [b·a_l,s,dk]
-  kAttnMergeHeads,     ///< ctx [b·a_l,s,dk] -> [sb,h_l]
+  kAttnSplitHeads,     ///< qkv [sb,3h_l] -> q,k,v each [b·a_l,s,dk] (backward)
   kAttnSplitGradHeads, ///< dctx2d [sb,h_l] -> [b·a_l,s,dk]
   kAttnMergeQkvGrad,   ///< dq,dk,dv -> dqkv [sb,3h_l]
   // tensor-parallel module calls (keep their internal GEMM+all-reduce order)
@@ -50,7 +51,7 @@ enum class OpKind : std::uint8_t {
   // normalization
   kLayerNorm,          ///< out = y, mean, rstd
   kLayerNormBwd,       ///< accumulates dgamma/dbeta; out = dx
-  // primitive elementwise / GEMM / softmax
+  // primitive elementwise / GEMM
   kAddBias,
   kGelu,
   kGeluBwd,
@@ -58,10 +59,6 @@ enum class OpKind : std::uint8_t {
   kDropoutBwd,
   kAdd,
   kMul,
-  kScale,
-  kMaskFill,           ///< causal (or no-op padding) -inf fill, unfused only
-  kSoftmax,
-  kSoftmaxBwd,
   kBmm,
   kBmmNT,
   kBmmTN,
@@ -70,13 +67,12 @@ enum class OpKind : std::uint8_t {
   kFusedBiasGelu,
   kFusedBiasGeluBwd,
   kFusedBiasDropoutAdd,  ///< out0 = y, out1 = mask
-  kScaleCausalSoftmax,
-  kScaleMaskSoftmax,
-  kScaleSoftmaxBwd,
-  // inference-only (§16): KV-cached attention core of a decode plan — qkv
-  // rows in, merged per-row context out; writes K/V and attends over the
-  // cached prefix of every sequence in ExecContext::seqs
-  kDecodeAttention,
+  kScaleSoftmaxBwd,      ///< attention's softmax backward, scaled (canonical)
+  // the attention core (tensor::attention): in = qkv rows [sb,3h_l]
+  // [, prob mask]; out = context rows [sb,h_l], probs [, probs ⊙ mask].
+  // With ExecContext::kv set it writes each sequence's new K/V rows to the
+  // store and attends over the store's rows (§16).
+  kAttention,
 };
 
 /// Stable span/dump name for an op ("graph.layernorm", ...). Static storage;
@@ -106,8 +102,8 @@ struct Node {
   std::int8_t param = -1;   ///< ParamSlot, for param-consuming kinds
   std::int8_t param2 = -1;  ///< second param (layernorm beta)
   model::DropSite site = model::DropSite::kEmbedding;  ///< RNG site for dropout kinds
-  float scale = 0.0f;       ///< softmax scale / kScale factor
-  bool causal = false;      ///< kMaskFill / kScale*Softmax variant
+  float scale = 0.0f;       ///< attention softmax scale
+  bool causal = false;      ///< kAttention mask
 };
 
 /// One tensor in the plan. Shape is symbolic (for dumps) plus a concrete

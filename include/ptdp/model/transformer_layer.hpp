@@ -60,7 +60,7 @@ class TransformerLayer {
   const graph::LayerBinding& binding() const { return binding_; }
 
   /// The inference plan KV-cached decode runs (GptStage::decode): the
-  /// forward with its attention core replaced by kDecodeAttention (§16).
+  /// evaluation forward with no backward (§16).
   const graph::LayerPlan& decode_plan() const { return plan_decode_; }
 
  private:

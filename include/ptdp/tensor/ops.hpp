@@ -39,19 +39,6 @@ Tensor bmm_nt(const Tensor& a, const Tensor& b);
 /// Batched: C[B,m,n] = A[B,k,m]ᵀ · B[B,k,n]
 Tensor bmm_tn(const Tensor& a, const Tensor& b);
 
-/// Decode attention's K or V read where the KV cache keeps it: head h of
-/// position p is the dk floats at rows[p] + h·head_stride. Products equal
-/// the contiguous [heads, len, dk] operand's bit for bit.
-struct HeadRows {
-  std::span<const float* const> rows;
-  std::int64_t head_stride = 0;
-  std::int64_t dk = 0;
-};
-/// Batched over heads: C[h,m,len] = A[h,m,dk] · K_hᵀ
-Tensor bmm_nt(const Tensor& a, const HeadRows& b);
-/// Batched over heads: C[h,m,dk] = A[h,m,len] · V_h
-Tensor bmm(const Tensor& a, const HeadRows& b);
-
 // ---- elementwise -------------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);
@@ -117,9 +104,9 @@ Tensor softmax_backward(const Tensor& y, const Tensor& dy);
 // ---- fused kernels (§4.2) ------------------------------------------------------
 //
 // The paper fuses (a) bias+GeLU, (b) bias+dropout+add, and (c)
-// scale+mask+softmax (general and implicit-causal variants) to keep the
-// operator graph compute-bound. We provide the same fusions; the unfused
-// compositions exist above so benches can measure the win.
+// scale+mask+softmax to keep the operator graph compute-bound. (c) lives
+// inside attention() below, which fuses both attention GEMMs around it; the
+// unfused compositions exist above so benches can measure the win.
 
 /// y = GeLU(x + bias). x is [..., n], bias [n].
 Tensor fused_bias_gelu(const Tensor& x, const Tensor& bias);
@@ -136,18 +123,44 @@ Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
                               const Tensor& residual, float p, Rng& rng,
                               Tensor* mask);
 
-/// Scaled causal softmax: y = softmax(scale * s + causal_mask) where s is
-/// [rows, sq, sk] and position i may attend to keys j <= i + (sk - sq).
-/// This is the "implicit causal masking" fused kernel for GPT.
-Tensor fused_scale_causal_softmax(const Tensor& scores, float scl);
-
-/// Scaled general-mask softmax: mask is [sq, sk] with 1 = masked out
-/// (receives -inf), matching BERT-style padding masks.
-Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl);
-
-/// Backward of either fused softmax: dScores = scale * softmax_backward(y, dy),
-/// with masked positions already zero in y.
+/// Backward of attention's scaled softmax: dScores = scale *
+/// softmax_backward(y, dy), with masked positions already zero in y.
 Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl);
+
+// ---- attention -----------------------------------------------------------------
+
+/// Where one sequence of an attention() call reads and writes. Head h of
+/// query row i (i < m) is the dk floats at q + i·q_stride + h·q_head_stride
+/// (the call's); head h of key (value) position j < len = k.size() is at
+/// k[j] + h·kv_head_stride (v[j] + ...); head h of context row i goes to
+/// out + i·out_stride + h·dk. The optional outputs are [heads, m, len].
+struct AttentionSeq {
+  const float* q = nullptr;
+  std::int64_t q_stride = 0;
+  std::int64_t m = 0;
+  std::int64_t pos = 0;  ///< causal: query i sees keys [0, pos + i]
+  std::span<const float* const> k, v;
+  std::int64_t kv_head_stride = 0;
+  float* out = nullptr;
+  std::int64_t out_stride = 0;
+  float* probs = nullptr;            ///< P, masked keys 0 (optional)
+  const float* drop_mask = nullptr;  ///< applied to P before P·V (optional)
+  float* probs_dropped = nullptr;    ///< P ⊙ drop_mask (with drop_mask)
+};
+
+struct AttentionShape {
+  std::int64_t heads = 0, dk = 0;
+  std::int64_t q_head_stride = 0;
+  float scale = 1.0f;
+  bool causal = true;  ///< false: every query sees all len keys (BERT)
+};
+
+/// softmax(scale · q kᵀ + mask) · v for every head of every sequence, on
+/// one parallel_for over (sequence, head, query block) tasks. Each output
+/// row is a pure function of its query row and the rows it sees, in one
+/// fixed arithmetic order, so an m-row call at offset pos equals rows
+/// [pos, pos + m) of the full call bit for bit at any thread count.
+void attention(std::span<const AttentionSeq> seqs, const AttentionShape& shape);
 
 // ---- embedding -----------------------------------------------------------------
 

@@ -1,6 +1,5 @@
 #include "ptdp/graph/builder.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 
@@ -82,16 +81,12 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   const ValueId k = e.val("attn.k", "[b*a/t,s,dk]", s * hl);
   const ValueId v = e.val("attn.v", "[b*a/t,s,dk]", s * hl);
   const std::int64_t score_elems = e.heads_l() * s * s;
-  const ValueId scores = e.val("attn.scores", "[b*a/t,s,s]", score_elems);
-  const ValueId scaled = e.val("attn.scaled", "[b*a/t,s,s]", score_elems);
-  const ValueId masked = e.val("attn.masked", "[b*a/t,s,s]", score_elems);
   const ValueId probs = e.val("attn.probs", "[b*a/t,s,s]", score_elems);
   const ValueId pmask =
       e.val("attn.prob_mask", "[b*a/t,s,s]", with_dropout ? score_elems : 0);
   const ValueId probs_dropped =
       with_dropout ? e.val("attn.probs_dropped", "[b*a/t,s,s]", score_elems)
                    : probs;
-  const ValueId ctx = e.val("attn.ctx", "[b*a/t,s,dk]", s * hl);
   const ValueId ctx2d = e.val("attn.ctx2d", "[s*b,h/t]", s * hl);
   const ValueId proj_cin = e.val("attn.proj.cached_input", "[s*b,h/t]", s * hl);
   const ValueId attn_out = e.val("attn.out", "[s*b,h]", s * h);
@@ -137,7 +132,6 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   const ValueId dprobs =
       with_dropout ? e.val("d_attn.probs", "[b*a/t,s,s]", score_elems)
                    : dp_dropped;
-  const ValueId dsm = e.val("d_attn.softmax", "[b*a/t,s,s]", score_elems);
   const ValueId dscores = e.val("d_attn.scores", "[b*a/t,s,s]", score_elems);
   const ValueId dq = e.val("d_attn.q", "[b*a/t,s,dk]", s * hl);
   const ValueId dk = e.val("d_attn.k", "[b*a/t,s,dk]", s * hl);
@@ -162,17 +156,15 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   }
   e.node(F, OpKind::kLinearFwd, {ln1_y}, {qkv_out, qkv_cin}).linear =
       L(LinearSlot::kQkv);
-  e.node(F, OpKind::kAttnSplitHeads, {qkv_out}, {q, k, v});
-  e.node(F, OpKind::kBmmNT, {q, k}, {scores});
-  e.node(F, OpKind::kScale, {scores}, {scaled}).scale = smax_scale;
-  e.node(F, OpKind::kMaskFill, {scaled}, {masked}).causal = config.causal;
-  e.node(F, OpKind::kSoftmax, {masked}, {probs});
-  if (with_dropout) {
-    e.node(F, OpKind::kAttnProbMask, {}, {pmask});
-    e.node(F, OpKind::kMul, {probs, pmask}, {probs_dropped});
+  if (with_dropout) e.node(F, OpKind::kAttnProbMask, {}, {pmask});
+  {
+    // qkv rows in, context rows out; P (and P ⊙ mask) saved for backward.
+    Node& n = e.node(F, OpKind::kAttention, {qkv_out}, {ctx2d, probs});
+    if (with_dropout) n.in.push_back(pmask);
+    if (with_dropout) n.out.push_back(probs_dropped);
+    n.scale = smax_scale;
+    n.causal = config.causal;
   }
-  e.node(F, OpKind::kBmm, {probs_dropped, v}, {ctx});
-  e.node(F, OpKind::kAttnMergeHeads, {ctx}, {ctx2d});
   e.node(F, OpKind::kLinearFwd, {ctx2d}, {attn_out, proj_cin}).linear =
       L(LinearSlot::kProj);
   {
@@ -232,12 +224,13 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   e.node(B, OpKind::kBiasGradAccum, {db1}, {}).param = P(ParamSlot::kProjBias);
   e.node(B, OpKind::kLinearBwd, {db1, proj_cin}, {dctx2d}).linear =
       L(LinearSlot::kProj);
+  e.node(B, OpKind::kAttnSplitHeads, {qkv_out}, {q, k, v});
   e.node(B, OpKind::kAttnSplitGradHeads, {dctx2d}, {dctx});
   e.node(B, OpKind::kBmmNT, {dctx, v}, {dp_dropped});
   e.node(B, OpKind::kBmmTN, {probs_dropped, dctx}, {dv});
   if (with_dropout) e.node(B, OpKind::kMul, {dp_dropped, pmask}, {dprobs});
-  e.node(B, OpKind::kSoftmaxBwd, {probs, dprobs}, {dsm});
-  e.node(B, OpKind::kScale, {dsm}, {dscores}).scale = smax_scale;
+  e.node(B, OpKind::kScaleSoftmaxBwd, {probs, dprobs}, {dscores}).scale =
+      smax_scale;
   e.node(B, OpKind::kBmm, {dscores, k}, {dq});
   e.node(B, OpKind::kBmmTN, {dscores, q}, {dk});
   e.node(B, OpKind::kAttnMergeQkvGrad, {dq, dk, dv}, {dqkv});
@@ -254,40 +247,14 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   return plan;
 }
 
-namespace {
-
-// Inference rewrite: the attention core (split heads through merge heads)
-// becomes one KV-cached decode-attention node, qkv rows in, context rows out.
-void use_decode_attention(LayerPlan& plan) {
-  auto find = [&plan](OpKind kind) {
-    return std::find_if(plan.fwd.begin(), plan.fwd.end(),
-                        [kind](const Node& n) { return n.kind == kind; });
-  };
-  const auto first = find(OpKind::kAttnSplitHeads);
-  const auto last = find(OpKind::kAttnMergeHeads);
-  PTDP_CHECK(first < last && last != plan.fwd.end());
-  Node core;
-  core.kind = OpKind::kDecodeAttention;
-  core.in = {first->in[0]};
-  core.out = {last->out[0]};
-  const auto at = plan.fwd.erase(first, last + 1);
-  plan.fwd.insert(at, std::move(core));
-}
-
-}  // namespace
-
 LayerPlan build_layer_plan(const model::GptConfig& config, bool with_dropout,
                            const PlannerOptions& opts) {
   PTDP_CHECK(!(opts.inference && with_dropout))
       << "inference plans are dropout-free";
   LayerPlan plan = build_unfused_layer_plan(config, with_dropout, opts.tp_size);
   if (opts.fuse) fuse_operators(plan);
-  if (opts.inference) {
-    // Decode never runs backward; dropping it after fusion keeps the fused
-    // forward topology identical to the training plan's outside attention.
-    plan.bwd.clear();
-    use_decode_attention(plan);
-  }
+  // Decode never runs backward: its plan is the evaluation forward.
+  if (opts.inference) plan.bwd.clear();
   propagate_dtypes(plan, config);
   analyze_lifetimes(plan);
   plan_buffers(plan);

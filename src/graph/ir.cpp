@@ -7,7 +7,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kView2D: return "graph.view2d";
     case OpKind::kView3D: return "graph.view3d";
     case OpKind::kAttnSplitHeads: return "graph.attn_split_heads";
-    case OpKind::kAttnMergeHeads: return "graph.attn_merge_heads";
     case OpKind::kAttnSplitGradHeads: return "graph.attn_split_grad_heads";
     case OpKind::kAttnMergeQkvGrad: return "graph.attn_merge_qkv_grad";
     case OpKind::kLinearFwd: return "graph.linear_fwd";
@@ -22,10 +21,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kDropoutBwd: return "graph.dropout_bwd";
     case OpKind::kAdd: return "graph.add";
     case OpKind::kMul: return "graph.mul";
-    case OpKind::kScale: return "graph.scale";
-    case OpKind::kMaskFill: return "graph.mask_fill";
-    case OpKind::kSoftmax: return "graph.softmax";
-    case OpKind::kSoftmaxBwd: return "graph.softmax_bwd";
     case OpKind::kBmm: return "graph.bmm";
     case OpKind::kBmmNT: return "graph.bmm_nt";
     case OpKind::kBmmTN: return "graph.bmm_tn";
@@ -33,10 +28,8 @@ const char* op_name(OpKind kind) {
     case OpKind::kFusedBiasGelu: return "graph.fused_bias_gelu";
     case OpKind::kFusedBiasGeluBwd: return "graph.fused_bias_gelu_bwd";
     case OpKind::kFusedBiasDropoutAdd: return "graph.fused_bias_dropout_add";
-    case OpKind::kScaleCausalSoftmax: return "graph.scale_causal_softmax";
-    case OpKind::kScaleMaskSoftmax: return "graph.scale_mask_softmax";
     case OpKind::kScaleSoftmaxBwd: return "graph.scale_softmax_bwd";
-    case OpKind::kDecodeAttention: return "graph.decode_attention";
+    case OpKind::kAttention: return "graph.attention";
   }
   return "graph.unknown";
 }

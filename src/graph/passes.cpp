@@ -122,59 +122,6 @@ int fuse_bias_gelu(LayerPlan& plan) {
   return n;
 }
 
-// scale + mask_fill + softmax -> fused_scale_{causal,mask}_softmax.
-int fuse_scale_softmax(LayerPlan& plan) {
-  int n = 0;
-  for (std::size_t i = 0; i + 2 < plan.fwd.size(); ++i) {
-    const Node& sc = plan.fwd[i];
-    const Node& mf = plan.fwd[i + 1];
-    const Node& sm = plan.fwd[i + 2];
-    if (sc.kind != OpKind::kScale || mf.kind != OpKind::kMaskFill ||
-        sm.kind != OpKind::kSoftmax || mf.in[0] != sc.out[0] ||
-        sm.in[0] != mf.out[0]) {
-      continue;
-    }
-    const std::vector<int> uses = use_counts(plan);
-    if (!fusable_temp(plan, uses, sc.out[0]) ||
-        !fusable_temp(plan, uses, mf.out[0])) {
-      continue;
-    }
-    Node fused;
-    fused.kind = mf.causal ? OpKind::kScaleCausalSoftmax
-                           : OpKind::kScaleMaskSoftmax;
-    fused.in = {sc.in[0]};
-    fused.out = {sm.out[0]};
-    fused.scale = sc.scale;
-    fused.causal = mf.causal;
-    splice(plan.fwd, i, 3, std::move(fused));
-    ++n;
-  }
-  return n;
-}
-
-// softmax_bwd + scale -> fused_scale_softmax_bwd.
-int fuse_scale_softmax_bwd(LayerPlan& plan) {
-  int n = 0;
-  for (std::size_t i = 0; i + 1 < plan.bwd.size(); ++i) {
-    const Node& sb = plan.bwd[i];
-    const Node& sc = plan.bwd[i + 1];
-    if (sb.kind != OpKind::kSoftmaxBwd || sc.kind != OpKind::kScale ||
-        sc.in[0] != sb.out[0]) {
-      continue;
-    }
-    const std::vector<int> uses = use_counts(plan);
-    if (!fusable_temp(plan, uses, sb.out[0])) continue;
-    Node fused;
-    fused.kind = OpKind::kScaleSoftmaxBwd;
-    fused.in = {sb.in[0], sb.in[1]};
-    fused.out = {sc.out[0]};
-    fused.scale = sc.scale;
-    splice(plan.bwd, i, 2, std::move(fused));
-    ++n;
-  }
-  return n;
-}
-
 const char* dtype_json(tensor::DType d) {
   return d == tensor::DType::kBf16 ? "bf16" : "f32";
 }
@@ -210,8 +157,6 @@ void dump_nodes_json(const std::vector<Node>& seg, std::FILE* out) {
 
 int fuse_operators(LayerPlan& plan) {
   int n = 0;
-  n += fuse_scale_softmax(plan);
-  n += fuse_scale_softmax_bwd(plan);
   n += fuse_bias_gelu(plan);
   n += fuse_bias_dropout_add(plan);
   plan.fused = true;

@@ -1,9 +1,6 @@
 #include "ptdp/graph/executor.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
+#include <vector>
 
 #include "ptdp/model/attention.hpp"
 #include "ptdp/model/config.hpp"
@@ -26,82 +23,6 @@ model::Param& param(const LayerBinding& bind, std::int8_t slot) {
   return *bind.params[static_cast<std::size_t>(slot)];
 }
 
-/// Unfused-plan helper: applies the implicit causal mask as an explicit
-/// -inf fill so the plain softmax kernel can follow. The fused
-/// scale+causal+softmax kernel replaces this pair after the fusion pass; a
-/// zero padding mask (the BERT configuration) is a pure copy.
-Tensor mask_fill(const Tensor& x, bool causal) {
-  Tensor out = Tensor::empty({x.dim(0), x.dim(1), x.dim(2)});
-  auto src = x.data();
-  auto dst = out.data();
-  std::memcpy(dst.data(), src.data(), src.size() * sizeof(float));
-  if (!causal) return out;
-  const std::int64_t sq = x.dim(1), sk = x.dim(2);
-  const float ninf = -std::numeric_limits<float>::infinity();
-  for (std::int64_t r = 0; r < x.dim(0); ++r) {
-    float* slab = dst.data() + r * sq * sk;
-    for (std::int64_t i = 0; i < sq; ++i) {
-      for (std::int64_t j = i + (sk - sq) + 1; j < sk; ++j) {
-        slab[i * sk + j] = ninf;
-      }
-    }
-  }
-  return out;
-}
-
-/// KV-cached attention core of a decode plan (DESIGN.md §16). qkv2d is
-/// [rows, 3·h_l], the new rows of ctx.seqs concatenated in order (rows ==
-/// Σ seq.len). Each sequence's new K/V rows are appended to ctx.kv, and its
-/// new queries attend over the whole cached prefix through the full-path
-/// kernel sequence (bmm_nt -> scale+causal softmax -> bmm) on
-/// [a_l, len, kv_len], with K and V read where the store keeps them —
-/// bitwise the full forward's rows at those positions. Returns the merged
-/// context [rows, h_l].
-Tensor decode_attention(const Tensor& qkv2d, const LayerBinding& bind,
-                        const ExecContext& ctx) {
-  PTDP_CHECK(bind.config->causal) << "incremental decode is causal-only";
-  PTDP_CHECK_EQ(ctx.dropout, 0.0f) << "disable dropout for decoding";
-  PTDP_CHECK(ctx.kv != nullptr) << "decode plan run without a KV store";
-  const std::int64_t rows = qkv2d.dim(0);
-  const std::int64_t al = bind.attn->heads_local();
-  const std::int64_t dk = bind.attn->head_dim();
-  const std::int64_t hl = bind.attn->hidden_local();
-
-  Tensor ctx2d = Tensor::empty({rows, hl});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
-
-  model::KvRows kv_rows;  // reused across sequences: the tables keep capacity
-  std::int64_t r0 = 0;
-  for (const model::DecodeSeq& seq : ctx.seqs) {
-    const std::int64_t c = seq.len;
-    const std::int64_t kv_len = seq.pos + c;
-    PTDP_CHECK_GT(c, 0);
-
-    // Per-row qkv layout is [a_l, 3dk] (q | k | v per head): the store
-    // takes the new rows' head-major K/V, the GEMMs an [a_l, c, dk] query.
-    const Tensor heads = qkv2d.slice(0, r0, c).view({c, al, 3 * dk});
-    ctx.kv->write(seq.id, bind.layer_idx, seq.pos,
-                  heads.slice(-1, dk, dk).view({c, hl}),
-                  heads.slice(-1, 2 * dk, dk).view({c, hl}));
-    const Tensor q3d = heads.slice(-1, 0, dk).permute({1, 0, 2});
-
-    // The exact full-path kernel sequence on [a_l, c, kv_len], the GEMMs
-    // packing K and V straight from the store's rows — bitwise the full
-    // forward's last c rows.
-    ctx.kv->rows(seq.id, bind.layer_idx, kv_len, al, dk, kv_rows);
-    Tensor scores = tensor::bmm_nt(  // [a_l, c, kv_len]
-        q3d, tensor::HeadRows{kv_rows.k, kv_rows.head_stride, dk});
-    Tensor probs = tensor::fused_scale_causal_softmax(scores, scale);
-    Tensor cx = tensor::bmm(  // [a_l, c, dk]
-        probs, tensor::HeadRows{kv_rows.v, kv_rows.head_stride, dk});
-    std::copy_n(cx.permute({1, 0, 2}).data().data(), c * hl,
-                ctx2d.data().data() + r0 * hl);
-    r0 += c;
-  }
-  PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";
-  return ctx2d;
-}
-
 struct Runner {
   const LayerPlan& plan;
   Frame& frame;
@@ -114,6 +35,14 @@ struct Runner {
     return model::site_rng(bind.config->seed, ctx.mb_tag,
                            static_cast<std::uint64_t>(bind.layer_idx),
                            node.site);
+  }
+
+  /// Rows [s·b, a_l·w] as heads [b·a_l, s, w] (a copy).
+  Tensor split_heads(const Tensor& rows, std::int64_t w) const {
+    const std::int64_t al = bind.attn->heads_local();
+    return rows.view({ctx.s, ctx.b, al, w})
+        .permute({1, 2, 0, 3})
+        .view({ctx.b * al, ctx.s, w});
   }
 
   void exec(const Node& n) {
@@ -171,35 +100,14 @@ struct Runner {
         break;
       }
       case OpKind::kAttnSplitHeads: {
-        const std::int64_t al = bind.attn->heads_local();
         const std::int64_t dk = bind.attn->head_dim();
-        Tensor qkv4d = at(n.in[0])
-                           .view({ctx.s, ctx.b, al, 3 * dk})
-                           .permute({1, 2, 0, 3})
-                           .view({ctx.b * al, ctx.s, 3 * dk});
-        at(n.out[0]) = qkv4d.slice(-1, 0, dk);
-        at(n.out[1]) = qkv4d.slice(-1, dk, dk);
-        at(n.out[2]) = qkv4d.slice(-1, 2 * dk, dk);
+        const Tensor qkv = split_heads(at(n.in[0]), 3 * dk);
+        for (int i = 0; i < 3; ++i) at(n.out[i]) = qkv.slice(-1, i * dk, dk);
         break;
       }
-      case OpKind::kAttnMergeHeads: {
-        const std::int64_t al = bind.attn->heads_local();
-        const std::int64_t dk = bind.attn->head_dim();
-        at(n.out[0]) = at(n.in[0])
-                           .view({ctx.b, al, ctx.s, dk})
-                           .permute({2, 0, 1, 3})
-                           .view({ctx.s * ctx.b, al * dk});
+      case OpKind::kAttnSplitGradHeads:
+        at(n.out[0]) = split_heads(at(n.in[0]), bind.attn->head_dim());
         break;
-      }
-      case OpKind::kAttnSplitGradHeads: {
-        const std::int64_t al = bind.attn->heads_local();
-        const std::int64_t dk = bind.attn->head_dim();
-        at(n.out[0]) = at(n.in[0])
-                           .view({ctx.s, ctx.b, al, dk})
-                           .permute({1, 2, 0, 3})
-                           .view({ctx.b * al, ctx.s, dk});
-        break;
-      }
       case OpKind::kAttnMergeQkvGrad: {
         const std::int64_t al = bind.attn->heads_local();
         const std::int64_t dk = bind.attn->head_dim();
@@ -235,18 +143,6 @@ struct Runner {
       case OpKind::kMul:
         at(n.out[0]) = ts::mul(at(n.in[0]), at(n.in[1]));
         break;
-      case OpKind::kScale:
-        at(n.out[0]) = ts::scale(at(n.in[0]), n.scale);
-        break;
-      case OpKind::kMaskFill:
-        at(n.out[0]) = mask_fill(at(n.in[0]), n.causal);
-        break;
-      case OpKind::kSoftmax:
-        at(n.out[0]) = ts::softmax_lastdim(at(n.in[0]));
-        break;
-      case OpKind::kSoftmaxBwd:
-        at(n.out[0]) = ts::softmax_backward(at(n.in[0]), at(n.in[1]));
-        break;
       case OpKind::kBmm:
         at(n.out[0]) = ts::bmm(at(n.in[0]), at(n.in[1]));
         break;
@@ -277,21 +173,88 @@ struct Runner {
             rng, mask);
         break;
       }
-      case OpKind::kScaleCausalSoftmax:
-        at(n.out[0]) = ts::fused_scale_causal_softmax(at(n.in[0]), n.scale);
-        break;
-      case OpKind::kScaleMaskSoftmax:
-        at(n.out[0]) = ts::fused_scale_mask_softmax(
-            at(n.in[0]), Tensor({ctx.s, ctx.s}), n.scale);
-        break;
-      case OpKind::kDecodeAttention:
-        at(n.out[0]) = decode_attention(at(n.in[0]), bind, ctx);
+      case OpKind::kAttention:
+        attention(n);
         break;
       case OpKind::kScaleSoftmaxBwd:
         at(n.out[0]) = ts::fused_scale_softmax_backward(at(n.in[0]), at(n.in[1]),
                                                         n.scale);
         break;
     }
+  }
+
+  /// kAttention (DESIGN.md §14, §16): qkv rows [rows, 3·h_l], per row
+  /// [a_l][q|k|v][dk], in; context rows [rows, h_l] out, through
+  /// tensor::attention. Training and evaluation attend within each sequence
+  /// of the [s, b] microbatch, K/V read in the qkv rows themselves, and save
+  /// P (and P ⊙ mask) when the backward reads them. With ctx.kv set, each
+  /// sequence of ctx.seqs first appends its new K/V rows to the store and
+  /// then attends over the store's rows: the same bytes through the same
+  /// kernel, so decode is bitwise the full forward.
+  void attention(const Node& n) {
+    const Tensor& qkv = at(n.in[0]);
+    const std::int64_t al = bind.attn->heads_local();
+    const std::int64_t dk = bind.attn->head_dim();
+    const std::int64_t hl = al * dk;
+    const std::int64_t rows = qkv.dim(0);
+    const float* q = qkv.data().data();
+    Tensor out = Tensor::empty({rows, hl});
+    float* o = out.data().data();
+    std::vector<tensor::AttentionSeq> seqs;
+    thread_local std::vector<model::KvRows> kv_rows;  // tables keep capacity
+    std::vector<const float*> k, v;
+    if (ctx.kv != nullptr) {
+      PTDP_CHECK(n.causal) << "incremental decode is causal-only";
+      PTDP_CHECK_EQ(n.in.size(), 1u) << "disable dropout for decoding";
+      kv_rows.resize(ctx.seqs.size());
+      std::int64_t r0 = 0;
+      for (std::size_t i = 0; i < ctx.seqs.size(); ++i) {
+        const model::DecodeSeq& seq = ctx.seqs[i];
+        PTDP_CHECK_GT(seq.len, 0);
+        const Tensor heads =
+            qkv.slice(0, r0, seq.len).view({seq.len, al, 3 * dk});
+        ctx.kv->write(seq.id, bind.layer_idx, seq.pos,
+                      heads.slice(-1, dk, dk).view({seq.len, hl}),
+                      heads.slice(-1, 2 * dk, dk).view({seq.len, hl}));
+        model::KvRows& kr = kv_rows[i];
+        ctx.kv->rows(seq.id, bind.layer_idx, seq.pos + seq.len, al, dk, kr);
+        seqs.push_back({q + r0 * 3 * hl, 3 * hl, seq.len, seq.pos, kr.k, kr.v,
+                        kr.head_stride, o + r0 * hl, hl});
+        r0 += seq.len;
+      }
+      PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";
+    } else {
+      // Row i·b + bi of the microbatch is position i of sequence bi. P
+      // (and P ⊙ mask) is written only when the backward reads it.
+      const std::int64_t s = ctx.s, b = ctx.b;
+      PTDP_CHECK_EQ(s * b, rows);
+      k.resize(static_cast<std::size_t>(rows));
+      v.resize(k.size());
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const auto t = static_cast<std::size_t>(r % b * s + r / b);
+        k[t] = q + r * 3 * hl + dk;
+        v[t] = k[t] + dk;
+      }
+      const bool save_p = plan.values[static_cast<std::size_t>(n.out[1])].last_use >= 0;
+      const bool dropout = n.in.size() > 1;
+      for (std::size_t i = 1; save_p && i < n.out.size(); ++i) {
+        at(n.out[i]) = Tensor::empty({b * al, s, s});
+      }
+      auto slab = [&](Tensor& t, std::int64_t bi) {
+        return t.data().data() + bi * al * s * s;
+      };
+      for (std::int64_t bi = 0; bi < b; ++bi) {
+        seqs.push_back({q + bi * 3 * hl, b * 3 * hl, s, 0,
+                        std::span(k).subspan(bi * s, s),
+                        std::span(v).subspan(bi * s, s), 3 * dk, o + bi * hl, b * hl,
+                        save_p ? slab(at(n.out[1]), bi) : nullptr,
+                        dropout ? slab(at(n.in[1]), bi) : nullptr,
+                        save_p && dropout ? slab(at(n.out[2]), bi) : nullptr});
+      }
+    }
+    tensor::attention(seqs, {al, dk, 3 * dk, n.scale, n.causal});
+    for (model::KvRows& kr : kv_rows) kr.scratch_k = kr.scratch_v = Tensor();
+    at(n.out[0]) = out;
   }
 
   /// Executes unified nodes [from, to), releasing each slot at its planned

@@ -125,7 +125,7 @@ tensor::Tensor GptStage::decode(std::span<const DecodeSeq> seqs,
   PTDP_CHECK_EQ(rows, static_cast<std::int64_t>(tokens.size()));
 
   // Every layer runs its decode plan over the batch as one [rows, 1, h]
-  // microbatch; the decode-attention node splits it back per sequence.
+  // microbatch; the attention node splits it back per sequence.
   const std::int64_t h = config_.hidden;
   Tensor act;
   {

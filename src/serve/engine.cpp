@@ -1,6 +1,7 @@
 #include "ptdp/serve/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "ptdp/obs/metrics.hpp"
 #include "ptdp/obs/trace.hpp"
@@ -178,6 +179,13 @@ std::vector<FinishedRequest> ServeEngine::step() {
   if (waiting_.empty() && running_.empty()) return done;
   ++stats_.steps;
 
+  // serve.step covers the whole working step: serve.schedule (the three
+  // passes below), the model's decode spans and serve.sample.
+  std::optional<obs::Span> step_span, phase_span;
+  if (options_.record_metrics) {
+    step_span.emplace("serve.step", obs::Cat::kEngine);
+    phase_span.emplace("serve.schedule", obs::Cat::kEngine);
+  }
   struct Entry {
     std::uint64_t id;
     std::int64_t pos;
@@ -254,6 +262,7 @@ std::vector<FinishedRequest> ServeEngine::step() {
         stats_.peak_running, static_cast<std::int64_t>(running_.size()));
   }
 
+  phase_span.reset();
   if (batch.empty()) return done;  // all runners blocked on KV this round
 
   std::vector<model::DecodeSeq> dseqs;
@@ -270,22 +279,17 @@ std::vector<FinishedRequest> ServeEngine::step() {
       std::max(stats_.peak_batch_tokens,
                static_cast<std::int64_t>(tokens.size()));
 
-  tensor::Tensor logits;
-  if (options_.record_metrics) {
-    obs::Span span("serve.step", obs::Cat::kEngine,
-                   {{"seqs", static_cast<std::int64_t>(batch.size())},
-                    {"tokens", static_cast<std::int64_t>(tokens.size())}});
-    logits = stage_.decode(dseqs, tokens, kv_);
-  } else {
-    logits = stage_.decode(dseqs, tokens, kv_);
+  if (step_span) {
+    step_span->arg("seqs", static_cast<std::int64_t>(batch.size()));
+    step_span->arg("tokens", static_cast<std::int64_t>(tokens.size()));
   }
+  const tensor::Tensor logits = stage_.decode(dseqs, tokens, kv_);
 
   // Sample for every sequence whose context is now fully materialized (the
   // batch row holds its last position's logits). Mid-prefill entries skip.
   const std::int64_t vocab = stage_.config().vocab;
   const double t = now_ms();
-  obs::Span span("serve.sample", obs::Cat::kEngine,
-                 {{"seqs", static_cast<std::int64_t>(batch.size())}});
+  if (step_span) phase_span.emplace("serve.sample", obs::Cat::kEngine);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Entry& e = batch[i];
     Seq& s = seq(e.id);

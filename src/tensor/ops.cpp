@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #if defined(__AVX2__) || defined(__AMX_TILE__)
@@ -119,38 +120,6 @@ void pack_b_panel(const TB* b, std::int64_t rsb, std::int64_t csb,
   }
 }
 
-// A HeadRows head at column offset `off` as the driver's B (rsb/csb unused):
-// QKᵀ runs positions along n (B(p, j) = rows[j][off + p]), P·V along k
-// (B(p, j) = rows[p][off + j]). Only this pack overload reads it, so all
-// past the pack is the strided operand's code.
-struct RowTableB {
-  const float* const* rows;
-  std::int64_t off;
-  bool positions_along_n;
-};
-
-void pack_b_panel(const RowTableB* b, std::int64_t /*rsb*/, std::int64_t /*csb*/,
-                  std::int64_t p0, std::int64_t kc, std::int64_t j0,
-                  std::int64_t nc, float* bp) {
-  for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-    const std::int64_t nr = std::min(kNR, nc - jr);
-    float* dst = bp + jr * kc;
-    if (nr < kNR) std::fill_n(dst, kc * kNR, 0.0f);
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* d = dst + p * kNR;
-      if (b->positions_along_n) {
-        for (std::int64_t j = 0; j < nr; ++j) {
-          d[j] = b->rows[j0 + jr + j][b->off + p0 + p];
-        }
-      } else if (nr == kNR) {
-        std::copy_n(b->rows[p0 + p] + b->off + j0 + jr, kNR, d);  // a vector move
-      } else {
-        std::copy_n(b->rows[p0 + p] + b->off + j0 + jr, nr, d);
-      }
-    }
-  }
-}
-
 // acc[kMR][kNR] = Ap · B over kc steps, where B row p starts at bp + p*ldb:
 // ldb = kNR for a packed sliver, the source row stride when B is read in
 // place.
@@ -188,6 +157,23 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
 }
 #else
 #define PTDP_GEMM_VEC 0
+// Portable lanes with the vector build's per-lane arithmetic.
+struct VecNR {
+  float l[kNR] = {};
+};
+inline VecNR operator*(VecNR a, VecNR b) {
+  for (std::int64_t i = 0; i < kNR; ++i) a.l[i] *= b.l[i];
+  return a;
+}
+inline VecNR operator*(float a, VecNR b) {
+  for (float& x : b.l) x *= a;
+  return b;
+}
+inline VecNR& operator+=(VecNR& a, VecNR b) {
+  for (std::int64_t i = 0; i < kNR; ++i) a.l[i] += b.l[i];
+  return a;
+}
+
 void micro_kernel(std::int64_t kc, const float* __restrict ap,
                   const float* __restrict bp, std::int64_t ldb,
                   float* __restrict acc) {
@@ -203,6 +189,40 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
   }
 }
 #endif
+
+// n <= kNR floats from p; lanes past n are 0. A ragged n takes a masked
+// load (or a lane loop), never a memcpy call: a call in a hot loop spills
+// every accumulator around it.
+inline VecNR load_lanes(const float* p, std::int64_t n) {
+  VecNR v{};
+  if (n == kNR) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+#if PTDP_GEMM_VEC && defined(__AVX512F__)
+    v = (VecNR)_mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1), p);
+#else
+    float t[kNR] = {};
+    for (std::int64_t l = 0; l < n; ++l) t[l] = p[l];
+    std::memcpy(&v, t, sizeof v);
+#endif
+  }
+  return v;
+}
+
+// The first n <= kNR lanes of v to p.
+inline void store_lanes(float* p, const VecNR& v, std::int64_t n) {
+  if (n == kNR) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+#if PTDP_GEMM_VEC && defined(__AVX512F__)
+    _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1), (__m512)v);
+#else
+    float t[kNR];
+    std::memcpy(t, &v, sizeof t);
+    for (std::int64_t l = 0; l < n; ++l) p[l] = t[l];
+#endif
+  }
+}
 
 // Lands the live mr x nr corner of a micro-tile in C (row stride ldc): the
 // first k-panel overwrites (beta = 0), later panels add.
@@ -746,22 +766,10 @@ void gemm_f32xq(const QuantView& w, std::int64_t m, const float* a, float* c) {
 
 namespace {
 
-// Runs gemm(batch) for every batch over the pool. Batches are
+// Batched GEMM over per-variant strides (NN/NT/TN encode their transpose
+// in (rsa, csa, rsb, csb), exactly as the 2-D wrappers do). Batches are
 // embarrassingly parallel; when a single batch is big enough to fan out on
 // its own (range <= grain here), the per-batch GEMM parallelizes instead.
-template <typename F>
-void for_each_batch(std::int64_t batches, std::int64_t m, std::int64_t n,
-                    std::int64_t k, F&& gemm) {
-  const std::int64_t batch_flops = 2 * m * n * k;
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, kGemmGrainFlops / std::max<std::int64_t>(batch_flops, 1));
-  parallel_for(0, batches, grain, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t batch = b0; batch < b1; ++batch) gemm(batch);
-  });
-}
-
-// Batched GEMM over per-variant strides (NN/NT/TN encode their transpose
-// in (rsa, csa, rsb, csb), exactly as the 2-D wrappers do).
 Tensor bmm_impl(const Tensor& a, const Tensor& b, std::int64_t m, std::int64_t n,
                 std::int64_t k, std::int64_t rsa, std::int64_t csa,
                 std::int64_t rsb, std::int64_t csb) {
@@ -771,31 +779,15 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, std::int64_t m, std::int64_t n
   const std::int64_t sa = a.dim(1) * a.dim(2);
   const std::int64_t sb = b.dim(1) * b.dim(2);
   const std::int64_t sc = m * n;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kGemmGrainFlops / std::max<std::int64_t>(2 * m * n * k, 1));
   dispatch_gemm(a, b, [&](const auto* pa, const auto* pb) {
-    for_each_batch(batches, m, n, k, [&](std::int64_t batch) {
-      gemm_strided(m, n, k, pa + batch * sa, rsa, csa, pb + batch * sb, rsb,
-                   csb, pc + batch * sc);
+    parallel_for(0, batches, grain, [&](std::int64_t b0, std::int64_t b1) {
+      for (std::int64_t batch = b0; batch < b1; ++batch) {
+        gemm_strided(m, n, k, pa + batch * sa, rsa, csa, pb + batch * sb, rsb,
+                     csb, pc + batch * sc);
+      }
     });
-  });
-  return c;
-}
-
-// Heads are the batch axis, split exactly as bmm_impl splits them; head h
-// reads B through the row table at column offset h·head_stride.
-Tensor bmm_rows(const Tensor& a, const HeadRows& b, bool positions_along_n) {
-  check_3d(a, "attention lhs");
-  const std::int64_t heads = a.dim(0), m = a.dim(1);
-  const auto len = static_cast<std::int64_t>(b.rows.size());
-  const std::int64_t n = positions_along_n ? len : b.dk;
-  const std::int64_t k = positions_along_n ? b.dk : len;
-  PTDP_CHECK_EQ(a.dim(2), k) << a.shape_str() << " x " << len << " rows";
-  Tensor c = Tensor::empty({heads, m, n});
-  const float* pa = a.data().data();
-  float* pc = c.data().data();
-  for_each_batch(heads, m, n, k, [&](std::int64_t h) {
-    const RowTableB rt{b.rows.data(), h * b.head_stride, positions_along_n};
-    gemm_strided(m, n, k, pa + h * m * k, k, std::int64_t{1}, &rt,
-                 std::int64_t{0}, std::int64_t{0}, pc + h * m * n);
   });
   return c;
 }
@@ -829,8 +821,6 @@ Tensor bmm_tn(const Tensor& a, const Tensor& b) {
   return bmm_impl(a, b, m, n, k, 1, m, n, 1);
 }
 
-Tensor bmm_nt(const Tensor& a, const HeadRows& b) { return bmm_rows(a, b, true); }
-Tensor bmm(const Tensor& a, const HeadRows& b) { return bmm_rows(a, b, false); }
 
 // ---- elementwise ---------------------------------------------------------------
 
@@ -953,12 +943,6 @@ namespace {
 // Everything is elementwise, so results are bitwise independent of both
 // chunking and lane position — thread-count determinism comes for free.
 
-inline VecNR gelu_loadu(const float* p) {
-  VecNR v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
 inline VecNR gelu_splat(float x) {
   VecNR v;
   for (std::int64_t j = 0; j < kNR; ++j) v[j] = x;
@@ -1019,31 +1003,17 @@ inline float gelu_grad_scalar(float x) {
 #endif  // __GNUC__ || __clang__
 
 // out[j] = GeLU(x[j] + bias[j]) over [0, n); bias may be null. The tail
-// (< kNR elements) runs the SAME vector code over a zero-padded buffer, so
+// (< kNR elements) runs the SAME vector code over zero-padded lanes, so
 // every element sees one arithmetic sequence regardless of where chunk
 // boundaries fall.
 void gelu_forward_span(const float* x, const float* bias, float* out,
                        std::int64_t n) {
 #if defined(__GNUC__) || defined(__clang__)
-  std::int64_t j = 0;
-  for (; j + kNR <= n; j += kNR) {
-    VecNR v = gelu_loadu(x + j);
-    if (bias != nullptr) v += gelu_loadu(bias + j);
-    const VecNR g = gelu_vec(v);
-    std::memcpy(out + j, &g, sizeof g);
-  }
-  if (j < n) {
-    const std::int64_t nr = n - j;
-    float buf[kNR] = {};
-    std::memcpy(buf, x + j, static_cast<std::size_t>(nr) * sizeof(float));
-    VecNR v = gelu_loadu(buf);
-    if (bias != nullptr) {
-      float bbuf[kNR] = {};
-      std::memcpy(bbuf, bias + j, static_cast<std::size_t>(nr) * sizeof(float));
-      v += gelu_loadu(bbuf);
-    }
-    const VecNR g = gelu_vec(v);
-    std::memcpy(out + j, &g, static_cast<std::size_t>(nr) * sizeof(float));
+  for (std::int64_t j = 0; j < n; j += kNR) {
+    const std::int64_t nr = std::min(kNR, n - j);
+    VecNR v = load_lanes(x + j, nr);
+    if (bias != nullptr) v += load_lanes(bias + j, nr);
+    store_lanes(out + j, gelu_vec(v), nr);
   }
 #else
   if (bias != nullptr) {
@@ -1058,27 +1028,11 @@ void gelu_forward_span(const float* x, const float* bias, float* out,
 void gelu_grad_span(const float* dy, const float* x, const float* bias,
                     float* out, std::int64_t n) {
 #if defined(__GNUC__) || defined(__clang__)
-  std::int64_t j = 0;
-  for (; j + kNR <= n; j += kNR) {
-    VecNR v = gelu_loadu(x + j);
-    if (bias != nullptr) v += gelu_loadu(bias + j);
-    const VecNR g = gelu_loadu(dy + j) * gelu_grad_vec(v);
-    std::memcpy(out + j, &g, sizeof g);
-  }
-  if (j < n) {
-    const std::int64_t nr = n - j;
-    float buf[kNR] = {};
-    float dbuf[kNR] = {};
-    std::memcpy(buf, x + j, static_cast<std::size_t>(nr) * sizeof(float));
-    std::memcpy(dbuf, dy + j, static_cast<std::size_t>(nr) * sizeof(float));
-    VecNR v = gelu_loadu(buf);
-    if (bias != nullptr) {
-      float bbuf[kNR] = {};
-      std::memcpy(bbuf, bias + j, static_cast<std::size_t>(nr) * sizeof(float));
-      v += gelu_loadu(bbuf);
-    }
-    const VecNR g = gelu_loadu(dbuf) * gelu_grad_vec(v);
-    std::memcpy(out + j, &g, static_cast<std::size_t>(nr) * sizeof(float));
+  for (std::int64_t j = 0; j < n; j += kNR) {
+    const std::int64_t nr = std::min(kNR, n - j);
+    VecNR v = load_lanes(x + j, nr);
+    if (bias != nullptr) v += load_lanes(bias + j, nr);
+    store_lanes(out + j, load_lanes(dy + j, nr) * gelu_grad_vec(v), nr);
   }
 #else
   if (bias != nullptr) {
@@ -1258,25 +1212,64 @@ LayerNormGrads layernorm_backward(const Tensor& dy, const Tensor& x,
 
 // ---- softmax -------------------------------------------------------------------
 
+namespace {
+
+// p[r][0, lim[r]) = softmax(scale · p[r][0, lim[r])), p[r][lim[r], len) = 0,
+// lim ascending in r (causal: row r sees one key more than row r - 1).
+// Each row's max and sum run in ascending j, the R rows' chains
+// interleaved; the exps are elementwise (the tail in zero-padded lanes).
+template <int R>
+void softmax_rows(float* const* p, const std::int64_t* lim, std::int64_t len,
+                  float scl) {
+  float mx[R], denom[R];
+  for (int r = 0; r < R; ++r) {
+    mx[r] = -std::numeric_limits<float>::infinity();
+    denom[r] = 0.0f;
+  }
+  // f(r, j) in ascending j: the keys every row sees (constant row bounds
+  // keep mx and denom in registers), then the ragged end.
+  auto each_key = [&](auto&& f) {
+    std::int64_t j = 0;
+    for (; j < lim[0]; ++j) {
+      for (int r = 0; r < R; ++r) f(r, j);
+    }
+    for (int r0 = 1; r0 < R; ++r0) {
+      for (; j < lim[r0]; ++j) {
+        for (int r = r0; r < R; ++r) f(r, j);
+      }
+    }
+  };
+  each_key([&](int r, std::int64_t j) { mx[r] = std::max(mx[r], scl * p[r][j]); });
+  for (int r = 0; r < R; ++r) {
+    for (std::int64_t j = 0; j < lim[r]; j += kNR) {
+#if PTDP_GEMM_VEC
+      const std::int64_t n = std::min(kNR, lim[r] - j);
+      store_lanes(p[r] + j, exp_neg_vec(scl * load_lanes(p[r] + j, n) - mx[r]), n);
+#else
+      for (std::int64_t l = j; l < std::min(lim[r], j + kNR); ++l) {
+        p[r][l] = std::exp(scl * p[r][l] - mx[r]);
+      }
+#endif
+    }
+  }
+  each_key([&](int r, std::int64_t j) { denom[r] += p[r][j]; });
+  for (int r = 0; r < R; ++r) {
+    const float inv = 1.0f / denom[r];
+    for (std::int64_t j = 0; j < lim[r]; ++j) p[r][j] *= inv;
+    std::fill(p[r] + lim[r], p[r] + len, 0.0f);
+  }
+}
+
+}  // namespace
+
 Tensor softmax_lastdim(const Tensor& x) {
   const std::int64_t n = x.dim(-1);
-  const std::int64_t rows = leading_rows(x);
-  Tensor out = Tensor::empty(x.shape());
-  auto dx = x.data();
+  Tensor out = x.clone();
   auto dout = out.data();
-  parallel_for(0, rows, row_grain(n), [&](std::int64_t r0, std::int64_t r1) {
+  parallel_for(0, leading_rows(x), row_grain(n), [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
-      const float* row = dx.data() + r * n;
-      float* orow = dout.data() + r * n;
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < n; ++j) mx = std::max(mx, row[j]);
-      float denom = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) {
-        orow[j] = std::exp(row[j] - mx);
-        denom += orow[j];
-      }
-      const float inv = 1.0f / denom;
-      for (std::int64_t j = 0; j < n; ++j) orow[j] *= inv;
+      float* row = dout.data() + r * n;
+      softmax_rows<1>(&row, &n, n, 1.0f);
     }
   });
   return out;
@@ -1402,85 +1395,190 @@ Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
   return out;
 }
 
-Tensor fused_scale_causal_softmax(const Tensor& scores, float scl) {
-  PTDP_CHECK_EQ(scores.ndim(), 3) << "scores must be [rows, sq, sk]";
-  const std::int64_t rows = scores.dim(0);
-  const std::int64_t sq = scores.dim(1);
-  const std::int64_t sk = scores.dim(2);
-  PTDP_CHECK_GE(sk, sq) << "causal mask requires sk >= sq";
-  const std::int64_t shift = sk - sq;
-  // Every element is written (masked tail gets explicit zeros).
-  Tensor out = Tensor::empty(scores.shape());
-  auto dx = scores.data();
-  auto dout = out.data();
-  parallel_for(0, rows * sq, row_grain(sk), [&](std::int64_t q0, std::int64_t q1) {
-    for (std::int64_t q = q0; q < q1; ++q) {
-      const std::int64_t i = q % sq;
-      const float* row = dx.data() + q * sk;
-      float* orow = dout.data() + q * sk;
-      const std::int64_t valid = i + shift + 1;  // keys [0, valid) are visible
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < valid; ++j) mx = std::max(mx, scl * row[j]);
-      float denom = 0.0f;
-      for (std::int64_t j = 0; j < valid; ++j) {
-        orow[j] = std::exp(scl * row[j] - mx);
-        denom += orow[j];
-      }
-      const float inv = 1.0f / denom;
-      for (std::int64_t j = 0; j < valid; ++j) orow[j] *= inv;
-      for (std::int64_t j = valid; j < sk; ++j) orow[j] = 0.0f;
-    }
-  });
-  return out;
-}
-
-Tensor fused_scale_mask_softmax(const Tensor& scores, const Tensor& mask, float scl) {
-  PTDP_CHECK_EQ(scores.ndim(), 3) << "scores must be [rows, sq, sk]";
-  PTDP_CHECK_EQ(mask.ndim(), 2);
-  const std::int64_t rows = scores.dim(0);
-  const std::int64_t sq = scores.dim(1);
-  const std::int64_t sk = scores.dim(2);
-  PTDP_CHECK_EQ(mask.dim(0), sq);
-  PTDP_CHECK_EQ(mask.dim(1), sk);
-  Tensor out = Tensor::empty(scores.shape());
-  auto dx = scores.data();
-  auto dm = mask.data();
-  auto dout = out.data();
-  parallel_for(0, rows * sq, row_grain(sk), [&](std::int64_t q0, std::int64_t q1) {
-    for (std::int64_t q = q0; q < q1; ++q) {
-      const std::int64_t i = q % sq;
-      const float* row = dx.data() + q * sk;
-      const float* mrow = dm.data() + i * sk;
-      float* orow = dout.data() + q * sk;
-      float mx = -std::numeric_limits<float>::infinity();
-      bool any = false;
-      for (std::int64_t j = 0; j < sk; ++j) {
-        if (mrow[j] == 0.0f) {
-          mx = std::max(mx, scl * row[j]);
-          any = true;
-        }
-      }
-      PTDP_CHECK(any) << "softmax row fully masked";
-      float denom = 0.0f;
-      for (std::int64_t j = 0; j < sk; ++j) {
-        if (mrow[j] == 0.0f) {
-          orow[j] = std::exp(scl * row[j] - mx);
-          denom += orow[j];
-        } else {
-          orow[j] = 0.0f;
-        }
-      }
-      const float inv = 1.0f / denom;
-      for (std::int64_t j = 0; j < sk; ++j) orow[j] *= inv;
-    }
-  });
-  return out;
-}
-
 Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl) {
   Tensor dx = softmax_backward(y, dy);
   scale_(dx, scl);
   return dx;
+}
+
+// ---- attention -----------------------------------------------------------------
+//
+// The one attention body (DESIGN.md §8): training and evaluation read K/V
+// in the QKV rows, prefill and decode in the KV store's slots. Each output
+// row is a pure function of its query row and the rows it sees, in one
+// order whatever its query block, task or thread: s_ij sums kNR lanes over
+// dk in one tree (lane_sums); the softmax's max, sum and normalization run
+// in ascending j; o_i = Σ_j p_ij v_j runs j ascending, kAttnRows rows per
+// V row load with independent accumulators.
+
+namespace {
+
+constexpr int kAttnRows = 4;               // query rows per V row load
+constexpr std::int64_t kAttnBlock = 32;    // query rows per task
+constexpr std::int64_t kAttnGrainFlops = 1 << 18;
+
+// Lane i of the result adds lanes (i / W)·2W + i % W and that + W of the
+// 2·kNR lanes a|b: each W-lane group of a and b gives its low and high half.
+template <int W, std::size_t... I>
+VecNR halve(VecNR a, VecNR b, std::index_sequence<I...>) {
+#if PTDP_GEMM_VEC && defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
+  return __builtin_shufflevector(a, b, (I / W * 2 * W + I % W)...) +
+         __builtin_shufflevector(a, b, (I / W * 2 * W + I % W + W)...);
+#else
+  float ab[2 * kNR], out[kNR];
+  std::memcpy(ab, &a, sizeof a);
+  std::memcpy(ab + kNR, &b, sizeof b);
+  ((out[I] = ab[I / W * 2 * W + I % W] + ab[I / W * 2 * W + I % W + W]), ...);
+  return load_lanes(out, kNR);
+#endif
+}
+
+// Lane k of the result is the sum of acc[k]'s lanes in one halving tree,
+// t[l] + t[l + 8], then + 4, + 2, + 1, for kNR accumulators side by side.
+inline VecNR lane_sums(VecNR* t) {
+  static_assert(kNR == 16, "four halvings reduce 16 lanes");
+  constexpr auto lanes = std::make_index_sequence<kNR>{};
+  for (int i = 0; i < 8; ++i) t[i] = halve<8>(t[2 * i], t[2 * i + 1], lanes);
+  for (int i = 0; i < 4; ++i) t[i] = halve<4>(t[2 * i], t[2 * i + 1], lanes);
+  for (int i = 0; i < 2; ++i) t[i] = halve<2>(t[2 * i], t[2 * i + 1], lanes);
+  return halve<1>(t[0], t[1], lanes);
+}
+
+// s[j] = q·k_j for j < lim with k_j = k[j] + off, kNR keys at a time.
+void attend_scores(const float* q, std::int64_t dk,
+                   std::span<const float* const> k, std::int64_t off,
+                   std::int64_t lim, float* s) {
+  for (std::int64_t j0 = 0; j0 < lim; j0 += kNR) {
+    const std::int64_t keys = std::min(kNR, lim - j0);
+    const float* kp[kNR];  // missing keys of a last group reread key j0
+    for (std::int64_t i = 0; i < kNR; ++i) {
+      kp[i] = k[static_cast<std::size_t>(j0 + (i < keys ? i : 0))] + off;
+    }
+    VecNR acc[kNR];
+    for (VecNR& a : acc) a = VecNR{};
+    for (std::int64_t c = 0; c * kNR < dk; ++c) {
+      const std::int64_t n = std::min(kNR, dk - c * kNR);  // ragged: zero-padded
+      const VecNR qc = load_lanes(q + c * kNR, n);
+      for (std::int64_t i = 0; i < kNR; ++i) {
+        acc[i] += qc * load_lanes(kp[i] + c * kNR, n);
+      }
+    }
+    store_lanes(s + j0, lane_sums(acc), keys);
+  }
+}
+
+// o[r][c0·kNR, c0·kNR + C·n) = Σ_j p[r][j] v_j, j < lim[r] ascending, over
+// C chunks of n lanes (n < kNR only for the ragged last chunk, C = 1).
+template <int R, int C>
+void attend_values(std::span<const float* const> v, std::int64_t off,
+                   std::int64_t c0, std::int64_t n, float* const* p,
+                   const std::int64_t* lim, float* const* o) {
+  VecNR acc[R][C];
+  for (int r = 0; r < R; ++r) {
+    for (int c = 0; c < C; ++c) acc[r][c] = VecNR{};
+  }
+  auto step = [&](std::int64_t j, int r0) {
+    const float* vj = v[static_cast<std::size_t>(j)] + off + c0 * kNR;
+    VecNR vc[C];
+    for (int c = 0; c < C; ++c) vc[c] = load_lanes(vj + c * kNR, C > 1 ? kNR : n);
+    for (int r = r0; r < R; ++r) {
+      for (int c = 0; c < C; ++c) acc[r][c] += p[r][j] * vc[c];
+    }
+  };
+  // The keys every row sees, then the ragged end (a constant r0 = 0 keeps
+  // the accumulators of the hot loop in registers).
+  std::int64_t j = 0;
+  for (; j < lim[0]; ++j) step(j, 0);
+  for (int r0 = 1; r0 < R; ++r0) {
+    for (; j < lim[r0]; ++j) step(j, r0);
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int c = 0; c < C; ++c) {
+      store_lanes(o[r] + (c0 + c) * kNR, acc[r][c], C > 1 ? kNR : n);
+    }
+  }
+}
+
+// Query rows [i, i + R) of head h of one sequence. Without a probs output
+// the P rows live in `scratch` (R·len floats).
+template <int R>
+void attend_rows(const AttentionSeq& sq, const AttentionShape& sh,
+                 std::int64_t h, std::int64_t i, float* scratch) {
+  const std::int64_t dk = sh.dk;
+  const auto len = static_cast<std::int64_t>(sq.k.size());
+  const std::int64_t off = h * sq.kv_head_stride;
+  std::int64_t lim[R];  // row r sees keys [0, lim[r])
+  float* p[R];
+  float* o[R];
+  for (int r = 0; r < R; ++r) {
+    lim[r] = sh.causal ? sq.pos + i + r + 1 : len;
+    const std::int64_t prow = (h * sq.m + i + r) * len;
+    p[r] = sq.probs != nullptr ? sq.probs + prow : scratch + r * len;
+    o[r] = sq.out + (i + r) * sq.out_stride + h * dk;
+    attend_scores(sq.q + (i + r) * sq.q_stride + h * sh.q_head_stride, dk, sq.k,
+                  off, lim[r], p[r]);
+  }
+  softmax_rows<R>(p, lim, len, sh.scale);
+  if (sq.drop_mask != nullptr) {
+    for (int r = 0; r < R; ++r) {
+      const std::int64_t prow = (h * sq.m + i + r) * len;
+      for (std::int64_t j = 0; j < len; ++j) {
+        sq.probs_dropped[prow + j] = p[r][j] * sq.drop_mask[prow + j];
+      }
+      p[r] = sq.probs_dropped + prow;
+    }
+  }
+  std::int64_t c = 0;
+  for (; c + 4 <= dk / kNR; c += 4) attend_values<R, 4>(sq.v, off, c, kNR, p, lim, o);
+  for (; c * kNR < dk; ++c) {
+    attend_values<R, 1>(sq.v, off, c, std::min(kNR, dk - c * kNR), p, lim, o);
+  }
+}
+
+}  // namespace
+
+void attention(std::span<const AttentionSeq> seqs, const AttentionShape& sh) {
+  PTDP_CHECK(sh.heads > 0 && sh.dk > 0);
+  struct Task {
+    std::size_t seq;
+    std::int64_t head, i0, i1;
+  };
+  std::vector<Task> tasks;
+  std::int64_t flops = 0, max_len = 0;
+  for (std::size_t s = 0; s < seqs.size(); ++s) {
+    const AttentionSeq& sq = seqs[s];
+    const auto len = static_cast<std::int64_t>(sq.k.size());
+    PTDP_CHECK_EQ(sq.v.size(), sq.k.size());
+    PTDP_CHECK(sq.m == 0 || len > 0) << "attention over no keys";
+    PTDP_CHECK(!sh.causal || sq.pos + sq.m <= len)
+        << "query " << sq.pos + sq.m - 1 << " past the last key " << len - 1;
+    PTDP_CHECK(sq.drop_mask == nullptr ||
+               (sq.probs != nullptr && sq.probs_dropped != nullptr))
+        << "a dropout mask needs both probs outputs";
+    for (std::int64_t h = 0; h < sh.heads; ++h) {
+      for (std::int64_t i0 = 0; i0 < sq.m; i0 += kAttnBlock) {
+        tasks.push_back({s, h, i0, std::min(sq.m, i0 + kAttnBlock)});
+      }
+    }
+    flops += 4 * sh.heads * sq.m * len * sh.dk;
+    max_len = std::max(max_len, len);
+  }
+  const auto ntasks = static_cast<std::int64_t>(tasks.size());
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kAttnGrainFlops * ntasks / std::max<std::int64_t>(flops, 1));
+  const std::int64_t scratch = kAttnRows * max_len;
+  parallel_for(0, ntasks, grain, [&](std::int64_t t0, std::int64_t t1) {
+    float* buf = task_scratch(scratch);
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const Task& tk = tasks[static_cast<std::size_t>(t)];
+      const AttentionSeq& sq = seqs[tk.seq];
+      std::int64_t i = tk.i0;
+      for (; i + kAttnRows <= tk.i1; i += kAttnRows) {
+        attend_rows<kAttnRows>(sq, sh, tk.head, i, buf);
+      }
+      for (; i < tk.i1; ++i) attend_rows<1>(sq, sh, tk.head, i, buf);
+    }
+  });
 }
 
 // ---- embedding -----------------------------------------------------------------

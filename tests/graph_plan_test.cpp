@@ -1,8 +1,8 @@
 // ptdp::graph planner tests (DESIGN.md §14):
 //   1. The builder emits the canonical unfused block and the fusion pass
 //      rewrites it to exactly the reference kernel sequence (golden IR
-//      checks, pass by pass); the decode plan swaps the attention core for
-//      one KV-cached node (§16).
+//      checks, pass by pass); the attention core is one kAttention node in
+//      every plan, and the decode plan is the evaluation forward (§16).
 //   2. Fusion legality: pinned intermediates block their pattern.
 //   3. Buffer planning: values sharing an arena slot have disjoint lifetimes
 //      and identical (bytes, dtype); every planned value gets a slot.
@@ -65,9 +65,7 @@ TEST(GraphBuilder, UnfusedForwardIsTheCanonicalBlock) {
       build_unfused_layer_plan(tiny_config(), /*with_dropout=*/true);
   const std::vector<OpKind> want = {
       OpKind::kView2D,       OpKind::kLayerNorm,      OpKind::kLinearFwd,
-      OpKind::kAttnSplitHeads, OpKind::kBmmNT,        OpKind::kScale,
-      OpKind::kMaskFill,     OpKind::kSoftmax,        OpKind::kAttnProbMask,
-      OpKind::kMul,          OpKind::kBmm,            OpKind::kAttnMergeHeads,
+      OpKind::kAttnProbMask, OpKind::kAttention,
       OpKind::kLinearFwd,    OpKind::kAddBias,        OpKind::kDropout,
       OpKind::kAdd,          OpKind::kLayerNorm,      OpKind::kLinearFwd,
       OpKind::kAddBias,      OpKind::kGelu,           OpKind::kLinearFwd,
@@ -86,8 +84,9 @@ TEST(GraphBuilder, UnfusedBackwardMirrorsEagerAccumulationOrder) {
       OpKind::kLinearBwd,     OpKind::kGeluBwd,      OpKind::kBiasGradAccum,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kDropoutBwd,    OpKind::kBiasGradAccum, OpKind::kLinearBwd,
-      OpKind::kAttnSplitGradHeads, OpKind::kBmmNT,   OpKind::kBmmTN,
-      OpKind::kMul,           OpKind::kSoftmaxBwd,   OpKind::kScale,
+      OpKind::kAttnSplitHeads, OpKind::kAttnSplitGradHeads,
+      OpKind::kBmmNT,         OpKind::kBmmTN,
+      OpKind::kMul,           OpKind::kScaleSoftmaxBwd,
       OpKind::kBmm,           OpKind::kBmmTN,        OpKind::kAttnMergeQkvGrad,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kView3D};
@@ -100,35 +99,33 @@ TEST(GraphBuilder, DecodePlanReplacesTheAttentionCore) {
   const LayerPlan plan = build_layer_plan(tiny_config(), false, opts);
   const std::vector<OpKind> want = {
       OpKind::kView2D,          OpKind::kLayerNorm,
-      OpKind::kLinearFwd,       OpKind::kDecodeAttention,
+      OpKind::kLinearFwd,       OpKind::kAttention,
       OpKind::kLinearFwd,       OpKind::kFusedBiasDropoutAdd,
       OpKind::kLayerNorm,       OpKind::kLinearFwd,
       OpKind::kFusedBiasGelu,   OpKind::kLinearFwd,
       OpKind::kFusedBiasDropoutAdd, OpKind::kView3D};
   EXPECT_EQ(kinds(plan.fwd), want);
   EXPECT_TRUE(plan.bwd.empty());
-  // qkv rows in, merged context rows out — straight into the projection.
+  // The evaluation forward, node for node.
+  EXPECT_EQ(kinds(plan.fwd), kinds(build_layer_plan(tiny_config(), false).fwd));
+  // qkv rows in, context rows out — straight into the projection.
   const Node& core = plan.fwd[3];
   EXPECT_EQ(core.in, std::vector<ValueId>{plan.fwd[2].out[0]});
-  EXPECT_EQ(core.out, std::vector<ValueId>{plan.fwd[4].in[0]});
-  // Nothing of the training attention core survives.
-  for (const char* name : {"attn.q", "attn.k", "attn.v", "attn.scores",
-                           "attn.probs", "attn.ctx"}) {
+  EXPECT_EQ(core.out[0], plan.fwd[4].in[0]);
+  // Nothing reads P or the split heads, so the executor never writes them.
+  for (const char* name : {"attn.q", "attn.k", "attn.v", "attn.probs"}) {
     const Value& v = plan.values[static_cast<std::size_t>(find_value(plan, name))];
-    EXPECT_EQ(v.def, -1) << name;
     EXPECT_EQ(v.last_use, -1) << name;
   }
 }
 
 TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
   LayerPlan plan = build_unfused_layer_plan(tiny_config(), /*with_dropout=*/true);
-  EXPECT_EQ(fuse_operators(plan), 5);  // softmax fwd+bwd, bias+gelu, 2x bda
+  EXPECT_EQ(fuse_operators(plan), 3);  // bias+gelu, 2x bias+dropout+add
   const std::vector<OpKind> want_fwd = {
       OpKind::kView2D,        OpKind::kLayerNorm,
-      OpKind::kLinearFwd,     OpKind::kAttnSplitHeads,
-      OpKind::kBmmNT,         OpKind::kScaleCausalSoftmax,
-      OpKind::kAttnProbMask,  OpKind::kMul,
-      OpKind::kBmm,           OpKind::kAttnMergeHeads,
+      OpKind::kLinearFwd,     OpKind::kAttnProbMask,
+      OpKind::kAttention,
       OpKind::kLinearFwd,     OpKind::kFusedBiasDropoutAdd,
       OpKind::kLayerNorm,     OpKind::kLinearFwd,
       OpKind::kFusedBiasGelu, OpKind::kLinearFwd,
@@ -139,7 +136,8 @@ TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
       OpKind::kLinearBwd,     OpKind::kFusedBiasGeluBwd, OpKind::kLinearBwd,
       OpKind::kLayerNormBwd,  OpKind::kAdd,          OpKind::kDropoutBwd,
       OpKind::kBiasGradAccum, OpKind::kLinearBwd,
-      OpKind::kAttnSplitGradHeads, OpKind::kBmmNT,   OpKind::kBmmTN,
+      OpKind::kAttnSplitHeads, OpKind::kAttnSplitGradHeads,
+      OpKind::kBmmNT,         OpKind::kBmmTN,
       OpKind::kMul,           OpKind::kScaleSoftmaxBwd,
       OpKind::kBmm,           OpKind::kBmmTN,        OpKind::kAttnMergeQkvGrad,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
@@ -162,13 +160,16 @@ TEST(GraphPasses, NonCausalUsesMaskSoftmaxAndDropoutFreeTopologyAliases) {
     if (n.kind == OpKind::kFusedBiasDropoutAdd) {
       EXPECT_EQ(n.out.size(), 1u);
     }
-    EXPECT_NE(n.kind, OpKind::kScaleCausalSoftmax);
   }
-  bool saw_masked_softmax = false;
+  // The attention node sees every key.
+  int attention_nodes = 0;
   for (const Node& n : plan.fwd) {
-    saw_masked_softmax |= n.kind == OpKind::kScaleMaskSoftmax;
+    if (n.kind != OpKind::kAttention) continue;
+    ++attention_nodes;
+    EXPECT_FALSE(n.causal);
+    EXPECT_EQ(n.in.size(), 1u);  // no prob mask
   }
-  EXPECT_TRUE(saw_masked_softmax);
+  EXPECT_EQ(attention_nodes, 1);
 }
 
 // The §3.5 recompute plan is literally fwd ++ bwd over one value table: the
@@ -190,7 +191,7 @@ TEST(GraphPasses, PinnedIntermediateBlocksItsFusion) {
   const ValueId t_act = find_value(plan, "mlp.t_act");
   ASSERT_NE(t_act, kNoValue);
   plan.values[static_cast<std::size_t>(t_act)].pinned = true;  // e.g. debugging
-  EXPECT_EQ(fuse_operators(plan), 4);  // bias+gelu pattern must stay unfused
+  EXPECT_EQ(fuse_operators(plan), 2);  // bias+gelu pattern must stay unfused
   bool has_unfused_gelu = false;
   for (const Node& n : plan.fwd) has_unfused_gelu |= n.kind == OpKind::kGelu;
   EXPECT_TRUE(has_unfused_gelu);
@@ -198,15 +199,15 @@ TEST(GraphPasses, PinnedIntermediateBlocksItsFusion) {
 
 TEST(GraphPasses, MultiUseIntermediateBlocksItsFusion) {
   LayerPlan plan = build_unfused_layer_plan(tiny_config(), true);
-  // Give the scaled scores a second consumer: the pattern is no longer a
-  // straight-line temp chain and must not fuse.
-  const ValueId scaled = find_value(plan, "attn.scaled");
-  ASSERT_NE(scaled, kNoValue);
+  // Give the biased attention output a second consumer: the bias+dropout+add
+  // pattern is no longer a straight-line temp chain and must not fuse.
+  const ValueId biased = find_value(plan, "resid1.biased");
+  ASSERT_NE(biased, kNoValue);
   LayerPlan tampered = plan;
-  tampered.bwd.back().in.push_back(scaled);  // fake extra use in backward
+  tampered.bwd.back().in.push_back(biased);  // fake extra use in backward
   const int fused_tampered = fuse_operators(tampered);
   const int fused_clean = fuse_operators(plan);
-  EXPECT_EQ(fused_clean, 5);
+  EXPECT_EQ(fused_clean, 3);
   EXPECT_EQ(fused_tampered, fused_clean - 1);
 }
 
@@ -438,7 +439,7 @@ TEST(GraphDump, EmitsPlanV1Json) {
   std::string text(1 << 16, '\0');
   text.resize(std::fread(text.data(), 1, text.size(), f));
   std::fclose(f);
-  EXPECT_NE(text.find("\"num_fusions\": 5"), std::string::npos);
+  EXPECT_NE(text.find("\"num_fusions\": 3"), std::string::npos);
   EXPECT_NE(text.find("graph.fused_bias_dropout_add"), std::string::npos);
   EXPECT_NE(text.find("\"buffer\""), std::string::npos);
   // The pre-GeLU sum is fused away entirely -> dead, omitted from the dump.

@@ -1,6 +1,8 @@
 #include "layer_reference.hpp"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "ptdp/model/param.hpp"
 #include "ptdp/model/rng_sites.hpp"
@@ -58,37 +60,42 @@ Tensor attention_forward(const LayerBinding& bind, const Tensor& x,
   cache.b = b;
 
   Tensor x2d = x.view({s * b, config.hidden});
-  Tensor qkv2d = bind.qkv->forward(x2d, cache.qkv);  // [sb, 3*hidden_local]
+  cache.qkv_rows = bind.qkv->forward(x2d, cache.qkv);  // [sb, 3*hidden_local]
 
-  // [s, b, a_l, 3dk] -> [b, a_l, s, 3dk] -> [b*a_l, s, 3dk]
-  Tensor qkv4d = qkv2d.view({s, b, heads_local, 3 * head_dim})
-                     .permute({1, 2, 0, 3})
-                     .view({b * heads_local, s, 3 * head_dim});
-  cache.q = qkv4d.slice(-1, 0, head_dim);
-  cache.k = qkv4d.slice(-1, head_dim, head_dim);
-  cache.v = qkv4d.slice(-1, 2 * head_dim, head_dim);
-
-  Tensor scores = tensor::bmm_nt(cache.q, cache.k);  // [ba, s, s]
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  if (config.causal) {
-    cache.probs = tensor::fused_scale_causal_softmax(scores, scale);
-  } else {
-    // BERT-style bidirectional attention through the general-mask kernel
-    // (nothing masked here; padding masks would plug in the same way).
-    cache.probs = tensor::fused_scale_mask_softmax(scores, Tensor({s, s}), scale);
+  // The one attention kernel over the QKV rows: row i·b + bi is position i
+  // of sequence bi, per row [a_l][q|k|v][dk].
+  const float* rows = cache.qkv_rows.data().data();
+  const std::int64_t row_stride = 3 * hidden_local;
+  std::vector<const float*> k, v;
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t i = 0; i < s; ++i) {
+      k.push_back(rows + (i * b + bi) * row_stride + head_dim);
+      v.push_back(rows + (i * b + bi) * row_stride + 2 * head_dim);
+    }
   }
-
-  if (config.dropout > 0.0f) {
+  const bool dropout = config.dropout > 0.0f;
+  cache.probs = Tensor::empty({b * heads_local, s, s});
+  cache.probs_dropped = cache.probs;
+  if (dropout) {
     cache.prob_mask = bind.attn->make_prob_dropout_mask(b, mb_tag);
-    cache.probs_dropped = tensor::mul(cache.probs, cache.prob_mask);
-  } else {
-    cache.probs_dropped = cache.probs;
+    cache.probs_dropped = Tensor::empty({b * heads_local, s, s});
   }
-
-  Tensor ctx = tensor::bmm(cache.probs_dropped, cache.v);  // [ba, s, dk]
-  Tensor ctx2d = ctx.view({b, heads_local, s, head_dim})
-                     .permute({2, 0, 1, 3})
-                     .view({s * b, hidden_local});
+  Tensor ctx2d = Tensor::empty({s * b, hidden_local});
+  std::vector<tensor::AttentionSeq> seqs;
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    const std::int64_t slab = bi * heads_local * s * s;
+    seqs.push_back(
+        {rows + bi * row_stride, b * row_stride, s, 0,
+         std::span<const float* const>(k).subspan(bi * s, s),
+         std::span<const float* const>(v).subspan(bi * s, s), 3 * head_dim,
+         ctx2d.data().data() + bi * hidden_local, b * hidden_local,
+         cache.probs.data().data() + slab,
+         dropout ? cache.prob_mask.data().data() + slab : nullptr,
+         dropout ? cache.probs_dropped.data().data() + slab : nullptr});
+  }
+  tensor::attention(seqs, {heads_local, head_dim, 3 * head_dim,
+                           1.0f / std::sqrt(static_cast<float>(head_dim)),
+                           config.causal});
   Tensor out2d = bind.proj->forward(ctx2d, cache.proj);  // [sb, h], bias skipped
   return out2d.view({s, b, config.hidden});
 }
@@ -108,9 +115,17 @@ Tensor attention_backward(const LayerBinding& bind, const Tensor& dy,
                     .permute({1, 2, 0, 3})
                     .view({b * heads_local, s, head_dim});
 
+  // [s, b, a_l, 3dk] -> [b, a_l, s, 3dk] -> [b*a_l, s, 3dk]
+  Tensor qkv4d = cache.qkv_rows.view({s, b, heads_local, 3 * head_dim})
+                     .permute({1, 2, 0, 3})
+                     .view({b * heads_local, s, 3 * head_dim});
+  const Tensor q = qkv4d.slice(-1, 0, head_dim);
+  const Tensor k = qkv4d.slice(-1, head_dim, head_dim);
+  const Tensor v = qkv4d.slice(-1, 2 * head_dim, head_dim);
+
   // ctx = P·V
-  Tensor dp_dropped = tensor::bmm_nt(dctx, cache.v);          // [ba, s, s]
-  Tensor dv = tensor::bmm_tn(cache.probs_dropped, dctx);      // [ba, s, dk]
+  Tensor dp_dropped = tensor::bmm_nt(dctx, v);            // [ba, s, s]
+  Tensor dv = tensor::bmm_tn(cache.probs_dropped, dctx);  // [ba, s, dk]
   Tensor dprobs = config.dropout > 0.0f
                       ? tensor::mul(dp_dropped, cache.prob_mask)
                       : dp_dropped;
@@ -119,8 +134,8 @@ Tensor attention_backward(const LayerBinding& bind, const Tensor& dy,
   Tensor dscores = tensor::fused_scale_softmax_backward(cache.probs, dprobs, scale);
 
   // scores = Q·Kᵀ
-  Tensor dq = tensor::bmm(dscores, cache.k);     // [ba, s, dk]
-  Tensor dk = tensor::bmm_tn(dscores, cache.q);  // [ba, s, dk]
+  Tensor dq = tensor::bmm(dscores, k);     // [ba, s, dk]
+  Tensor dk = tensor::bmm_tn(dscores, q);  // [ba, s, dk]
 
   Tensor dqkv = tensor::concat({dq, dk, dv}, -1)  // [ba, s, 3dk]
                     .view({b, heads_local, s, 3 * head_dim})

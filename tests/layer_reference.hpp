@@ -20,7 +20,7 @@ namespace ptdp::reference {
 struct AttentionCache {
   model::LinearCache qkv;
   model::LinearCache proj;
-  tensor::Tensor q, k, v;        ///< [b·a_local, s, dk]
+  tensor::Tensor qkv_rows;       ///< QKV projection output [s·b, 3·h_local]
   tensor::Tensor probs;          ///< post-softmax attention probabilities
   tensor::Tensor prob_mask;      ///< dropout mask on probs (undefined if p == 0)
   tensor::Tensor probs_dropped;  ///< probs ⊙ mask (== probs if p == 0)

@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "ptdp/dist/world.hpp"
 #include "ptdp/model/generate.hpp"
 #include "ptdp/obs/metrics.hpp"
+#include "ptdp/obs/trace.hpp"
 #include "ptdp/serve/loadgen.hpp"
 
 namespace ptdp::serve {
@@ -320,6 +322,53 @@ TEST(ServeEngine, LatencyHistogramsMatchExactPercentiles) {
     EXPECT_NEAR(ttft_h.quantile(q), ttft_exact, ttft_exact / 32 + 1e-9) << "q=" << q;
   }
   reg.reset();
+}
+
+TEST(ServeEngine, StepSpanCoversSchedulingAndSampling) {
+  // serve.step is the whole working step: every serve.schedule and
+  // serve.sample span lies inside one, and together they take no more than
+  // the step that holds them.
+  obs::Tracer::instance().reset();
+  obs::Tracer::instance().set_mode(obs::TraceMode::kFull);
+  const model::GptConfig c = tiny();
+  dist::Comm solo = dist::Comm::solo();
+  model::GptStage stage(c, solo, whole(c));
+  EngineOptions eo = small_engine(/*capacity=*/64);
+  eo.record_metrics = true;
+  ServeEngine engine(stage, eo);
+  LoadGen lg(small_load(c, /*seed=*/22));
+  ASSERT_EQ(drive(engine, lg).size(), 16u);
+  obs::Tracer::instance().set_mode(obs::TraceMode::kOff);
+  const std::vector<obs::TraceEvent> events = obs::Tracer::instance().snapshot();
+  obs::Tracer::instance().reset();
+  ASSERT_EQ(obs::Tracer::instance().events_dropped(), 0u);
+
+  std::vector<const obs::TraceEvent*> steps;
+  for (const obs::TraceEvent& e : events) {
+    if (std::string_view(e.name) == "serve.step") steps.push_back(&e);
+  }
+  ASSERT_FALSE(steps.empty());
+  std::vector<std::int64_t> inner_ns(steps.size(), 0);
+  std::int64_t schedules = 0, samples = 0;
+  for (const obs::TraceEvent& e : events) {
+    const std::string_view name(e.name);
+    if (name != "serve.schedule" && name != "serve.sample") continue;
+    (name == "serve.schedule" ? schedules : samples) += 1;
+    std::size_t owner = steps.size();
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      if (steps[i]->ts_ns <= e.ts_ns &&
+          e.ts_ns + e.wall_ns <= steps[i]->ts_ns + steps[i]->wall_ns) {
+        owner = i;
+      }
+    }
+    ASSERT_LT(owner, steps.size()) << name << " outside every serve.step";
+    inner_ns[owner] += e.wall_ns;
+  }
+  EXPECT_EQ(schedules, static_cast<std::int64_t>(steps.size()));
+  EXPECT_GT(samples, 0);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_LE(inner_ns[i], steps[i]->wall_ns) << "step " << i;
+  }
 }
 
 TEST(ServeEngine, RejectsBadRequests) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -381,10 +382,31 @@ TEST(Fused, BiasDropoutAddAtP0MatchesComposition) {
             0);
 }
 
+// attention()'s P for queries whose scores against the keys are s [heads,
+// m, len]: query row i is its score row and key j the unit vector e_j (dk =
+// len), so q_i·k_j = s_ij exactly. The queries sit at positions
+// [len - m, len), so row i sees keys j <= i + (len - m).
+Tensor attention_probs(const Tensor& s, float scl) {
+  const std::int64_t heads = s.dim(0), m = s.dim(1), len = s.dim(2);
+  Tensor eye({len, len});
+  std::vector<const float*> keys;
+  for (std::int64_t j = 0; j < len; ++j) {
+    eye.at({j, j}) = 1.0f;
+    keys.push_back(eye.data().data() + j * len);
+  }
+  Tensor probs({heads, m, len});
+  Tensor ctx({m, heads * len});
+  const AttentionSeq seq{s.data().data(), len,  m,   len - m,
+                         keys,           keys, 0,    ctx.data().data(),
+                         heads * len,    probs.data().data()};
+  attention({&seq, 1}, {heads, len, m * len, scl, /*causal=*/true});
+  return probs;
+}
+
 TEST(Fused, CausalSoftmaxMasksUpperTriangle) {
   Rng rng(12);
   Tensor s = Tensor::randn({2, 4, 4}, rng);
-  Tensor y = fused_scale_causal_softmax(s, 1.0f);
+  Tensor y = attention_probs(s, 1.0f);
   for (std::int64_t r = 0; r < 2; ++r) {
     for (std::int64_t i = 0; i < 4; ++i) {
       float row_total = 0.f;
@@ -403,16 +425,17 @@ TEST(Fused, CausalSoftmaxMatchesExplicitMask) {
   Rng rng(13);
   const std::int64_t sq = 5;
   Tensor s = Tensor::randn({3, sq, sq}, rng);
-  // Build the explicit causal mask (1 = masked).
-  Tensor mask({sq, sq});
-  for (std::int64_t i = 0; i < sq; ++i) {
-    for (std::int64_t j = 0; j < sq; ++j) {
-      mask.at({i, j}) = j > i ? 1.0f : 0.0f;
+  // The unfused composition: scale, an explicit -inf causal fill, softmax.
+  Tensor masked = scale(s, 0.37f);
+  for (std::int64_t r = 0; r < 3; ++r) {
+    for (std::int64_t i = 0; i < sq; ++i) {
+      for (std::int64_t j = i + 1; j < sq; ++j) {
+        masked.at({r, i, j}) = -std::numeric_limits<float>::infinity();
+      }
     }
   }
-  const float scl = 0.37f;
-  EXPECT_TRUE(allclose(fused_scale_causal_softmax(s, scl),
-                       fused_scale_mask_softmax(s, mask, scl), 1e-5f, 1e-6f));
+  EXPECT_TRUE(allclose(attention_probs(s, 0.37f), softmax_lastdim(masked),
+                       1e-5f, 1e-6f));
 }
 
 TEST(Fused, CausalSoftmaxHandlesRectangular) {
@@ -420,7 +443,7 @@ TEST(Fused, CausalSoftmaxHandlesRectangular) {
   // query i sees keys j <= i + (sk - sq).
   Rng rng(14);
   Tensor s = Tensor::randn({1, 2, 4}, rng);
-  Tensor y = fused_scale_causal_softmax(s, 1.0f);
+  Tensor y = attention_probs(s, 1.0f);
   EXPECT_EQ(y.at({0, 0, 3}), 0.0f);
   EXPECT_GT(y.at({0, 0, 2}), 0.0f);
   EXPECT_GT(y.at({0, 1, 3}), 0.0f);
@@ -431,11 +454,10 @@ TEST(Fused, ScaleSoftmaxBackwardMatchesFiniteDifference) {
   Tensor s = Tensor::randn({1, 3, 3}, rng);
   Tensor w = Tensor::randn({1, 3, 3}, rng);
   const float scl = 0.5f;
-  Tensor y = fused_scale_causal_softmax(s, scl);
+  Tensor y = attention_probs(s, scl);
   Tensor ds = fused_scale_softmax_backward(y, w, scl);
   // Mask w on the masked-out region (those outputs are constant 0).
-  check_grad([&](const Tensor& t) { return fused_scale_causal_softmax(t, scl); }, s, ds,
-             w);
+  check_grad([&](const Tensor& t) { return attention_probs(t, scl); }, s, ds, w);
 }
 
 TEST(Embedding, GathersRows) {

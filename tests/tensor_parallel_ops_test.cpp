@@ -262,61 +262,6 @@ TEST(ParallelDeterminism, SmallMRowsMatchRowPanelPath) {
   }
 }
 
-// Decode attention's GEMMs read K/V through a per-position row table
-// (rows scattered over a buffer in shuffled order, like KV-cache block
-// slots). Both products must equal the contiguous [heads, len, dk]
-// operand's bit for bit — small-m and row-panel paths, dk of one sliver and
-// of a full plus a ragged one, len past one 256-deep k panel — at every
-// intra-op thread count.
-TEST(ParallelDeterminism, RowTableBmmMatchesContiguousOperand) {
-  Rng rng(26);
-  constexpr std::int64_t kHeads = 3;
-  for (std::int64_t dk : {16, 40}) {
-    for (std::int64_t len : {1, 37, 300}) {
-      const std::int64_t hl = kHeads * dk;
-      const std::int64_t stride = 2 * hl + 5;  // slot stride, not hl
-      std::vector<std::int64_t> slot(static_cast<std::size_t>(len));
-      for (std::int64_t p = 0; p < len; ++p) slot[static_cast<std::size_t>(p)] = p;
-      for (std::int64_t p = len - 1; p > 0; --p) {
-        std::swap(slot[static_cast<std::size_t>(p)],
-                  slot[rng.next_below(static_cast<std::uint64_t>(p + 1))]);
-      }
-      std::vector<float> store(static_cast<std::size_t>(len * stride));
-      for (auto& x : store) x = static_cast<float>(rng.next_gaussian());
-      Tensor kc({kHeads, len, dk}), vc({kHeads, len, dk});
-      std::vector<const float*> krows, vrows;
-      for (std::int64_t p = 0; p < len; ++p) {
-        const float* row = store.data() + slot[static_cast<std::size_t>(p)] * stride;
-        krows.push_back(row);
-        vrows.push_back(row + hl);
-        for (std::int64_t h = 0; h < kHeads; ++h) {
-          for (std::int64_t d = 0; d < dk; ++d) {
-            const auto at = static_cast<std::size_t>((h * len + p) * dk + d);
-            kc.data()[at] = row[h * dk + d];
-            vc.data()[at] = row[hl + h * dk + d];
-          }
-        }
-      }
-      const tensor::HeadRows k_rows{krows, dk, dk};
-      const tensor::HeadRows v_rows{vrows, dk, dk};
-      for (std::int64_t m : {1, 13, 140}) {
-        SCOPED_TRACE(testing::Message() << "dk " << dk << ", len " << len << ", m "
-                                        << m);
-        Tensor q = Tensor::randn({kHeads, m, dk}, rng);
-        Tensor probs = Tensor::randn({kHeads, m, len}, rng);
-        const Tensor scores = tensor::bmm_nt(q, kc);
-        const Tensor context = tensor::bmm(probs, vc);
-        EXPECT_EQ(tensor::max_abs_diff(tensor::bmm_nt(q, k_rows), scores), 0.0f)
-            << "QK^T";
-        EXPECT_EQ(tensor::max_abs_diff(tensor::bmm(probs, v_rows), context), 0.0f)
-            << "P·V";
-        expect_bitwise_stable([&] { return tensor::bmm_nt(q, k_rows); });
-        expect_bitwise_stable([&] { return tensor::bmm(probs, v_rows); });
-      }
-    }
-  }
-}
-
 TEST(ParallelDeterminism, ElementwiseAndFusedBitwiseStable) {
   Rng rng(23);
   Tensor x = Tensor::randn({301, 257}, rng);
@@ -360,14 +305,29 @@ TEST(ParallelDeterminism, ElementwiseAndFusedBitwiseStable) {
   });
 }
 
+// The fused attention kernel (scale + mask + softmax between its two
+// products): context and P, causal and not, at every intra-op thread count.
 TEST(ParallelDeterminism, FusedSoftmaxBitwiseStable) {
   Rng rng(24);
-  Tensor scores = Tensor::randn({10, 37, 37}, rng);
-  expect_bitwise_stable(
-      [&] { return tensor::fused_scale_causal_softmax(scores, 0.125f); });
-  Tensor mask({37, 37});  // nothing masked
-  expect_bitwise_stable(
-      [&] { return tensor::fused_scale_mask_softmax(scores, mask, 0.125f); });
+  constexpr std::int64_t kHeads = 10, kLen = 37, kDk = 16;
+  const Tensor qkv = Tensor::randn({kLen, 3 * kHeads * kDk}, rng);
+  std::vector<const float*> k, v;
+  for (std::int64_t j = 0; j < kLen; ++j) {
+    k.push_back(qkv.data().data() + j * 3 * kHeads * kDk + kDk);
+    v.push_back(qkv.data().data() + j * 3 * kHeads * kDk + 2 * kDk);
+  }
+  for (const bool causal : {true, false}) {
+    expect_bitwise_stable([&] {
+      // [context rows | P] in one tensor so one comparison covers both.
+      Tensor out({kLen * kHeads * kDk + kHeads * kLen * kLen});
+      const tensor::AttentionSeq seq{
+          qkv.data().data(), 3 * kHeads * kDk, kLen, 0, k, v, 3 * kDk,
+          out.data().data(), kHeads * kDk,
+          out.data().data() + kLen * kHeads * kDk};
+      tensor::attention({&seq, 1}, {kHeads, kDk, 3 * kDk, 0.125f, causal});
+      return out;
+    });
+  }
 }
 
 // ---- intra-op parallelism inside a dist gang ----------------------------------
