@@ -5,6 +5,7 @@
 // paper's value where the paper states one, so EXPERIMENTS.md can record
 // paper-vs-measured side by side.
 
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -39,6 +40,57 @@ inline tensor::Tensor attention_composed(const tensor::Tensor& q,
                                          const tensor::Tensor& v) {
   return tensor::bmm(
       tensor::softmax_lastdim(tensor::scale(tensor::bmm_nt(q, k), 0.125f)), v);
+}
+
+/// tensor::attention_backward over the training layout of one sequence:
+/// qkv rows [s, 3·heads·dk] (per row [heads][q|k|v][dk]), d context rows
+/// [s, heads·dk] and an optional [heads, s, s] dropout mask. Returns the
+/// d qkv rows, laid out like qkv.
+inline tensor::Tensor attention_backward_rows(const tensor::Tensor& qkv,
+                                              const tensor::Tensor& dctx,
+                                              const tensor::Tensor* mask,
+                                              std::int64_t heads, bool causal) {
+  const std::int64_t s = qkv.dim(0), row = qkv.dim(1), dk = row / (3 * heads);
+  tensor::Tensor dqkv = tensor::Tensor::empty(qkv.shape());
+  std::vector<const float*> k, v;
+  std::vector<float*> dk_rows, dv_rows;
+  for (std::int64_t j = 0; j < s; ++j) {
+    k.push_back(qkv.data().data() + j * row + dk);
+    v.push_back(qkv.data().data() + j * row + 2 * dk);
+    dk_rows.push_back(dqkv.data().data() + j * row + dk);
+    dv_rows.push_back(dqkv.data().data() + j * row + 2 * dk);
+  }
+  const tensor::AttentionGradSeq g{
+      {qkv.data().data(), row, s, 0, k, v, 3 * dk, nullptr, 0,
+       mask != nullptr ? mask->data().data() : nullptr},
+      dctx.data().data(), heads * dk, dqkv.data().data(), row, dk_rows, dv_rows};
+  tensor::attention_backward(
+      {&g, 1}, {heads, dk, 3 * dk, 1.0f / std::sqrt(static_cast<float>(dk)), causal});
+  return dqkv;
+}
+
+/// The node chain attention_backward_rows() replaces, reading the P and
+/// P ⊙ mask ([heads, s, s]; P itself without a mask) its forward saved:
+/// split q/k/v and dctx into [heads, s, dk] copies -> bmm_nt / bmm_tn /
+/// mul / softmax_backward·scale / bmm / bmm_tn -> merge into d qkv rows.
+inline tensor::Tensor attention_backward_composed(
+    const tensor::Tensor& qkv, const tensor::Tensor& dctx,
+    const tensor::Tensor& probs, const tensor::Tensor& probs_dropped,
+    const tensor::Tensor* mask, std::int64_t heads) {
+  const std::int64_t s = qkv.dim(0), dk = qkv.dim(1) / (3 * heads);
+  const tensor::Tensor split = qkv.view({s, heads, 3 * dk}).permute({1, 0, 2});
+  const tensor::Tensor q = split.slice(-1, 0, dk);
+  const tensor::Tensor k = split.slice(-1, dk, dk);
+  const tensor::Tensor v = split.slice(-1, 2 * dk, dk);
+  const tensor::Tensor dout = dctx.view({s, heads, dk}).permute({1, 0, 2});
+  tensor::Tensor dp = tensor::bmm_nt(dout, v);
+  const tensor::Tensor dv = tensor::bmm_tn(probs_dropped, dout);
+  if (mask != nullptr) dp = tensor::mul(dp, *mask);
+  tensor::Tensor ds = tensor::softmax_backward(probs, dp);
+  tensor::scale_(ds, 1.0f / std::sqrt(static_cast<float>(dk)));
+  return tensor::concat({tensor::bmm(ds, k), tensor::bmm_tn(ds, q), dv}, -1)
+      .permute({1, 0, 2})
+      .view({s, 3 * heads * dk});
 }
 
 inline void header(const char* id, const char* title) {

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,8 +170,9 @@ struct SweepResult {
   std::string op;
   std::vector<std::int64_t> shape;
   std::size_t threads;
-  double ms;
+  double ms;  ///< best of 5, or the median of alternating repeats
   double gflops;
+  double ms_min = -1.0, ms_p90 = -1.0;  ///< alternating repeats only
 };
 
 /// Best-of-N wall time of fn(), in seconds.
@@ -191,6 +194,36 @@ SweepResult sweep_entry(const std::string& op, std::vector<std::int64_t> shape,
   return SweepResult{op, std::move(shape), threads, secs * 1e3, flops / secs / 1e9};
 }
 
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
+  return v[std::clamp<std::size_t>(rank, 1, v.size()) - 1];
+}
+
+/// Ops that replace one another, timed alternately inside each of 7 repeats
+/// after one warm-up round, so host drift lands on all of them alike; each
+/// row records the median, min and p90 of its repeats.
+void sweep_alternating(
+    std::vector<std::pair<std::string, std::function<void()>>> ops,
+    const std::vector<std::int64_t>& shape, std::size_t threads, double flops,
+    std::vector<SweepResult>& results) {
+  constexpr int kRepeats = 7;
+  std::vector<std::vector<double>> secs(ops.size());
+  for (auto& op : ops) op.second();
+  for (int r = 0; r < kRepeats; ++r) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      secs[i].push_back(time_best(ops[i].second, 1));
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const double median = quantile(secs[i], 0.5);
+    results.push_back(SweepResult{ops[i].first, shape, threads, median * 1e3,
+                                  flops / median / 1e9, quantile(secs[i], 0.0) * 1e3,
+                                  quantile(secs[i], 0.9) * 1e3});
+  }
+}
+
 void write_json(const std::vector<SweepResult>& results, double speedup_1t,
                 double speedup_4t, double bf16_speedup_1t) {
   std::FILE* f = std::fopen("BENCH_tensor_ops.json", "w");
@@ -210,8 +243,12 @@ void write_json(const std::vector<SweepResult>& results, double speedup_1t,
       std::fprintf(f, "%s%lld", d == 0 ? "" : ", ",
                    static_cast<long long>(r.shape[d]));
     }
-    std::fprintf(f, "], \"threads\": %zu, \"ms\": %.3f, \"gflops\": %.2f}%s\n",
-                 r.threads, r.ms, r.gflops, i + 1 == results.size() ? "" : ",");
+    std::fprintf(f, "], \"threads\": %zu, \"ms\": %.3f, \"gflops\": %.2f", r.threads,
+                 r.ms, r.gflops);
+    if (r.ms_min >= 0.0) {
+      std::fprintf(f, ", \"ms_min\": %.3f, \"ms_p90\": %.3f", r.ms_min, r.ms_p90);
+    }
+    std::fprintf(f, "}%s\n", i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -314,6 +351,50 @@ void run_sweep() {
                                     benchmark::DoNotOptimize(
                                         bench::attention_composed(q, kk, vv));
                                   }));
+
+    // The attention backward at the training shape (8 heads, s = 128,
+    // dk = 64, causal), with and without a dropout mask, against the node
+    // chain it replaces, which reads the P (and P ⊙ mask) its forward saved.
+    // FLOPs are the chain's four products, 8·h·s²·dk.
+    constexpr std::int64_t kHeads = 8, kS = 128, kDk = 64;
+    const Tensor qkv = Tensor::randn({kS, 3 * kHeads * kDk}, rng);
+    const Tensor dctx = Tensor::randn({kS, kHeads * kDk}, rng);
+    Tensor mask({kHeads, kS, kS});
+    for (float& m : mask.data()) m = rng.next_bernoulli(0.1) ? 0.0f : 1.0f / 0.9f;
+    const Tensor split = qkv.view({kS, kHeads, 3 * kDk}).permute({1, 0, 2});
+    Tensor scores = tensor::scale(tensor::bmm_nt(split.slice(-1, 0, kDk),
+                                                 split.slice(-1, kDk, kDk)),
+                                  0.125f);
+    auto each_future_key = [&](Tensor& t, float x) {
+      for (std::int64_t h = 0; h < kHeads; ++h) {
+        for (std::int64_t i = 0; i < kS; ++i) {
+          for (std::int64_t j = i + 1; j < kS; ++j) t.at({h, i, j}) = x;
+        }
+      }
+    };
+    each_future_key(scores, -std::numeric_limits<float>::infinity());
+    // The forward wrote masked keys as exact zeros (not the subnormal
+    // exp(-87)/Σ softmax_lastdim leaves there).
+    Tensor probs = tensor::softmax_lastdim(scores);
+    each_future_key(probs, 0.0f);
+    const Tensor probs_dropped = tensor::mul(probs, mask);
+    const double bwd_flops = 8.0 * kHeads * kS * kS * kDk;
+    for (const bool dropout : {false, true}) {
+      const Tensor* m = dropout ? &mask : nullptr;
+      const std::string suffix = dropout ? "_dropout" : "";
+      sweep_alternating(
+          {{"attention_backward" + suffix,
+            [&] {
+              benchmark::DoNotOptimize(
+                  bench::attention_backward_rows(qkv, dctx, m, kHeads, true));
+            }},
+           {"attention_backward_composed" + suffix,
+            [&] {
+              benchmark::DoNotOptimize(bench::attention_backward_composed(
+                  qkv, dctx, probs, dropout ? probs_dropped : probs, m, kHeads));
+            }}},
+          {kHeads, kS, kDk}, threads, bwd_flops, results);
+    }
   }
   // Serving-decode GEMMs: m rows in flight times the [256 -> 768] QKV,
   // [256 -> 1024] fc1 and [1024 -> 256] fc2 weights of an h = 256 GPT (the

@@ -2,8 +2,8 @@
 
 // Builds LayerPlans from GptConfig (DESIGN.md §14). The builder emits the
 // canonical *unfused* per-block sequence — add_bias / dropout / add as
-// separate nodes, the attention softmax fused from the start (kAttention
-// forward, kScaleSoftmaxBwd backward) — and build_layer_plan then runs the
+// separate nodes, the attention core fused from the start (kAttention
+// forward, kAttentionBwd backward) — and build_layer_plan then runs the
 // planner passes: fusion (unless PlannerOptions turns it off), dtype
 // propagation and buffer planning. With `inference` the result is the decode
 // plan (§16): the evaluation forward with no backward.

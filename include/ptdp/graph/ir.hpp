@@ -6,8 +6,9 @@
 // table plus two topologically-ordered node lists (forward and backward)
 // whose nodes name existing tensor kernels, fused §4.2 kernels, or
 // tensor-parallel module calls (linear fwd/bwd, attention dropout-mask
-// draw). The forward attention core is one kAttention node (the
-// tensor::attention kernel) in every plan. The builder emits the canonical
+// draw). The attention core is one kAttention node forward and one
+// kAttentionBwd node backward (tensor::attention and
+// tensor::attention_backward) in every plan. The builder emits the canonical
 // *unfused* sequence from GptConfig; planner passes (passes.hpp) then fuse
 // operators, propagate §13 dtypes, and assign lifetime-planned buffer
 // slots. Activation recomputation is a plan transformation — the unified
@@ -38,12 +39,9 @@ inline constexpr ValueId kNoValue = -1;
 /// the unfused plans the §5.8 bench times) — the fusion pass rewrites them
 /// jointly across the forward and backward graphs.
 enum class OpKind : std::uint8_t {
-  // structural (metadata views + head split/merge copies)
+  // structural (metadata views)
   kView2D,             ///< [s,b,h] -> [s*b,h] (zero-copy)
   kView3D,             ///< [s*b,h] -> [s,b,h] (zero-copy)
-  kAttnSplitHeads,     ///< qkv [sb,3h_l] -> q,k,v each [b·a_l,s,dk] (backward)
-  kAttnSplitGradHeads, ///< dctx2d [sb,h_l] -> [b·a_l,s,dk]
-  kAttnMergeQkvGrad,   ///< dq,dk,dv -> dqkv [sb,3h_l]
   // tensor-parallel module calls (keep their internal GEMM+all-reduce order)
   kLinearFwd,          ///< out0 = y, out1 = cached gemm input
   kLinearBwd,          ///< in0 = dy, in1 = cached input; accumulates grads
@@ -51,28 +49,26 @@ enum class OpKind : std::uint8_t {
   // normalization
   kLayerNorm,          ///< out = y, mean, rstd
   kLayerNormBwd,       ///< accumulates dgamma/dbeta; out = dx
-  // primitive elementwise / GEMM
+  // primitive elementwise
   kAddBias,
   kGelu,
   kGeluBwd,
   kDropout,            ///< out0 = y, out1 = mask; site-keyed RNG
   kDropoutBwd,
   kAdd,
-  kMul,
-  kBmm,
-  kBmmNT,
-  kBmmTN,
   kBiasGradAccum,      ///< param.grad += bias_grad(in0)
   // fused kernels (§4.2)
   kFusedBiasGelu,
   kFusedBiasGeluBwd,
   kFusedBiasDropoutAdd,  ///< out0 = y, out1 = mask
-  kScaleSoftmaxBwd,      ///< attention's softmax backward, scaled (canonical)
   // the attention core (tensor::attention): in = qkv rows [sb,3h_l]
-  // [, prob mask]; out = context rows [sb,h_l], probs [, probs ⊙ mask].
-  // With ExecContext::kv set it writes each sequence's new K/V rows to the
-  // store and attends over the store's rows (§16).
+  // [, prob mask]; out = context rows [sb,h_l]. With ExecContext::kv set it
+  // writes each sequence's new K/V rows to the store and attends over the
+  // store's rows (§16).
   kAttention,
+  // its backward (tensor::attention_backward, P recomputed): in = qkv rows,
+  // d context rows [sb,h_l] [, prob mask]; out = d qkv rows [sb,3h_l].
+  kAttentionBwd,
 };
 
 /// Stable span/dump name for an op ("graph.layernorm", ...). Static storage;
@@ -103,7 +99,7 @@ struct Node {
   std::int8_t param2 = -1;  ///< second param (layernorm beta)
   model::DropSite site = model::DropSite::kEmbedding;  ///< RNG site for dropout kinds
   float scale = 0.0f;       ///< attention softmax scale
-  bool causal = false;      ///< kAttention mask
+  bool causal = false;      ///< kAttention / kAttentionBwd mask
 };
 
 /// One tensor in the plan. Shape is symbolic (for dumps) plus a concrete

@@ -16,8 +16,8 @@ namespace ptdp::graph {
 ///   add_bias + [dropout] + add     -> fused_bias_dropout_add
 ///   add_bias + gelu                -> fused_bias_gelu      (+ backward pair
 ///   gelu_bwd + bias_grad_accum     -> fused_bias_gelu_bwd)
-/// The attention softmax needs no pass: the canonical plan runs it fused
-/// (kAttention forward, kScaleSoftmaxBwd backward).
+/// The attention core needs no pass: the canonical plan runs it fused
+/// (kAttention forward, kAttentionBwd backward).
 /// A pattern is legal only when its intermediate values are single-use,
 /// not pinned, and not live into the other graph (except values the fused
 /// kernel itself re-materializes, e.g. the pre-GeLU sum). Returns the number

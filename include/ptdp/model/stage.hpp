@@ -92,9 +92,9 @@ class GptStage {
   Param* word_embedding_param();
 
   /// Inference path: full-vocabulary logits [s*b, V] for `tokens`
-  /// ([s*b] sequence-major). Requires a whole-model stage (embedding +
-  /// head) and dropout disabled; see model/generate.hpp for the sampling
-  /// loop built on top.
+  /// ([s*b] sequence-major), through every layer's decode plan without a
+  /// KV store. Requires a whole-model stage (embedding + head) and dropout
+  /// disabled; see model/generate.hpp for the sampling loop built on top.
   tensor::Tensor logits(std::span<const std::int32_t> tokens, std::int64_t s,
                         std::int64_t b);
 

@@ -105,8 +105,10 @@ Tensor softmax_backward(const Tensor& y, const Tensor& dy);
 //
 // The paper fuses (a) bias+GeLU, (b) bias+dropout+add, and (c)
 // scale+mask+softmax to keep the operator graph compute-bound. (c) lives
-// inside attention() below, which fuses both attention GEMMs around it; the
-// unfused compositions exist above so benches can measure the win.
+// inside attention() and attention_backward() below, which fuse the
+// attention GEMMs around it (the backward recomputes P rather than reading
+// a saved copy); the unfused compositions exist above so benches can
+// measure the win.
 
 /// y = GeLU(x + bias). x is [..., n], bias [n].
 Tensor fused_bias_gelu(const Tensor& x, const Tensor& bias);
@@ -123,17 +125,13 @@ Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
                               const Tensor& residual, float p, Rng& rng,
                               Tensor* mask);
 
-/// Backward of attention's scaled softmax: dScores = scale *
-/// softmax_backward(y, dy), with masked positions already zero in y.
-Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl);
-
 // ---- attention -----------------------------------------------------------------
 
 /// Where one sequence of an attention() call reads and writes. Head h of
 /// query row i (i < m) is the dk floats at q + i·q_stride + h·q_head_stride
 /// (the call's); head h of key (value) position j < len = k.size() is at
 /// k[j] + h·kv_head_stride (v[j] + ...); head h of context row i goes to
-/// out + i·out_stride + h·dk. The optional outputs are [heads, m, len].
+/// out + i·out_stride + h·dk. The optional dropout mask is [heads, m, len].
 struct AttentionSeq {
   const float* q = nullptr;
   std::int64_t q_stride = 0;
@@ -143,9 +141,7 @@ struct AttentionSeq {
   std::int64_t kv_head_stride = 0;
   float* out = nullptr;
   std::int64_t out_stride = 0;
-  float* probs = nullptr;            ///< P, masked keys 0 (optional)
   const float* drop_mask = nullptr;  ///< applied to P before P·V (optional)
-  float* probs_dropped = nullptr;    ///< P ⊙ drop_mask (with drop_mask)
 };
 
 struct AttentionShape {
@@ -161,6 +157,32 @@ struct AttentionShape {
 /// fixed arithmetic order, so an m-row call at offset pos equals rows
 /// [pos, pos + m) of the full call bit for bit at any thread count.
 void attention(std::span<const AttentionSeq> seqs, const AttentionShape& shape);
+
+/// Gradients of one attention() sequence: `seq` is the forward's (its `out`
+/// unused), dO rows are laid out like its context rows, dQ rows like its
+/// query rows (head h of row i at dq + i·dq_stride + h·q_head_stride), and
+/// dK (dV) of position j goes to dk[j] + h·kv_head_stride (dv[j] + ...).
+/// Every dQ/dK/dV head is overwritten; no two positions may share a row.
+struct AttentionGradSeq {
+  AttentionSeq seq;
+  const float* dout = nullptr;
+  std::int64_t dout_stride = 0;
+  float* dq = nullptr;
+  std::int64_t dq_stride = 0;
+  std::span<float* const> dk, dv;
+};
+
+/// The backward of attention() in two deterministic phases, with P
+/// recomputed by the forward's own arithmetic (bitwise the P the forward
+/// used) instead of read from a saved copy. Phase 1, per (sequence, head,
+/// query block): dP_i = dO_i·Vᵀ, dS_i = scale·P_i ⊙ (dP_i ⊙ mask −
+/// Σ_j P_ij (dP ⊙ mask)_ij) and dq_i = Σ_j dS_ij k_j, j ascending. Phase 2,
+/// per (sequence, head, key block): dk_j = Σ_i dS_ij q_i and
+/// dv_j = Σ_i (P ⊙ mask)_ij dO_i, i ascending. Each output element is
+/// written by one task in one fixed order, so results are bitwise equal at
+/// any thread count.
+void attention_backward(std::span<const AttentionGradSeq> seqs,
+                        const AttentionShape& shape);
 
 // ---- embedding -----------------------------------------------------------------
 

@@ -77,16 +77,8 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   const ValueId ln1_rstd = e.val("ln1.rstd", "[s*b]", s);
   const ValueId qkv_cin = e.val("attn.qkv.cached_input", "[s*b,h]", s * h);
   const ValueId qkv_out = e.val("attn.qkv.out", "[s*b,3h/t]", s * 3 * hl);
-  const ValueId q = e.val("attn.q", "[b*a/t,s,dk]", s * hl);
-  const ValueId k = e.val("attn.k", "[b*a/t,s,dk]", s * hl);
-  const ValueId v = e.val("attn.v", "[b*a/t,s,dk]", s * hl);
-  const std::int64_t score_elems = e.heads_l() * s * s;
-  const ValueId probs = e.val("attn.probs", "[b*a/t,s,s]", score_elems);
-  const ValueId pmask =
-      e.val("attn.prob_mask", "[b*a/t,s,s]", with_dropout ? score_elems : 0);
-  const ValueId probs_dropped =
-      with_dropout ? e.val("attn.probs_dropped", "[b*a/t,s,s]", score_elems)
-                   : probs;
+  const ValueId pmask = e.val("attn.prob_mask", "[b*a/t,s,s]",
+                              with_dropout ? e.heads_l() * s * s : 0);
   const ValueId ctx2d = e.val("attn.ctx2d", "[s*b,h/t]", s * hl);
   const ValueId proj_cin = e.val("attn.proj.cached_input", "[s*b,h/t]", s * hl);
   const ValueId attn_out = e.val("attn.out", "[s*b,h]", s * h);
@@ -125,16 +117,6 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   const ValueId db1 =
       with_dropout ? e.val("d_resid1.biased", "[s*b,h]", s * h) : dh1;
   const ValueId dctx2d = e.val("d_attn.ctx2d", "[s*b,h/t]", s * hl);
-  const ValueId dctx = e.val("d_attn.ctx", "[b*a/t,s,dk]", s * hl);
-  const ValueId dp_dropped =
-      e.val("d_attn.probs_dropped", "[b*a/t,s,s]", score_elems);
-  const ValueId dv = e.val("d_attn.v", "[b*a/t,s,dk]", s * hl);
-  const ValueId dprobs =
-      with_dropout ? e.val("d_attn.probs", "[b*a/t,s,s]", score_elems)
-                   : dp_dropped;
-  const ValueId dscores = e.val("d_attn.scores", "[b*a/t,s,s]", score_elems);
-  const ValueId dq = e.val("d_attn.q", "[b*a/t,s,dk]", s * hl);
-  const ValueId dk = e.val("d_attn.k", "[b*a/t,s,dk]", s * hl);
   const ValueId dqkv = e.val("d_attn.qkv", "[s*b,3h/t]", s * 3 * hl);
   const ValueId dln1y = e.val("d_ln1.y", "[s*b,h]", s * h);
   const ValueId dln1x = e.val("d_ln1.x", "[s*b,h]", s * h);
@@ -158,10 +140,9 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
       L(LinearSlot::kQkv);
   if (with_dropout) e.node(F, OpKind::kAttnProbMask, {}, {pmask});
   {
-    // qkv rows in, context rows out; P (and P ⊙ mask) saved for backward.
-    Node& n = e.node(F, OpKind::kAttention, {qkv_out}, {ctx2d, probs});
+    // qkv rows in, context rows out; the backward recomputes P.
+    Node& n = e.node(F, OpKind::kAttention, {qkv_out}, {ctx2d});
     if (with_dropout) n.in.push_back(pmask);
-    if (with_dropout) n.out.push_back(probs_dropped);
     n.scale = smax_scale;
     n.causal = config.causal;
   }
@@ -224,16 +205,13 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   e.node(B, OpKind::kBiasGradAccum, {db1}, {}).param = P(ParamSlot::kProjBias);
   e.node(B, OpKind::kLinearBwd, {db1, proj_cin}, {dctx2d}).linear =
       L(LinearSlot::kProj);
-  e.node(B, OpKind::kAttnSplitHeads, {qkv_out}, {q, k, v});
-  e.node(B, OpKind::kAttnSplitGradHeads, {dctx2d}, {dctx});
-  e.node(B, OpKind::kBmmNT, {dctx, v}, {dp_dropped});
-  e.node(B, OpKind::kBmmTN, {probs_dropped, dctx}, {dv});
-  if (with_dropout) e.node(B, OpKind::kMul, {dp_dropped, pmask}, {dprobs});
-  e.node(B, OpKind::kScaleSoftmaxBwd, {probs, dprobs}, {dscores}).scale =
-      smax_scale;
-  e.node(B, OpKind::kBmm, {dscores, k}, {dq});
-  e.node(B, OpKind::kBmmTN, {dscores, q}, {dk});
-  e.node(B, OpKind::kAttnMergeQkvGrad, {dq, dk, dv}, {dqkv});
+  {
+    // d context rows in, d qkv rows out, straight into the QKV linear.
+    Node& n = e.node(B, OpKind::kAttentionBwd, {qkv_out, dctx2d}, {dqkv});
+    if (with_dropout) n.in.push_back(pmask);
+    n.scale = smax_scale;
+    n.causal = config.causal;
+  }
   e.node(B, OpKind::kLinearBwd, {dqkv, qkv_cin}, {dln1y}).linear =
       L(LinearSlot::kQkv);
   {

@@ -6,9 +6,6 @@ const char* op_name(OpKind kind) {
   switch (kind) {
     case OpKind::kView2D: return "graph.view2d";
     case OpKind::kView3D: return "graph.view3d";
-    case OpKind::kAttnSplitHeads: return "graph.attn_split_heads";
-    case OpKind::kAttnSplitGradHeads: return "graph.attn_split_grad_heads";
-    case OpKind::kAttnMergeQkvGrad: return "graph.attn_merge_qkv_grad";
     case OpKind::kLinearFwd: return "graph.linear_fwd";
     case OpKind::kLinearBwd: return "graph.linear_bwd";
     case OpKind::kAttnProbMask: return "graph.attn_prob_mask";
@@ -20,16 +17,12 @@ const char* op_name(OpKind kind) {
     case OpKind::kDropout: return "graph.dropout";
     case OpKind::kDropoutBwd: return "graph.dropout_bwd";
     case OpKind::kAdd: return "graph.add";
-    case OpKind::kMul: return "graph.mul";
-    case OpKind::kBmm: return "graph.bmm";
-    case OpKind::kBmmNT: return "graph.bmm_nt";
-    case OpKind::kBmmTN: return "graph.bmm_tn";
     case OpKind::kBiasGradAccum: return "graph.bias_grad_accum";
     case OpKind::kFusedBiasGelu: return "graph.fused_bias_gelu";
     case OpKind::kFusedBiasGeluBwd: return "graph.fused_bias_gelu_bwd";
     case OpKind::kFusedBiasDropoutAdd: return "graph.fused_bias_dropout_add";
-    case OpKind::kScaleSoftmaxBwd: return "graph.scale_softmax_bwd";
     case OpKind::kAttention: return "graph.attention";
+    case OpKind::kAttentionBwd: return "graph.attention_bwd";
   }
   return "graph.unknown";
 }

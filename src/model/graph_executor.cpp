@@ -37,14 +37,6 @@ struct Runner {
                            node.site);
   }
 
-  /// Rows [s·b, a_l·w] as heads [b·a_l, s, w] (a copy).
-  Tensor split_heads(const Tensor& rows, std::int64_t w) const {
-    const std::int64_t al = bind.attn->heads_local();
-    return rows.view({ctx.s, ctx.b, al, w})
-        .permute({1, 2, 0, 3})
-        .view({ctx.b * al, ctx.s, w});
-  }
-
   void exec(const Node& n) {
     namespace ts = ptdp::tensor;
     switch (n.kind) {
@@ -99,24 +91,6 @@ struct Runner {
         }
         break;
       }
-      case OpKind::kAttnSplitHeads: {
-        const std::int64_t dk = bind.attn->head_dim();
-        const Tensor qkv = split_heads(at(n.in[0]), 3 * dk);
-        for (int i = 0; i < 3; ++i) at(n.out[i]) = qkv.slice(-1, i * dk, dk);
-        break;
-      }
-      case OpKind::kAttnSplitGradHeads:
-        at(n.out[0]) = split_heads(at(n.in[0]), bind.attn->head_dim());
-        break;
-      case OpKind::kAttnMergeQkvGrad: {
-        const std::int64_t al = bind.attn->heads_local();
-        const std::int64_t dk = bind.attn->head_dim();
-        at(n.out[0]) = ts::concat({at(n.in[0]), at(n.in[1]), at(n.in[2])}, -1)
-                           .view({ctx.b, al, ctx.s, 3 * dk})
-                           .permute({2, 0, 1, 3})
-                           .view({ctx.s * ctx.b, 3 * al * dk});
-        break;
-      }
       case OpKind::kAttnProbMask:
         at(n.out[0]) = bind.attn->make_prob_dropout_mask(ctx.b, ctx.mb_tag);
         break;
@@ -139,18 +113,6 @@ struct Runner {
         break;
       case OpKind::kAdd:
         at(n.out[0]) = ts::add(at(n.in[0]), at(n.in[1]));
-        break;
-      case OpKind::kMul:
-        at(n.out[0]) = ts::mul(at(n.in[0]), at(n.in[1]));
-        break;
-      case OpKind::kBmm:
-        at(n.out[0]) = ts::bmm(at(n.in[0]), at(n.in[1]));
-        break;
-      case OpKind::kBmmNT:
-        at(n.out[0]) = ts::bmm_nt(at(n.in[0]), at(n.in[1]));
-        break;
-      case OpKind::kBmmTN:
-        at(n.out[0]) = ts::bmm_tn(at(n.in[0]), at(n.in[1]));
         break;
       case OpKind::kBiasGradAccum:
         ts::add_(param(bind, n.param).grad, ts::bias_grad(at(n.in[0])));
@@ -176,21 +138,54 @@ struct Runner {
       case OpKind::kAttention:
         attention(n);
         break;
-      case OpKind::kScaleSoftmaxBwd:
-        at(n.out[0]) = ts::fused_scale_softmax_backward(at(n.in[0]), at(n.in[1]),
-                                                        n.scale);
+      case OpKind::kAttentionBwd:
+        attention_backward(n);
         break;
     }
+  }
+
+  /// The b sequences of the [s, b] microbatch over its qkv rows [s·b, 3·h_l]
+  /// (per row [a_l][q|k|v][dk]): row i·b + bi is position i of sequence bi,
+  /// which is entry bi·s + i of the row tables `k` and `v` (and of
+  /// position(r) for row r). `mask` is the [b·a_l, s, s] prob mask or null;
+  /// `out`, if not null, the context rows [s·b, h_l].
+  std::vector<tensor::AttentionSeq> microbatch_seqs(
+      const Tensor& qkv, const Tensor* mask, float* out,
+      std::vector<const float*>& k, std::vector<const float*>& v) const {
+    const std::int64_t al = bind.attn->heads_local();
+    const std::int64_t dk = bind.attn->head_dim();
+    const std::int64_t s = ctx.s, b = ctx.b, hl = al * dk, row = 3 * hl;
+    PTDP_CHECK_EQ(s * b, qkv.dim(0));
+    const float* q = qkv.data().data();
+    k.resize(static_cast<std::size_t>(s * b));
+    v.resize(k.size());
+    for (std::int64_t r = 0; r < s * b; ++r) {
+      k[position(r)] = q + r * row + dk;
+      v[position(r)] = q + r * row + 2 * dk;
+    }
+    std::vector<tensor::AttentionSeq> seqs;
+    for (std::int64_t bi = 0; bi < b; ++bi) {
+      seqs.push_back({q + bi * row, b * row, s, 0, std::span(k).subspan(bi * s, s),
+                      std::span(v).subspan(bi * s, s), 3 * dk,
+                      out != nullptr ? out + bi * hl : nullptr, b * hl});
+      if (mask != nullptr) {
+        seqs.back().drop_mask = mask->data().data() + bi * al * s * s;
+      }
+    }
+    return seqs;
+  }
+  std::size_t position(std::int64_t r) const {
+    return static_cast<std::size_t>(r % ctx.b * ctx.s + r / ctx.b);
   }
 
   /// kAttention (DESIGN.md §14, §16): qkv rows [rows, 3·h_l], per row
   /// [a_l][q|k|v][dk], in; context rows [rows, h_l] out, through
   /// tensor::attention. Training and evaluation attend within each sequence
-  /// of the [s, b] microbatch, K/V read in the qkv rows themselves, and save
-  /// P (and P ⊙ mask) when the backward reads them. With ctx.kv set, each
-  /// sequence of ctx.seqs first appends its new K/V rows to the store and
-  /// then attends over the store's rows: the same bytes through the same
-  /// kernel, so decode is bitwise the full forward.
+  /// of the [s, b] microbatch, K/V read in the qkv rows themselves; nothing
+  /// but the context is written (the backward recomputes P). With ctx.kv
+  /// set, each sequence of ctx.seqs first appends its new K/V rows to the
+  /// store and then attends over the store's rows: the same bytes through
+  /// the same kernel, so decode is bitwise the full forward.
   void attention(const Node& n) {
     const Tensor& qkv = at(n.in[0]);
     const std::int64_t al = bind.attn->heads_local();
@@ -224,37 +219,41 @@ struct Runner {
       }
       PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";
     } else {
-      // Row i·b + bi of the microbatch is position i of sequence bi. P
-      // (and P ⊙ mask) is written only when the backward reads it.
-      const std::int64_t s = ctx.s, b = ctx.b;
-      PTDP_CHECK_EQ(s * b, rows);
-      k.resize(static_cast<std::size_t>(rows));
-      v.resize(k.size());
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const auto t = static_cast<std::size_t>(r % b * s + r / b);
-        k[t] = q + r * 3 * hl + dk;
-        v[t] = k[t] + dk;
-      }
-      const bool save_p = plan.values[static_cast<std::size_t>(n.out[1])].last_use >= 0;
-      const bool dropout = n.in.size() > 1;
-      for (std::size_t i = 1; save_p && i < n.out.size(); ++i) {
-        at(n.out[i]) = Tensor::empty({b * al, s, s});
-      }
-      auto slab = [&](Tensor& t, std::int64_t bi) {
-        return t.data().data() + bi * al * s * s;
-      };
-      for (std::int64_t bi = 0; bi < b; ++bi) {
-        seqs.push_back({q + bi * 3 * hl, b * 3 * hl, s, 0,
-                        std::span(k).subspan(bi * s, s),
-                        std::span(v).subspan(bi * s, s), 3 * dk, o + bi * hl, b * hl,
-                        save_p ? slab(at(n.out[1]), bi) : nullptr,
-                        dropout ? slab(at(n.in[1]), bi) : nullptr,
-                        save_p && dropout ? slab(at(n.out[2]), bi) : nullptr});
-      }
+      seqs = microbatch_seqs(qkv, n.in.size() > 1 ? &at(n.in[1]) : nullptr, o, k, v);
     }
     tensor::attention(seqs, {al, dk, 3 * dk, n.scale, n.causal});
     for (model::KvRows& kr : kv_rows) kr.scratch_k = kr.scratch_v = Tensor();
     at(n.out[0]) = out;
+  }
+
+  /// kAttentionBwd (DESIGN.md §8, §14): qkv rows, d context rows [rows, h_l]
+  /// and, with dropout, the prob mask in; d qkv rows [rows, 3·h_l] out, laid
+  /// out like the qkv rows, which is what the QKV linear's backward takes.
+  void attention_backward(const Node& n) {
+    const Tensor& qkv = at(n.in[0]);
+    const std::int64_t al = bind.attn->heads_local();
+    const std::int64_t dk = bind.attn->head_dim();
+    const std::int64_t s = ctx.s, b = ctx.b, hl = al * dk;
+    std::vector<const float*> k, v;
+    const std::vector<tensor::AttentionSeq> seqs =
+        microbatch_seqs(qkv, n.in.size() > 2 ? &at(n.in[2]) : nullptr, nullptr, k, v);
+    Tensor dqkv = Tensor::empty(qkv.shape());
+    float* d = dqkv.data().data();
+    std::vector<float*> dk_rows(k.size()), dv_rows(k.size());
+    for (std::int64_t r = 0; r < s * b; ++r) {
+      dk_rows[position(r)] = d + r * 3 * hl + dk;
+      dv_rows[position(r)] = d + r * 3 * hl + 2 * dk;
+    }
+    const float* dctx = at(n.in[1]).data().data();
+    std::vector<tensor::AttentionGradSeq> grads;
+    for (std::int64_t bi = 0; bi < b; ++bi) {
+      grads.push_back({seqs[static_cast<std::size_t>(bi)], dctx + bi * hl, b * hl,
+                       d + bi * 3 * hl, b * 3 * hl,
+                       std::span(dk_rows).subspan(bi * s, s),
+                       std::span(dv_rows).subspan(bi * s, s)});
+    }
+    tensor::attention_backward(grads, {al, dk, 3 * dk, n.scale, n.causal});
+    at(n.out[0]) = dqkv;
   }
 
   /// Executes unified nodes [from, to), releasing each slot at its planned

@@ -98,9 +98,14 @@ tensor::Tensor GptStage::logits(std::span<const std::int32_t> tokens, std::int64
   PTDP_CHECK_EQ(config_.dropout, 0.0f) << "disable dropout for inference";
   EmbeddingCache ecache;
   Tensor act = embedding_->forward(tokens, s, b, ecache, /*mb_tag=*/0);
+  // The inference plan decode runs, without a KV store: no backward reads
+  // anything, so every value dies at its last forward use.
+  const graph::ExecContext ctx{s, b, /*mb_tag=*/0, /*dropout=*/0.0f};
   for (auto& layer : layers_) {
-    LayerCache lcache;
-    act = layer->forward(act, lcache, /*mb_tag=*/0);
+    LayerCache frame;
+    frame.begin(layer->decode_plan(), act);
+    act = graph::SequentialExecutor::run_forward(layer->decode_plan(), frame,
+                                                 layer->binding(), ctx);
   }
   return head_->full_logits(act);
 }

@@ -1214,10 +1214,26 @@ LayerNormGrads layernorm_backward(const Tensor& dy, const Tensor& x,
 
 namespace {
 
+// f(r, j) for every j < lim[r] in ascending j, the R rows' chains
+// interleaved, lim ascending in r: the keys every row sees (constant row
+// bounds keep per-row state in registers), then the ragged end.
+template <int R, class F>
+inline void each_key(const std::int64_t* lim, F&& f) {
+  std::int64_t j = 0;
+  for (; j < lim[0]; ++j) {
+    for (int r = 0; r < R; ++r) f(r, j);
+  }
+  for (int r0 = 1; r0 < R; ++r0) {
+    for (; j < lim[r0]; ++j) {
+      for (int r = r0; r < R; ++r) f(r, j);
+    }
+  }
+}
+
 // p[r][0, lim[r]) = softmax(scale · p[r][0, lim[r])), p[r][lim[r], len) = 0,
 // lim ascending in r (causal: row r sees one key more than row r - 1).
-// Each row's max and sum run in ascending j, the R rows' chains
-// interleaved; the exps are elementwise (the tail in zero-padded lanes).
+// Each row's max and sum run in ascending j; the exps are elementwise (the
+// tail in zero-padded lanes).
 template <int R>
 void softmax_rows(float* const* p, const std::int64_t* lim, std::int64_t len,
                   float scl) {
@@ -1226,20 +1242,8 @@ void softmax_rows(float* const* p, const std::int64_t* lim, std::int64_t len,
     mx[r] = -std::numeric_limits<float>::infinity();
     denom[r] = 0.0f;
   }
-  // f(r, j) in ascending j: the keys every row sees (constant row bounds
-  // keep mx and denom in registers), then the ragged end.
-  auto each_key = [&](auto&& f) {
-    std::int64_t j = 0;
-    for (; j < lim[0]; ++j) {
-      for (int r = 0; r < R; ++r) f(r, j);
-    }
-    for (int r0 = 1; r0 < R; ++r0) {
-      for (; j < lim[r0]; ++j) {
-        for (int r = r0; r < R; ++r) f(r, j);
-      }
-    }
-  };
-  each_key([&](int r, std::int64_t j) { mx[r] = std::max(mx[r], scl * p[r][j]); });
+  each_key<R>(lim,
+              [&](int r, std::int64_t j) { mx[r] = std::max(mx[r], scl * p[r][j]); });
   for (int r = 0; r < R; ++r) {
     for (std::int64_t j = 0; j < lim[r]; j += kNR) {
 #if PTDP_GEMM_VEC
@@ -1252,7 +1256,7 @@ void softmax_rows(float* const* p, const std::int64_t* lim, std::int64_t len,
 #endif
     }
   }
-  each_key([&](int r, std::int64_t j) { denom[r] += p[r][j]; });
+  each_key<R>(lim, [&](int r, std::int64_t j) { denom[r] += p[r][j]; });
   for (int r = 0; r < R; ++r) {
     const float inv = 1.0f / denom[r];
     for (std::int64_t j = 0; j < lim[r]; ++j) p[r][j] *= inv;
@@ -1395,12 +1399,6 @@ Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
   return out;
 }
 
-Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl) {
-  Tensor dx = softmax_backward(y, dy);
-  scale_(dx, scl);
-  return dx;
-}
-
 // ---- attention -----------------------------------------------------------------
 //
 // The one attention body (DESIGN.md §8): training and evaluation read K/V
@@ -1409,12 +1407,13 @@ Tensor fused_scale_softmax_backward(const Tensor& y, const Tensor& dy, float scl
 // order whatever its query block, task or thread: s_ij sums kNR lanes over
 // dk in one tree (lane_sums); the softmax's max, sum and normalization run
 // in ascending j; o_i = Σ_j p_ij v_j runs j ascending, kAttnRows rows per
-// V row load with independent accumulators.
+// V row load with independent accumulators. attention_backward is built
+// from the same three steps.
 
 namespace {
 
-constexpr int kAttnRows = 4;               // query rows per V row load
-constexpr std::int64_t kAttnBlock = 32;    // query rows per task
+constexpr int kAttnRows = 4;               // output rows per V row load
+constexpr std::int64_t kAttnBlock = 32;    // query rows per task (phase 2: keys)
 constexpr std::int64_t kAttnGrainFlops = 1 << 18;
 
 // Lane i of the result adds lanes (i / W)·2W + i % W and that + W of the
@@ -1467,30 +1466,34 @@ void attend_scores(const float* q, std::int64_t dk,
   }
 }
 
-// o[r][c0·kNR, c0·kNR + C·n) = Σ_j p[r][j] v_j, j < lim[r] ascending, over
-// C chunks of n lanes (n < kNR only for the ragged last chunk, C = 1).
-template <int R, int C>
-void attend_values(std::span<const float* const> v, std::int64_t off,
-                   std::int64_t c0, std::int64_t n, float* const* p,
-                   const std::int64_t* lim, float* const* o) {
+// o[r][c0·kNR, c0·kNR + C·n) = Σ_j p[r][j] v_j over j ∈ [lo[r], hi[r])
+// ascending, v_j = v(j), over C chunks of n lanes (n < kNR only for the
+// ragged last chunk, C = 1). lo and hi ascend in r, and lo[R - 1] <= hi[0].
+template <int R, int C, class Rows>
+void attend_value_chunks(Rows v, std::int64_t c0, std::int64_t n,
+                         const float* const* p, const std::int64_t* lo,
+                         const std::int64_t* hi, float* const* o) {
   VecNR acc[R][C];
   for (int r = 0; r < R; ++r) {
     for (int c = 0; c < C; ++c) acc[r][c] = VecNR{};
   }
-  auto step = [&](std::int64_t j, int r0) {
-    const float* vj = v[static_cast<std::size_t>(j)] + off + c0 * kNR;
+  auto step = [&](std::int64_t j, int r0, int r1) {
+    const float* vj = v(j) + c0 * kNR;
     VecNR vc[C];
     for (int c = 0; c < C; ++c) vc[c] = load_lanes(vj + c * kNR, C > 1 ? kNR : n);
-    for (int r = r0; r < R; ++r) {
+    for (int r = r0; r < r1; ++r) {
       for (int c = 0; c < C; ++c) acc[r][c] += p[r][j] * vc[c];
     }
   };
-  // The keys every row sees, then the ragged end (a constant r0 = 0 keeps
-  // the accumulators of the hot loop in registers).
-  std::int64_t j = 0;
-  for (; j < lim[0]; ++j) step(j, 0);
+  // Rows join one by one, run side by side (constant bounds keep the
+  // accumulators of the hot loop in registers), then leave one by one.
+  std::int64_t j = lo[0];
+  for (int r1 = 1; r1 < R; ++r1) {
+    for (; j < lo[r1]; ++j) step(j, 0, r1);
+  }
+  for (; j < hi[0]; ++j) step(j, 0, R);
   for (int r0 = 1; r0 < R; ++r0) {
-    for (; j < lim[r0]; ++j) step(j, r0);
+    for (; j < hi[r0]; ++j) step(j, r0, R);
   }
   for (int r = 0; r < R; ++r) {
     for (int c = 0; c < C; ++c) {
@@ -1499,86 +1502,242 @@ void attend_values(std::span<const float* const> v, std::int64_t off,
   }
 }
 
-// Query rows [i, i + R) of head h of one sequence. Without a probs output
-// the P rows live in `scratch` (R·len floats).
+// attend_value_chunks over all dk lanes, 4 chunks per V row load.
+template <int R, class Rows>
+void attend_values(Rows v, std::int64_t dk, const float* const* p,
+                   const std::int64_t* lo, const std::int64_t* hi, float* const* o) {
+  std::int64_t c = 0;
+  for (; c + 4 <= dk / kNR; c += 4) attend_value_chunks<R, 4>(v, c, kNR, p, lo, hi, o);
+  for (; c * kNR < dk; ++c) {
+    attend_value_chunks<R, 1>(v, c, std::min(kNR, dk - c * kNR), p, lo, hi, o);
+  }
+}
+
+// Row j of table t, offset by `off` floats (one head's K or V rows).
+auto head_rows(std::span<const float* const> t, std::int64_t off) {
+  return [t, off](std::int64_t j) { return t[static_cast<std::size_t>(j)] + off; };
+}
+
+// P rows [i, i + R) of head h, before dropout, into p[r]: row r sees keys
+// [0, lim[r]) and is 0 past them. The forward and the backward both take P
+// from here, so the backward's P is bitwise the forward's.
+template <int R>
+void attend_probs(const AttentionSeq& sq, const AttentionShape& sh,
+                  std::int64_t h, std::int64_t i, std::int64_t* lim,
+                  float* const* p) {
+  const auto len = static_cast<std::int64_t>(sq.k.size());
+  for (int r = 0; r < R; ++r) {
+    lim[r] = sh.causal ? sq.pos + i + r + 1 : len;
+    attend_scores(sq.q + (i + r) * sq.q_stride + h * sh.q_head_stride, sh.dk,
+                  sq.k, h * sq.kv_head_stride, lim[r], p[r]);
+  }
+  softmax_rows<R>(p, lim, len, sh.scale);
+}
+
+// The dropout mask row of query i + r, head h, or null.
+const float* mask_row(const AttentionSeq& sq, std::int64_t h, std::int64_t i) {
+  if (sq.drop_mask == nullptr) return nullptr;
+  return sq.drop_mask + (h * sq.m + i) * static_cast<std::int64_t>(sq.k.size());
+}
+
+// Query rows [i, i + R) of head h of one sequence, the P rows in `scratch`
+// (R·len floats).
 template <int R>
 void attend_rows(const AttentionSeq& sq, const AttentionShape& sh,
                  std::int64_t h, std::int64_t i, float* scratch) {
-  const std::int64_t dk = sh.dk;
   const auto len = static_cast<std::int64_t>(sq.k.size());
-  const std::int64_t off = h * sq.kv_head_stride;
-  std::int64_t lim[R];  // row r sees keys [0, lim[r])
+  std::int64_t lo[R] = {}, lim[R];
   float* p[R];
   float* o[R];
   for (int r = 0; r < R; ++r) {
-    lim[r] = sh.causal ? sq.pos + i + r + 1 : len;
-    const std::int64_t prow = (h * sq.m + i + r) * len;
-    p[r] = sq.probs != nullptr ? sq.probs + prow : scratch + r * len;
-    o[r] = sq.out + (i + r) * sq.out_stride + h * dk;
-    attend_scores(sq.q + (i + r) * sq.q_stride + h * sh.q_head_stride, dk, sq.k,
-                  off, lim[r], p[r]);
+    p[r] = scratch + r * len;
+    o[r] = sq.out + (i + r) * sq.out_stride + h * sh.dk;
   }
-  softmax_rows<R>(p, lim, len, sh.scale);
-  if (sq.drop_mask != nullptr) {
-    for (int r = 0; r < R; ++r) {
-      const std::int64_t prow = (h * sq.m + i + r) * len;
-      for (std::int64_t j = 0; j < len; ++j) {
-        sq.probs_dropped[prow + j] = p[r][j] * sq.drop_mask[prow + j];
-      }
-      p[r] = sq.probs_dropped + prow;
+  attend_probs<R>(sq, sh, h, i, lim, p);
+  for (int r = 0; r < R; ++r) {
+    if (const float* mask = mask_row(sq, h, i + r)) {
+      for (std::int64_t j = 0; j < lim[r]; ++j) p[r][j] *= mask[j];
     }
   }
-  std::int64_t c = 0;
-  for (; c + 4 <= dk / kNR; c += 4) attend_values<R, 4>(sq.v, off, c, kNR, p, lim, o);
-  for (; c * kNR < dk; ++c) {
-    attend_values<R, 1>(sq.v, off, c, std::min(kNR, dk - c * kNR), p, lim, o);
+  attend_values<R>(head_rows(sq.v, h * sq.kv_head_stride), sh.dk, p, lo, lim, o);
+}
+
+// Phase 1 of attention_backward, query rows [i, i + R) of head h: P as the
+// forward computes it, dP = dO·Vᵀ, dS and dQ = dS·K (j ascending). dS and
+// P ⊙ mask also go to the key-major hand-off rows ds_t[j·m + i] and
+// pm_t[j·m + i], in which phase 2 reads its keys' queries in ascending i.
+template <int R>
+void attend_query_grads(const AttentionGradSeq& g, const AttentionShape& sh,
+                        std::int64_t h, std::int64_t i, float* scratch,
+                        float* ds_t, float* pm_t) {
+  const AttentionSeq& sq = g.seq;
+  const std::int64_t m = sq.m;
+  const auto len = static_cast<std::int64_t>(sq.k.size());
+  std::int64_t lo[R] = {}, lim[R];
+  float* p[R];
+  float* ds[R];
+  float* dq[R];
+  const float* mask[R];
+  for (int r = 0; r < R; ++r) {
+    p[r] = scratch + r * len;
+    ds[r] = scratch + (R + r) * len;
+    dq[r] = g.dq + (i + r) * g.dq_stride + h * sh.q_head_stride;
+    mask[r] = mask_row(sq, h, i + r);
   }
+  attend_probs<R>(sq, sh, h, i, lim, p);
+  // dP ⊙ mask, then dS = scale·P ⊙ (dP ⊙ mask − Σ_j P_ij (dP ⊙ mask)_ij),
+  // each row's sum in ascending j.
+  float dot[R];
+  for (int r = 0; r < R; ++r) {
+    attend_scores(g.dout + (i + r) * g.dout_stride + h * sh.dk, sh.dk, sq.v,
+                  h * sq.kv_head_stride, lim[r], ds[r]);
+    if (mask[r] != nullptr) {
+      for (std::int64_t j = 0; j < lim[r]; ++j) ds[r][j] *= mask[r][j];
+    }
+    dot[r] = 0.0f;
+  }
+  each_key<R>(lim, [&](int r, std::int64_t j) { dot[r] += p[r][j] * ds[r][j]; });
+  for (int r = 0; r < R; ++r) {
+    for (std::int64_t j = 0; j < lim[r]; ++j) {
+      ds[r][j] = sh.scale * (p[r][j] * (ds[r][j] - dot[r]));
+      ds_t[j * m + i + r] = ds[r][j];
+      pm_t[j * m + i + r] = mask[r] != nullptr ? p[r][j] * mask[r][j] : p[r][j];
+    }
+  }
+  attend_values<R>(head_rows(sq.k, h * sq.kv_head_stride), sh.dk, ds, lo, lim, dq);
+}
+
+// Phase 2 of attention_backward, keys [j, j + R) of head h: dK = dSᵀ·Q and
+// dV = (P ⊙ mask)ᵀ·dO, i ascending from the first query that sees the key.
+template <int R>
+void attend_key_grads(const AttentionGradSeq& g, const AttentionShape& sh,
+                      std::int64_t h, std::int64_t j, const float* ds_t,
+                      const float* pm_t) {
+  const AttentionSeq& sq = g.seq;
+  const std::int64_t m = sq.m;
+  std::int64_t lo[R], hi[R];
+  const float* ds[R];
+  const float* pm[R];
+  float* dk[R];
+  float* dv[R];
+  for (int r = 0; r < R; ++r) {
+    lo[r] = sh.causal ? std::clamp<std::int64_t>(j + r - sq.pos, 0, m) : 0;
+    hi[r] = m;
+    ds[r] = ds_t + (j + r) * m;
+    pm[r] = pm_t + (j + r) * m;
+    dk[r] = g.dk[static_cast<std::size_t>(j + r)] + h * sq.kv_head_stride;
+    dv[r] = g.dv[static_cast<std::size_t>(j + r)] + h * sq.kv_head_stride;
+  }
+  auto q = [&](std::int64_t i) {
+    return sq.q + i * sq.q_stride + h * sh.q_head_stride;
+  };
+  auto dout = [&](std::int64_t i) { return g.dout + i * g.dout_stride + h * sh.dk; };
+  attend_values<R>(q, sh.dk, ds, lo, hi, dk);
+  attend_values<R>(dout, sh.dk, pm, lo, hi, dv);
+}
+
+void check_seq(const AttentionSeq& sq, const AttentionShape& sh) {
+  const auto len = static_cast<std::int64_t>(sq.k.size());
+  PTDP_CHECK_EQ(sq.v.size(), sq.k.size());
+  PTDP_CHECK(sq.m == 0 || len > 0) << "attention over no keys";
+  PTDP_CHECK(!sh.causal || sq.pos + sq.m <= len)
+      << "query " << sq.pos + sq.m - 1 << " past the last key " << len - 1;
+}
+
+struct AttnTask {
+  std::size_t seq;
+  std::int64_t head, r0, r1;  ///< rows [r0, r1) of one head of one sequence
+};
+
+// One parallel_for over (sequence, head, kAttnBlock-row block) tasks, where
+// sequence s has rows(s) rows per head; the grain is sized from the call's
+// `flops`. body(R, task, row, scratch) takes kAttnRows rows at a time, then
+// the block's tail one by one (R an integral_constant), with `scratch`
+// floats of task scratch.
+template <class Rows, class Body>
+void for_each_attn_block(std::size_t nseq, std::int64_t heads, Rows rows,
+                         std::int64_t flops, std::int64_t scratch, Body body) {
+  std::vector<AttnTask> tasks;
+  for (std::size_t s = 0; s < nseq; ++s) {
+    const std::int64_t n = rows(s);
+    for (std::int64_t h = 0; h < heads; ++h) {
+      for (std::int64_t r0 = 0; r0 < n; r0 += kAttnBlock) {
+        tasks.push_back({s, h, r0, std::min(n, r0 + kAttnBlock)});
+      }
+    }
+  }
+  const auto ntasks = static_cast<std::int64_t>(tasks.size());
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kAttnGrainFlops * ntasks / std::max<std::int64_t>(flops, 1));
+  parallel_for(0, ntasks, grain, [&](std::int64_t t0, std::int64_t t1) {
+    float* buf = task_scratch(scratch);
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const AttnTask& tk = tasks[static_cast<std::size_t>(t)];
+      std::int64_t i = tk.r0;
+      for (; i + kAttnRows <= tk.r1; i += kAttnRows) {
+        body(std::integral_constant<int, kAttnRows>{}, tk, i, buf);
+      }
+      for (; i < tk.r1; ++i) body(std::integral_constant<int, 1>{}, tk, i, buf);
+    }
+  });
 }
 
 }  // namespace
 
 void attention(std::span<const AttentionSeq> seqs, const AttentionShape& sh) {
   PTDP_CHECK(sh.heads > 0 && sh.dk > 0);
-  struct Task {
-    std::size_t seq;
-    std::int64_t head, i0, i1;
-  };
-  std::vector<Task> tasks;
   std::int64_t flops = 0, max_len = 0;
-  for (std::size_t s = 0; s < seqs.size(); ++s) {
-    const AttentionSeq& sq = seqs[s];
+  for (const AttentionSeq& sq : seqs) {
+    check_seq(sq, sh);
     const auto len = static_cast<std::int64_t>(sq.k.size());
-    PTDP_CHECK_EQ(sq.v.size(), sq.k.size());
-    PTDP_CHECK(sq.m == 0 || len > 0) << "attention over no keys";
-    PTDP_CHECK(!sh.causal || sq.pos + sq.m <= len)
-        << "query " << sq.pos + sq.m - 1 << " past the last key " << len - 1;
-    PTDP_CHECK(sq.drop_mask == nullptr ||
-               (sq.probs != nullptr && sq.probs_dropped != nullptr))
-        << "a dropout mask needs both probs outputs";
-    for (std::int64_t h = 0; h < sh.heads; ++h) {
-      for (std::int64_t i0 = 0; i0 < sq.m; i0 += kAttnBlock) {
-        tasks.push_back({s, h, i0, std::min(sq.m, i0 + kAttnBlock)});
-      }
-    }
     flops += 4 * sh.heads * sq.m * len * sh.dk;
     max_len = std::max(max_len, len);
   }
-  const auto ntasks = static_cast<std::int64_t>(tasks.size());
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, kAttnGrainFlops * ntasks / std::max<std::int64_t>(flops, 1));
-  const std::int64_t scratch = kAttnRows * max_len;
-  parallel_for(0, ntasks, grain, [&](std::int64_t t0, std::int64_t t1) {
-    float* buf = task_scratch(scratch);
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const Task& tk = tasks[static_cast<std::size_t>(t)];
-      const AttentionSeq& sq = seqs[tk.seq];
-      std::int64_t i = tk.i0;
-      for (; i + kAttnRows <= tk.i1; i += kAttnRows) {
-        attend_rows<kAttnRows>(sq, sh, tk.head, i, buf);
-      }
-      for (; i < tk.i1; ++i) attend_rows<1>(sq, sh, tk.head, i, buf);
-    }
-  });
+  for_each_attn_block(
+      seqs.size(), sh.heads, [&](std::size_t s) { return seqs[s].m; }, flops,
+      kAttnRows * max_len,
+      [&](auto rows, const AttnTask& tk, std::int64_t i, float* buf) {
+        attend_rows<decltype(rows)::value>(seqs[tk.seq], sh, tk.head, i, buf);
+      });
+}
+
+void attention_backward(std::span<const AttentionGradSeq> seqs,
+                        const AttentionShape& sh) {
+  PTDP_CHECK(sh.heads > 0 && sh.dk > 0);
+  // Sequence s hands over heads·len·m floats of dS (and of P ⊙ mask) from
+  // at[s].
+  std::vector<std::int64_t> at(seqs.size() + 1, 0);
+  std::int64_t flops = 0, max_len = 0;
+  for (std::size_t s = 0; s < seqs.size(); ++s) {
+    const AttentionGradSeq& g = seqs[s];
+    check_seq(g.seq, sh);
+    const auto len = static_cast<std::int64_t>(g.seq.k.size());
+    PTDP_CHECK(g.dk.size() == g.seq.k.size() && g.dv.size() == g.seq.k.size());
+    at[s + 1] = at[s] + sh.heads * len * g.seq.m;
+    flops += 2 * sh.heads * g.seq.m * len * sh.dk;  // per product
+    max_len = std::max(max_len, len);
+  }
+  Tensor handoff = Tensor::empty({2 * at.back()});
+  float* ds_t = handoff.data().data();
+  float* pm_t = ds_t + at.back();
+  auto head_at = [&](const AttnTask& tk) {
+    return at[tk.seq] + tk.head * seqs[tk.seq].seq.m *
+                            static_cast<std::int64_t>(seqs[tk.seq].seq.k.size());
+  };
+  for_each_attn_block(
+      seqs.size(), sh.heads, [&](std::size_t s) { return seqs[s].seq.m; }, 3 * flops,
+      2 * kAttnRows * max_len,
+      [&](auto rows, const AttnTask& tk, std::int64_t i, float* buf) {
+        attend_query_grads<decltype(rows)::value>(seqs[tk.seq], sh, tk.head, i, buf,
+                                                  ds_t + head_at(tk), pm_t + head_at(tk));
+      });
+  for_each_attn_block(
+      seqs.size(), sh.heads,
+      [&](std::size_t s) { return static_cast<std::int64_t>(seqs[s].seq.k.size()); },
+      2 * flops, 0, [&](auto keys, const AttnTask& tk, std::int64_t j, float*) {
+        attend_key_grads<decltype(keys)::value>(
+            seqs[tk.seq], sh, tk.head, j, ds_t + head_at(tk), pm_t + head_at(tk));
+      });
 }
 
 // ---- embedding -----------------------------------------------------------------

@@ -1,11 +1,13 @@
 // ptdp::graph planner tests (DESIGN.md §14):
 //   1. The builder emits the canonical unfused block and the fusion pass
 //      rewrites it to exactly the reference kernel sequence (golden IR
-//      checks, pass by pass); the attention core is one kAttention node in
-//      every plan, and the decode plan is the evaluation forward (§16).
+//      checks, pass by pass); the attention core is one kAttention node and
+//      one kAttentionBwd node in every plan, no value but the prob mask is
+//      [s, s]-shaped, and the decode plan is the evaluation forward (§16).
 //   2. Fusion legality: pinned intermediates block their pattern.
 //   3. Buffer planning: values sharing an arena slot have disjoint lifetimes
-//      and identical (bytes, dtype); every planned value gets a slot.
+//      and identical (bytes, dtype); every planned value gets a slot; the
+//      saved bytes are exactly what the backward reads, P not among them.
 //   4. §13 dtype propagation marks exactly the cached GEMM inputs bf16.
 //   5. Plan execution is bitwise-identical to the reference bodies
 //      (layer_reference.hpp) — forward, backward, and the recompute plan
@@ -84,13 +86,18 @@ TEST(GraphBuilder, UnfusedBackwardMirrorsEagerAccumulationOrder) {
       OpKind::kLinearBwd,     OpKind::kGeluBwd,      OpKind::kBiasGradAccum,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kDropoutBwd,    OpKind::kBiasGradAccum, OpKind::kLinearBwd,
-      OpKind::kAttnSplitHeads, OpKind::kAttnSplitGradHeads,
-      OpKind::kBmmNT,         OpKind::kBmmTN,
-      OpKind::kMul,           OpKind::kScaleSoftmaxBwd,
-      OpKind::kBmm,           OpKind::kBmmTN,        OpKind::kAttnMergeQkvGrad,
+      OpKind::kAttentionBwd,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kView3D};
   EXPECT_EQ(kinds(plan.bwd), want);
+  // qkv rows, d context rows and the prob mask in; d qkv rows out, straight
+  // into the QKV linear's backward.
+  const Node& core = plan.bwd[12];
+  EXPECT_EQ(core.in, (std::vector<ValueId>{find_value(plan, "attn.qkv.out"),
+                                           find_value(plan, "d_attn.ctx2d"),
+                                           find_value(plan, "attn.prob_mask")}));
+  EXPECT_EQ(core.out, std::vector<ValueId>{plan.bwd[13].in[0]});
+  EXPECT_TRUE(core.causal);
 }
 
 TEST(GraphBuilder, DecodePlanReplacesTheAttentionCore) {
@@ -111,11 +118,27 @@ TEST(GraphBuilder, DecodePlanReplacesTheAttentionCore) {
   // qkv rows in, context rows out — straight into the projection.
   const Node& core = plan.fwd[3];
   EXPECT_EQ(core.in, std::vector<ValueId>{plan.fwd[2].out[0]});
-  EXPECT_EQ(core.out[0], plan.fwd[4].in[0]);
-  // Nothing reads P or the split heads, so the executor never writes them.
-  for (const char* name : {"attn.q", "attn.k", "attn.v", "attn.probs"}) {
-    const Value& v = plan.values[static_cast<std::size_t>(find_value(plan, name))];
-    EXPECT_EQ(v.last_use, -1) << name;
+  EXPECT_EQ(core.out, std::vector<ValueId>{plan.fwd[4].in[0]});
+}
+
+// The backward recomputes P, so no plan keeps an [s, s] score-shaped value
+// but the dropout mask it draws in the forward.
+TEST(GraphBuilder, NoScoreShapedValueButTheProbMask) {
+  for (const bool drop : {false, true}) {
+    for (const bool fuse : {false, true}) {
+      for (const bool inference : {false, true}) {
+        if (inference && drop) continue;
+        PlannerOptions opts;
+        opts.fuse = fuse;
+        opts.inference = inference;
+        const LayerPlan plan = build_layer_plan(tiny_config(0.1f), drop, opts);
+        for (const Value& v : plan.values) {
+          if (v.shape.find("[b*a/t,s,s]") == std::string::npos) continue;
+          EXPECT_EQ(v.name, "attn.prob_mask");
+          EXPECT_EQ(v.ref_bytes > 0, drop) << v.name;
+        }
+      }
+    }
   }
 }
 
@@ -135,11 +158,7 @@ TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
       OpKind::kView2D,        OpKind::kDropoutBwd,   OpKind::kBiasGradAccum,
       OpKind::kLinearBwd,     OpKind::kFusedBiasGeluBwd, OpKind::kLinearBwd,
       OpKind::kLayerNormBwd,  OpKind::kAdd,          OpKind::kDropoutBwd,
-      OpKind::kBiasGradAccum, OpKind::kLinearBwd,
-      OpKind::kAttnSplitHeads, OpKind::kAttnSplitGradHeads,
-      OpKind::kBmmNT,         OpKind::kBmmTN,
-      OpKind::kMul,           OpKind::kScaleSoftmaxBwd,
-      OpKind::kBmm,           OpKind::kBmmTN,        OpKind::kAttnMergeQkvGrad,
+      OpKind::kBiasGradAccum, OpKind::kLinearBwd,     OpKind::kAttentionBwd,
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kView3D};
   EXPECT_EQ(kinds(plan.bwd), want_bwd);
@@ -161,15 +180,17 @@ TEST(GraphPasses, NonCausalUsesMaskSoftmaxAndDropoutFreeTopologyAliases) {
       EXPECT_EQ(n.out.size(), 1u);
     }
   }
-  // The attention node sees every key.
+  // The attention nodes see every key.
   int attention_nodes = 0;
-  for (const Node& n : plan.fwd) {
-    if (n.kind != OpKind::kAttention) continue;
+  for (std::size_t u = 0; u < plan.unified_size(); ++u) {
+    const Node& n = plan.unified(u);
+    if (n.kind != OpKind::kAttention && n.kind != OpKind::kAttentionBwd) continue;
     ++attention_nodes;
     EXPECT_FALSE(n.causal);
-    EXPECT_EQ(n.in.size(), 1u);  // no prob mask
+    // no prob mask
+    EXPECT_EQ(n.in.size(), n.kind == OpKind::kAttention ? 1u : 2u);
   }
-  EXPECT_EQ(attention_nodes, 1);
+  EXPECT_EQ(attention_nodes, 2);
 }
 
 // The §3.5 recompute plan is literally fwd ++ bwd over one value table: the
@@ -254,6 +275,35 @@ TEST(GraphBufferPlan, LifetimesDisjointPerSlotAllTopologies) {
       const LayerPlan plan = build_layer_plan(tiny_config(0.1f), drop, opts);
       SCOPED_TRACE("dropout=" + std::to_string(drop) + " tp=" + std::to_string(tp));
       check_buffer_plan(plan);
+    }
+  }
+}
+
+// What the backward reads from the forward, from the shapes at b = 1: the
+// LayerNorm statistics, the four cached GEMM inputs, the qkv rows, the
+// pre-bias fc1 output, h1 and, with dropout, the prob and residual masks.
+// P and P ⊙ mask ([a/t, s, s] each) are not among them: since the backward
+// recomputes P, saved_bytes is heads_l·s²·4 bytes (×2 with dropout) below
+// the 6432/8352 (t = 1) and 3840/5184 (t = 2) bytes this plan saved with P.
+TEST(GraphBufferPlan, SavedBytesAreTheShapesWithoutP) {
+  constexpr std::int64_t kWithP[2][2] = {{6432, 8352}, {3840, 5184}};
+  const GptConfig c = tiny_config(0.1f);
+  for (const std::int64_t tp : {1, 2}) {
+    for (const bool drop : {false, true}) {
+      SCOPED_TRACE("dropout=" + std::to_string(drop) + " tp=" + std::to_string(tp));
+      PlannerOptions opts;
+      opts.tp_size = tp;
+      const LayerPlan plan = build_layer_plan(c, drop, opts);
+      const std::int64_t s = c.seq, h = c.hidden, hl = h / tp;
+      const std::int64_t ffn = c.ffn_hidden() / tp, heads_l = c.heads / tp;
+      const std::int64_t stats = 4 * s;
+      const std::int64_t cached = s * h + s * hl + s * h + s * ffn;
+      const std::int64_t masks = drop ? heads_l * s * s + 2 * s * h : 0;
+      const std::int64_t expected =
+          4 * (stats + cached + 3 * s * hl + s * ffn + s * h + masks);
+      EXPECT_EQ(plan.buffer.saved_bytes, expected);
+      EXPECT_EQ(kWithP[tp - 1][drop] - plan.buffer.saved_bytes,
+                (drop ? 2 : 1) * heads_l * s * s * 4);
     }
   }
 }

@@ -17,6 +17,45 @@ namespace {
 model::Param& param(const LayerBinding& bind, ParamSlot slot) {
   return *bind.params[static_cast<int>(slot)];
 }
+
+// The b sequences of the microbatch over the QKV rows: row i·b + bi is
+// position i of sequence bi, per row [a_l][q|k|v][dk]. `k`/`v` receive the
+// row tables the sequences point into.
+std::vector<tensor::AttentionSeq> sequences(const LayerBinding& bind,
+                                            const AttentionCache& cache,
+                                            std::vector<const float*>& k,
+                                            std::vector<const float*>& v) {
+  const std::int64_t heads_local = bind.attn->heads_local();
+  const std::int64_t head_dim = bind.attn->head_dim();
+  const std::int64_t row_stride = 3 * bind.attn->hidden_local();
+  const std::int64_t s = cache.s, b = cache.b;
+  const float* rows = cache.qkv_rows.data().data();
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t i = 0; i < s; ++i) {
+      k.push_back(rows + (i * b + bi) * row_stride + head_dim);
+      v.push_back(rows + (i * b + bi) * row_stride + 2 * head_dim);
+    }
+  }
+  std::vector<tensor::AttentionSeq> seqs;
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    seqs.push_back({rows + bi * row_stride, b * row_stride, s, 0,
+                    std::span<const float* const>(k).subspan(bi * s, s),
+                    std::span<const float* const>(v).subspan(bi * s, s),
+                    3 * head_dim});
+    if (cache.prob_mask.defined()) {
+      seqs.back().drop_mask =
+          cache.prob_mask.data().data() + bi * heads_local * s * s;
+    }
+  }
+  return seqs;
+}
+
+tensor::AttentionShape shape(const LayerBinding& bind,
+                             const model::GptConfig& config) {
+  const std::int64_t head_dim = bind.attn->head_dim();
+  return {bind.attn->heads_local(), head_dim, 3 * head_dim,
+          1.0f / std::sqrt(static_cast<float>(head_dim)), config.causal};
+}
 }  // namespace
 
 LayerBinding bind_attention(model::ParallelAttention& attn,
@@ -49,8 +88,6 @@ LayerBinding bind_mlp(model::ParallelMlp& mlp, const model::GptConfig& config,
 Tensor attention_forward(const LayerBinding& bind, const Tensor& x,
                          AttentionCache& cache, std::uint64_t mb_tag) {
   const model::GptConfig& config = *bind.config;
-  const std::int64_t heads_local = bind.attn->heads_local();
-  const std::int64_t head_dim = bind.attn->head_dim();
   const std::int64_t hidden_local = bind.attn->hidden_local();
   PTDP_CHECK_EQ(x.ndim(), 3) << "attention input must be [s, b, h]";
   const std::int64_t s = x.dim(0);
@@ -61,41 +98,17 @@ Tensor attention_forward(const LayerBinding& bind, const Tensor& x,
 
   Tensor x2d = x.view({s * b, config.hidden});
   cache.qkv_rows = bind.qkv->forward(x2d, cache.qkv);  // [sb, 3*hidden_local]
-
-  // The one attention kernel over the QKV rows: row i·b + bi is position i
-  // of sequence bi, per row [a_l][q|k|v][dk].
-  const float* rows = cache.qkv_rows.data().data();
-  const std::int64_t row_stride = 3 * hidden_local;
-  std::vector<const float*> k, v;
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    for (std::int64_t i = 0; i < s; ++i) {
-      k.push_back(rows + (i * b + bi) * row_stride + head_dim);
-      v.push_back(rows + (i * b + bi) * row_stride + 2 * head_dim);
-    }
-  }
-  const bool dropout = config.dropout > 0.0f;
-  cache.probs = Tensor::empty({b * heads_local, s, s});
-  cache.probs_dropped = cache.probs;
-  if (dropout) {
+  if (config.dropout > 0.0f) {
     cache.prob_mask = bind.attn->make_prob_dropout_mask(b, mb_tag);
-    cache.probs_dropped = Tensor::empty({b * heads_local, s, s});
   }
   Tensor ctx2d = Tensor::empty({s * b, hidden_local});
-  std::vector<tensor::AttentionSeq> seqs;
+  std::vector<const float*> k, v;
+  std::vector<tensor::AttentionSeq> seqs = sequences(bind, cache, k, v);
   for (std::int64_t bi = 0; bi < b; ++bi) {
-    const std::int64_t slab = bi * heads_local * s * s;
-    seqs.push_back(
-        {rows + bi * row_stride, b * row_stride, s, 0,
-         std::span<const float* const>(k).subspan(bi * s, s),
-         std::span<const float* const>(v).subspan(bi * s, s), 3 * head_dim,
-         ctx2d.data().data() + bi * hidden_local, b * hidden_local,
-         cache.probs.data().data() + slab,
-         dropout ? cache.prob_mask.data().data() + slab : nullptr,
-         dropout ? cache.probs_dropped.data().data() + slab : nullptr});
+    seqs[static_cast<std::size_t>(bi)].out = ctx2d.data().data() + bi * hidden_local;
+    seqs[static_cast<std::size_t>(bi)].out_stride = b * hidden_local;
   }
-  tensor::attention(seqs, {heads_local, head_dim, 3 * head_dim,
-                           1.0f / std::sqrt(static_cast<float>(head_dim)),
-                           config.causal});
+  tensor::attention(seqs, shape(bind, config));
   Tensor out2d = bind.proj->forward(ctx2d, cache.proj);  // [sb, h], bias skipped
   return out2d.view({s, b, config.hidden});
 }
@@ -103,44 +116,35 @@ Tensor attention_forward(const LayerBinding& bind, const Tensor& x,
 Tensor attention_backward(const LayerBinding& bind, const Tensor& dy,
                           const AttentionCache& cache) {
   const model::GptConfig& config = *bind.config;
-  const std::int64_t heads_local = bind.attn->heads_local();
   const std::int64_t head_dim = bind.attn->head_dim();
   const std::int64_t hidden_local = bind.attn->hidden_local();
+  const std::int64_t row_stride = 3 * hidden_local;
   const std::int64_t s = cache.s;
   const std::int64_t b = cache.b;
   Tensor dy2d = dy.view({s * b, config.hidden});
 
   Tensor dctx2d = bind.proj->backward(dy2d, cache.proj);  // [sb, hidden_local]
-  Tensor dctx = dctx2d.view({s, b, heads_local, head_dim})
-                    .permute({1, 2, 0, 3})
-                    .view({b * heads_local, s, head_dim});
-
-  // [s, b, a_l, 3dk] -> [b, a_l, s, 3dk] -> [b*a_l, s, 3dk]
-  Tensor qkv4d = cache.qkv_rows.view({s, b, heads_local, 3 * head_dim})
-                     .permute({1, 2, 0, 3})
-                     .view({b * heads_local, s, 3 * head_dim});
-  const Tensor q = qkv4d.slice(-1, 0, head_dim);
-  const Tensor k = qkv4d.slice(-1, head_dim, head_dim);
-  const Tensor v = qkv4d.slice(-1, 2 * head_dim, head_dim);
-
-  // ctx = P·V
-  Tensor dp_dropped = tensor::bmm_nt(dctx, v);            // [ba, s, s]
-  Tensor dv = tensor::bmm_tn(cache.probs_dropped, dctx);  // [ba, s, dk]
-  Tensor dprobs = config.dropout > 0.0f
-                      ? tensor::mul(dp_dropped, cache.prob_mask)
-                      : dp_dropped;
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  Tensor dscores = tensor::fused_scale_softmax_backward(cache.probs, dprobs, scale);
-
-  // scores = Q·Kᵀ
-  Tensor dq = tensor::bmm(dscores, k);     // [ba, s, dk]
-  Tensor dk = tensor::bmm_tn(dscores, q);  // [ba, s, dk]
-
-  Tensor dqkv = tensor::concat({dq, dk, dv}, -1)  // [ba, s, 3dk]
-                    .view({b, heads_local, s, 3 * head_dim})
-                    .permute({2, 0, 1, 3})
-                    .view({s * b, 3 * hidden_local});
+  // dQ/dK/dV land in rows laid out like the QKV rows.
+  Tensor dqkv = Tensor::empty({s * b, row_stride});
+  float* d = dqkv.data().data();
+  std::vector<float*> dk, dv;
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t i = 0; i < s; ++i) {
+      dk.push_back(d + (i * b + bi) * row_stride + head_dim);
+      dv.push_back(d + (i * b + bi) * row_stride + 2 * head_dim);
+    }
+  }
+  std::vector<const float*> k, v;
+  const std::vector<tensor::AttentionSeq> seqs = sequences(bind, cache, k, v);
+  std::vector<tensor::AttentionGradSeq> grads;
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    grads.push_back({seqs[static_cast<std::size_t>(bi)],
+                     dctx2d.data().data() + bi * hidden_local, b * hidden_local,
+                     d + bi * row_stride, b * row_stride,
+                     std::span<float* const>(dk).subspan(bi * s, s),
+                     std::span<float* const>(dv).subspan(bi * s, s)});
+  }
+  tensor::attention_backward(grads, shape(bind, config));
   Tensor dx2d = bind.qkv->backward(dqkv, cache.qkv);  // all-reduced over t
   return dx2d.view({s, b, config.hidden});
 }

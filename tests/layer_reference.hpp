@@ -20,10 +20,8 @@ namespace ptdp::reference {
 struct AttentionCache {
   model::LinearCache qkv;
   model::LinearCache proj;
-  tensor::Tensor qkv_rows;       ///< QKV projection output [s·b, 3·h_local]
-  tensor::Tensor probs;          ///< post-softmax attention probabilities
-  tensor::Tensor prob_mask;      ///< dropout mask on probs (undefined if p == 0)
-  tensor::Tensor probs_dropped;  ///< probs ⊙ mask (== probs if p == 0)
+  tensor::Tensor qkv_rows;   ///< QKV projection output [s·b, 3·h_local]
+  tensor::Tensor prob_mask;  ///< dropout mask on P (undefined if p == 0)
   std::int64_t s = 0, b = 0;
 };
 

@@ -385,22 +385,22 @@ TEST(Fused, BiasDropoutAddAtP0MatchesComposition) {
 // attention()'s P for queries whose scores against the keys are s [heads,
 // m, len]: query row i is its score row and key j the unit vector e_j (dk =
 // len), so q_i·k_j = s_ij exactly. The queries sit at positions
-// [len - m, len), so row i sees keys j <= i + (len - m).
+// [len - m, len), so row i sees keys j <= i + (len - m). The values are the
+// unit vectors too, so each context row is its P row: Σ_j p_ij e_j adds
+// every p_ij to zeros, exactly.
 Tensor attention_probs(const Tensor& s, float scl) {
   const std::int64_t heads = s.dim(0), m = s.dim(1), len = s.dim(2);
   Tensor eye({len, len});
-  std::vector<const float*> keys;
+  std::vector<const float*> rows;
   for (std::int64_t j = 0; j < len; ++j) {
     eye.at({j, j}) = 1.0f;
-    keys.push_back(eye.data().data() + j * len);
+    rows.push_back(eye.data().data() + j * len);
   }
-  Tensor probs({heads, m, len});
   Tensor ctx({m, heads * len});
-  const AttentionSeq seq{s.data().data(), len,  m,   len - m,
-                         keys,           keys, 0,    ctx.data().data(),
-                         heads * len,    probs.data().data()};
+  const AttentionSeq seq{s.data().data(), len, m,   len - m, rows,
+                         rows,            0,   ctx.data().data(), heads * len};
   attention({&seq, 1}, {heads, len, m * len, scl, /*causal=*/true});
-  return probs;
+  return ctx.view({m, heads, len}).permute({1, 0, 2});
 }
 
 TEST(Fused, CausalSoftmaxMasksUpperTriangle) {
@@ -449,15 +449,53 @@ TEST(Fused, CausalSoftmaxHandlesRectangular) {
   EXPECT_GT(y.at({0, 1, 3}), 0.0f);
 }
 
+// attention_backward's dQ/dK/dV against central differences of
+// Σ w ⊙ attention(qkv), causal and not, with and without a dropout mask.
+// The rows are [heads][q|k|v][dk] with a ragged dk.
 TEST(Fused, ScaleSoftmaxBackwardMatchesFiniteDifference) {
   Rng rng(15);
-  Tensor s = Tensor::randn({1, 3, 3}, rng);
-  Tensor w = Tensor::randn({1, 3, 3}, rng);
-  const float scl = 0.5f;
-  Tensor y = attention_probs(s, scl);
-  Tensor ds = fused_scale_softmax_backward(y, w, scl);
-  // Mask w on the masked-out region (those outputs are constant 0).
-  check_grad([&](const Tensor& t) { return attention_probs(t, scl); }, s, ds, w);
+  constexpr std::int64_t kHeads = 2, kLen = 4, kDk = 3, kRow = 3 * kHeads * kDk;
+  const Tensor qkv = Tensor::randn({kLen, kRow}, rng);
+  const Tensor w = Tensor::randn({kLen, kHeads * kDk}, rng);
+  Tensor mask({kHeads, kLen, kLen});
+  for (float& x : mask.data()) x = rng.next_bernoulli(0.3) ? 0.0f : 1.0f / 0.7f;
+  for (const bool causal : {true, false}) {
+    for (const bool dropout : {false, true}) {
+      SCOPED_TRACE(testing::Message() << (causal ? "causal" : "full")
+                                      << (dropout ? " dropout" : ""));
+      const AttentionShape shape{kHeads, kDk, 3 * kDk, 0.5f, causal};
+      const float* drop = dropout ? mask.data().data() : nullptr;
+      auto seq_of = [&](const Tensor& x, std::vector<const float*>& k,
+                        std::vector<const float*>& v) {
+        for (std::int64_t j = 0; j < kLen; ++j) {
+          k.push_back(x.data().data() + j * kRow + kDk);
+          v.push_back(x.data().data() + j * kRow + 2 * kDk);
+        }
+        return AttentionSeq{x.data().data(), kRow, kLen, 0, k, v, 3 * kDk,
+                            nullptr, 0, drop};
+      };
+      auto forward = [&](const Tensor& x) {
+        std::vector<const float*> k, v;
+        AttentionSeq seq = seq_of(x, k, v);
+        Tensor ctx({kLen, kHeads * kDk});
+        seq.out = ctx.data().data();
+        seq.out_stride = kHeads * kDk;
+        attention({&seq, 1}, shape);
+        return ctx;
+      };
+      std::vector<const float*> k, v;
+      Tensor dqkv({kLen, kRow});
+      std::vector<float*> dk, dv;
+      for (std::int64_t j = 0; j < kLen; ++j) {
+        dk.push_back(dqkv.data().data() + j * kRow + kDk);
+        dv.push_back(dqkv.data().data() + j * kRow + 2 * kDk);
+      }
+      const AttentionGradSeq g{seq_of(qkv, k, v), w.data().data(), kHeads * kDk,
+                               dqkv.data().data(), kRow, dk, dv};
+      attention_backward({&g, 1}, shape);
+      check_grad(forward, qkv, dqkv, w);
+    }
+  }
 }
 
 TEST(Embedding, GathersRows) {

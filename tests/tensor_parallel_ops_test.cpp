@@ -307,24 +307,30 @@ TEST(ParallelDeterminism, ElementwiseAndFusedBitwiseStable) {
 
 // The fused attention kernel (scale + mask + softmax between its two
 // products): context and P, causal and not, at every intra-op thread count.
+// P is read as the context of one-hot value rows (v_j = e_j, len <= dk), so
+// each context lane is one p_ij added to zeros.
 TEST(ParallelDeterminism, FusedSoftmaxBitwiseStable) {
   Rng rng(24);
-  constexpr std::int64_t kHeads = 10, kLen = 37, kDk = 16;
+  constexpr std::int64_t kHeads = 10, kLen = 37, kDk = 40;
   const Tensor qkv = Tensor::randn({kLen, 3 * kHeads * kDk}, rng);
-  std::vector<const float*> k, v;
+  Tensor eye({kLen, 3 * kHeads * kDk});  // head h of row j: e_j
+  std::vector<const float*> k, v, onehot;
   for (std::int64_t j = 0; j < kLen; ++j) {
     k.push_back(qkv.data().data() + j * 3 * kHeads * kDk + kDk);
     v.push_back(qkv.data().data() + j * 3 * kHeads * kDk + 2 * kDk);
+    for (std::int64_t h = 0; h < kHeads; ++h) eye.at({j, h * 3 * kDk + j}) = 1.0f;
+    onehot.push_back(eye.data().data() + j * 3 * kHeads * kDk);
   }
   for (const bool causal : {true, false}) {
     expect_bitwise_stable([&] {
-      // [context rows | P] in one tensor so one comparison covers both.
-      Tensor out({kLen * kHeads * kDk + kHeads * kLen * kLen});
-      const tensor::AttentionSeq seq{
-          qkv.data().data(), 3 * kHeads * kDk, kLen, 0, k, v, 3 * kDk,
-          out.data().data(), kHeads * kDk,
-          out.data().data() + kLen * kHeads * kDk};
-      tensor::attention({&seq, 1}, {kHeads, kDk, 3 * kDk, 0.125f, causal});
+      // [context rows | P rows] in one tensor so one comparison covers both.
+      Tensor out({2 * kLen * kHeads * kDk});
+      for (int part = 0; part < 2; ++part) {
+        const tensor::AttentionSeq seq{
+            qkv.data().data(), 3 * kHeads * kDk, kLen, 0, k, part == 0 ? v : onehot,
+            3 * kDk, out.data().data() + part * kLen * kHeads * kDk, kHeads * kDk};
+        tensor::attention({&seq, 1}, {kHeads, kDk, 3 * kDk, 0.125f, causal});
+      }
       return out;
     });
   }
