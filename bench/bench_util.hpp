@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "ptdp/sim/simulator.hpp"
@@ -44,11 +45,11 @@ inline tensor::Tensor attention_composed(const tensor::Tensor& q,
 
 /// tensor::attention_backward over the training layout of one sequence:
 /// qkv rows [s, 3·heads·dk] (per row [heads][q|k|v][dk]), d context rows
-/// [s, heads·dk] and an optional [heads, s, s] dropout mask. Returns the
-/// d qkv rows, laid out like qkv.
+/// [s, heads·dk] and, with dropout p, one stream per head (empty: none).
+/// Returns the d qkv rows, laid out like qkv.
 inline tensor::Tensor attention_backward_rows(const tensor::Tensor& qkv,
                                               const tensor::Tensor& dctx,
-                                              const tensor::Tensor* mask,
+                                              std::span<const Rng> drop, float p,
                                               std::int64_t heads, bool causal) {
   const std::int64_t s = qkv.dim(0), row = qkv.dim(1), dk = row / (3 * heads);
   tensor::Tensor dqkv = tensor::Tensor::empty(qkv.shape());
@@ -61,12 +62,26 @@ inline tensor::Tensor attention_backward_rows(const tensor::Tensor& qkv,
     dv_rows.push_back(dqkv.data().data() + j * row + 2 * dk);
   }
   const tensor::AttentionGradSeq g{
-      {qkv.data().data(), row, s, 0, k, v, 3 * dk, nullptr, 0,
-       mask != nullptr ? mask->data().data() : nullptr},
+      {qkv.data().data(), row, s, 0, k, v, 3 * dk, nullptr, 0, drop, p},
       dctx.data().data(), heads * dk, dqkv.data().data(), row, dk_rows, dv_rows};
   tensor::attention_backward(
       {&g, 1}, {heads, dk, 3 * dk, 1.0f / std::sqrt(static_cast<float>(dk)), causal});
   return dqkv;
+}
+
+/// The [heads, s, s] dropout mask the kernels draw from `drop` (one stream
+/// per head) at p, drawn into a tensor for the node chain below.
+inline tensor::Tensor prob_dropout_mask(std::span<const Rng> drop, std::int64_t s,
+                                        float p) {
+  tensor::Tensor mask =
+      tensor::Tensor::empty({static_cast<std::int64_t>(drop.size()), s, s});
+  float* m = mask.data().data();
+  for (Rng rng : drop) {
+    for (std::int64_t e = 0; e < s * s; ++e) {
+      *m++ = rng.next_bernoulli(p) ? 0.0f : 1.0f / (1.0f - p);
+    }
+  }
+  return mask;
 }
 
 /// The node chain attention_backward_rows() replaces, reading the P and

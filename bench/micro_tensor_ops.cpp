@@ -353,40 +353,40 @@ void run_sweep() {
                                   }));
 
     // The attention backward at the training shape (8 heads, s = 128,
-    // dk = 64, causal), with and without a dropout mask, against the node
-    // chain it replaces, which reads the P (and P ⊙ mask) its forward saved.
-    // FLOPs are the chain's four products, 8·h·s²·dk.
+    // dk = 64, causal), with and without dropout, against the node chain it
+    // replaces, which reads the P (and P ⊙ mask, the mask drawn from the same
+    // streams) its forward saved. FLOPs are the chain's four products,
+    // 8·h·s²·dk.
     constexpr std::int64_t kHeads = 8, kS = 128, kDk = 64;
     const Tensor qkv = Tensor::randn({kS, 3 * kHeads * kDk}, rng);
     const Tensor dctx = Tensor::randn({kS, kHeads * kDk}, rng);
-    Tensor mask({kHeads, kS, kS});
-    for (float& m : mask.data()) m = rng.next_bernoulli(0.1) ? 0.0f : 1.0f / 0.9f;
+    std::vector<Rng> streams;
+    for (std::int64_t h = 0; h < kHeads; ++h) streams.emplace_back(rng.next_u64(), h);
+    const Tensor mask = bench::prob_dropout_mask(streams, kS, 0.1f);
     const Tensor split = qkv.view({kS, kHeads, 3 * kDk}).permute({1, 0, 2});
     Tensor scores = tensor::scale(tensor::bmm_nt(split.slice(-1, 0, kDk),
                                                  split.slice(-1, kDk, kDk)),
                                   0.125f);
-    auto each_future_key = [&](Tensor& t, float x) {
-      for (std::int64_t h = 0; h < kHeads; ++h) {
-        for (std::int64_t i = 0; i < kS; ++i) {
-          for (std::int64_t j = i + 1; j < kS; ++j) t.at({h, i, j}) = x;
+    for (std::int64_t h = 0; h < kHeads; ++h) {
+      for (std::int64_t i = 0; i < kS; ++i) {
+        for (std::int64_t j = i + 1; j < kS; ++j) {
+          scores.at({h, i, j}) = -std::numeric_limits<float>::infinity();
         }
       }
-    };
-    each_future_key(scores, -std::numeric_limits<float>::infinity());
-    // The forward wrote masked keys as exact zeros (not the subnormal
-    // exp(-87)/Σ softmax_lastdim leaves there).
-    Tensor probs = tensor::softmax_lastdim(scores);
-    each_future_key(probs, 0.0f);
+    }
+    const Tensor probs = tensor::softmax_lastdim(scores);
     const Tensor probs_dropped = tensor::mul(probs, mask);
     const double bwd_flops = 8.0 * kHeads * kS * kS * kDk;
     for (const bool dropout : {false, true}) {
       const Tensor* m = dropout ? &mask : nullptr;
+      const std::span<const Rng> drop = dropout ? std::span<const Rng>(streams)
+                                                : std::span<const Rng>();
       const std::string suffix = dropout ? "_dropout" : "";
       sweep_alternating(
           {{"attention_backward" + suffix,
             [&] {
-              benchmark::DoNotOptimize(
-                  bench::attention_backward_rows(qkv, dctx, m, kHeads, true));
+              benchmark::DoNotOptimize(bench::attention_backward_rows(
+                  qkv, dctx, drop, 0.1f, kHeads, true));
             }},
            {"attention_backward_composed" + suffix,
             [&] {

@@ -74,17 +74,13 @@ int main() {
   std::printf("  bias+GeLU        : %6.3f ms -> %6.3f ms (%.2fx)\n", unfused_gelu,
               fused_gelu, unfused_gelu / fused_gelu);
 
+  const Rng r2(9);
   const double unfused_bda = time_ms([&] {
-    tensor::Tensor mask;
-    Rng r2(9);
-    auto y = tensor::dropout(tensor::add_bias(x, bias), 0.1f, r2, mask);
+    auto y = tensor::dropout(tensor::add_bias(x, bias), 0.1f, r2);
     tensor::add_(y, resid);
   });
-  const double fused_bda = time_ms([&] {
-    tensor::Tensor mask;
-    Rng r2(9);
-    auto y = tensor::fused_bias_dropout_add(x, bias, resid, 0.1f, r2, &mask);
-  });
+  const double fused_bda = time_ms(
+      [&] { auto y = tensor::fused_bias_dropout_add(x, bias, resid, 0.1f, r2); });
   std::printf("  bias+dropout+add : %6.3f ms -> %6.3f ms (%.2fx)\n", unfused_bda,
               fused_bda, unfused_bda / fused_bda);
 
@@ -126,7 +122,7 @@ int main() {
   const double ms_unfused = time_ms(
       [&] {
         graph::Frame frame;
-        frame.begin(unfused_plan, bx);
+        frame.begin(unfused_plan, bx, ctx.mb_tag);
         (void)graph::SequentialExecutor::run_forward(unfused_plan, frame,
                                                      layer.binding(), ctx);
         (void)graph::SequentialExecutor::run_backward(unfused_plan, frame,

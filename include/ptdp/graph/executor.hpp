@@ -38,12 +38,14 @@ struct Frame {
   std::vector<tensor::Tensor> vals;
   ValueId input = kNoValue;
   bool with_dropout = false;  ///< topology the forward ran with
+  std::uint64_t mb_tag = 0;   ///< the forward's RNG key: the backward redraws
 
   bool active() const { return !vals.empty(); }
-  void begin(const LayerPlan& plan, const tensor::Tensor& x) {
+  void begin(const LayerPlan& plan, const tensor::Tensor& x, std::uint64_t tag) {
     vals.assign(plan.values.size(), tensor::Tensor());
     input = plan.input;
     with_dropout = plan.with_dropout;
+    mb_tag = tag;
     vals[static_cast<std::size_t>(input)] = x;
   }
   /// §3.5 drop: release every slot except the layer input; the recompute

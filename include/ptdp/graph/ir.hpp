@@ -5,8 +5,7 @@
 // A transformer block is described once as a LayerPlan: a shared value
 // table plus two topologically-ordered node lists (forward and backward)
 // whose nodes name existing tensor kernels, fused §4.2 kernels, or
-// tensor-parallel module calls (linear fwd/bwd, attention dropout-mask
-// draw). The attention core is one kAttention node forward and one
+// tensor-parallel module calls (linear fwd/bwd). The attention core is one kAttention node forward and one
 // kAttentionBwd node backward (tensor::attention and
 // tensor::attention_backward) in every plan. The builder emits the canonical
 // *unfused* sequence from GptConfig; planner passes (passes.hpp) then fuse
@@ -20,7 +19,9 @@
 // The plan is the only body a layer has: training, recompute, evaluation
 // and decode all execute it through the SequentialExecutor. RNG streams
 // are rebuilt from (seed, mb_tag, layer, site) keys, so replays and
-// tensor-parallel ranks draw identical masks.
+// tensor-parallel ranks draw identical masks. No mask is a plan value: the
+// kernels that apply dropout draw its bits from the site's stream, and the
+// backward kernels redraw them.
 
 #include <cstdint>
 #include <string>
@@ -45,7 +46,6 @@ enum class OpKind : std::uint8_t {
   // tensor-parallel module calls (keep their internal GEMM+all-reduce order)
   kLinearFwd,          ///< out0 = y, out1 = cached gemm input
   kLinearBwd,          ///< in0 = dy, in1 = cached input; accumulates grads
-  kAttnProbMask,       ///< site-keyed attention-probability dropout mask
   // normalization
   kLayerNorm,          ///< out = y, mean, rstd
   kLayerNormBwd,       ///< accumulates dgamma/dbeta; out = dx
@@ -53,21 +53,23 @@ enum class OpKind : std::uint8_t {
   kAddBias,
   kGelu,
   kGeluBwd,
-  kDropout,            ///< out0 = y, out1 = mask; site-keyed RNG
-  kDropoutBwd,
+  kDropout,            ///< site-keyed RNG
+  kDropoutBwd,         ///< redraws its forward's mask: carries the same site
   kAdd,
   kBiasGradAccum,      ///< param.grad += bias_grad(in0)
   // fused kernels (§4.2)
   kFusedBiasGelu,
   kFusedBiasGeluBwd,
-  kFusedBiasDropoutAdd,  ///< out0 = y, out1 = mask
-  // the attention core (tensor::attention): in = qkv rows [sb,3h_l]
-  // [, prob mask]; out = context rows [sb,h_l]. With ExecContext::kv set it
+  kFusedBiasDropoutAdd,
+  // the attention core (tensor::attention): in = qkv rows [sb,3h_l]; out =
+  // context rows [sb,h_l]; with dropout the kernel draws the
+  // attention-probability mask from the kAttentionProb streams. With
+  // ExecContext::kv set it
   // writes each sequence's new K/V rows to the store and attends over the
   // store's rows (§16).
   kAttention,
-  // its backward (tensor::attention_backward, P recomputed): in = qkv rows,
-  // d context rows [sb,h_l] [, prob mask]; out = d qkv rows [sb,3h_l].
+  // its backward (tensor::attention_backward, P and the mask recomputed):
+  // in = qkv rows, d context rows [sb,h_l]; out = d qkv rows [sb,3h_l].
   kAttentionBwd,
 };
 
@@ -99,7 +101,7 @@ struct Node {
   std::int8_t param2 = -1;  ///< second param (layernorm beta)
   model::DropSite site = model::DropSite::kEmbedding;  ///< RNG site for dropout kinds
   float scale = 0.0f;       ///< attention softmax scale
-  bool causal = false;      ///< kAttention / kAttentionBwd mask
+  bool causal = false;      ///< kAttention / kAttentionBwd causal mask
 };
 
 /// One tensor in the plan. Shape is symbolic (for dumps) plus a concrete

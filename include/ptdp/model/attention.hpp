@@ -12,7 +12,6 @@
 #include "ptdp/dist/comm.hpp"
 #include "ptdp/model/config.hpp"
 #include "ptdp/model/linear.hpp"
-#include "ptdp/model/rng_sites.hpp"
 
 namespace ptdp::model {
 
@@ -23,8 +22,6 @@ class ParallelAttention {
 
   Param& proj_bias() { return proj_.bias(); }
   void collect_params(ParamRefs& out);
-  /// Eval-mode switch: 0 disables attention-probability dropout.
-  void set_dropout(float p) { config_.dropout = p; }
 
   // Graph-plan bindings (DESIGN.md §14).
   ColumnParallelLinear& qkv() { return qkv_; }
@@ -32,14 +29,12 @@ class ParallelAttention {
   std::int64_t heads_local() const { return heads_local_; }
   std::int64_t head_dim() const { return head_dim_; }
   std::int64_t hidden_local() const { return hidden_local_; }
-  /// Site-keyed attention-probability dropout mask (kAttentionProb streams,
-  /// keyed by global head so tensor-parallel ranks agree). Public so a
-  /// planned kAttnProbMask node can draw the identical mask.
-  tensor::Tensor make_prob_dropout_mask(std::int64_t b, std::uint64_t mb_tag) const;
+  /// Global index of this rank's first head: the attention-probability
+  /// dropout streams are keyed by global head, so tensor-parallel ranks
+  /// draw what the serial model draws (rng_sites.hpp).
+  std::int64_t head_begin() const { return head_begin_; }
 
  private:
-  GptConfig config_;
-  std::int64_t layer_idx_;
   std::int64_t heads_local_, head_dim_, hidden_local_, head_begin_;
   ColumnParallelLinear qkv_;
   RowParallelLinear proj_;

@@ -18,7 +18,7 @@ namespace ptdp::model {
 
 struct EmbeddingCache {
   std::vector<std::int32_t> tokens;  ///< [s*b], sequence-major
-  tensor::Tensor drop_mask;          ///< undefined when dropout == 0
+  std::uint64_t mb_tag = 0;          ///< keys the dropout the backward redraws
   std::int64_t s = 0, b = 0;
 };
 
@@ -49,6 +49,10 @@ class VocabParallelEmbedding {
   void set_dropout(float p) { config_.dropout = p; }
 
  private:
+  Rng drop_rng(std::uint64_t mb_tag) const {
+    return site_rng(config_.seed, mb_tag, /*layer=*/0, DropSite::kEmbedding);
+  }
+
   GptConfig config_;
   dist::Comm tp_;
   std::int64_t vocab_per_rank_, vocab_begin_;

@@ -3,11 +3,16 @@
 // Deterministic RNG streams for dropout sites.
 //
 // Every dropout mask is a pure function of (seed, microbatch tag, global
-// layer index, site, sub-id). Two properties follow: (a) activation
-// recomputation replays the exact mask of the original forward pass, and
-// (b) masks are layout-independent — a tensor-parallel rank draws the same
-// mask for global head g that the serial model draws, which is what makes
-// parallel and serial training equivalent even with dropout enabled.
+// layer index, site, sub-id): element e is dropped when draw e of the
+// stream, Rng::u64_at(e), is a bernoulli(·, p) success, so no mask is
+// stored: kernels draw each bit where they use it and backwards redraw it.
+// Two properties follow: (a) a backward, stashed or recomputed, applies the
+// exact mask of its forward, and (b) masks are layout-independent — a
+// tensor-parallel rank draws the same mask for global head g that the
+// serial model draws, which is what makes parallel and serial training
+// equivalent even with dropout enabled. kAttentionProb keys one stream per
+// (sequence bi, global head g), sub-id bi·heads + g; query i, key j is
+// draw i·s + j.
 
 #include <cstdint>
 

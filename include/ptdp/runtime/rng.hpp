@@ -25,6 +25,14 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
 
 }  // namespace detail
 
+/// True when raw draw `u` is a Bernoulli(p) success: its top 53 bits read as
+/// a uniform in [0, 1) fall below p. Dropout drops an element on success.
+/// Rng::next_bernoulli and every kernel that redraws a dropout bit in place
+/// go through this one expression.
+constexpr bool bernoulli(std::uint64_t u, double p) noexcept {
+  return static_cast<double>(u >> 11) * 0x1.0p-53 < p;
+}
+
 /// Deterministic counter-based random stream.
 class Rng {
  public:
@@ -34,8 +42,12 @@ class Rng {
       : key_(detail::mix64(seed ^ detail::mix64(stream * 0xda3e39cb94b95bdbULL))) {}
 
   /// Next raw 64-bit draw.
-  constexpr std::uint64_t next_u64() noexcept {
-    return detail::mix64(key_ ^ detail::mix64(counter_++));
+  constexpr std::uint64_t next_u64() noexcept { return u64_at(counter_++); }
+
+  /// Draw e of the stream, whatever the counter: a fresh stream's e-th
+  /// next_u64(). Kernels redraw dropout bits with it where they read them.
+  constexpr std::uint64_t u64_at(std::uint64_t e) const noexcept {
+    return detail::mix64(key_ ^ detail::mix64(e));
   }
 
   /// Uniform in [0, 1).
@@ -69,7 +81,7 @@ class Rng {
   }
 
   /// Bernoulli draw with probability p of true.
-  bool next_bernoulli(double p) noexcept { return next_uniform() < p; }
+  bool next_bernoulli(double p) noexcept { return bernoulli(next_u64(), p); }
 
   /// Skip the counter forward (never backward).
   constexpr void discard(std::uint64_t n) noexcept { counter_ += n; }

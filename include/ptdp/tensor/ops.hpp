@@ -66,11 +66,14 @@ Tensor gelu(const Tensor& x);
 /// dX given upstream dy and the forward *input* x.
 Tensor gelu_backward(const Tensor& dy, const Tensor& x);
 
-/// Dropout at probability p. Returns y and writes the kept-mask (0/1 scaled
-/// by 1/(1-p)) into `mask` (allocated to x's shape). p == 0 is identity.
-Tensor dropout(const Tensor& x, float p, Rng& rng, Tensor& mask);
-/// dX = dy * mask.
-Tensor dropout_backward(const Tensor& dy, const Tensor& mask);
+/// Dropout at probability p: element e of x (row-major) is dropped to 0 when
+/// draw e of `rng`'s stream, Rng::u64_at(e), is a bernoulli(·, p) success,
+/// and scaled by 1/(1 − p) otherwise; p == 0 is identity. The mask is a
+/// function of (stream, e), so it is never stored: the backward redraws it.
+/// The stream's counter is not read. Bitwise equal at any thread count.
+Tensor dropout(const Tensor& x, float p, const Rng& rng);
+/// dX = dy ⊙ the mask dropout(·, p, rng) applied, redrawn.
+Tensor dropout_backward(const Tensor& dy, float p, const Rng& rng);
 
 // ---- normalization -------------------------------------------------------------
 
@@ -116,14 +119,12 @@ Tensor fused_bias_gelu(const Tensor& x, const Tensor& bias);
 Tensor fused_bias_gelu_backward(const Tensor& dy, const Tensor& x, const Tensor& bias,
                                 Tensor& dbias);
 
-/// y = dropout(x + bias, p) + residual in one pass over the rows. A non-null
-/// `mask` is written as in dropout(); it may be null only at p = 0, for
-/// callers that never read it. Per element this rounds exactly like
-/// add_bias -> dropout -> add_ (the draws consume one RNG stream in element
-/// order), so it is bitwise equal to that composition.
+/// y = dropout(x + bias, p, rng) + residual in one pass over the rows, rows
+/// in parallel. Element e draws what dropout() draws for it, and per element
+/// this rounds exactly like add_bias -> dropout -> add_, so it is bitwise
+/// equal to that composition; its backward is dropout_backward(dy, p, rng).
 Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
-                              const Tensor& residual, float p, Rng& rng,
-                              Tensor* mask);
+                              const Tensor& residual, float p, const Rng& rng);
 
 // ---- attention -----------------------------------------------------------------
 
@@ -131,7 +132,10 @@ Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
 /// query row i (i < m) is the dk floats at q + i·q_stride + h·q_head_stride
 /// (the call's); head h of key (value) position j < len = k.size() is at
 /// k[j] + h·kv_head_stride (v[j] + ...); head h of context row i goes to
-/// out + i·out_stride + h·dk. The optional dropout mask is [heads, m, len].
+/// out + i·out_stride + h·dk. With dropout, head h of query i drops key j
+/// when draw i·len + j of drop[h] is a bernoulli(·, drop_p) success (the
+/// index of a [heads, m, len] mask's row-major slab h) and scales it by
+/// 1/(1 − drop_p) otherwise; the kernels draw the bits where they use them.
 struct AttentionSeq {
   const float* q = nullptr;
   std::int64_t q_stride = 0;
@@ -141,7 +145,8 @@ struct AttentionSeq {
   std::int64_t kv_head_stride = 0;
   float* out = nullptr;
   std::int64_t out_stride = 0;
-  const float* drop_mask = nullptr;  ///< applied to P before P·V (optional)
+  std::span<const Rng> drop = {};  ///< one stream per head, or empty: no dropout
+  float drop_p = 0.0f;
 };
 
 struct AttentionShape {
@@ -176,7 +181,8 @@ struct AttentionGradSeq {
 /// recomputed by the forward's own arithmetic (bitwise the P the forward
 /// used) instead of read from a saved copy. Phase 1, per (sequence, head,
 /// query block): dP_i = dO_i·Vᵀ, dS_i = scale·P_i ⊙ (dP_i ⊙ mask −
-/// Σ_j P_ij (dP ⊙ mask)_ij) and dq_i = Σ_j dS_ij k_j, j ascending. Phase 2,
+/// Σ_j P_ij (dP ⊙ mask)_ij) and dq_i = Σ_j dS_ij k_j, j ascending, with the
+/// dropout mask redrawn from the forward's streams. Phase 2,
 /// per (sequence, head, key block): dk_j = Σ_i dS_ij q_i and
 /// dv_j = Σ_i (P ⊙ mask)_ij dO_i, i ascending. Each output element is
 /// written by one task in one fixed order, so results are bitwise equal at

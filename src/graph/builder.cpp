@@ -46,7 +46,6 @@ class Emitter {
   std::int64_t h() const { return cfg_.hidden; }
   std::int64_t hl() const { return cfg_.hidden / tp_; }
   std::int64_t ffn_l() const { return cfg_.ffn_hidden() / tp_; }
-  std::int64_t heads_l() const { return cfg_.heads / tp_; }
 
  private:
   LayerPlan& plan_;
@@ -77,16 +76,12 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   const ValueId ln1_rstd = e.val("ln1.rstd", "[s*b]", s);
   const ValueId qkv_cin = e.val("attn.qkv.cached_input", "[s*b,h]", s * h);
   const ValueId qkv_out = e.val("attn.qkv.out", "[s*b,3h/t]", s * 3 * hl);
-  const ValueId pmask = e.val("attn.prob_mask", "[b*a/t,s,s]",
-                              with_dropout ? e.heads_l() * s * s : 0);
   const ValueId ctx2d = e.val("attn.ctx2d", "[s*b,h/t]", s * hl);
   const ValueId proj_cin = e.val("attn.proj.cached_input", "[s*b,h/t]", s * hl);
   const ValueId attn_out = e.val("attn.out", "[s*b,h]", s * h);
   const ValueId t1 = e.val("resid1.biased", "[s*b,h]", s * h);
   const ValueId d1 =
       with_dropout ? e.val("resid1.dropped", "[s*b,h]", s * h) : t1;
-  const ValueId mask1 =
-      e.val("resid1.mask", "[s*b,h]", with_dropout ? s * h : 0);
   const ValueId h1 = e.val("h1", "[s*b,h]", s * h);
   const ValueId ln2_y = e.val("ln2.y", "[s*b,h]", s * h);
   const ValueId ln2_mean = e.val("ln2.mean", "[s*b]", s);
@@ -100,8 +95,6 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   const ValueId t2 = e.val("resid2.biased", "[s*b,h]", s * h);
   const ValueId d2 =
       with_dropout ? e.val("resid2.dropped", "[s*b,h]", s * h) : t2;
-  const ValueId mask2 =
-      e.val("resid2.mask", "[s*b,h]", with_dropout ? s * h : 0);
   const ValueId y2d = e.val("y2d", "[s*b,h]", s * h);
   const ValueId y = e.alias("y", "[s,b,h]");
 
@@ -138,11 +131,10 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   }
   e.node(F, OpKind::kLinearFwd, {ln1_y}, {qkv_out, qkv_cin}).linear =
       L(LinearSlot::kQkv);
-  if (with_dropout) e.node(F, OpKind::kAttnProbMask, {}, {pmask});
   {
-    // qkv rows in, context rows out; the backward recomputes P.
+    // qkv rows in, context rows out; the backward recomputes P and redraws
+    // the dropout mask.
     Node& n = e.node(F, OpKind::kAttention, {qkv_out}, {ctx2d});
-    if (with_dropout) n.in.push_back(pmask);
     n.scale = smax_scale;
     n.causal = config.causal;
   }
@@ -156,7 +148,7 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
     n.site = model::DropSite::kAttentionResidual;
   }
   if (with_dropout) {
-    e.node(F, OpKind::kDropout, {t1}, {d1, mask1}).site =
+    e.node(F, OpKind::kDropout, {t1}, {d1}).site =
         model::DropSite::kAttentionResidual;
   }
   e.node(F, OpKind::kAdd, {d1, x2d}, {h1});
@@ -177,7 +169,7 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
     n.site = model::DropSite::kMlpResidual;
   }
   if (with_dropout) {
-    e.node(F, OpKind::kDropout, {t2}, {d2, mask2}).site =
+    e.node(F, OpKind::kDropout, {t2}, {d2}).site =
         model::DropSite::kMlpResidual;
   }
   e.node(F, OpKind::kAdd, {d2, h1}, {y2d});
@@ -186,7 +178,9 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
   // ---- backward (mirrors the reference accumulation order exactly) ----------
   auto& B = plan.bwd;
   e.node(B, OpKind::kView2D, {dy}, {dy2d});
-  if (with_dropout) e.node(B, OpKind::kDropoutBwd, {dy2d, mask2}, {db2});
+  if (with_dropout) {
+    e.node(B, OpKind::kDropoutBwd, {dy2d}, {db2}).site = model::DropSite::kMlpResidual;
+  }
   e.node(B, OpKind::kBiasGradAccum, {db2}, {}).param = P(ParamSlot::kFc2Bias);
   e.node(B, OpKind::kLinearBwd, {db2, fc2_cin}, {dact}).linear =
       L(LinearSlot::kFc2);
@@ -201,14 +195,16 @@ LayerPlan build_unfused_layer_plan(const model::GptConfig& config,
     n.param2 = P(ParamSlot::kLn2Beta);
   }
   e.node(B, OpKind::kAdd, {dy2d, dln2x}, {dh1});
-  if (with_dropout) e.node(B, OpKind::kDropoutBwd, {dh1, mask1}, {db1});
+  if (with_dropout) {
+    e.node(B, OpKind::kDropoutBwd, {dh1}, {db1}).site =
+        model::DropSite::kAttentionResidual;
+  }
   e.node(B, OpKind::kBiasGradAccum, {db1}, {}).param = P(ParamSlot::kProjBias);
   e.node(B, OpKind::kLinearBwd, {db1, proj_cin}, {dctx2d}).linear =
       L(LinearSlot::kProj);
   {
     // d context rows in, d qkv rows out, straight into the QKV linear.
     Node& n = e.node(B, OpKind::kAttentionBwd, {qkv_out, dctx2d}, {dqkv});
-    if (with_dropout) n.in.push_back(pmask);
     n.scale = smax_scale;
     n.causal = config.causal;
   }

@@ -8,7 +8,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kView3D: return "graph.view3d";
     case OpKind::kLinearFwd: return "graph.linear_fwd";
     case OpKind::kLinearBwd: return "graph.linear_bwd";
-    case OpKind::kAttnProbMask: return "graph.attn_prob_mask";
     case OpKind::kLayerNorm: return "graph.layernorm";
     case OpKind::kLayerNormBwd: return "graph.layernorm_bwd";
     case OpKind::kAddBias: return "graph.add_bias";

@@ -37,8 +37,8 @@ void splice(std::vector<Node>& seg, std::size_t first, std::size_t count,
 
 // add_bias [+ dropout] + add -> fused_bias_dropout_add. The fused kernel
 // draws the same site-keyed RNG stream the standalone dropout draws, so the
-// rewrite is exact. Backward is already in its reference form (dropout_bwd /
-// bias_grad / add) and needs no pairing.
+// rewrite is exact. Backward is already in its reference form (dropout_bwd,
+// which redraws that stream, / bias_grad / add) and needs no pairing.
 int fuse_bias_dropout_add(LayerPlan& plan) {
   int n = 0;
   for (std::size_t i = 0; i < plan.fwd.size(); ++i) {
@@ -49,12 +49,10 @@ int fuse_bias_dropout_add(LayerPlan& plan) {
     if (!fusable_temp(plan, uses, t)) continue;
     std::size_t j = i + 1;
     ValueId chain = t;
-    ValueId mask = kNoValue;
     if (j < plan.fwd.size() && plan.fwd[j].kind == OpKind::kDropout &&
         plan.fwd[j].in[0] == chain) {
       if (!fusable_temp(plan, uses, plan.fwd[j].out[0])) continue;
       chain = plan.fwd[j].out[0];
-      mask = plan.fwd[j].out[1];
       ++j;
     }
     if (j >= plan.fwd.size() || plan.fwd[j].kind != OpKind::kAdd ||
@@ -65,7 +63,6 @@ int fuse_bias_dropout_add(LayerPlan& plan) {
     fused.kind = OpKind::kFusedBiasDropoutAdd;
     fused.in = {ab.in[0], plan.fwd[j].in[1]};  // (x, residual)
     fused.out = {plan.fwd[j].out[0]};
-    if (mask != kNoValue) fused.out.push_back(mask);
     fused.param = ab.param;
     fused.site = ab.site;
     splice(plan.fwd, i, j - i + 1, std::move(fused));
@@ -143,8 +140,8 @@ void dump_nodes_json(const std::vector<Node>& seg, std::FILE* out) {
     if (n.linear >= 0) std::fprintf(out, ", \"linear\": %d", n.linear);
     if (n.param >= 0) std::fprintf(out, ", \"param\": %d", n.param);
     if (n.param2 >= 0) std::fprintf(out, ", \"param2\": %d", n.param2);
-    if (n.kind == OpKind::kDropout || n.kind == OpKind::kFusedBiasDropoutAdd ||
-        n.kind == OpKind::kAttnProbMask) {
+    if (n.kind == OpKind::kDropout || n.kind == OpKind::kDropoutBwd ||
+        n.kind == OpKind::kFusedBiasDropoutAdd) {
       std::fprintf(out, ", \"site\": %d", static_cast<int>(n.site));
     }
     if (n.scale != 0.0f) std::fprintf(out, ", \"scale\": %.9g", n.scale);

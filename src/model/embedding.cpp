@@ -37,6 +37,7 @@ Tensor VocabParallelEmbedding::forward(std::span<const std::int32_t> tokens,
   cache.tokens.assign(tokens.begin(), tokens.end());
   cache.s = s;
   cache.b = b;
+  cache.mb_tag = mb_tag;
   const std::int64_t h = config_.hidden;
 
   // The lookup output escapes as the stage activation (the pipeline owns
@@ -67,8 +68,7 @@ Tensor VocabParallelEmbedding::forward(std::span<const std::int32_t> tokens,
   }
 
   if (config_.dropout > 0.0f) {
-    Rng rng = site_rng(config_.seed, mb_tag, /*layer=*/0, DropSite::kEmbedding);
-    out = tensor::dropout(out, config_.dropout, rng, cache.drop_mask);
+    out = tensor::dropout(out, config_.dropout, drop_rng(mb_tag));
   }
   return out.view({s, b, h});
 }
@@ -113,7 +113,7 @@ void VocabParallelEmbedding::backward(const Tensor& dy, const EmbeddingCache& ca
   const std::int64_t h = config_.hidden;
   Tensor d2d = dy.view({s * b, h});
   if (config_.dropout > 0.0f) {
-    d2d = tensor::dropout_backward(d2d, cache.drop_mask);
+    d2d = tensor::dropout_backward(d2d, config_.dropout, drop_rng(cache.mb_tag));
   }
 
   // Position grads (identical on every tensor rank — replicated param).

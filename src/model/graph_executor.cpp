@@ -31,10 +31,17 @@ struct Runner {
 
   Tensor& at(ValueId vid) { return frame.vals[static_cast<std::size_t>(vid)]; }
 
-  Rng rng_for(const Node& node) const {
+  /// The dropout probability; only a plan built with dropout applies one
+  /// (its backward has the nodes that redraw the masks).
+  float dropout() const {
+    PTDP_CHECK(plan.with_dropout || ctx.dropout == 0.0f)
+        << "dropout " << ctx.dropout << " on a dropout-free plan";
+    return ctx.dropout;
+  }
+
+  Rng site_rng(model::DropSite site, std::uint64_t sub = 0) const {
     return model::site_rng(bind.config->seed, ctx.mb_tag,
-                           static_cast<std::uint64_t>(bind.layer_idx),
-                           node.site);
+                           static_cast<std::uint64_t>(bind.layer_idx), site, sub);
   }
 
   void exec(const Node& n) {
@@ -91,9 +98,6 @@ struct Runner {
         }
         break;
       }
-      case OpKind::kAttnProbMask:
-        at(n.out[0]) = bind.attn->make_prob_dropout_mask(ctx.b, ctx.mb_tag);
-        break;
       case OpKind::kAddBias:
         at(n.out[0]) = ts::add_bias(at(n.in[0]), param(bind, n.param).value);
         break;
@@ -103,13 +107,12 @@ struct Runner {
       case OpKind::kGeluBwd:
         at(n.out[0]) = ts::gelu_backward(at(n.in[0]), at(n.in[1]));
         break;
-      case OpKind::kDropout: {
-        Rng rng = rng_for(n);
-        at(n.out[0]) = ts::dropout(at(n.in[0]), ctx.dropout, rng, at(n.out[1]));
+      case OpKind::kDropout:
+        at(n.out[0]) = ts::dropout(at(n.in[0]), dropout(), site_rng(n.site));
         break;
-      }
       case OpKind::kDropoutBwd:
-        at(n.out[0]) = ts::dropout_backward(at(n.in[0]), at(n.in[1]));
+        at(n.out[0]) =
+            ts::dropout_backward(at(n.in[0]), dropout(), site_rng(n.site));
         break;
       case OpKind::kAdd:
         at(n.out[0]) = ts::add(at(n.in[0]), at(n.in[1]));
@@ -127,14 +130,11 @@ struct Runner {
             ts::fused_bias_gelu_backward(at(n.in[0]), at(n.in[1]), b.value, b.grad);
         break;
       }
-      case OpKind::kFusedBiasDropoutAdd: {
-        Rng rng = rng_for(n);
-        Tensor* mask = n.out.size() > 1 ? &at(n.out[1]) : nullptr;
+      case OpKind::kFusedBiasDropoutAdd:
         at(n.out[0]) = ts::fused_bias_dropout_add(
-            at(n.in[0]), param(bind, n.param).value, at(n.in[1]), ctx.dropout,
-            rng, mask);
+            at(n.in[0]), param(bind, n.param).value, at(n.in[1]), dropout(),
+            site_rng(n.site));
         break;
-      }
       case OpKind::kAttention:
         attention(n);
         break;
@@ -147,11 +147,13 @@ struct Runner {
   /// The b sequences of the [s, b] microbatch over its qkv rows [s·b, 3·h_l]
   /// (per row [a_l][q|k|v][dk]): row i·b + bi is position i of sequence bi,
   /// which is entry bi·s + i of the row tables `k` and `v` (and of
-  /// position(r) for row r). `mask` is the [b·a_l, s, s] prob mask or null;
-  /// `out`, if not null, the context rows [s·b, h_l].
+  /// position(r) for row r). `out`, if not null, is the context rows
+  /// [s·b, h_l]. With dropout, `drop` receives the attention-probability
+  /// streams, entry bi·a_l + h for local head h of sequence bi, keyed by
+  /// bi·heads + global head (rng_sites.hpp).
   std::vector<tensor::AttentionSeq> microbatch_seqs(
-      const Tensor& qkv, const Tensor* mask, float* out,
-      std::vector<const float*>& k, std::vector<const float*>& v) const {
+      const Tensor& qkv, float* out, std::vector<const float*>& k,
+      std::vector<const float*>& v, std::vector<Rng>& drop) const {
     const std::int64_t al = bind.attn->heads_local();
     const std::int64_t dk = bind.attn->head_dim();
     const std::int64_t s = ctx.s, b = ctx.b, hl = al * dk, row = 3 * hl;
@@ -163,13 +165,23 @@ struct Runner {
       k[position(r)] = q + r * row + dk;
       v[position(r)] = q + r * row + 2 * dk;
     }
+    if (dropout() > 0.0f) {
+      const std::int64_t heads = bind.config->heads, h0 = bind.attn->head_begin();
+      for (std::int64_t bi = 0; bi < b; ++bi) {
+        for (std::int64_t h = 0; h < al; ++h) {
+          drop.push_back(site_rng(model::DropSite::kAttentionProb,
+                                  static_cast<std::uint64_t>(bi * heads + h0 + h)));
+        }
+      }
+    }
     std::vector<tensor::AttentionSeq> seqs;
     for (std::int64_t bi = 0; bi < b; ++bi) {
       seqs.push_back({q + bi * row, b * row, s, 0, std::span(k).subspan(bi * s, s),
                       std::span(v).subspan(bi * s, s), 3 * dk,
                       out != nullptr ? out + bi * hl : nullptr, b * hl});
-      if (mask != nullptr) {
-        seqs.back().drop_mask = mask->data().data() + bi * al * s * s;
+      if (!drop.empty()) {
+        seqs.back().drop = std::span<const Rng>(drop).subspan(bi * al, al);
+        seqs.back().drop_p = ctx.dropout;
       }
     }
     return seqs;
@@ -182,10 +194,11 @@ struct Runner {
   /// [a_l][q|k|v][dk], in; context rows [rows, h_l] out, through
   /// tensor::attention. Training and evaluation attend within each sequence
   /// of the [s, b] microbatch, K/V read in the qkv rows themselves; nothing
-  /// but the context is written (the backward recomputes P). With ctx.kv
-  /// set, each sequence of ctx.seqs first appends its new K/V rows to the
-  /// store and then attends over the store's rows: the same bytes through
-  /// the same kernel, so decode is bitwise the full forward.
+  /// but the context is written (the backward recomputes P and redraws the
+  /// dropout mask). With ctx.kv set, each sequence of ctx.seqs first appends
+  /// its new K/V rows to the store and then attends over the store's rows:
+  /// the same bytes through the same kernel, so decode is bitwise the full
+  /// forward.
   void attention(const Node& n) {
     const Tensor& qkv = at(n.in[0]);
     const std::int64_t al = bind.attn->heads_local();
@@ -198,9 +211,10 @@ struct Runner {
     std::vector<tensor::AttentionSeq> seqs;
     thread_local std::vector<model::KvRows> kv_rows;  // tables keep capacity
     std::vector<const float*> k, v;
+    std::vector<Rng> drop;
     if (ctx.kv != nullptr) {
       PTDP_CHECK(n.causal) << "incremental decode is causal-only";
-      PTDP_CHECK_EQ(n.in.size(), 1u) << "disable dropout for decoding";
+      PTDP_CHECK_EQ(ctx.dropout, 0.0f) << "disable dropout for decoding";
       kv_rows.resize(ctx.seqs.size());
       std::int64_t r0 = 0;
       for (std::size_t i = 0; i < ctx.seqs.size(); ++i) {
@@ -219,24 +233,26 @@ struct Runner {
       }
       PTDP_CHECK_EQ(r0, rows) << "decode batch rows must equal the sum of seq lens";
     } else {
-      seqs = microbatch_seqs(qkv, n.in.size() > 1 ? &at(n.in[1]) : nullptr, o, k, v);
+      seqs = microbatch_seqs(qkv, o, k, v, drop);
     }
     tensor::attention(seqs, {al, dk, 3 * dk, n.scale, n.causal});
     for (model::KvRows& kr : kv_rows) kr.scratch_k = kr.scratch_v = Tensor();
     at(n.out[0]) = out;
   }
 
-  /// kAttentionBwd (DESIGN.md §8, §14): qkv rows, d context rows [rows, h_l]
-  /// and, with dropout, the prob mask in; d qkv rows [rows, 3·h_l] out, laid
-  /// out like the qkv rows, which is what the QKV linear's backward takes.
+  /// kAttentionBwd (DESIGN.md §8, §14): qkv rows and d context rows
+  /// [rows, h_l] in; d qkv rows [rows, 3·h_l] out, laid out like the qkv
+  /// rows, which is what the QKV linear's backward takes. The dropout mask is
+  /// redrawn from the forward's streams.
   void attention_backward(const Node& n) {
     const Tensor& qkv = at(n.in[0]);
     const std::int64_t al = bind.attn->heads_local();
     const std::int64_t dk = bind.attn->head_dim();
     const std::int64_t s = ctx.s, b = ctx.b, hl = al * dk;
     std::vector<const float*> k, v;
+    std::vector<Rng> drop;
     const std::vector<tensor::AttentionSeq> seqs =
-        microbatch_seqs(qkv, n.in.size() > 2 ? &at(n.in[2]) : nullptr, nullptr, k, v);
+        microbatch_seqs(qkv, nullptr, k, v, drop);
     Tensor dqkv = Tensor::empty(qkv.shape());
     float* d = dqkv.data().data();
     std::vector<float*> dk_rows(k.size()), dv_rows(k.size());

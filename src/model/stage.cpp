@@ -103,7 +103,7 @@ tensor::Tensor GptStage::logits(std::span<const std::int32_t> tokens, std::int64
   const graph::ExecContext ctx{s, b, /*mb_tag=*/0, /*dropout=*/0.0f};
   for (auto& layer : layers_) {
     LayerCache frame;
-    frame.begin(layer->decode_plan(), act);
+    frame.begin(layer->decode_plan(), act, ctx.mb_tag);
     act = graph::SequentialExecutor::run_forward(layer->decode_plan(), frame,
                                                  layer->binding(), ctx);
   }
@@ -140,7 +140,7 @@ tensor::Tensor GptStage::decode(std::span<const DecodeSeq> seqs,
   graph::ExecContext ctx{rows, 1, /*mb_tag=*/0, /*dropout=*/0.0f, seqs, &kv};
   for (auto& layer : layers_) {
     LayerCache frame;
-    frame.begin(layer->decode_plan(), act);
+    frame.begin(layer->decode_plan(), act, ctx.mb_tag);
     act = graph::SequentialExecutor::run_forward(layer->decode_plan(), frame,
                                                  layer->binding(), ctx);
   }

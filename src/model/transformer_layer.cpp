@@ -57,7 +57,7 @@ Tensor TransformerLayer::forward(const Tensor& x, LayerCache& cache,
                                  std::uint64_t mb_tag) {
   PTDP_CHECK_EQ(x.ndim(), 3);
   const graph::LayerPlan& plan = this->plan(config_.dropout > 0.0f);
-  cache.begin(plan, x);
+  cache.begin(plan, x, mb_tag);
   graph::ExecContext ctx{x.dim(0), x.dim(1), mb_tag, config_.dropout};
   return graph::SequentialExecutor::run_forward(plan, cache, binding_, ctx);
 }
@@ -65,7 +65,7 @@ Tensor TransformerLayer::forward(const Tensor& x, LayerCache& cache,
 Tensor TransformerLayer::backward(const Tensor& dy, LayerCache& cache) {
   PTDP_CHECK(cache.active()) << "backward without a forward frame";
   const graph::LayerPlan& plan = this->plan(cache.with_dropout);
-  graph::ExecContext ctx{dy.dim(0), dy.dim(1), /*mb_tag=*/0, config_.dropout};
+  graph::ExecContext ctx{dy.dim(0), dy.dim(1), cache.mb_tag, config_.dropout};
   return graph::SequentialExecutor::run_backward(plan, cache, binding_, ctx, dy);
 }
 
@@ -79,7 +79,6 @@ Tensor TransformerLayer::backward_recompute(const Tensor& dy, LayerCache& cache,
 
 void TransformerLayer::set_dropout(float p) {
   config_.dropout = p;
-  attention_.set_dropout(p);
 }
 
 void TransformerLayer::collect_params(ParamRefs& out) {

@@ -949,9 +949,11 @@ inline VecNR gelu_splat(float x) {
   return v;
 }
 
-// exp(v) for v <= 0. Inputs are clamped at -87 (exp(-87) ~ 1.6e-38, still
-// a normal float) so the exponent bit-build below never underflows.
+// exp(v) for v <= 0. Finite inputs are clamped at -87 (exp(-87) ~ 1.6e-38,
+// still a normal float) so the exponent bit-build below never underflows;
+// v = -inf (a masked-out softmax score) gives exactly 0.
 inline VecNR exp_neg_vec(VecNR v) {
+  const VecNR x = v;
   const VecNR lo = gelu_splat(-87.0f);
   v = v < lo ? lo : v;
   const VecNR t = v * 1.4426950408889634f;  // log2(e)
@@ -967,7 +969,8 @@ inline VecNR exp_neg_vec(VecNR v) {
   p = p * f + 0.693147180f;
   p = p * f + 1.0f;
   const VecNI bits = (n + 127) << 23;  // 2^n
-  return p * (VecNR)bits;
+  const VecNR e = p * (VecNR)bits;
+  return x == -std::numeric_limits<float>::infinity() ? gelu_splat(0.0f) : e;
 }
 
 inline VecNR tanh_vec(VecNR u) {
@@ -1072,31 +1075,64 @@ Tensor gelu_backward(const Tensor& dy, const Tensor& x) {
   return out;
 }
 
-// Stays serial: the Bernoulli draws consume one RNG stream in element order,
-// so splitting the loop would change which element sees which draw.
-Tensor dropout(const Tensor& x, float p, Rng& rng, Tensor& mask) {
+namespace {
+
+// The dropout scale of element e: 0 when draw e of the site's stream is a
+// bernoulli(·, p) success, keep = 1/(1 − p) otherwise. Every dropout kernel
+// takes its scales from here, so a backward redraws its forward's bits.
+inline float drop_scale(const Rng& rng, std::uint64_t e, double p, float keep) {
+  return bernoulli(rng.u64_at(e), p) ? 0.0f : keep;
+}
+
+// dst[j] = src[j] · the scale of element e0 + j, for j < n (src may be dst).
+// p == 0 skips the draws: the scale is 1.0f and the product exact.
+void drop_span(const float* src, float* dst, std::int64_t n, const Rng& rng,
+               std::uint64_t e0, float p) {
+  if (p == 0.0f) {
+    if (src != dst) std::copy_n(src, n, dst);
+    return;
+  }
+  const Rng r = rng;  // a local copy: no store can alias its key
+  const float keep = 1.0f / (1.0f - p);
+  const double pd = p;
+  for (std::int64_t j = 0; j < n; ++j) {
+    dst[j] = src[j] * drop_scale(r, e0 + static_cast<std::uint64_t>(j), pd, keep);
+  }
+}
+
+// m[j] = the scale of element e0 + j, for j < n and p > 0.
+void drop_scales(float* m, std::int64_t n, const Rng& rng, std::uint64_t e0,
+                 float p) {
+  const Rng r = rng;
+  const float keep = 1.0f / (1.0f - p);
+  const double pd = p;
+  for (std::int64_t j = 0; j < n; ++j) {
+    m[j] = drop_scale(r, e0 + static_cast<std::uint64_t>(j), pd, keep);
+  }
+}
+
+void check_dropout_p(float p) {
   PTDP_CHECK_GE(p, 0.0f);
   PTDP_CHECK_LT(p, 1.0f);
-  mask = Tensor::empty(x.shape());
+}
+
+}  // namespace
+
+Tensor dropout(const Tensor& x, float p, const Rng& rng) {
+  check_dropout_p(p);
   Tensor out = Tensor::empty(x.shape());
-  auto dx = x.data();
-  auto dm = mask.data();
-  auto dout = out.data();
-  if (p == 0.0f) {
-    std::fill(dm.begin(), dm.end(), 1.0f);
-    std::copy(dx.begin(), dx.end(), dout.begin());
-    return out;
-  }
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    const float m = rng.next_bernoulli(p) ? 0.0f : keep_scale;
-    dm[i] = m;
-    dout[i] = dx[i] * m;
-  }
+  const float* dx = x.data().data();
+  float* dout = out.data().data();
+  parallel_for(0, x.numel(), kElemGrain, [&](std::int64_t i0, std::int64_t i1) {
+    drop_span(dx + i0, dout + i0, i1 - i0, rng, static_cast<std::uint64_t>(i0), p);
+  });
   return out;
 }
 
-Tensor dropout_backward(const Tensor& dy, const Tensor& mask) { return mul(dy, mask); }
+// dX = dy ⊙ the mask the forward drew: the same scales, redrawn.
+Tensor dropout_backward(const Tensor& dy, float p, const Rng& rng) {
+  return dropout(dy, p, rng);
+}
 
 // ---- normalization -------------------------------------------------------------
 
@@ -1352,50 +1388,30 @@ Tensor fused_bias_gelu_backward(const Tensor& dy, const Tensor& x, const Tensor&
 }
 
 Tensor fused_bias_dropout_add(const Tensor& x, const Tensor& bias,
-                              const Tensor& residual, float p, Rng& rng,
-                              Tensor* mask) {
+                              const Tensor& residual, float p, const Rng& rng) {
   PTDP_CHECK(x.same_shape(residual));
   PTDP_CHECK_EQ(bias.ndim(), 1);
   PTDP_CHECK_EQ(x.dim(-1), bias.dim(0));
-  PTDP_CHECK_GE(p, 0.0f);
-  PTDP_CHECK_LT(p, 1.0f);
-  PTDP_CHECK(mask != nullptr || p == 0.0f) << "dropout needs a mask output";
+  check_dropout_p(p);
   const std::int64_t rows = leading_rows(x);
   const std::int64_t n = x.dim(-1);
-  if (mask != nullptr) *mask = Tensor::empty(x.shape());
   Tensor out = Tensor::empty(x.shape());
   const float* dx = x.data().data();
   const float* db = bias.data().data();
   const float* dr = residual.data().data();
-  float* dm = mask != nullptr ? mask->data().data() : nullptr;
   float* dout = out.data().data();
-  // Row by row, the residual add is a second loop over the cache-hot row:
-  // the dropout product is rounded before the add, as in dropout() -> add_(),
-  // and never contracted into an FMA.
-  if (p == 0.0f) {
-    // Identity dropout, rows in parallel. Captures are by value: a captured
-    // float reference could alias the stores and block vectorization.
-    parallel_for(0, rows, row_grain(n), [=](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        const std::int64_t o = r * n;
-        if (dm != nullptr) std::fill(dm + o, dm + o + n, 1.0f);
-        for (std::int64_t j = 0; j < n; ++j) dout[o + j] = dx[o + j] + db[j];
-        for (std::int64_t j = 0; j < n; ++j) dout[o + j] += dr[o + j];
-      }
-    });
-    return out;
-  }
-  // Serial: the Bernoulli draws consume one RNG stream in element order.
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t o = r * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float m = rng.next_bernoulli(p) ? 0.0f : keep_scale;
-      dm[o + j] = m;
-      dout[o + j] = (dx[o + j] + db[j]) * m;
+  // Row by row, each pass over the cache-hot row: the dropout product is
+  // rounded before the residual add, as in dropout() -> add_(), and never
+  // contracted into an FMA. Captures are by value: a captured float
+  // reference could alias the stores and block vectorization.
+  parallel_for(0, rows, row_grain(n), [=, &rng](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const std::int64_t o = r * n;
+      for (std::int64_t j = 0; j < n; ++j) dout[o + j] = dx[o + j] + db[j];
+      drop_span(dout + o, dout + o, n, rng, static_cast<std::uint64_t>(o), p);
+      for (std::int64_t j = 0; j < n; ++j) dout[o + j] += dr[o + j];
     }
-    for (std::int64_t j = 0; j < n; ++j) dout[o + j] += dr[o + j];
-  }
+  });
   return out;
 }
 
@@ -1534,10 +1550,11 @@ void attend_probs(const AttentionSeq& sq, const AttentionShape& sh,
   softmax_rows<R>(p, lim, len, sh.scale);
 }
 
-// The dropout mask row of query i + r, head h, or null.
-const float* mask_row(const AttentionSeq& sq, std::int64_t h, std::int64_t i) {
-  if (sq.drop_mask == nullptr) return nullptr;
-  return sq.drop_mask + (h * sq.m + i) * static_cast<std::int64_t>(sq.k.size());
+// Whether `sq` applies dropout, and the draw of its query i, key 0 (key j is
+// draw i·len + j of its head's stream).
+bool has_dropout(const AttentionSeq& sq) { return !sq.drop.empty() && sq.drop_p > 0.0f; }
+std::uint64_t drop_row(const AttentionSeq& sq, std::int64_t i) {
+  return static_cast<std::uint64_t>(i) * sq.k.size();
 }
 
 // Query rows [i, i + R) of head h of one sequence, the P rows in `scratch`
@@ -1554,18 +1571,20 @@ void attend_rows(const AttentionSeq& sq, const AttentionShape& sh,
     o[r] = sq.out + (i + r) * sq.out_stride + h * sh.dk;
   }
   attend_probs<R>(sq, sh, h, i, lim, p);
-  for (int r = 0; r < R; ++r) {
-    if (const float* mask = mask_row(sq, h, i + r)) {
-      for (std::int64_t j = 0; j < lim[r]; ++j) p[r][j] *= mask[j];
+  if (has_dropout(sq)) {
+    for (int r = 0; r < R; ++r) {
+      drop_span(p[r], p[r], lim[r], sq.drop[static_cast<std::size_t>(h)],
+                drop_row(sq, i + r), sq.drop_p);
     }
   }
   attend_values<R>(head_rows(sq.v, h * sq.kv_head_stride), sh.dk, p, lo, lim, o);
 }
 
 // Phase 1 of attention_backward, query rows [i, i + R) of head h: P as the
-// forward computes it, dP = dO·Vᵀ, dS and dQ = dS·K (j ascending). dS and
-// P ⊙ mask also go to the key-major hand-off rows ds_t[j·m + i] and
-// pm_t[j·m + i], in which phase 2 reads its keys' queries in ascending i.
+// forward computes it, the forward's dropout scales redrawn, dP = dO·Vᵀ, dS
+// and dQ = dS·K (j ascending). dS and P ⊙ mask also go to the key-major
+// hand-off rows ds_t[j·m + i] and pm_t[j·m + i], in which phase 2 reads its
+// keys' queries in ascending i. `scratch` holds 3R·len floats.
 template <int R>
 void attend_query_grads(const AttentionGradSeq& g, const AttentionShape& sh,
                         std::int64_t h, std::int64_t i, float* scratch,
@@ -1574,24 +1593,31 @@ void attend_query_grads(const AttentionGradSeq& g, const AttentionShape& sh,
   const std::int64_t m = sq.m;
   const auto len = static_cast<std::int64_t>(sq.k.size());
   std::int64_t lo[R] = {}, lim[R];
+  const bool drop = has_dropout(sq);
   float* p[R];
   float* ds[R];
+  float* mask[R];
   float* dq[R];
-  const float* mask[R];
   for (int r = 0; r < R; ++r) {
     p[r] = scratch + r * len;
     ds[r] = scratch + (R + r) * len;
+    mask[r] = scratch + (2 * R + r) * len;
     dq[r] = g.dq + (i + r) * g.dq_stride + h * sh.q_head_stride;
-    mask[r] = mask_row(sq, h, i + r);
   }
   attend_probs<R>(sq, sh, h, i, lim, p);
+  if (drop) {
+    for (int r = 0; r < R; ++r) {
+      drop_scales(mask[r], lim[r], sq.drop[static_cast<std::size_t>(h)],
+                  drop_row(sq, i + r), sq.drop_p);
+    }
+  }
   // dP ⊙ mask, then dS = scale·P ⊙ (dP ⊙ mask − Σ_j P_ij (dP ⊙ mask)_ij),
   // each row's sum in ascending j.
   float dot[R];
   for (int r = 0; r < R; ++r) {
     attend_scores(g.dout + (i + r) * g.dout_stride + h * sh.dk, sh.dk, sq.v,
                   h * sq.kv_head_stride, lim[r], ds[r]);
-    if (mask[r] != nullptr) {
+    if (drop) {
       for (std::int64_t j = 0; j < lim[r]; ++j) ds[r][j] *= mask[r][j];
     }
     dot[r] = 0.0f;
@@ -1601,7 +1627,7 @@ void attend_query_grads(const AttentionGradSeq& g, const AttentionShape& sh,
     for (std::int64_t j = 0; j < lim[r]; ++j) {
       ds[r][j] = sh.scale * (p[r][j] * (ds[r][j] - dot[r]));
       ds_t[j * m + i + r] = ds[r][j];
-      pm_t[j * m + i + r] = mask[r] != nullptr ? p[r][j] * mask[r][j] : p[r][j];
+      pm_t[j * m + i + r] = drop ? p[r][j] * mask[r][j] : p[r][j];
     }
   }
   attend_values<R>(head_rows(sq.k, h * sq.kv_head_stride), sh.dk, ds, lo, lim, dq);
@@ -1642,6 +1668,9 @@ void check_seq(const AttentionSeq& sq, const AttentionShape& sh) {
   PTDP_CHECK(sq.m == 0 || len > 0) << "attention over no keys";
   PTDP_CHECK(!sh.causal || sq.pos + sq.m <= len)
       << "query " << sq.pos + sq.m - 1 << " past the last key " << len - 1;
+  PTDP_CHECK(sq.drop.empty() || static_cast<std::int64_t>(sq.drop.size()) == sh.heads)
+      << "one dropout stream per head";
+  check_dropout_p(sq.drop_p);
 }
 
 struct AttnTask {
@@ -1726,7 +1755,7 @@ void attention_backward(std::span<const AttentionGradSeq> seqs,
   };
   for_each_attn_block(
       seqs.size(), sh.heads, [&](std::size_t s) { return seqs[s].seq.m; }, 3 * flops,
-      2 * kAttnRows * max_len,
+      3 * kAttnRows * max_len,
       [&](auto rows, const AttnTask& tk, std::int64_t i, float* buf) {
         attend_query_grads<decltype(rows)::value>(seqs[tk.seq], sh, tk.head, i, buf,
                                                   ds_t + head_at(tk), pm_t + head_at(tk));

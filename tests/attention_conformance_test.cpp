@@ -11,8 +11,11 @@
 //   3. K/V read through shuffled row tables, at head stride dk (paged block
 //      slots) and len·dk (a gathered [heads, len, dk] copy), equal the
 //      contiguous QKV rows bit for bit.
-//   4. With a dropout mask: P is the unmasked softmax and P ⊙ mask is
-//      exactly their product; the context follows P ⊙ mask.
+//   4. With dropout, against a mask the test draws element by element with
+//      next_bernoulli from the same streams: P ⊙ mask is exactly the
+//      unmasked P times it, and the context and dV (which reads P ⊙ mask)
+//      equal what that explicit mask gives, bit for bit, causal and not, at
+//      1–4 threads; dQ/dK/dV meet it through the reference of 5.
 //   5. The backward's dQ/dK/dV against a double-precision reference, with
 //      and without a dropout mask, causal and not, len 1…300, dk 16/40/64,
 //      bitwise equal at 1–4 threads and through shuffled row tables; its
@@ -110,6 +113,33 @@ std::vector<float> probs_of(AttentionSeq seq, const AttentionShape& sh) {
   return probs;
 }
 
+// The dropout of one sequence: a stream per head, and p.
+struct Dropout {
+  std::vector<Rng> streams;
+  float p;
+
+  Dropout(std::int64_t heads, float p_, Rng& rng) : p(p_) {
+    for (std::int64_t h = 0; h < heads; ++h) streams.emplace_back(rng.next_u64(), h);
+  }
+  void apply(AttentionSeq& seq) const {
+    seq.drop = streams;
+    seq.drop_p = p;
+  }
+  // The explicit [heads, m, len] mask: element (h, i, j) is the next_bernoulli
+  // draw i·len + j of stream h, 0 (dropped) or 1/(1 − p).
+  std::vector<float> mask(std::int64_t m, std::int64_t len) const {
+    const float keep = 1.0f / (1.0f - p);
+    std::vector<float> out;
+    for (const Rng& s : streams) {
+      Rng draws = s;
+      for (std::int64_t e = 0; e < m * len; ++e) {
+        out.push_back(draws.next_bernoulli(p) ? 0.0f : keep);
+      }
+    }
+    return out;
+  }
+};
+
 struct Result {
   std::vector<float> ctx;    ///< [m, heads·dk]
   std::vector<float> probs;  ///< [heads, m, keys], P ⊙ mask with a mask
@@ -120,13 +150,14 @@ struct Result {
 // keys = pos + m when causal (decode and prefill see only the past) and the
 // whole sequence otherwise.
 Result run(const Problem& p, std::int64_t pos, std::int64_t m, bool causal,
-           const float* drop_mask = nullptr) {
+           const Dropout* drop = nullptr) {
   Result r;
   r.keys = causal ? pos + m : p.len;
   const std::vector<const float*> k = p.k_rows(r.keys), v = p.v_rows(r.keys);
   r.ctx.assign(static_cast<std::size_t>(m * p.heads * p.dk), -1.0f);
   AttentionSeq seq{p.q(pos), p.row(), m, pos, k, v, 3 * p.dk,
-                   r.ctx.data(), p.heads * p.dk, drop_mask};
+                   r.ctx.data(), p.heads * p.dk};
+  if (drop != nullptr) drop->apply(seq);
   const AttentionShape sh{p.heads, p.dk, 3 * p.dk, p.scale, causal};
   attention({&seq, 1}, sh);
   r.probs = probs_of(seq, sh);
@@ -335,25 +366,28 @@ TEST(AttentionConformance, ShuffledRowTablesMatchContiguousRows) {
   }
 }
 
-std::vector<float> bernoulli_mask(std::int64_t n, Rng& rng) {
-  const float keep = 1.0f / 0.7f;
-  std::vector<float> mask(static_cast<std::size_t>(n));
-  for (float& x : mask) x = rng.next_bernoulli(0.3f) ? 0.0f : keep;
-  return mask;
-}
-
 TEST(AttentionConformance, DropoutMaskScalesPBeforeTheValues) {
+  ThreadGuard guard;
   Rng rng(2304);
   const Problem pr(2, 45, 40, rng);
-  const std::vector<float> mask = bernoulli_mask(pr.heads * pr.len * pr.len, rng);
+  const Dropout drop(pr.heads, 0.3f, rng);
+  const std::vector<float> mask = drop.mask(pr.len, pr.len);
   const float keep = 1.0f / 0.7f;
   for (const bool causal : {true, false}) {
     SCOPED_TRACE(causal ? "causal" : "full");
     const Result plain = run(pr, 0, pr.len, causal);
-    const Result masked = run(pr, 0, pr.len, causal, mask.data());
-    // P ⊙ mask is exactly tensor::mul's product of the unmasked P.
+    runtime::set_intra_op_threads(1);
+    const Result masked = run(pr, 0, pr.len, causal, &drop);
+    // P ⊙ mask is exactly tensor::mul's product of the unmasked P and the
+    // explicit mask.
     for (std::size_t e = 0; e < mask.size(); ++e) {
       ASSERT_EQ(masked.probs[e], plain.probs[e] * mask[e]) << "element " << e;
+    }
+    for (const std::size_t threads : {2u, 3u, 4u}) {
+      runtime::set_intra_op_threads(threads);
+      const Result again = run(pr, 0, pr.len, causal, &drop);
+      EXPECT_TRUE(bitwise_equal(again.ctx, masked.ctx)) << threads;
+      EXPECT_TRUE(bitwise_equal(again.probs, masked.probs)) << threads;
     }
     std::vector<double> p, o;
     double err = 0.0;
@@ -378,7 +412,7 @@ TEST(AttentionConformance, DropoutMaskScalesPBeforeTheValues) {
 // written into rows laid out like the qkv rows, K/V read (and dK/dV
 // written) through the row tables of `rows` when given.
 std::vector<float> run_backward(const Problem& p, const std::vector<float>& dout,
-                                bool causal, const float* mask,
+                                bool causal, const Dropout* drop,
                                 const ShuffledRows* rows = nullptr) {
   std::vector<float> dqkv(p.qkv.size(), NAN);
   std::vector<float> slots;
@@ -406,9 +440,9 @@ std::vector<float> run_backward(const Problem& p, const std::vector<float>& dout
       dv[u] = s + 3 * hl;
     }
   }
-  const AttentionGradSeq g{
-      {p.q(0), p.row(), p.len, 0, k, v, head_stride, nullptr, 0, mask},
-      dout.data(), hl, dqkv.data(), p.row(), dk, dv};
+  AttentionGradSeq g{{p.q(0), p.row(), p.len, 0, k, v, head_stride},
+                     dout.data(), hl, dqkv.data(), p.row(), dk, dv};
+  if (drop != nullptr) drop->apply(g.seq);
   attention_backward({&g, 1}, {p.heads, p.dk, 3 * p.dk, p.scale, causal});
   if (rows != nullptr) {  // back into the qkv layout
     for (std::int64_t j = 0; j < p.len; ++j) {
@@ -487,10 +521,12 @@ TEST(AttentionConformance, BackwardMatchesDoubleReferenceAndIsThreadCountInvaria
           const Problem pr(3, len, dk, rng);
           std::vector<float> dout(static_cast<std::size_t>(len * pr.heads * dk));
           for (float& x : dout) x = static_cast<float>(rng.next_gaussian());
-          const std::vector<float> mask = bernoulli_mask(pr.heads * len * len, rng);
+          const Dropout drop(pr.heads, 0.3f, rng);
+          const std::vector<float> mask = drop.mask(len, len);
+          const Dropout* d = dropout ? &drop : nullptr;
           const float* m = dropout ? mask.data() : nullptr;
           runtime::set_intra_op_threads(1);
-          const std::vector<float> serial = run_backward(pr, dout, causal, m);
+          const std::vector<float> serial = run_backward(pr, dout, causal, d);
           const std::vector<double> want = reference_backward(pr, dout, causal, m);
           // Per gradient (q, k, v): the largest error against the largest
           // reference magnitude.
@@ -506,7 +542,7 @@ TEST(AttentionConformance, BackwardMatchesDoubleReferenceAndIsThreadCountInvaria
           }
           for (const std::size_t threads : {2u, 3u, 4u}) {
             runtime::set_intra_op_threads(threads);
-            EXPECT_TRUE(bitwise_equal(run_backward(pr, dout, causal, m), serial))
+            EXPECT_TRUE(bitwise_equal(run_backward(pr, dout, causal, d), serial))
                 << threads;
           }
         }
@@ -559,14 +595,102 @@ TEST(AttentionConformance, BackwardThroughShuffledRowTablesMatchesContiguousRows
         const Problem pr(kHeads, len, dk, rng);
         std::vector<float> dout(static_cast<std::size_t>(len * kHeads * dk));
         for (float& x : dout) x = static_cast<float>(rng.next_gaussian());
-        const std::vector<float> mask = bernoulli_mask(kHeads * len * len, rng);
-        const float* m = dropout ? mask.data() : nullptr;
+        const Dropout drop(kHeads, 0.3f, rng);
+        const Dropout* d = dropout ? &drop : nullptr;
         const ShuffledRows rows = shuffle(len, 4 * kHeads * dk + 3, rng);
-        const std::vector<float> want = run_backward(pr, dout, true, m);
+        const std::vector<float> want = run_backward(pr, dout, true, d);
         for (const std::size_t threads : {1u, 4u}) {
           runtime::set_intra_op_threads(threads);
-          EXPECT_TRUE(bitwise_equal(run_backward(pr, dout, true, m, &rows), want))
+          EXPECT_TRUE(bitwise_equal(run_backward(pr, dout, true, d, &rows), want))
               << threads;
+        }
+      }
+    }
+  }
+}
+
+// Dropout against the explicit mask, bit for bit. At p = 0.5 a kept P_ij is
+// scaled by exactly 2, so (2·P_ij)·v_j and P_ij·(2·v_j) are one real
+// product, and a dropped key is a value row times 0: query i's context
+// under the mask is that of a dropout-free call of that one query (at
+// offset i, bitwise the full call's row) whose value rows are mask_ij·v_j.
+// The backward reads the mask in dV = (P ⊙ mask)ᵀ·dO: with dO one-hot over
+// a window of dk queries (dO_i = e_{i − w·dk} in every head), lane d of dv_j
+// is P ⊙ mask of query w·dk + d, exactly. (dQ and dK, whose dS sums run in
+// a row-block-dependent order, meet the explicit mask through the
+// double-precision reference above.)
+TEST(AttentionConformance, DropoutForwardAndBackwardMatchAnExplicitMaskBitwise) {
+  ThreadGuard guard;
+  Rng rng(2308);
+  for (const std::int64_t dk : {16, 40}) {
+    for (const std::int64_t len : {1, 37, 70}) {
+      for (const bool causal : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "dk " << dk << " len " << len
+                                        << (causal ? " causal" : " full"));
+        const Problem pr(3, len, dk, rng);
+        const std::int64_t hl = pr.heads * dk, row = pr.row();
+        const Dropout drop(pr.heads, 0.5f, rng);
+        const std::vector<float> mask = drop.mask(len, len);
+        auto mask_at = [&](std::int64_t h, std::int64_t i, std::int64_t j) {
+          return mask[static_cast<std::size_t>((h * len + i) * len + j)];
+        };
+        const AttentionShape sh{pr.heads, dk, 3 * dk, pr.scale, causal};
+
+        // The explicit mask's context, one dropout-free query at a time. K
+        // and the masked V rows are [heads][dk] per position.
+        std::vector<float> want_ctx(static_cast<std::size_t>(len * hl));
+        std::vector<float> km(static_cast<std::size_t>(len * hl));
+        std::vector<float> vm(km.size());
+        std::vector<const float*> krows, vrows;
+        for (std::int64_t j = 0; j < len; ++j) {
+          for (std::int64_t h = 0; h < pr.heads; ++h) {
+            std::copy_n(pr.k(j) + h * 3 * dk, dk, km.data() + j * hl + h * dk);
+          }
+          krows.push_back(km.data() + j * hl);
+          vrows.push_back(vm.data() + j * hl);
+        }
+        for (std::int64_t i = 0; i < len; ++i) {
+          for (std::int64_t j = 0; j < len; ++j) {
+            for (std::int64_t h = 0; h < pr.heads; ++h) {
+              for (std::int64_t d = 0; d < dk; ++d) {
+                vm[static_cast<std::size_t>(j * hl + h * dk + d)] =
+                    mask_at(h, i, j) * pr.v(j)[h * 3 * dk + d];
+              }
+            }
+          }
+          const AttentionSeq seq{pr.q(i), row, 1, i, krows, vrows, dk,
+                                 want_ctx.data() + i * hl, hl};
+          attention({&seq, 1}, sh);
+        }
+
+        const std::vector<float> plain = run(pr, 0, len, causal).probs;
+        for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+          runtime::set_intra_op_threads(threads);
+          EXPECT_TRUE(bitwise_equal(run(pr, 0, len, causal, &drop).ctx, want_ctx))
+              << "context, " << threads << " threads";
+          for (std::int64_t w0 = 0; w0 < len; w0 += dk) {
+            std::vector<float> eye(static_cast<std::size_t>(len * hl), 0.0f);
+            for (std::int64_t i = w0; i < std::min(len, w0 + dk); ++i) {
+              for (std::int64_t h = 0; h < pr.heads; ++h) {
+                eye[static_cast<std::size_t>(i * hl + h * dk + i - w0)] = 1.0f;
+              }
+            }
+            const std::vector<float> grads = run_backward(pr, eye, causal, &drop);
+            for (std::int64_t i = w0; i < std::min(len, w0 + dk); ++i) {
+              for (std::int64_t h = 0; h < pr.heads; ++h) {
+                for (std::int64_t j = 0; j < len; ++j) {
+                  const float pm =
+                      plain[static_cast<std::size_t>((h * len + i) * len + j)] *
+                      mask_at(h, i, j);
+                  ASSERT_EQ(grads[static_cast<std::size_t>(j * row + h * 3 * dk +
+                                                           2 * dk + i - w0)],
+                            pm)
+                      << "P ⊙ mask of query " << i << " key " << j << " head " << h
+                      << ", " << threads << " threads";
+                }
+              }
+            }
+          }
         }
       }
     }

@@ -2,8 +2,8 @@
 //   1. The builder emits the canonical unfused block and the fusion pass
 //      rewrites it to exactly the reference kernel sequence (golden IR
 //      checks, pass by pass); the attention core is one kAttention node and
-//      one kAttentionBwd node in every plan, no value but the prob mask is
-//      [s, s]-shaped, and the decode plan is the evaluation forward (§16).
+//      one kAttentionBwd node in every plan, no value is [s, s]-shaped or a
+//      dropout mask, and the decode plan is the evaluation forward (§16).
 //   2. Fusion legality: pinned intermediates block their pattern.
 //   3. Buffer planning: values sharing an arena slot have disjoint lifetimes
 //      and identical (bytes, dtype); every planned value gets a slot; the
@@ -11,7 +11,8 @@
 //   4. §13 dtype propagation marks exactly the cached GEMM inputs bf16.
 //   5. Plan execution is bitwise-identical to the reference bodies
 //      (layer_reference.hpp) — forward, backward, and the recompute plan
-//      transformation, with two microbatches in flight.
+//      transformation, with two microbatches in flight — and the attention
+//      kernel draws the reference's explicit prob mask on every tensor rank.
 
 #include <gtest/gtest.h>
 
@@ -67,7 +68,7 @@ TEST(GraphBuilder, UnfusedForwardIsTheCanonicalBlock) {
       build_unfused_layer_plan(tiny_config(), /*with_dropout=*/true);
   const std::vector<OpKind> want = {
       OpKind::kView2D,       OpKind::kLayerNorm,      OpKind::kLinearFwd,
-      OpKind::kAttnProbMask, OpKind::kAttention,
+      OpKind::kAttention,
       OpKind::kLinearFwd,    OpKind::kAddBias,        OpKind::kDropout,
       OpKind::kAdd,          OpKind::kLayerNorm,      OpKind::kLinearFwd,
       OpKind::kAddBias,      OpKind::kGelu,           OpKind::kLinearFwd,
@@ -90,12 +91,14 @@ TEST(GraphBuilder, UnfusedBackwardMirrorsEagerAccumulationOrder) {
       OpKind::kLinearBwd,     OpKind::kLayerNormBwd, OpKind::kAdd,
       OpKind::kView3D};
   EXPECT_EQ(kinds(plan.bwd), want);
-  // qkv rows, d context rows and the prob mask in; d qkv rows out, straight
-  // into the QKV linear's backward.
+  // Each dropout backward redraws the mask of its forward's site.
+  EXPECT_EQ(plan.bwd[1].site, model::DropSite::kMlpResidual);
+  EXPECT_EQ(plan.bwd[9].site, model::DropSite::kAttentionResidual);
+  // qkv rows and d context rows in (the kernel redraws the prob mask); d qkv
+  // rows out, straight into the QKV linear's backward.
   const Node& core = plan.bwd[12];
   EXPECT_EQ(core.in, (std::vector<ValueId>{find_value(plan, "attn.qkv.out"),
-                                           find_value(plan, "d_attn.ctx2d"),
-                                           find_value(plan, "attn.prob_mask")}));
+                                           find_value(plan, "d_attn.ctx2d")}));
   EXPECT_EQ(core.out, std::vector<ValueId>{plan.bwd[13].in[0]});
   EXPECT_TRUE(core.causal);
 }
@@ -121,9 +124,9 @@ TEST(GraphBuilder, DecodePlanReplacesTheAttentionCore) {
   EXPECT_EQ(core.out, std::vector<ValueId>{plan.fwd[4].in[0]});
 }
 
-// The backward recomputes P, so no plan keeps an [s, s] score-shaped value
-// but the dropout mask it draws in the forward.
-TEST(GraphBuilder, NoScoreShapedValueButTheProbMask) {
+// The backward recomputes P and the kernels redraw every dropout mask, so no
+// plan has an [s, s] score-shaped value or a mask value at all.
+TEST(GraphBuilder, NoScoreShapedOrMaskValue) {
   for (const bool drop : {false, true}) {
     for (const bool fuse : {false, true}) {
       for (const bool inference : {false, true}) {
@@ -133,9 +136,8 @@ TEST(GraphBuilder, NoScoreShapedValueButTheProbMask) {
         opts.inference = inference;
         const LayerPlan plan = build_layer_plan(tiny_config(0.1f), drop, opts);
         for (const Value& v : plan.values) {
-          if (v.shape.find("[b*a/t,s,s]") == std::string::npos) continue;
-          EXPECT_EQ(v.name, "attn.prob_mask");
-          EXPECT_EQ(v.ref_bytes > 0, drop) << v.name;
+          EXPECT_EQ(v.shape.find("s,s]"), std::string::npos) << v.name;
+          EXPECT_EQ(v.name.find(".mask"), std::string::npos) << v.name;
         }
       }
     }
@@ -147,8 +149,7 @@ TEST(GraphPasses, FusionRewritesToTheEagerKernelSequence) {
   EXPECT_EQ(fuse_operators(plan), 3);  // bias+gelu, 2x bias+dropout+add
   const std::vector<OpKind> want_fwd = {
       OpKind::kView2D,        OpKind::kLayerNorm,
-      OpKind::kLinearFwd,     OpKind::kAttnProbMask,
-      OpKind::kAttention,
+      OpKind::kLinearFwd,     OpKind::kAttention,
       OpKind::kLinearFwd,     OpKind::kFusedBiasDropoutAdd,
       OpKind::kLayerNorm,     OpKind::kLinearFwd,
       OpKind::kFusedBiasGelu, OpKind::kLinearFwd,
@@ -169,13 +170,12 @@ TEST(GraphPasses, NonCausalUsesMaskSoftmaxAndDropoutFreeTopologyAliases) {
   c.causal = false;
   LayerPlan plan = build_unfused_layer_plan(c, /*with_dropout=*/false);
   fuse_operators(plan);
-  // p == 0 topology: no dropout / prob-mask nodes anywhere, and the fused
-  // bias+add nodes emit no mask value.
+  // p == 0 topology: no dropout nodes anywhere, and the fused bias+add
+  // nodes emit one value.
   for (std::size_t u = 0; u < plan.unified_size(); ++u) {
     const Node& n = plan.unified(u);
     EXPECT_NE(n.kind, OpKind::kDropout);
     EXPECT_NE(n.kind, OpKind::kDropoutBwd);
-    EXPECT_NE(n.kind, OpKind::kAttnProbMask);
     if (n.kind == OpKind::kFusedBiasDropoutAdd) {
       EXPECT_EQ(n.out.size(), 1u);
     }
@@ -281,10 +281,13 @@ TEST(GraphBufferPlan, LifetimesDisjointPerSlotAllTopologies) {
 
 // What the backward reads from the forward, from the shapes at b = 1: the
 // LayerNorm statistics, the four cached GEMM inputs, the qkv rows, the
-// pre-bias fc1 output, h1 and, with dropout, the prob and residual masks.
-// P and P ⊙ mask ([a/t, s, s] each) are not among them: since the backward
-// recomputes P, saved_bytes is heads_l·s²·4 bytes (×2 with dropout) below
-// the 6432/8352 (t = 1) and 3840/5184 (t = 2) bytes this plan saved with P.
+// pre-bias fc1 output and h1, with dropout or without. P and P ⊙ mask
+// ([a/t, s, s] each) are not among them: since the backward recomputes P,
+// saved_bytes is heads_l·s²·4 bytes below the 6432 (t = 1) and 3840 (t = 2)
+// bytes this plan saved with P. No dropout mask is among them either: the
+// kernels redraw them, so the dropout column is the prob mask's
+// heads_l·s²·4 and the two residual masks' 2·s·h·4 bytes further below the
+// 8352/5184 bytes it saved with P and the masks.
 TEST(GraphBufferPlan, SavedBytesAreTheShapesWithoutP) {
   constexpr std::int64_t kWithP[2][2] = {{6432, 8352}, {3840, 5184}};
   const GptConfig c = tiny_config(0.1f);
@@ -298,12 +301,12 @@ TEST(GraphBufferPlan, SavedBytesAreTheShapesWithoutP) {
       const std::int64_t ffn = c.ffn_hidden() / tp, heads_l = c.heads / tp;
       const std::int64_t stats = 4 * s;
       const std::int64_t cached = s * h + s * hl + s * h + s * ffn;
-      const std::int64_t masks = drop ? heads_l * s * s + 2 * s * h : 0;
       const std::int64_t expected =
-          4 * (stats + cached + 3 * s * hl + s * ffn + s * h + masks);
+          4 * (stats + cached + 3 * s * hl + s * ffn + s * h);
       EXPECT_EQ(plan.buffer.saved_bytes, expected);
+      const std::int64_t masks = drop ? heads_l * s * s * 4 + 2 * s * h * 4 : 0;
       EXPECT_EQ(kWithP[tp - 1][drop] - plan.buffer.saved_bytes,
-                (drop ? 2 : 1) * heads_l * s * s * 4);
+                (drop ? 2 : 1) * heads_l * s * s * 4 + masks);
     }
   }
 }
@@ -445,6 +448,68 @@ TEST(GraphExecutor, BitwiseMatchesEagerLayer) {
         }
       }
     }
+  }
+}
+
+// The attention kernel, handed the streams the reference keys, draws the
+// reference's explicit prob mask (next_bernoulli, element by element), on
+// every tensor rank. With q = 0 every score is 0, so a visible P_ij is
+// exactly 1/(i + 1); one-hot value rows (window w0: v_j = e_{j − w0} in
+// every head) read P ⊙ mask lane by lane.
+TEST(GraphExecutor, AttentionKernelDrawsTheReferenceProbMask) {
+  const GptConfig c = tiny_config(0.3f);
+  const std::int64_t s = c.seq, b = 2;
+  for (const int t : {1, 2}) {
+    dist::World world(t);
+    world.run([&](dist::Comm& comm) {
+      SCOPED_TRACE(testing::Message() << "t " << t << " rank " << comm.rank());
+      model::TransformerLayer layer(c, /*global_layer_idx=*/1, comm);
+      const LayerBinding& bind = layer.binding();
+      const std::int64_t al = bind.attn->heads_local(), dk = bind.attn->head_dim();
+      const std::int64_t hl = al * dk;
+      const std::vector<Rng> streams = reference::prob_dropout_streams(bind, b, kTags[0]);
+      const Tensor mask = reference::prob_dropout_mask(bind, b, kTags[0]);
+      const std::vector<float> zero(static_cast<std::size_t>(hl), 0.0f);
+      std::vector<float> eye(static_cast<std::size_t>((dk + 1) * hl), 0.0f);
+      for (std::int64_t d = 0; d < dk; ++d) {
+        for (std::int64_t h = 0; h < al; ++h) {
+          eye[static_cast<std::size_t>(d * hl + h * dk + d)] = 1.0f;
+        }
+      }
+      const std::vector<const float*> k(static_cast<std::size_t>(s), zero.data());
+      std::vector<const float*> v(k.size());
+      std::vector<float> ctx(static_cast<std::size_t>(b * s * hl));
+      for (std::int64_t w0 = 0; w0 < s; w0 += dk) {
+        for (std::int64_t j = 0; j < s; ++j) {
+          v[static_cast<std::size_t>(j)] =
+              eye.data() + (j >= w0 && j < w0 + dk ? j - w0 : dk) * hl;
+        }
+        std::vector<tensor::AttentionSeq> seqs;
+        for (std::int64_t bi = 0; bi < b; ++bi) {
+          seqs.push_back({zero.data(), 0, s, 0, k, v, dk, ctx.data() + bi * s * hl, hl,
+                          std::span<const Rng>(streams).subspan(bi * al, al),
+                          c.dropout});
+        }
+        tensor::attention(seqs, {al, dk, dk, 1.0f, /*causal=*/true});
+        for (std::int64_t bi = 0; bi < b; ++bi) {
+          for (std::int64_t h = 0; h < al; ++h) {
+            for (std::int64_t i = 0; i < s; ++i) {
+              for (std::int64_t j = w0; j < std::min(s, w0 + dk); ++j) {
+                const float m = mask.data()[static_cast<std::size_t>(
+                    ((bi * al + h) * s + i) * s + j)];
+                const float want =
+                    j <= i ? 1.0f / static_cast<float>(i + 1) * m : 0.0f;
+                ASSERT_EQ(ctx[static_cast<std::size_t>((bi * s + i) * hl + h * dk +
+                                                       j - w0)],
+                          want)
+                    << "sequence " << bi << " head " << h << " query " << i
+                    << " key " << j;
+              }
+            }
+          }
+        }
+      }
+    });
   }
 }
 

@@ -42,9 +42,10 @@ std::vector<tensor::AttentionSeq> sequences(const LayerBinding& bind,
                     std::span<const float* const>(k).subspan(bi * s, s),
                     std::span<const float* const>(v).subspan(bi * s, s),
                     3 * head_dim});
-    if (cache.prob_mask.defined()) {
-      seqs.back().drop_mask =
-          cache.prob_mask.data().data() + bi * heads_local * s * s;
+    if (!cache.prob_streams.empty()) {
+      seqs.back().drop = std::span<const Rng>(cache.prob_streams)
+                             .subspan(bi * heads_local, heads_local);
+      seqs.back().drop_p = bind.config->dropout;
     }
   }
   return seqs;
@@ -57,6 +58,50 @@ tensor::AttentionShape shape(const LayerBinding& bind,
           1.0f / std::sqrt(static_cast<float>(head_dim)), config.causal};
 }
 }  // namespace
+
+std::vector<Rng> prob_dropout_streams(const LayerBinding& bind, std::int64_t b,
+                                      std::uint64_t mb_tag) {
+  const model::GptConfig& config = *bind.config;
+  const std::int64_t heads_local = bind.attn->heads_local();
+  std::vector<Rng> streams;
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t lh = 0; lh < heads_local; ++lh) {
+      const std::int64_t gh = bind.attn->head_begin() + lh;
+      streams.push_back(model::site_rng(
+          config.seed, mb_tag, static_cast<std::uint64_t>(bind.layer_idx),
+          model::DropSite::kAttentionProb,
+          static_cast<std::uint64_t>(bi * config.heads + gh)));
+    }
+  }
+  return streams;
+}
+
+Tensor prob_dropout_mask(const LayerBinding& bind, std::int64_t b,
+                         std::uint64_t mb_tag) {
+  const std::int64_t s = bind.config->seq;
+  const float p = bind.config->dropout;
+  const float keep_scale = 1.0f / (1.0f - p);
+  const std::vector<Rng> streams = prob_dropout_streams(bind, b, mb_tag);
+  Tensor mask = Tensor::empty({static_cast<std::int64_t>(streams.size()), s, s});
+  float* slab = mask.data().data();
+  for (Rng rng : streams) {
+    for (std::int64_t i = 0; i < s * s; ++i) {
+      *slab++ = rng.next_bernoulli(p) ? 0.0f : keep_scale;
+    }
+  }
+  return mask;
+}
+
+Tensor dropout_mask(const LayerBinding& bind, model::DropSite site, std::int64_t rows,
+                    std::uint64_t mb_tag) {
+  const model::GptConfig& config = *bind.config;
+  Rng rng = model::site_rng(config.seed, mb_tag,
+                            static_cast<std::uint64_t>(bind.layer_idx), site);
+  const float keep_scale = 1.0f / (1.0f - config.dropout);
+  Tensor mask = Tensor::empty({rows, config.hidden});
+  for (float& m : mask.data()) m = rng.next_bernoulli(config.dropout) ? 0.0f : keep_scale;
+  return mask;
+}
 
 LayerBinding bind_attention(model::ParallelAttention& attn,
                             const model::GptConfig& config,
@@ -98,9 +143,8 @@ Tensor attention_forward(const LayerBinding& bind, const Tensor& x,
 
   Tensor x2d = x.view({s * b, config.hidden});
   cache.qkv_rows = bind.qkv->forward(x2d, cache.qkv);  // [sb, 3*hidden_local]
-  if (config.dropout > 0.0f) {
-    cache.prob_mask = bind.attn->make_prob_dropout_mask(b, mb_tag);
-  }
+  cache.prob_streams.clear();
+  if (config.dropout > 0.0f) cache.prob_streams = prob_dropout_streams(bind, b, mb_tag);
   Tensor ctx2d = Tensor::empty({s * b, hidden_local});
   std::vector<const float*> k, v;
   std::vector<tensor::AttentionSeq> seqs = sequences(bind, cache, k, v);
@@ -191,29 +235,25 @@ Tensor layer_forward(const LayerBinding& bind, const Tensor& x, LayerCache& cach
   Tensor attn_out =
       attention_forward(bind, cache.ln1.y.view({s, b, h}), cache.attn, mb_tag);
 
-  // Fused bias+dropout+add: residual is the block input. The dropout mask
-  // is keyed by (mb, layer, site) so tensor-parallel ranks agree and
-  // recomputation replays it.
-  Rng rng1 = model::site_rng(config.seed, mb_tag,
-                             static_cast<std::uint64_t>(bind.layer_idx),
-                             model::DropSite::kAttentionResidual);
-  cache.h1 = tensor::fused_bias_dropout_add(attn_out.view({s * b, h}),
-                                            bind.proj->bias().value, x2d,
-                                            config.dropout, rng1,
-                                            &cache.attn_resid_mask);
+  // Bias, dropout through an explicit mask, then the residual (the block
+  // input), unfused. The mask is keyed by (mb, layer, site) so
+  // tensor-parallel ranks agree and recomputation replays it.
+  cache.attn_resid_mask =
+      dropout_mask(bind, model::DropSite::kAttentionResidual, s * b, mb_tag);
+  cache.h1 = tensor::mul(tensor::add_bias(attn_out.view({s * b, h}),
+                                          bind.proj->bias().value),
+                         cache.attn_resid_mask);
+  tensor::add_(cache.h1, x2d);
 
   cache.ln2 = tensor::layernorm(cache.h1, param(bind, ParamSlot::kLn2Gamma).value,
                                 param(bind, ParamSlot::kLn2Beta).value);
   Tensor mlp_out = mlp_forward(bind, cache.ln2.y.view({s, b, h}), cache.mlp);
 
-  Rng rng2 = model::site_rng(config.seed, mb_tag,
-                             static_cast<std::uint64_t>(bind.layer_idx),
-                             model::DropSite::kMlpResidual);
-  Tensor mask2;
-  Tensor y2d = tensor::fused_bias_dropout_add(mlp_out.view({s * b, h}),
-                                              bind.fc2->bias().value, cache.h1,
-                                              config.dropout, rng2, &mask2);
-  cache.mlp_resid_mask = mask2;
+  cache.mlp_resid_mask = dropout_mask(bind, model::DropSite::kMlpResidual, s * b, mb_tag);
+  Tensor y2d = tensor::mul(
+      tensor::add_bias(mlp_out.view({s * b, h}), bind.fc2->bias().value),
+      cache.mlp_resid_mask);
+  tensor::add_(y2d, cache.h1);
   return y2d.view({s, b, h});
 }
 
@@ -229,7 +269,7 @@ Tensor layer_backward(const LayerBinding& bind, const Tensor& dy,
   Tensor dy2d = dy.view({s * b, h});
 
   // ---- second residual: y = dropout(mlp_out + fc2_bias) + h1 ----
-  Tensor d_after2 = tensor::dropout_backward(dy2d, cache.mlp_resid_mask);
+  Tensor d_after2 = tensor::mul(dy2d, cache.mlp_resid_mask);
   tensor::add_(bind.fc2->bias().grad, tensor::bias_grad(d_after2));
   Tensor d_ln2y =
       mlp_backward(bind, d_after2.view({s, b, h}), cache.mlp).view({s * b, h});
@@ -243,7 +283,7 @@ Tensor layer_backward(const LayerBinding& bind, const Tensor& dy,
   Tensor dh1 = tensor::add(dy2d, ln2_grads.dx);
 
   // ---- first residual: h1 = dropout(attn_out + proj_bias) + x ----
-  Tensor d_after1 = tensor::dropout_backward(dh1, cache.attn_resid_mask);
+  Tensor d_after1 = tensor::mul(dh1, cache.attn_resid_mask);
   tensor::add_(bind.proj->bias().grad, tensor::bias_grad(d_after1));
   Tensor d_ln1y = attention_backward(bind, d_after1.view({s, b, h}), cache.attn)
                       .view({s * b, h});

@@ -9,6 +9,7 @@
 // tensor-parallel tests compare TP against serial through them.
 
 #include <cstdint>
+#include <vector>
 
 #include "ptdp/graph/executor.hpp"
 #include "ptdp/model/attention.hpp"
@@ -20,8 +21,8 @@ namespace ptdp::reference {
 struct AttentionCache {
   model::LinearCache qkv;
   model::LinearCache proj;
-  tensor::Tensor qkv_rows;   ///< QKV projection output [s·b, 3·h_local]
-  tensor::Tensor prob_mask;  ///< dropout mask on P (undefined if p == 0)
+  tensor::Tensor qkv_rows;  ///< QKV projection output [s·b, 3·h_local]
+  std::vector<Rng> prob_streams;  ///< prob_dropout_streams (empty if p == 0)
   std::int64_t s = 0, b = 0;
 };
 
@@ -37,8 +38,24 @@ struct LayerCache {
   AttentionCache attn;
   MlpCache mlp;
   tensor::Tensor h1;  ///< post-attention residual stream [s*b, h]
-  tensor::Tensor attn_resid_mask, mlp_resid_mask;
+  tensor::Tensor attn_resid_mask, mlp_resid_mask;  ///< explicit, as dropout_mask
 };
+
+/// The attention-probability dropout streams of a b-sequence microbatch:
+/// entry bi·a_l + h is local head h of sequence bi, keyed by
+/// bi·heads + global head, so tensor-parallel ranks draw what the serial
+/// model draws.
+std::vector<Rng> prob_dropout_streams(const graph::LayerBinding& bind,
+                                      std::int64_t b, std::uint64_t mb_tag);
+/// The explicit [b·a_l, s, s] mask those streams draw, element by element
+/// with next_bernoulli (0 or 1/(1 − p)): the oracle for the kernels, which
+/// draw each bit where they use it.
+tensor::Tensor prob_dropout_mask(const graph::LayerBinding& bind, std::int64_t b,
+                                 std::uint64_t mb_tag);
+/// The explicit mask of a residual dropout site over [rows, h]: element e is
+/// draw e of the site's stream, by next_bernoulli.
+tensor::Tensor dropout_mask(const graph::LayerBinding& bind, model::DropSite site,
+                            std::int64_t rows, std::uint64_t mb_tag);
 
 /// Bindings over a standalone attention or MLP module. `config` supplies
 /// the runtime dropout/causal flags and must outlive the binding.

@@ -76,10 +76,9 @@ TEST(TensorErrors, BinaryOpsRejectMismatchedShapes) {
 
 TEST(TensorErrors, DropoutRejectsInvalidProbability) {
   tensor::Tensor x({4});
-  tensor::Tensor mask;
-  Rng rng(1);
-  EXPECT_THROW(tensor::dropout(x, 1.0f, rng, mask), CheckError);
-  EXPECT_THROW(tensor::dropout(x, -0.1f, rng, mask), CheckError);
+  const Rng rng(1);
+  EXPECT_THROW(tensor::dropout(x, 1.0f, rng), CheckError);
+  EXPECT_THROW(tensor::dropout(x, -0.1f, rng), CheckError);
 }
 
 TEST(TensorErrors, UndefinedTensorDataThrows) {

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,11 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
     }
   }
   return c;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) && std::memcmp(a.data().data(), b.data().data(),
+                                        a.data().size() * sizeof(float)) == 0;
 }
 
 // Central-difference numerical gradient of scalar_fn at x, for element i.
@@ -223,17 +230,14 @@ TEST(Gelu, VectorPathIsBitwiseThreadCountStable) {
 TEST(Dropout, ZeroProbabilityIsIdentity) {
   Rng rng(1);
   Tensor x = Tensor::randn({4, 4}, rng);
-  Tensor mask;
-  Tensor y = dropout(x, 0.0f, rng, mask);
-  EXPECT_EQ(max_abs_diff(y, x), 0.0f);
-  for (float v : mask.data()) EXPECT_EQ(v, 1.0f);
+  EXPECT_EQ(max_abs_diff(dropout(x, 0.0f, rng), x), 0.0f);
+  EXPECT_EQ(max_abs_diff(dropout_backward(x, 0.0f, rng), x), 0.0f);
 }
 
 TEST(Dropout, PreservesExpectation) {
   Rng rng(2);
   Tensor x = Tensor::ones({10000});
-  Tensor mask;
-  Tensor y = dropout(x, 0.3f, rng, mask);
+  Tensor y = dropout(x, 0.3f, rng);
   EXPECT_NEAR(mean_all(y), 1.0f, 0.05f);
   // Survivors are scaled by 1/(1-p).
   for (float v : y.data()) {
@@ -244,11 +248,75 @@ TEST(Dropout, PreservesExpectation) {
 TEST(Dropout, BackwardAppliesSameMask) {
   Rng rng(3);
   Tensor x = Tensor::ones({100});
-  Tensor mask;
-  Tensor y = dropout(x, 0.5f, rng, mask);
+  Tensor y = dropout(x, 0.5f, rng);
   Tensor dy = Tensor::ones({100});
-  Tensor dx = dropout_backward(dy, mask);
+  Tensor dx = dropout_backward(dy, 0.5f, rng);
   EXPECT_EQ(max_abs_diff(dx, y), 0.0f);  // since x == dy == 1
+}
+
+// p = 0.1 and 1/3 put p·2⁵³ between two integers; 0.5 puts it on one.
+constexpr double kDrawPs[] = {0.0, 0.1, 0.5, 1.0 / 3.0};
+
+// The in-place redraw is the stream's own draw: u64_at(e) is a fresh
+// stream's e-th next_u64(), and bernoulli(u64_at(e), p) its e-th
+// next_bernoulli(p), at every counter.
+TEST(Dropout, RedrawEqualsNextBernoulliAtEveryCounter) {
+  const Rng key(77, 5);
+  Rng seq = key;
+  for (std::uint64_t e = 0; e < 4096; ++e) {
+    ASSERT_EQ(key.u64_at(e), seq.next_u64()) << "counter " << e;
+  }
+  for (const double p : kDrawPs) {
+    Rng draws = key;
+    for (std::uint64_t e = 0; e < 4096; ++e) {
+      ASSERT_EQ(bernoulli(key.u64_at(e), p), draws.next_bernoulli(p))
+          << "p " << p << " counter " << e;
+    }
+  }
+}
+
+// bernoulli(u, p) is true exactly when the draw's top 53 bits, k, are below
+// p·2⁵³: at k = ⌈p·2⁵³⌉ − 1 and ⌈p·2⁵³⌉ the predicate flips.
+TEST(Dropout, BernoulliThresholdIsTheCeilingOfPTimesTwoToThe53) {
+  for (const double p : kDrawPs) {
+    if (p == 0.0) continue;
+    const auto ceil_k = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    EXPECT_TRUE(bernoulli((ceil_k - 1) << 11 | 0x7ff, p)) << p;
+    EXPECT_FALSE(bernoulli(ceil_k << 11, p)) << p;
+  }
+  EXPECT_FALSE(bernoulli(0, 0.0));
+}
+
+// What the kernels compute against a mask drawn element by element with
+// next_bernoulli, at 1 and 4 threads: dropout, its backward and the fused
+// bias+dropout+add over a tensor the pool splits into several chunks.
+TEST(Dropout, KernelsMatchAnExplicitMaskAtAnyThreadCount) {
+  struct ThreadGuard {
+    std::size_t saved = runtime::intra_op_threads();
+    ~ThreadGuard() { runtime::set_intra_op_threads(saved); }
+  } guard;
+  Rng rng(16);
+  const Tensor x = Tensor::randn({97, 1031}, rng);
+  const Tensor bias = Tensor::randn({1031}, rng);
+  const Tensor residual = Tensor::randn({97, 1031}, rng);
+  const Rng site(5, 6);
+  for (const float p : {0.1f, 0.5f}) {
+    SCOPED_TRACE(testing::Message() << "p " << p);
+    Tensor mask(x.shape());
+    Rng draws = site;
+    for (float& m : mask.data()) m = draws.next_bernoulli(p) ? 0.0f : 1.0f / (1.0f - p);
+    Tensor fused_ref = mul(add_bias(x, bias), mask);
+    add_(fused_ref, residual);
+    const Tensor dropped = mul(x, mask);
+    for (const std::size_t threads : {1u, 4u}) {
+      runtime::set_intra_op_threads(threads);
+      EXPECT_TRUE(bitwise_equal(dropout(x, p, site), dropped)) << threads;
+      EXPECT_TRUE(bitwise_equal(dropout_backward(x, p, site), dropped)) << threads;
+      EXPECT_TRUE(bitwise_equal(fused_bias_dropout_add(x, bias, residual, p, site),
+                                fused_ref))
+          << threads;
+    }
+  }
 }
 
 TEST(LayerNorm, NormalizesRows) {
@@ -321,6 +389,43 @@ TEST(Softmax, StableUnderLargeInputs) {
   for (float v : y.data()) EXPECT_NEAR(v, 1.0f / 3.0f, 1e-6f);
 }
 
+// A −inf entry (a masked-out score) gets exactly 0, not exp(−87)/Σ, which
+// is subnormal once Σ > 1.4; the finite entries are bitwise the softmax of
+// the row without the masked ones.
+TEST(Softmax, NegativeInfinityGivesExactZero) {
+  Rng rng(17);
+  constexpr std::int64_t kN = 40;  // two full vector groups and a tail
+  Tensor x = Tensor::randn({2, kN}, rng);
+  x.data()[0] = 0.0f;
+  std::fill_n(x.data().data() + kN, kN, 0.0f);  // row 1: Σ = 20
+  std::vector<float> kept[2];
+  for (std::int64_t r = 0; r < 2; ++r) {
+    for (std::int64_t j = 0; j < kN; ++j) {
+      float& v = x.data()[static_cast<std::size_t>(r * kN + j)];
+      if (j % 2 == 1) {
+        v = -std::numeric_limits<float>::infinity();
+      } else {
+        kept[r].push_back(v);
+      }
+    }
+  }
+  const Tensor y = softmax_lastdim(x);
+  for (std::int64_t r = 0; r < 2; ++r) {
+    const Tensor want = softmax_lastdim(Tensor::from_vector(
+        {1, static_cast<std::int64_t>(kept[r].size())}, kept[r]));
+    for (std::int64_t j = 0; j < kN; ++j) {
+      const float got = y.data()[static_cast<std::size_t>(r * kN + j)];
+      if (j % 2 == 1) {
+        EXPECT_EQ(got, 0.0f) << "row " << r << " key " << j;
+        EXPECT_FALSE(std::signbit(got));
+      } else {
+        EXPECT_EQ(got, want.data()[static_cast<std::size_t>(j / 2)])
+            << "row " << r << " key " << j;
+      }
+    }
+  }
+}
+
 TEST(Softmax, GradientMatchesFiniteDifference) {
   Rng rng(8);
   Tensor x = Tensor::randn({2, 5}, rng);
@@ -351,35 +456,19 @@ TEST(Fused, BiasGeluBackwardMatchesFiniteDifference) {
 
 TEST(Fused, BiasDropoutAddAtP0MatchesComposition) {
   // The one-pass kernel is bitwise the unfused add_bias -> dropout -> add_
-  // composition: same per-element rounding, same RNG draw order, same mask.
+  // composition: same per-element rounding, same draw per element.
   Rng rng(11);
   Tensor x = Tensor::randn({37, 53}, rng);
   Tensor bias = Tensor::randn({53}, rng);
   Tensor residual = Tensor::randn({37, 53}, rng);
+  const Rng site(5, 6);
   for (const float p : {0.0f, 0.1f}) {
     SCOPED_TRACE("p=" + std::to_string(p));
-    Rng fused_rng(5, 6);
-    Rng unfused_rng(5, 6);
-    Tensor mask, ref_mask;
-    const Tensor y = fused_bias_dropout_add(x, bias, residual, p, fused_rng, &mask);
-    Tensor ref = dropout(add_bias(x, bias), p, unfused_rng, ref_mask);
+    const Tensor y = fused_bias_dropout_add(x, bias, residual, p, site);
+    Tensor ref = dropout(add_bias(x, bias), p, site);
     add_(ref, residual);
-    EXPECT_EQ(std::memcmp(y.data().data(), ref.data().data(),
-                          y.data().size() * sizeof(float)),
-              0);
-    EXPECT_EQ(max_abs_diff(mask, ref_mask), 0.0f);
+    EXPECT_TRUE(bitwise_equal(y, ref));
   }
-  // Callers that never read the mask (eval and decode plans) pass none at
-  // p = 0; the sum is unchanged.
-  Rng rng0(5, 6);
-  Rng unfused0(5, 6);
-  Tensor ref_mask;
-  const Tensor y = fused_bias_dropout_add(x, bias, residual, 0.0f, rng0, nullptr);
-  Tensor ref = dropout(add_bias(x, bias), 0.0f, unfused0, ref_mask);
-  add_(ref, residual);
-  EXPECT_EQ(std::memcmp(y.data().data(), ref.data().data(),
-                        y.data().size() * sizeof(float)),
-            0);
 }
 
 // attention()'s P for queries whose scores against the keys are s [heads,
@@ -457,14 +546,13 @@ TEST(Fused, ScaleSoftmaxBackwardMatchesFiniteDifference) {
   constexpr std::int64_t kHeads = 2, kLen = 4, kDk = 3, kRow = 3 * kHeads * kDk;
   const Tensor qkv = Tensor::randn({kLen, kRow}, rng);
   const Tensor w = Tensor::randn({kLen, kHeads * kDk}, rng);
-  Tensor mask({kHeads, kLen, kLen});
-  for (float& x : mask.data()) x = rng.next_bernoulli(0.3) ? 0.0f : 1.0f / 0.7f;
+  const Rng streams[kHeads] = {Rng(15, 1), Rng(15, 2)};
   for (const bool causal : {true, false}) {
     for (const bool dropout : {false, true}) {
       SCOPED_TRACE(testing::Message() << (causal ? "causal" : "full")
                                       << (dropout ? " dropout" : ""));
       const AttentionShape shape{kHeads, kDk, 3 * kDk, 0.5f, causal};
-      const float* drop = dropout ? mask.data().data() : nullptr;
+      const std::span<const Rng> drop = dropout ? streams : std::span<const Rng>();
       auto seq_of = [&](const Tensor& x, std::vector<const float*>& k,
                         std::vector<const float*>& v) {
         for (std::int64_t j = 0; j < kLen; ++j) {
@@ -472,7 +560,7 @@ TEST(Fused, ScaleSoftmaxBackwardMatchesFiniteDifference) {
           v.push_back(x.data().data() + j * kRow + 2 * kDk);
         }
         return AttentionSeq{x.data().data(), kRow, kLen, 0, k, v, 3 * kDk,
-                            nullptr, 0, drop};
+                            nullptr, 0, drop, 0.3f};
       };
       auto forward = [&](const Tensor& x) {
         std::vector<const float*> k, v;
