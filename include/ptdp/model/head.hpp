@@ -20,7 +20,7 @@ namespace ptdp::model {
 
 struct HeadCache {
   tensor::Tensor input;              ///< [s, b, h]
-  tensor::LayerNormResult ln;
+  tensor::LayerNormResult ln;        ///< final LN; y narrowed in a bf16 model
   tensor::Tensor exp_shift;          ///< exp(logits − rowmax), [n, V/t]
   std::vector<float> inv_z;          ///< 1 / Σexp per row
   std::vector<std::int32_t> local_targets;  ///< target − vocab_begin, or −1 if unowned

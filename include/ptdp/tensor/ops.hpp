@@ -31,6 +31,15 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// C[m,n] = A[k,m]ᵀ · B[k,n]
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
+/// c[m,n] += A[k,m]ᵀ · B[k,n] in place (c is f32): a weight grad takes its
+/// product without a temporary. Each 256-deep k panel adds into c in
+/// order; on zero-filled c the result is bitwise matmul_tn(a, b).
+void add_matmul_tn_(Tensor& c, const Tensor& a, const Tensor& b);
+
+/// True when bf16 × bf16 products run on the AMX tile engine in this
+/// process (an AMX build whose kernel granted the tile state); otherwise
+/// they take the widening path. Benches stamp it next to their timings.
+bool bf16_gemm_on_amx();
 
 /// Batched: C[B,m,n] = A[B,m,k] · B[B,k,n]
 Tensor bmm(const Tensor& a, const Tensor& b);

@@ -6,6 +6,22 @@ namespace ptdp::model {
 
 using tensor::Tensor;
 
+namespace {
+
+// A GEMM operand of the head under the model rule (DESIGN.md §13): in a
+// bf16 model every head product runs bf16 x bf16 with f32 accumulation,
+// like the linears. The tied word is stored f32 there but holds bf16
+// values (each working value is its narrowed fp32 master), so narrowing it
+// is exact. f32 models pass through untouched.
+Tensor gemm_operand(const Tensor& t, tensor::DType model_dtype) {
+  if (model_dtype == tensor::DType::kBf16 && t.dtype() == tensor::DType::kF32) {
+    return t.to(tensor::DType::kBf16);
+  }
+  return t;
+}
+
+}  // namespace
+
 GptHead::GptHead(const GptConfig& config, dist::Comm tp, Param* tied_word)
     : config_(config),
       tp_(std::move(tp)),
@@ -49,14 +65,13 @@ float GptHead::forward(const Tensor& x, std::span<const std::int32_t> targets,
   Tensor x2d = x.view({n, h});
   cache.ln = tensor::layernorm(x2d, ln_gamma_.value, ln_beta_.value);
 
-  // Column-parallel logits through the tied embedding: [n, V/t]. With bf16
-  // tied weights the LN output is narrowed for the product (both GEMM
-  // operands at storage precision, f32 accumulate — DESIGN.md §13); the
-  // cache keeps the f32 LN output the layernorm backward needs.
-  Tensor logits = word_->value.dtype() == tensor::DType::kBf16
-                      ? tensor::matmul_nt(
-                            cache.ln.y.to(tensor::DType::kBf16), word_->value)
-                      : tensor::matmul_nt(cache.ln.y, word_->value);
+  // Column-parallel logits through the tied embedding: [n, V/t]. The cache
+  // keeps the LN output as the GEMM reads it (narrowed in a bf16 model), the
+  // operand of the weight grad; the layernorm backward reads only mean and
+  // rstd.
+  cache.ln.y = gemm_operand(cache.ln.y, config_.dtype);
+  Tensor logits =
+      tensor::matmul_nt(cache.ln.y, gemm_operand(word_->value, config_.dtype));
 
   // Vocab-parallel cross entropy.
   Tensor rowmax = tensor::row_max(logits);                 // local max
@@ -149,10 +164,12 @@ Tensor GptHead::backward(float loss_scale, const HeadCache& cache) {
   }
 
   // Tied-weight grad: dW += dlogitsᵀ · LN(x).
-  tensor::add_(word_->grad, tensor::matmul_tn(dlogits, cache.ln.y));
+  const Tensor dlogits_gemm = gemm_operand(dlogits, config_.dtype);
+  tensor::add_matmul_tn_(word_->grad, dlogits_gemm, cache.ln.y);
 
   // dLN(x) = dlogits · W, summed over vocab shards (operator f backward).
-  Tensor d_lny = tensor::matmul(dlogits, word_->value);
+  Tensor d_lny =
+      tensor::matmul(dlogits_gemm, gemm_operand(word_->value, config_.dtype));
   tp_.all_reduce(d_lny.data());
 
   Tensor x2d = cache.input.view({n, h});
@@ -168,7 +185,8 @@ Tensor GptHead::full_logits(const Tensor& x) {
   const std::int64_t n = x.dim(0) * x.dim(1);
   Tensor x2d = x.view({n, config_.hidden});
   auto ln = tensor::layernorm(x2d, ln_gamma_.value, ln_beta_.value);
-  Tensor local = tensor::matmul_nt(ln.y, word_->value);  // [n, V/t]
+  Tensor local = tensor::matmul_nt(  // [n, V/t]
+      gemm_operand(ln.y, config_.dtype), gemm_operand(word_->value, config_.dtype));
   if (tp_.size() == 1) return local;
   // Gather the vocab shards: ranks contribute column blocks in rank order.
   Tensor& gathered = scratch_.empty(

@@ -9,10 +9,11 @@ using tensor::Tensor;
 namespace {
 
 // Mixed-precision GEMM input rule (DESIGN.md §13): when the layer stores
-// bf16 weights, the activation operand is narrowed to bf16 as well, so the
-// product runs both operands at storage precision (and hits the native
-// bf16 kernel where the CPU has one) while accumulation and the returned
-// activations stay f32. The narrowed copy is what the cache keeps, halving
+// bf16 weights, the activation operand of the forward and the upstream
+// gradient of the backward are narrowed to bf16 as well, so every product
+// runs both operands at storage precision (and hits the native bf16 kernel
+// where the CPU has one) while accumulation, weight grads and the returned
+// activations stay f32. The narrowed input is what the cache keeps, halving
 // cached-activation bytes. f32 layers pass through untouched.
 Tensor gemm_input(const Tensor& x, const Tensor& weight) {
   if (weight.dtype() == tensor::DType::kBf16 &&
@@ -71,11 +72,13 @@ Tensor ColumnParallelLinear::forward(const Tensor& x, LinearCache& cache) {
 Tensor ColumnParallelLinear::backward(const Tensor& dy, const LinearCache& cache) {
   PTDP_CHECK(!quantized()) << name_ << ": quantized weights have no gradient";
   PTDP_CHECK_EQ(dy.dim(-1), out_per_rank_) << name_;
+  // dy narrowed once for both GEMMs; the bias grad reads it unrounded.
+  const Tensor dy_gemm = gemm_input(dy, weight_.value);
   // dW += xᵀ·dy ; dbias += colsum(dy) unless a fused kernel owns it.
-  tensor::add_(weight_.grad, tensor::matmul_tn(cache.input, dy));
+  tensor::add_matmul_tn_(weight_.grad, cache.input, dy_gemm);
   if (!skip_bias_add_) tensor::add_(bias_.grad, tensor::bias_grad(dy));
   // dx = dy·Wᵀ, then operator f backward: all-reduce over tensor ranks.
-  Tensor dx = tensor::matmul_nt(dy, weight_.value);
+  Tensor dx = tensor::matmul_nt(dy_gemm, weight_.value);
   tp_.all_reduce(dx.data());
   return dx;
 }
@@ -132,11 +135,12 @@ Tensor RowParallelLinear::forward(const Tensor& x, LinearCache& cache) {
 Tensor RowParallelLinear::backward(const Tensor& dy, const LinearCache& cache) {
   PTDP_CHECK(!quantized()) << name_ << ": quantized weights have no gradient";
   PTDP_CHECK_EQ(dy.dim(-1), out_) << name_;
-  tensor::add_(weight_.grad, tensor::matmul_tn(cache.input, dy));
+  const Tensor dy_gemm = gemm_input(dy, weight_.value);
+  tensor::add_matmul_tn_(weight_.grad, cache.input, dy_gemm);
   if (!skip_bias_add_) tensor::add_(bias_.grad, tensor::bias_grad(dy));
   // Operator g backward: identity (dy is replicated; each rank extracts the
   // slice of dx its weight rows produce).
-  return tensor::matmul_nt(dy, weight_.value);
+  return tensor::matmul_nt(dy_gemm, weight_.value);
 }
 
 void RowParallelLinear::collect_params(ParamRefs& out) {

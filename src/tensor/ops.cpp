@@ -50,7 +50,8 @@ std::int64_t row_grain(std::int64_t n) {
 // gradient GEMM time no longer depends on activation sparsity). C is fully
 // OVERWRITTEN (beta = 0): the first k-panel stores its tile, later panels
 // accumulate — so callers can hand in Tensor::empty storage and skip the
-// zero-fill memset.
+// zero-fill memset. In accumulate mode (beta = 1, add_matmul_tn_) the
+// first panel adds too, so a weight grad takes its product in place.
 //
 // Blocking follows the BLIS decomposition: pack a KCxNR B sliver and an
 // MRxKC A micro-panel into contiguous scratch (zero-padded to full tiles so
@@ -323,7 +324,7 @@ template <bool kQ4>
 void quant_sliver(const QuantView& w, std::int64_t jp, std::int64_t k0,
                   std::int64_t kc, std::int64_t m, const float* a,
                   std::int64_t lda, std::int64_t nr, float* c,
-                  std::int64_t ldc) {
+                  std::int64_t ldc, bool first) {
   static_assert(kMR == 8, "row tiles below are written for kMR == 8");
   for (std::int64_t ir = 0; ir < m;) {
     float acc[kMR * kNR];
@@ -339,7 +340,7 @@ void quant_sliver(const QuantView& w, std::int64_t jp, std::int64_t k0,
     } else {
       quant_micro_kernel<1, kQ4>(w, jp, k0, kc, ai, lda, acc);
     }
-    store_tile(acc, mr, nr, c + ir * ldc, ldc, k0 == 0);
+    store_tile(acc, mr, nr, c + ir * ldc, ldc, first);
     ir += mr;
   }
 }
@@ -359,18 +360,21 @@ void pack_b_panel(const QuantView* b, std::int64_t /*rsb*/, std::int64_t /*csb*/
 // caller must fetch shared_scratch() BEFORE its parallel_for and let the
 // lambda capture the pointer, because naming it inside the lambda would give
 // each worker its own, unpacked buffer.
-float* grow(std::vector<float>& buf, std::int64_t n) {
+template <typename T>
+T* grow(std::vector<T>& buf, std::int64_t n) {
   if (buf.size() < static_cast<std::size_t>(n)) buf.resize(static_cast<std::size_t>(n));
   return buf.data();
 }
 // Operand packed once by the calling thread and read by every task.
-float* shared_scratch(std::int64_t n) {
-  thread_local std::vector<float> buf;
+template <typename T = float>
+T* shared_scratch(std::int64_t n) {
+  thread_local std::vector<T> buf;
   return grow(buf, n);
 }
 // Operand packed by one task for its own use.
-float* task_scratch(std::int64_t n) {
-  thread_local std::vector<float> buf;
+template <typename T = float>
+T* task_scratch(std::int64_t n) {
+  thread_local std::vector<T> buf;
   return grow(buf, n);
 }
 
@@ -431,46 +435,163 @@ void amx_configure_thread() {
 }
 
 // A block [i0, i0+mc) x [p0, p0+kc) packed row-major with row stride
-// kc_pad bf16 (k zero-padded to a multiple of kAmxK, rows to kAmxMR).
+// kc_pad bf16, k zero-padded to a multiple of kAmxK and rows to kAmxMR.
+// Every element is written, padding included, so the scratch is reused
+// without a fill. Row-major A (NN, NT) copies row segments. A transposed A
+// (TN: A(i, p) = a[p*csa + i]) holds its rows along i, so it goes through a
+// kAmxK x kAmxK block on the stack: contiguous loads along i, contiguous
+// stores along p.
 void pack_a_block_bf16(const bf16_t* a, std::int64_t rsa, std::int64_t csa,
                        std::int64_t i0, std::int64_t mc, std::int64_t p0,
                        std::int64_t kc, std::int64_t kc_pad, bf16_t* ap) {
   const std::int64_t mc_pad = (mc + kAmxMR - 1) / kAmxMR * kAmxMR;
+  if (rsa == 1 && csa != 1) {
+    static_assert(kAmxMR % kAmxK == 0, "row padding must tile by kAmxK");
+    for (std::int64_t ib = 0; ib < mc_pad; ib += kAmxK) {
+      const std::int64_t ni = std::clamp<std::int64_t>(mc - ib, 0, kAmxK);
+      for (std::int64_t pb = 0; pb < kc_pad; pb += kAmxK) {
+        const std::int64_t np = std::clamp<std::int64_t>(kc - pb, 0, kAmxK);
+        alignas(64) bf16_t blk[kAmxK][kAmxK];  // [p][i]
+        for (std::int64_t p = 0; p < kAmxK; ++p) {
+          const std::int64_t live = p < np ? ni : 0;
+          if (live > 0) {
+            std::memcpy(blk[p], a + (p0 + pb + p) * csa + i0 + ib,
+                        static_cast<std::size_t>(live) * sizeof(bf16_t));
+          }
+          std::fill(blk[p] + live, blk[p] + kAmxK, bf16_t{0});
+        }
+        for (std::int64_t i = 0; i < kAmxK; ++i) {
+          bf16_t* dst = ap + (ib + i) * kc_pad + pb;
+          for (std::int64_t p = 0; p < kAmxK; ++p) dst[p] = blk[p][i];
+        }
+      }
+    }
+    return;
+  }
   for (std::int64_t i = 0; i < mc_pad; ++i) {
     bf16_t* dst = ap + i * kc_pad;
-    if (i < mc) {
-      const bf16_t* src = a + (i0 + i) * rsa + p0 * csa;
-      for (std::int64_t p = 0; p < kc; ++p) dst[p] = src[p * csa];
+    const std::int64_t live = i < mc ? kc : 0;
+    const bf16_t* src = a + (i0 + i) * rsa + p0 * csa;
+    if (csa == 1) {
+      std::copy_n(src, live, dst);
     } else {
-      std::fill_n(dst, kc, bf16_t{0});
+      for (std::int64_t p = 0; p < live; ++p) dst[p] = src[p * csa];
     }
-    std::fill_n(dst + kc, kc_pad - kc, bf16_t{0});
+    std::fill(dst + live, dst + kc_pad, bf16_t{0});
   }
 }
 
-// B panel [p0, p0+kc) x [j0, j0+nc) packed pair-interleaved:
-// bp[(p/2) * nc_pad * 2 + j * 2 + (p&1)], zero-padded to (kc_pad, nc_pad).
+#if defined(__has_builtin) && __has_builtin(__builtin_shufflevector)
+#define PTDP_WORD_SHUFFLE 1
+using VecW = std::uint32_t __attribute__((vector_size(64)));
+
+// Swaps the off-diagonal H x H blocks of rows a = r[i], b = r[i + H] (i with
+// bit H clear): one level of the recursive block transpose.
+template <int H, std::size_t... I>
+void swap_blocks(VecW& a, VecW& b, std::index_sequence<I...>) {
+  const VecW lo = __builtin_shufflevector(a, b, ((I & H) ? I + 16 - H : I)...);
+  const VecW hi = __builtin_shufflevector(a, b, ((I & H) ? I + 16 : I + H)...);
+  a = lo;
+  b = hi;
+}
+template <int H>
+void swap_blocks(VecW* r) {
+  for (int i = 0; i < 16; ++i) {
+    if ((i & H) == 0) swap_blocks<H>(r[i], r[i + H], std::make_index_sequence<16>{});
+  }
+}
+#else
+#define PTDP_WORD_SHUFFLE 0
+#endif
+
+// Transposes a 16 x 16 block of 32-bit words: word j of dst row q is word
+// q of source row j, where source row j is the bf16 pairs at src + j*lds
+// (lds in bf16, any parity) and dst rows are ldd words apart.
+void transpose_words16(const bf16_t* src, std::int64_t lds, std::uint32_t* dst,
+                       std::int64_t ldd) {
+#if PTDP_WORD_SHUFFLE
+  VecW r[16];
+  for (int j = 0; j < 16; ++j) std::memcpy(&r[j], src + j * lds, sizeof(VecW));
+  swap_blocks<8>(r);
+  swap_blocks<4>(r);
+  swap_blocks<2>(r);
+  swap_blocks<1>(r);
+  for (int q = 0; q < 16; ++q) std::memcpy(dst + q * ldd, &r[q], sizeof(VecW));
+#else
+  for (std::int64_t q = 0; q < 16; ++q) {
+    for (std::int64_t j = 0; j < 16; ++j) {
+      std::memcpy(dst + q * ldd + j, src + j * lds + 2 * q, sizeof(std::uint32_t));
+    }
+  }
+#endif
+}
+
+// B panel [p0, p0+kc) x [j0, j0+nc) packed as pair words: word
+// bp[q * nc_pad + j] holds B(2q, j) in its low half and B(2q+1, j) in its
+// high half (the [k/2][col][k&1] layout tdpbf16ps reads), zero-padded to
+// (kc_pad, nc_pad). Every word is written, padding included. Row-major B
+// (NN, and TN's dy) interleaves two source rows. A transposed B (NT:
+// B(p, j) = b[j*csb + p]) already holds each pair as one 32-bit word of its
+// row j, so it is moved as 16 x 16 word blocks, each transposed whole:
+// contiguous loads along a source row, contiguous stores along a packed
+// pair row. Edge blocks are staged zero-padded on the stack first.
 void pack_b_panel_bf16(const bf16_t* b, std::int64_t rsb, std::int64_t csb,
                        std::int64_t p0, std::int64_t kc, std::int64_t kc_pad,
                        std::int64_t j0, std::int64_t nc, std::int64_t nc_pad,
-                       bf16_t* bp) {
-  std::fill_n(bp, (kc_pad / 2) * nc_pad * 2, bf16_t{0});
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const bf16_t* src = b + (p0 + p) * rsb + j0 * csb;
-    bf16_t* dst = bp + (p / 2) * nc_pad * 2 + (p & 1);
-    for (std::int64_t j = 0; j < nc; ++j) dst[j * 2] = src[j * csb];
+                       std::uint32_t* bp) {
+  const std::int64_t pairs = kc_pad / 2;
+  if (rsb == 1 && csb != 1) {
+    static_assert(kAmxK == 2 * kAmxTile && kAmxNR % kAmxTile == 0,
+                  "pair and column padding must tile by kAmxTile");
+    for (std::int64_t jb = 0; jb < nc_pad; jb += kAmxTile) {
+      const std::int64_t nj = std::clamp<std::int64_t>(nc - jb, 0, kAmxTile);
+      for (std::int64_t qb = 0; qb < pairs; qb += kAmxTile) {
+        const std::int64_t np = std::clamp<std::int64_t>(kc - 2 * qb, 0, 2 * kAmxTile);
+        const bf16_t* src = b + (j0 + jb) * csb + p0 + 2 * qb;
+        std::uint32_t* dst = bp + qb * nc_pad + jb;
+        if (nj == kAmxTile && np == 2 * kAmxTile) {
+          transpose_words16(src, csb, dst, nc_pad);
+          continue;
+        }
+        alignas(64) bf16_t blk[kAmxTile][2 * kAmxTile];  // [j][p]
+        for (std::int64_t j = 0; j < kAmxTile; ++j) {
+          const std::int64_t live = j < nj ? np : 0;
+          std::copy_n(src + j * csb, live, blk[j]);
+          std::fill(blk[j] + live, blk[j] + 2 * kAmxTile, bf16_t{0});
+        }
+        transpose_words16(&blk[0][0], 2 * kAmxTile, dst, nc_pad);
+      }
+    }
+    return;
+  }
+  for (std::int64_t q = 0; q < pairs; ++q) {
+    std::uint32_t* dst = bp + q * nc_pad;
+    const std::int64_t p = 2 * q;
+    const std::int64_t live = p < kc ? nc : 0;
+    const bf16_t* lo = b + (p0 + p) * rsb + j0 * csb;
+    const bf16_t* hi = p + 1 < kc ? lo + rsb : nullptr;
+    if (hi != nullptr && csb == 1) {  // the common case, vectorized
+      for (std::int64_t j = 0; j < live; ++j) {
+        dst[j] = lo[j] | static_cast<std::uint32_t>(hi[j]) << 16;
+      }
+    } else {
+      for (std::int64_t j = 0; j < live; ++j) {
+        dst[j] = lo[j * csb] | (hi ? static_cast<std::uint32_t>(hi[j * csb]) << 16 : 0u);
+      }
+    }
+    std::fill(dst + live, dst + nc_pad, 0u);
   }
 }
 
 void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
                               const bf16_t* a, std::int64_t rsa,
                               std::int64_t csa, const bf16_t* b,
-                              std::int64_t rsb, std::int64_t csb, float* c) {
+                              std::int64_t rsb, std::int64_t csb, float* c,
+                              bool accumulate) {
   const std::int64_t nc_max = std::min(n, kNC);
   const std::int64_t nc_pad_cap = (nc_max + kAmxNR - 1) / kAmxNR * kAmxNR;
   const std::int64_t kc_pad_cap = (kKC + kAmxK - 1) / kAmxK * kAmxK;
-  std::vector<bf16_t> bp(
-      static_cast<std::size_t>(kc_pad_cap / 2 * nc_pad_cap * 2));
+  std::uint32_t* bp = shared_scratch<std::uint32_t>(kc_pad_cap / 2 * nc_pad_cap);
 
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
@@ -478,7 +599,7 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
       const std::int64_t kc_pad = (kc + kAmxK - 1) / kAmxK * kAmxK;
-      pack_b_panel_bf16(b, rsb, csb, pc, kc, kc_pad, jc, nc, nc_pad, bp.data());
+      pack_b_panel_bf16(b, rsb, csb, pc, kc, kc_pad, jc, nc, nc_pad, bp);
 
       const std::int64_t nblocks = (m + kMC - 1) / kMC;
       const std::int64_t block_flops = 2 * kMC * nc * kc;
@@ -487,22 +608,22 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
                                                           block_flops, 1));
       parallel_for(0, nblocks, grain, [&](std::int64_t blk0, std::int64_t blk1) {
         amx_configure_thread();
-        thread_local std::vector<bf16_t> ap;
-        ap.resize(static_cast<std::size_t>(
-            (kMC + kAmxMR - 1) / kAmxMR * kAmxMR * kc_pad_cap));
+        bf16_t* ap = task_scratch<bf16_t>((kMC + kAmxMR - 1) / kAmxMR * kAmxMR *
+                                          kc_pad_cap);
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           const std::int64_t i0 = blk * kMC;
           const std::int64_t mc = std::min(kMC, m - i0);
-          pack_a_block_bf16(a, rsa, csa, i0, mc, pc, kc, kc_pad, ap.data());
+          pack_a_block_bf16(a, rsa, csa, i0, mc, pc, kc, kc_pad, ap);
           for (std::int64_t jr = 0; jr < nc; jr += kAmxNR) {
             const std::int64_t nr = std::min(kAmxNR, nc - jr);
-            const bf16_t* bcol = bp.data() + jr * 2;
+            const std::uint32_t* bcol = bp + jr;
             for (std::int64_t ir = 0; ir < mc; ir += kAmxMR) {
               const std::int64_t mr = std::min(kAmxMR, mc - ir);
-              const bf16_t* arow = ap.data() + ir * kc_pad;
+              const bf16_t* arow = ap + ir * kc_pad;
               float* ctile = c + (i0 + ir) * n + jc + jr;
               const bool full = mr == kAmxMR && nr == kAmxNR;
-              if (full && pc > 0) {
+              const bool first = pc == 0 && !accumulate;
+              if (full && !first) {
                 // Accumulate straight into C: seed the tiles from it.
                 _tile_loadd(0, ctile, n * 4);
                 _tile_loadd(1, ctile + kAmxTile, n * 4);
@@ -517,9 +638,9 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
               for (std::int64_t p = 0; p < kc_pad; p += kAmxK) {
                 _tile_loadd(4, arow + p, kc_pad * 2);
                 _tile_loadd(5, arow + kAmxTile * kc_pad + p, kc_pad * 2);
-                const bf16_t* bk = bcol + (p / 2) * nc_pad * 2;
+                const std::uint32_t* bk = bcol + (p / 2) * nc_pad;
                 _tile_loadd(6, bk, nc_pad * 4);
-                _tile_loadd(7, bk + kAmxTile * 2, nc_pad * 4);
+                _tile_loadd(7, bk + kAmxTile, nc_pad * 4);
                 _tile_dpbf16ps(0, 4, 6);
                 _tile_dpbf16ps(1, 4, 7);
                 _tile_dpbf16ps(2, 5, 6);
@@ -539,7 +660,7 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
                 _tile_stored(3, acc + kAmxTile * kAmxNR + kAmxTile, kAmxNR * 4);
                 for (std::int64_t i = 0; i < mr; ++i) {
                   float* crow = c + (i0 + ir + i) * n + jc + jr;
-                  if (pc == 0) {
+                  if (first) {
                     for (std::int64_t j = 0; j < nr; ++j)
                       crow[j] = acc[i * kAmxNR + j];
                   } else {
@@ -572,7 +693,7 @@ void gemm_strided_bf16_native(std::int64_t m, std::int64_t n, std::int64_t k,
 template <typename TA, typename TB>
 void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
                   std::int64_t rsa, std::int64_t csa, const TB* b,
-                  std::int64_t rsb, std::int64_t csb, float* c) {
+                  std::int64_t rsb, std::int64_t csb, float* c, bool accumulate) {
   constexpr bool kFusedQuant = PTDP_GEMM_VEC && std::is_same_v<TB, QuantView>;
   const std::int64_t mp = (m + kMR - 1) / kMR * kMR;
   float* ap = nullptr;
@@ -591,15 +712,16 @@ void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
   parallel_for(0, slivers, grain, [&](std::int64_t s0, std::int64_t s1) {
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
+      const bool first = pc == 0 && !accumulate;
       for (std::int64_t s = s0; s < s1; ++s) {
         const std::int64_t j0 = s * kNR;
         const std::int64_t nr = std::min(kNR, n - j0);
         if constexpr (kFusedQuant) {
 #if PTDP_GEMM_VEC
           if (b->kind == QuantKind::kQ4) {
-            quant_sliver<true>(*b, s, pc, kc, m, a, rsa, nr, c + j0, n);
+            quant_sliver<true>(*b, s, pc, kc, m, a, rsa, nr, c + j0, n, first);
           } else {
-            quant_sliver<false>(*b, s, pc, kc, m, a, rsa, nr, c + j0, n);
+            quant_sliver<false>(*b, s, pc, kc, m, a, rsa, nr, c + j0, n, first);
           }
 #endif
         } else {
@@ -619,8 +741,7 @@ void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
           for (std::int64_t ir = 0; ir < m; ir += kMR) {
             float acc[kMR * kNR];
             micro_kernel(kc, ap + mp * pc + ir * kc, bsliver, ldb, acc);
-            store_tile(acc, std::min(kMR, m - ir), nr, c + ir * n + j0, n,
-                       pc == 0);
+            store_tile(acc, std::min(kMR, m - ir), nr, c + ir * n + j0, n, first);
           }
         }
       }
@@ -631,24 +752,25 @@ void gemm_small_m(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
 template <typename TA, typename TB>
 void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
                   std::int64_t rsa, std::int64_t csa, const TB* b,
-                  std::int64_t rsb, std::int64_t csb, float* c) {
+                  std::int64_t rsb, std::int64_t csb, float* c,
+                  bool accumulate = false) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     // Empty contraction: the product is the zero matrix, and C may be
     // uninitialized storage.
-    std::fill_n(c, m * n, 0.0f);
+    if (!accumulate) std::fill_n(c, m * n, 0.0f);
     return;
   }
 #if PTDP_GEMM_NATIVE_BF16
   if constexpr (std::is_same_v<TA, bf16_t> && std::is_same_v<TB, bf16_t>) {
     if (amx_tile_ready()) {
-      gemm_strided_bf16_native(m, n, k, a, rsa, csa, b, rsb, csb, c);
+      gemm_strided_bf16_native(m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate);
       return;
     }
   }
 #endif
   if (m < kMC) {
-    gemm_small_m(m, n, k, a, rsa, csa, b, rsb, csb, c);
+    gemm_small_m(m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate);
     return;
   }
   const std::int64_t nc_max = std::min(n, kNC);
@@ -659,6 +781,7 @@ void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
     const std::int64_t nc = std::min(kNC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
+      const bool first = pc == 0 && !accumulate;
       pack_b_panel(b, rsb, csb, pc, kc, jc, nc, bp);
 
       const std::int64_t nblocks = (m + kMC - 1) / kMC;
@@ -679,7 +802,7 @@ void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, const TA* a,
               float acc[kMR * kNR];
               micro_kernel(kc, ap + ir * kc, bsliver, kNR, acc);
               store_tile(acc, std::min(kMR, mc - ir), nr,
-                         c + (i0 + ir) * n + jc + jr, n, pc == 0);
+                         c + (i0 + ir) * n + jc + jr, n, first);
             }
           }
         }
@@ -757,11 +880,33 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+void add_matmul_tn_(Tensor& c, const Tensor& a, const Tensor& b) {
+  check_2d(a, "add_matmul_tn_ lhs");
+  check_2d(b, "add_matmul_tn_ rhs");
+  PTDP_CHECK_EQ(a.dim(0), b.dim(0)) << a.shape_str() << "^T x " << b.shape_str();
+  const std::int64_t m = a.dim(1), n = b.dim(1), k = a.dim(0);
+  PTDP_CHECK(c.dtype() == DType::kF32 && c.ndim() == 2 && c.dim(0) == m &&
+             c.dim(1) == n)
+      << "add_matmul_tn_ target " << c.shape_str() << " for [" << m << ", " << n
+      << "]";
+  dispatch_gemm(a, b, [&](const auto* pa, const auto* pb) {
+    gemm_strided(m, n, k, pa, 1, m, pb, n, 1, c.data().data(), /*accumulate=*/true);
+  });
+}
+
+bool bf16_gemm_on_amx() {
+#if PTDP_GEMM_NATIVE_BF16
+  return amx_tile_ready();
+#else
+  return false;
+#endif
+}
+
 void gemm_f32xq(const QuantView& w, std::int64_t m, const float* a, float* c) {
   PTDP_CHECK(w.group > 0 && w.k % w.group == 0) << "group must divide k";
   if (m <= 0 || w.n <= 0) return;
   gemm_small_m(m, w.n, w.k, a, w.k, std::int64_t{1}, &w, std::int64_t{0},
-               std::int64_t{0}, c);
+               std::int64_t{0}, c, /*accumulate=*/false);
 }
 
 namespace {
@@ -821,6 +966,32 @@ Tensor bmm_tn(const Tensor& a, const Tensor& b) {
   return bmm_impl(a, b, m, n, k, 1, m, n, 1);
 }
 
+
+// ---- dtype casts ---------------------------------------------------------------
+//
+// Declared in tensor.hpp; defined here so they build with the kernel flags
+// and vectorize. Both are integer bit operations, so the flags cannot
+// change a result.
+
+void widen_bf16(std::span<const bf16_t> src, std::span<float> dst) {
+  PTDP_CHECK_EQ(src.size(), dst.size());
+  const bf16_t* s = src.data();
+  float* d = dst.data();
+  parallel_for(0, static_cast<std::int64_t>(src.size()), kElemGrain,
+               [&](std::int64_t i0, std::int64_t i1) {
+                 for (std::int64_t i = i0; i < i1; ++i) d[i] = bf16_to_f32(s[i]);
+               });
+}
+
+void narrow_bf16(std::span<const float> src, std::span<bf16_t> dst) {
+  PTDP_CHECK_EQ(src.size(), dst.size());
+  const float* s = src.data();
+  bf16_t* d = dst.data();
+  parallel_for(0, static_cast<std::int64_t>(src.size()), kElemGrain,
+               [&](std::int64_t i0, std::int64_t i1) {
+                 for (std::int64_t i = i0; i < i1; ++i) d[i] = f32_to_bf16(s[i]);
+               });
+}
 
 // ---- elementwise ---------------------------------------------------------------
 

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "ptdp/runtime/parallel_for.hpp"
 
 namespace ptdp::tensor {
 
@@ -20,8 +19,6 @@ std::size_t storage_floats(std::int64_t numel, DType dtype) {
       static_cast<std::size_t>(numel) * dtype_size(dtype);
   return (bytes + sizeof(float) - 1) / sizeof(float);
 }
-
-constexpr std::int64_t kCastGrain = 1 << 15;
 
 }  // namespace
 
@@ -381,30 +378,6 @@ std::vector<Tensor> split(const Tensor& x, std::int64_t n, std::int64_t dim) {
     parts.push_back(x.slice(dim, i * len, len));
   }
   return parts;
-}
-
-void widen_bf16(std::span<const bf16_t> src, std::span<float> dst) {
-  PTDP_CHECK_EQ(src.size(), dst.size());
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(src.size()), kCastGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          dst[static_cast<std::size_t>(i)] =
-              bf16_to_f32(src[static_cast<std::size_t>(i)]);
-        }
-      });
-}
-
-void narrow_bf16(std::span<const float> src, std::span<bf16_t> dst) {
-  PTDP_CHECK_EQ(src.size(), dst.size());
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(src.size()), kCastGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          dst[static_cast<std::size_t>(i)] =
-              f32_to_bf16(src[static_cast<std::size_t>(i)]);
-        }
-      });
 }
 
 void cast_into(const Tensor& src, Tensor& dst) {

@@ -20,6 +20,8 @@
 #include "ptdp/data/dataset.hpp"
 #include "ptdp/dist/world.hpp"
 #include "ptdp/model/attention.hpp"
+#include "ptdp/model/head.hpp"
+#include "ptdp/model/linear.hpp"
 #include "ptdp/optim/optimizer.hpp"
 #include "ptdp/runtime/parallel_for.hpp"
 #include "ptdp/tensor/ops.hpp"
@@ -174,6 +176,98 @@ TEST(MixedPrecisionGemm, Beta0FastPathIgnoresStalePoolBytes) {
   const Tensor reused = tensor::matmul(a, b);
   EXPECT_TRUE(same_bits(reused, clean));
   for (float v : reused.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+// ---- the model rule on linear layers and the head ---------------------------
+
+// One forward + backward of a fresh linear (zero grads), checked against the
+// products the rule names: a bf16 layer narrows dy once, exactly as it
+// narrows its input, and runs dW = xᵀ·dy and dx = dy·Wᵀ on the narrowed
+// operands; the bias grad reads f32 dy. An f32 layer runs the f32 products.
+template <typename Linear>
+void expect_backward_follows_rule(Linear& lin, const Tensor& x, const Tensor& dy,
+                                  DType dtype) {
+  model::LinearCache cache;
+  lin.forward(x, cache);
+  const Tensor dx = lin.backward(dy, cache);
+  const Tensor x_gemm = dtype == DType::kBf16 ? x.to(DType::kBf16) : x;
+  const Tensor dy_gemm = dtype == DType::kBf16 ? dy.to(DType::kBf16) : dy;
+  EXPECT_TRUE(same_bits(lin.weight().grad, tensor::matmul_tn(x_gemm, dy_gemm)))
+      << tensor::dtype_name(dtype) << " dW";
+  EXPECT_TRUE(same_bits(dx, tensor::matmul_nt(dy_gemm, lin.weight().value)))
+      << tensor::dtype_name(dtype) << " dx";
+  EXPECT_TRUE(same_bits(lin.bias().grad, tensor::bias_grad(dy)))
+      << tensor::dtype_name(dtype) << " dbias";
+}
+
+TEST(MixedPrecisionLinear, BackwardGemmsRunOnDyNarrowedLikeTheInput) {
+  // 300 rows: the weight-grad product spans two 256-deep k panels.
+  const std::int64_t rows = 300, in = 40, out = 24;
+  Rng rng(31);
+  const Tensor x = Tensor::randn({rows, in}, rng);
+  const Tensor dy = Tensor::randn({rows, out}, rng);
+  const dist::Comm solo = dist::Comm::solo();
+  for (DType dtype : {DType::kF32, DType::kBf16}) {
+    model::ColumnParallelLinear col("col", in, out, solo, 0.02f, 42,
+                                    /*skip_bias_add=*/false, dtype);
+    expect_backward_follows_rule(col, x, dy, dtype);
+    model::RowParallelLinear row("row", in, out, solo, 0.02f, 42,
+                                 /*skip_bias_add=*/false, dtype);
+    expect_backward_follows_rule(row, x, dy, dtype);
+  }
+}
+
+TEST(MixedPrecisionHead, Bf16ModelRunsHeadGemmsOnNarrowedOperands) {
+  // Both heads hold the same bf16-valued f32 word, as the optimizer keeps a
+  // bf16 model's working values. The bf16 head narrows the LN output, the
+  // word and dlogits; its loss and grads stay within the bf16 GEMM row of
+  // the table of the f32 head's.
+  GptConfig c;
+  c.num_layers = 1;
+  c.hidden = 32;
+  c.heads = 4;
+  c.vocab = 64;
+  c.seq = 8;
+  c.seed = 77;
+  GptConfig c16 = c;
+  c16.dtype = DType::kBf16;
+  const dist::Comm solo = dist::Comm::solo();
+  model::GptHead head32(c, solo, nullptr);
+  model::GptHead head16(c16, solo, nullptr);
+  const Tensor word = head32.word().value.to(DType::kBf16).to(DType::kF32);
+  head32.word().value.copy_from(word);
+  head16.word().value.copy_from(word);
+
+  Rng rng(13);
+  const std::int64_t b = 2, n = c.seq * b;
+  const Tensor x = Tensor::randn({c.seq, b, c.hidden}, rng);
+  std::vector<std::int32_t> targets(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    targets[static_cast<std::size_t>(i)] = static_cast<std::int32_t>((i * 37 + 5) % c.vocab);
+  }
+  model::HeadCache cache32, cache16;
+  const float loss32 = head32.forward(x, targets, cache32);
+  const float loss16 = head16.forward(x, targets, cache16);
+  EXPECT_EQ(cache32.ln.y.dtype(), DType::kF32);
+  EXPECT_EQ(cache16.ln.y.dtype(), DType::kBf16);
+  EXPECT_NEAR(loss16, loss32, gemm_tol(DType::kBf16).rtol * std::fabs(loss32));
+
+  // Inference logits are the same bf16 x bf16 product.
+  const Tensor ln_y =
+      tensor::layernorm(x.view({n, c.hidden}), Tensor::full({c.hidden}, 1.0f),
+                        Tensor({c.hidden}))
+          .y;
+  EXPECT_TRUE(same_bits(head16.full_logits(x),
+                        tensor::matmul_nt(ln_y.to(DType::kBf16), word.to(DType::kBf16))));
+
+  const Tensor dx32 = head32.backward(1.0f, cache32);
+  const Tensor dx16 = head16.backward(1.0f, cache16);
+  const Tol tol = gemm_tol(DType::kBf16);
+  EXPECT_TRUE(tensor::allclose(dx16, dx32, tol.rtol, tol.atol))
+      << "dx gap " << tensor::max_abs_diff(dx16, dx32);
+  EXPECT_TRUE(tensor::allclose(head16.word().grad, head32.word().grad, tol.rtol,
+                               tol.atol))
+      << "dW gap " << tensor::max_abs_diff(head16.word().grad, head32.word().grad);
 }
 
 // ---- attention under bf16 weights -------------------------------------------

@@ -2,27 +2,35 @@
 // element against a double-precision naive product of the same stored
 // operands.
 //
-//   * tensor::matmul / matmul_nt / matmul_tn (NN, NT, TN) for each
+//   * tensor::matmul / matmul_nt / matmul_tn (NN, NT, TN) and
+//     add_matmul_tn_ (TN accumulated onto a nonzero target) for each
 //     (f32|bf16)² operand pair. m spans the small-m sliver path (m < 128)
 //     and the row-panel path; bf16 × bf16 takes the AMX kernel where the
 //     host has one.
+//   * NT and TN bitwise equal to NN over the materialised transpose, and
+//     add_matmul_tn_ onto zeros bitwise equal to matmul_tn, at 1 and 4
+//     threads: the packs absorb the transpose without touching the
+//     accumulation order.
 //   * quant::matmul at int8 and Q4, against dequantize(w) in double, and
 //     bitwise against tensor::matmul(a, dequantize(w)) at 1 and 4 threads:
 //     quantized B is a source of the f32 driver's small-m loop, so the two
 //     products share the k-panel order and differ in no bit.
 //
 // Shapes: the full cross product m, n, k ∈ {1, 3, 4, 8, 16, 127, 128, 129,
-// 133, 300} — every register-tile, panel and k-block edge the kernels have.
+// 133, 300} — every register-tile, panel and k-block edge the kernels have —
+// and, for the dense products, two shapes wider than one 1024-column panel.
 //
 // Tolerance: operands enter the reference at their stored precision (bf16
 // values widened exactly), so the only error left is the f32 accumulation
 // every variant uses. For any summation order that is bounded by
 // γ_{k+1}·Σ|a·b| (Higham, Accuracy and Stability, §3.1); the test allows
-// (k + 2)·2⁻²⁴·Σ|a·b| per element. A dropped, doubled or misplaced product
-// is orders of magnitude above it.
+// (k + 2)·2⁻²⁴·Σ|a·b| per element (Σ|a·b| + |c₀| when accumulating onto
+// c₀). A dropped, doubled or misplaced product is orders of magnitude above
+// it.
 //
-// Run time: ~1–2 s per instance (8 instances) on a 4-core AVX-512 host at
-// RelWithDebInfo, dominated by the double-precision reference.
+// Run time: ~1–2 s per reference instance (8 instances) on a 4-core
+// AVX-512 host at RelWithDebInfo, dominated by the double-precision
+// reference; the bitwise instances take well under a second each.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +50,23 @@ namespace {
 
 constexpr std::array<std::int64_t, 10> kSizes = {1,   3,   4,   8,   16,
                                                  127, 128, 129, 133, 300};
+
+struct Shape3 {
+  std::int64_t m, n, k;
+};
+
+// The kSizes cross product plus shapes crossing the column-panel edge.
+std::vector<Shape3> dense_shapes() {
+  std::vector<Shape3> out;
+  for (const std::int64_t m : kSizes) {
+    for (const std::int64_t n : kSizes) {
+      for (const std::int64_t k : kSizes) out.push_back({m, n, k});
+    }
+  }
+  out.push_back({3, 1100, 40});
+  out.push_back({130, 1030, 300});
+  return out;
+}
 
 // The product of logical A [m, k] and B [k, n] in double, and Σ|a·b| per
 // element (the scale of the accumulation error bound).
@@ -126,29 +151,80 @@ class DenseGemm : public ::testing::TestWithParam<DtypePair> {};
 TEST_P(DenseGemm, NnNtTnMatchDoubleReference) {
   const auto [da, db] = GetParam();
   Rng rng(20);
-  int failures[3] = {0, 0, 0};  // NN, NT, TN
-  for (const std::int64_t m : kSizes) {
-    for (const std::int64_t n : kSizes) {
-      for (const std::int64_t k : kSizes) {
-        const std::vector<float> a = values(m, k, da, rng);
-        const std::vector<float> b = values(k, n, db, rng);
-        const Reference ref = naive(a, b, m, n, k);
-        const std::string at = shape_name(m, n, k);
-        failures[0] +=
-            count_failures(matmul(stored(a, m, k, da), stored(b, k, n, db)), ref,
-                           k, "NN " + at, failures[0] == 0);
-        failures[1] += count_failures(
-            matmul_nt(stored(a, m, k, da), stored(transpose(b, k, n), n, k, db)),
-            ref, k, "NT " + at, failures[1] == 0);
-        failures[2] += count_failures(
-            matmul_tn(stored(transpose(a, m, k), k, m, da), stored(b, k, n, db)),
-            ref, k, "TN " + at, failures[2] == 0);
-      }
+  int failures[4] = {0, 0, 0, 0};  // NN, NT, TN, TN+=
+  for (const auto [m, n, k] : dense_shapes()) {
+    const std::vector<float> a = values(m, k, da, rng);
+    const std::vector<float> b = values(k, n, db, rng);
+    const Reference ref = naive(a, b, m, n, k);
+    const std::string at = shape_name(m, n, k);
+    failures[0] +=
+        count_failures(matmul(stored(a, m, k, da), stored(b, k, n, db)), ref,
+                       k, "NN " + at, failures[0] == 0);
+    failures[1] += count_failures(
+        matmul_nt(stored(a, m, k, da), stored(transpose(b, k, n), n, k, db)),
+        ref, k, "NT " + at, failures[1] == 0);
+    failures[2] += count_failures(
+        matmul_tn(stored(transpose(a, m, k), k, m, da), stored(b, k, n, db)),
+        ref, k, "TN " + at, failures[2] == 0);
+    // Accumulating onto c0 adds c0 to the product and |c0| to the
+    // magnitude the bound scales with.
+    Tensor c = Tensor::randn({m, n}, rng);
+    Reference acc = ref;
+    const auto c0 = c.data();
+    for (std::size_t e = 0; e < acc.c.size(); ++e) {
+      acc.c[e] += c0[e];
+      acc.mag[e] += std::fabs(static_cast<double>(c0[e]));
     }
+    add_matmul_tn_(c, stored(transpose(a, m, k), k, m, da), stored(b, k, n, db));
+    failures[3] += count_failures(c, acc, k, "TN+= " + at, failures[3] == 0);
   }
   EXPECT_EQ(failures[0], 0) << "NN";
   EXPECT_EQ(failures[1], 0) << "NT";
   EXPECT_EQ(failures[2], 0) << "TN";
+  EXPECT_EQ(failures[3], 0) << "TN+=";
+}
+
+bool same_bits(const Tensor& got, const Tensor& want) {
+  return got.same_shape(want) && std::memcmp(got.data().data(), want.data().data(),
+                                             got.data().size_bytes()) == 0;
+}
+
+TEST_P(DenseGemm, TransposedOperandsBitwiseEqualNnOverMaterializedTranspose) {
+  const auto [da, db] = GetParam();
+  const std::size_t saved_threads = runtime::intra_op_threads();
+  Rng rng(23);
+  int mismatched_shapes = 0;
+  for (const auto [m, n, k] : dense_shapes()) {
+    const std::vector<float> a = values(m, k, da, rng);
+    const std::vector<float> b = values(k, n, db, rng);
+    const Tensor a_mk = stored(a, m, k, da), b_kn = stored(b, k, n, db);
+    const Tensor a_km = stored(transpose(a, m, k), k, m, da);
+    const Tensor b_nk = stored(transpose(b, k, n), n, k, db);
+    const char* what = nullptr;
+    for (const std::size_t threads : {1u, 4u}) {
+      runtime::set_intra_op_threads(threads);
+      const Tensor nn = matmul(a_mk, b_kn);
+      Tensor acc = Tensor::zeros({m, n});
+      add_matmul_tn_(acc, a_km, b_kn);
+      if (!same_bits(matmul_nt(a_mk, b_nk), nn)) {
+        what = "NT";
+      } else if (!same_bits(matmul_tn(a_km, b_kn), nn)) {
+        what = "TN";
+      } else if (!same_bits(acc, nn)) {
+        what = "TN+= onto zeros";
+      } else {
+        continue;
+      }
+      if (mismatched_shapes == 0) {
+        ADD_FAILURE() << what << " differs from NN at " << shape_name(m, n, k)
+                      << ", " << threads << " threads";
+      }
+      break;
+    }
+    mismatched_shapes += what != nullptr ? 1 : 0;
+  }
+  runtime::set_intra_op_threads(saved_threads);
+  EXPECT_EQ(mismatched_shapes, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
